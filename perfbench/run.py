@@ -12,9 +12,11 @@ The last line of standard output is one JSON object:
 ``{"correct", "attempted", "failed", "metrics"}``.  ``attempted`` counts
 hopkit command runs and ``failed`` the ones that exited non-zero or whose
 outputs failed a check.  With ``--trace 0`` the metrics are the
-end-to-end ones (medians over iterations); with ``--trace 1`` traced and
-untraced iterations alternate and the metrics are the per-layer ones from
-spans.py.  The line before it holds provenance and every sample.
+end-to-end ones, with CPU-bound times scaled to a reference host speed
+measured by reference.py; with ``--trace 1`` traced and untraced iterations
+alternate and the metrics are the per-layer ones from spans.py.  The line
+before it holds provenance, the host's slowdown, every sample scaled and
+unscaled, and the reference runs' wall and CPU seconds.
 
 Workloads (why each exists is in BENCHMARK.json; details in README.md):
   oracle-code       evaluate --oracle --fault-prob 0.3, py-static then
@@ -49,6 +51,7 @@ from pathlib import Path
 import checks
 import fixtures
 import spans
+import stub
 from checks import CheckFailed, expect
 
 HERE = Path(__file__).resolve().parent
@@ -66,6 +69,20 @@ END_TO_END = [
     ("peak_rss_mb", "MiB"),
     ("delivered_share", "ratio"),
 ]
+# Throughput and CPU cost are totals over the run: every iteration completes
+# the same records, so the harmonic mean of the rates is total records over
+# total wall time.  The other metrics are medians.
+AGGREGATE = {"records_per_s": statistics.harmonic_mean,
+             "cpu_ms_per_record": statistics.mean}
+# The time reference.py takes on the host that the scaled metrics are
+# reported for.  On a shared host the speed of a vCPU swings by up to 1.8x
+# within seconds and drifts over minutes, with the load of other tenants.
+# reference.py runs between the hopkit commands, for at least
+# REFERENCE_SHARE of their time, so over a run it sees the same host speed
+# they do; dividing the run's CPU-bound times by its mean slowdown against
+# this constant removes most of the drift (README.md, "Host speed").
+REFERENCE_S = 0.125
+REFERENCE_SHARE = 0.15
 
 
 @dataclass
@@ -125,6 +142,18 @@ def run_command(cmd: Command, it_dir: Path, tag: str, trace: bool) -> CommandRun
                       stdout=stdout, stderr=stderr)
 
 
+def run_reference() -> tuple[float, float]:
+    """Run reference.py once; return its wall and CPU seconds."""
+    start = time.monotonic()
+    proc = subprocess.Popen([sys.executable, str(HERE / "reference.py")],
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.monotonic() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    expect(proc.returncode == 0, f"reference.py exited {proc.returncode}")
+    return wall, usage.ru_utime + usage.ru_stime
+
+
 def _hopkit_prompts(rows, rep_name: str) -> list[str]:
     """Zero-shot statement prompts as hopkit builds them for ``rep_name``."""
     from hopkit.kg import make_chain
@@ -139,9 +168,11 @@ def _hopkit_prompts(rows, rep_name: str) -> list[str]:
 
 class Workload:
     """One input set and command sequence.  ``records`` is the number of
-    input records one iteration completes."""
+    input records one iteration completes.  ``wall_scaled`` says whether
+    its wall time is CPU-bound, and so is scaled by the host's slowdown."""
 
     records: int
+    wall_scaled = True
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -232,7 +263,7 @@ class OracleOneShot(EvalWorkload):
 
 class HttpStub(EvalWorkload):
     name = "http-stub"
-    latency_ms = 10.0
+    wall_scaled = False         # bound by the stub's fixed latency
     retried = 2                 # first attempts answered 429, then 503
     permanent = 5               # records answered 400 on every attempt
 
@@ -264,7 +295,7 @@ class HttpStub(EvalWorkload):
         self.config = workdir / "gateway.json"
         self.config.write_text(json.dumps(
             {"concurrency": NPROC, "retries": 3, "model": "perfbench-stub"}))
-        self.stub = self._start_stub(workdir)
+        self._start_stub(workdir)
 
     @staticmethod
     def _reply(row, shape: int) -> str:
@@ -288,7 +319,7 @@ class HttpStub(EvalWorkload):
         proc = subprocess.Popen(
             [sys.executable, str(HERE / "stub.py"), "--schedule",
              str(workdir / "schedule.json"), "--ready-file", str(ready),
-             "--workers", str(NPROC), "--latency-ms", str(self.latency_ms)],
+             "--workers", str(NPROC)],
             stdout=subprocess.DEVNULL, stderr=log)
         log.close()
         self.proc = proc
@@ -300,7 +331,6 @@ class HttpStub(EvalWorkload):
                                   + (workdir / "stub.err").read_text()[-500:])
             time.sleep(0.02)
         self.port = int(ready.read_text())
-        return proc
 
     def _control(self, method: str, path: str) -> dict:
         conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=10)
@@ -311,7 +341,7 @@ class HttpStub(EvalWorkload):
             conn.close()
 
     def describe(self):
-        return {**super().describe(), "stub_latency_ms": self.latency_ms,
+        return {**super().describe(), "stub_latency_ms": stub.LATENCY_MS,
                 "stub_workers": NPROC, "concurrency": NPROC,
                 "retried_first_attempts": self.retried,
                 "permanent_failures": self.permanent}
@@ -384,17 +414,16 @@ class DatasetPipeline(Workload):
                      "--test-idx", str(self.test_idx)], probe="ingest"),
             Command(["stats", "--train", str(split / "train.tsv"),
                      "--test", str(split / "test.tsv"),
-                     "--output", str(it / "stats.json")]),
+                     "--output", str(it / "stats.json")], probe="ingest"),
             Command(["cap", "--input", str(split / "train.tsv"), "--output",
-                     str(capped), "--cap", str(self.cap), "--seed", str(self.seed)]),
+                     str(capped), "--cap", str(self.cap), "--seed", str(self.seed)],
+                    probe="ingest"),
             Command(["extend3", "--input", str(capped), "--facts", str(self.facts),
-                     "--output", str(it / "three_hop.tsv")]),
+                     "--output", str(it / "three_hop.tsv")], probe="ingest"),
             Command(["generate", "--input", str(capped), "--output",
-                     str(it / "corpus.jsonl"), "--kind", "corpus", "--rep", "py-static"]),
+                     str(it / "corpus.jsonl"), "--kind", "corpus", "--rep", "py-static"],
+                    probe="ingest"),
         ]
-
-    def setup_times(self, runs):
-        return super().setup_times(runs[:1])
 
     def check(self, it, runs):
         delivered = checks.pipeline(it, self.data, self.train_idx, self.test_idx,
@@ -421,6 +450,7 @@ WORKLOADS = {
 class Iteration:
     wall_s: float
     runs: list[CommandRun]
+    reference: list[tuple[float, float]]
     delivered: int
     traced: bool
     setup: list = field(default_factory=list)
@@ -429,15 +459,20 @@ class Iteration:
     missing: set = field(default_factory=set)
 
 
-def run_iteration(wl: Workload, it: Path, trace: bool) -> Iteration:
+def run_iteration(wl: Workload, it: Path, trace: bool,
+                  previous: Iteration | None) -> Iteration:
+    """Run and check one iteration.  ``previous`` is the one before it,
+    whose command times set how many reference runs precede each command."""
     it.mkdir()
     wl.before()
-    runs = []
-    start = time.monotonic()
+    runs, reference = [], []
     for k, cmd in enumerate(wl.commands(it)):
+        repeats = 1 if previous is None else max(
+            1, round(REFERENCE_SHARE * previous.runs[k].wall_s / REFERENCE_S))
+        reference += [run_reference() for _ in range(repeats)]
         runs.append(run_command(cmd, it, f"cmd{k}", trace))
-    wall = time.monotonic() - start
-    result = Iteration(wall_s=wall, runs=runs, delivered=wl.check(it, runs),
+    result = Iteration(wall_s=sum(r.wall_s for r in runs), runs=runs,
+                       reference=reference, delivered=wl.check(it, runs),
                        traced=trace)
     if not trace:
         result.setup = wl.setup_times(runs)
@@ -454,16 +489,31 @@ def run_iteration(wl: Workload, it: Path, trace: bool) -> Iteration:
     return result
 
 
-def end_to_end_samples(wl: Workload, iterations: list[Iteration]) -> dict[str, list]:
+def host_slowdown(iterations: list[Iteration]) -> dict[str, float]:
+    """The run's mean reference.py wall and CPU time over REFERENCE_S."""
+    walls, cpus = zip(*(ref for it in iterations for ref in it.reference))
+    return {"wall": statistics.mean(walls) / REFERENCE_S,
+            "cpu": statistics.mean(cpus) / REFERENCE_S}
+
+
+def end_to_end_samples(wl: Workload, iterations: list[Iteration],
+                       slowdown: dict[str, float]) -> dict[str, list]:
+    """Per-iteration samples, the CPU-bound times divided by the slowdown."""
+    wall_scale = slowdown["wall"] if wl.wall_scaled else 1.0
     samples: dict[str, list] = {name: [] for name, _ in END_TO_END}
     for it in iterations:
-        samples["records_per_s"].append(wl.records / it.wall_s)
-        samples["setup_s"].extend(it.setup)
+        samples["records_per_s"].append(wl.records / it.wall_s * wall_scale)
+        samples["setup_s"].extend(t / slowdown["wall"] for t in it.setup)
         samples["cpu_ms_per_record"].append(
-            1000 * sum(r.cpu_s for r in it.runs) / wl.records)
+            1000 * sum(r.cpu_s for r in it.runs) / wl.records / slowdown["cpu"])
         samples["peak_rss_mb"].append(max(r.maxrss_kb for r in it.runs) / 1024)
         samples["delivered_share"].append(it.delivered / wl.records)
     return samples
+
+
+def aggregate(name: str, samples: dict[str, list]) -> float:
+    """One run's value of an end-to-end metric from its samples."""
+    return AGGREGATE.get(name, statistics.median)(samples.get(name) or [0.0])
 
 
 def provenance(seed: int) -> dict:
@@ -508,19 +558,22 @@ def main() -> int:
     error = None
     try:
         wl = WORKLOADS[args.workload](args.seed, root)
-        run_iteration(wl, root / "warmup", trace=False)
+        warmup_from = time.monotonic()
+        previous = run_iteration(wl, root / "warmup", trace=False, previous=None)
         measure_from = time.monotonic()
+        took = measure_from - warmup_from
         k = 0
         while True:
-            elapsed = time.monotonic() - measure_from
-            if k >= MIN_ITERATIONS and elapsed >= args.seconds:
+            now = time.monotonic()
+            if k >= MIN_ITERATIONS and now - measure_from >= args.seconds:
                 break
-            last = iterations[-1].wall_s if iterations else 0.0
-            if time.monotonic() - started + 2 * last > RUN_LIMIT_S:
+            if now - started + 2 * took > RUN_LIMIT_S:
                 break
             traced = bool(args.trace) and k % 2 == 1
             it = root / f"it{k}"
-            iterations.append(run_iteration(wl, it, traced))
+            previous = run_iteration(wl, it, traced, previous)
+            took = time.monotonic() - now
+            iterations.append(previous)
             commands += len(iterations[-1].runs)
             shutil.rmtree(it)
             k += 1
@@ -554,12 +607,18 @@ def main() -> int:
         metrics = {name: {"value": values[name], "unit": unit}
                    for name, unit in spans.PER_LAYER}
     else:
-        samples = end_to_end_samples(wl, untraced) if wl is not None else {}
+        samples = {}
+        if untraced:
+            detail["host_slowdown"] = slowdown = host_slowdown(untraced)
+            samples = end_to_end_samples(wl, untraced, slowdown)
+            unscaled = end_to_end_samples(wl, untraced, {"wall": 1.0, "cpu": 1.0})
+            detail["unscaled"] = {
+                "samples": unscaled,
+                "values": {name: aggregate(name, unscaled) for name, _ in END_TO_END}}
+            detail["reference_s"] = [it.reference for it in untraced]
         detail["samples"] = samples
-        metrics = {}
-        for name, unit in END_TO_END:
-            values = samples.get(name) or [0.0]
-            metrics[name] = {"value": statistics.median(values), "unit": unit}
+        metrics = {name: {"value": aggregate(name, samples), "unit": unit}
+                   for name, unit in END_TO_END}
     print(json.dumps({"perfbench": detail}))
     if error:
         print(f"check failed: {error}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Loopback stand-in for an OpenAI-compatible /chat/completions endpoint.
 
-    python3 perfbench/stub.py --schedule schedule.json --ready-file port.txt
+    python3 perfbench/stub.py --schedule schedule.json --ready-file port.txt --workers 2
 
 It listens on 127.0.0.1 at an ephemeral port, writes the port to the ready
 file, and serves at most ``--workers`` connections at a time (one thread
-each, keep-alive).  Every chat request sleeps a fixed ``--latency-ms`` and
+each, keep-alive).  Every chat request sleeps a fixed ``LATENCY_MS`` and
 is then answered from the schedule, keyed on the SHA-256 of the prompt:
 
     {"<sha>": {"reply": "...", "first": 429 | 503 | null, "permanent": bool}}
@@ -13,7 +13,7 @@ is then answered from the schedule, keyed on the SHA-256 of the prompt:
 retries sees exactly one failure; ``permanent`` answers 400 on every
 attempt.  A prompt missing from the schedule gets 404 and is counted.
 
-Each response leaves in a single ``sendall`` on a socket with Nagle's
+Each response leaves in a single write on a socket with Nagle's
 algorithm off.  With Nagle on, a header write followed by a body write
 waits for the client's delayed ACK, tens of milliseconds per request, and
 the stub would measure itself instead of the client.
@@ -27,21 +27,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import socket
 import threading
 import time
 import traceback
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            429: "Too Many Requests", 503: "Service Unavailable"}
+LATENCY_MS = 10.0
 
 
 class Stub:
-    def __init__(self, schedule: dict, latency_s: float):
+    def __init__(self, schedule: dict):
         self.schedule = schedule
-        self.latency_s = latency_s
         self.lock = threading.Lock()
         self.reset()
 
@@ -80,9 +79,9 @@ class Stub:
             else:
                 status = 200
             self.by_status[str(status)] = self.by_status.get(str(status), 0) + 1
-        time.sleep(self.latency_s)
+        time.sleep(LATENCY_MS / 1000)
         if status != 200:
-            return status, {"error": {"message": _REASONS[status]}}
+            return status, {"error": {"message": HTTPStatus(status).phrase}}
         reply = entry["reply"]
         return 200, {
             "object": "chat.completion",
@@ -103,57 +102,39 @@ class Stub:
         return 404, {"error": {"message": "no such path"}}
 
 
-def _read_request(conn: socket.socket, buf: bytes):
-    """One request off a keep-alive connection, or None when it closed."""
-    while b"\r\n\r\n" not in buf:
-        chunk = conn.recv(65536)
-        if not chunk:
-            return None
-        buf += chunk
-    head, buf = buf.split(b"\r\n\r\n", 1)
-    lines = head.decode("latin-1").split("\r\n")
-    method, path, _ = lines[0].split(" ", 2)
-    headers = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0"))
-    while len(buf) < length:
-        chunk = conn.recv(65536)
-        if not chunk:
-            return None
-        buf += chunk
-    return method, path, headers, buf[:length], buf[length:]
+class Handler(BaseHTTPRequestHandler):
+    """One keep-alive connection.  The buffered ``wfile`` is flushed once
+    per request by ``handle_one_request``, so status line, headers and body
+    leave in a single write."""
 
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
-def _serve_connection(stub: Stub, conn: socket.socket) -> None:
-    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    buf = b""
-    with conn:
-        while True:
-            request = _read_request(conn, buf)
-            if request is None:
-                return
-            method, path, headers, body, buf = request
-            status, payload = stub.handle(method, path, body)
-            data = json.dumps(payload).encode("utf-8")
-            close = headers.get("connection", "").lower() == "close"
-            head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n")
-            conn.sendall(head.encode("latin-1") + data)
-            if close:
-                return
+    def _respond(self) -> None:
+        body = self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        status, payload = self.server.handle(self.command, self.path, body)
+        data = json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    do_GET = do_POST = _respond
+
+    def log_request(self, code="-", size="-") -> None:
+        pass
 
 
 def _worker(stub: Stub, listener: socket.socket) -> None:
     while True:
-        conn, _ = listener.accept()
+        conn, address = listener.accept()
         try:
-            _serve_connection(stub, conn)
+            Handler(conn, address, stub)
         except Exception:  # one bad connection must not take a worker down
             traceback.print_exc()
+        finally:
             conn.close()
 
 
@@ -161,11 +142,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description="loopback chat-completions stub")
     parser.add_argument("--schedule", required=True)
     parser.add_argument("--ready-file", required=True)
-    parser.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)))
-    parser.add_argument("--latency-ms", type=float, default=10.0)
+    parser.add_argument("--workers", type=int, required=True)
     args = parser.parse_args()
     schedule = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
-    stub = Stub(schedule, args.latency_ms / 1000)
+    stub = Stub(schedule)
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind(("127.0.0.1", 0))

@@ -8,8 +8,9 @@ Run from the root of a hopkit checkout.  Each (workload, seed) is one
 ``run.py`` process.  For every workload and metric the table shows:
 
 - across runs: the median of the per-run values, the first and third
-  quartiles, and the spread (quartile distance / median) that the
-  benchmark's bound is compared with;
+  quartiles, the spread (quartile distance / median) that the
+  benchmark's bound is compared with, and the spread the same runs would
+  have without the host-speed scaling (README.md, "Host speed");
 - pooled over every iteration of every run: the median, the most extreme
   percentile on the worse side that still has ten samples beyond it, and
   the sample count.
@@ -17,7 +18,6 @@ Run from the root of a hopkit checkout.  Each (workload, seed) is one
 Held-out seeds are reported in their own block, so a claim tuned on the
 first seeds can be re-checked on inputs that were not looked at.  With
 ``--trace`` the per-layer metrics are printed instead, median over seeds.
-``--json FILE`` also writes every run's result and samples.
 """
 
 from __future__ import annotations
@@ -71,19 +71,21 @@ def spread(values: list[float]) -> tuple[float, float, float, float]:
 def print_block(title: str, results: dict[str, list[dict]]) -> None:
     print(f"\n== {title}")
     head = (f"{'workload':17} {'metric':18} {'unit':9} {'median':>11} {'q1':>11} "
-            f"{'q3':>11} {'spread':>7} {'bound':>6} | {'pooled med':>11} "
-            f"{'tail':>5} {'value':>11} {'n':>4}")
+            f"{'q3':>11} {'spread':>7} {'bound':>6} {'unscaled':>8} | "
+            f"{'pooled med':>11} {'tail':>5} {'value':>11} {'n':>4}")
     print(head)
     for workload, runs in results.items():
         for metric in BENCHMARK["end_to_end"]:
             name = metric["name"]
             values = [r["metrics"][name]["value"] for r in runs]
             med, q1, q3, sp = spread(values)
+            unscaled = spread([r["detail"]["unscaled"]["values"][name] for r in runs])[3]
             pooled = [v for r in runs for v in r["detail"]["samples"][name]]
             tail = tail_percentile(pooled, LOWER_IS_BETTER[name])
             tail_s = f"{tail[0]:>5} {tail[1]:>11.5g}" if tail else f"{'-':>5} {'-':>11}"
             print(f"{workload:17} {name:18} {metric['unit']:9} {med:>11.5g} "
-                  f"{q1:>11.5g} {q3:>11.5g} {sp:>7.3f} {metric['bound']:>6} | "
+                  f"{q1:>11.5g} {q3:>11.5g} {sp:>7.3f} {metric['bound']:>6} "
+                  f"{unscaled:>8.3f} | "
                   f"{statistics.median(pooled):>11.5g} {tail_s} {len(pooled):>4}")
 
 
@@ -105,12 +107,10 @@ def main() -> None:
     parser.add_argument("--seconds", type=int, default=BENCHMARK["run_seconds"])
     parser.add_argument("--workloads", nargs="+", default=workloads, choices=workloads)
     parser.add_argument("--trace", action="store_true")
-    parser.add_argument("--json", help="also write every result to this file")
     args = parser.parse_args()
     if set(args.seeds) & set(args.holdout_seeds):
         parser.error("held-out seeds must differ from --seeds")
 
-    blocks = {}
     for title, seeds in (("seeds " + " ".join(map(str, args.seeds)), args.seeds),
                          ("held-out seeds " + " ".join(map(str, args.holdout_seeds)),
                           args.holdout_seeds)):
@@ -122,7 +122,6 @@ def main() -> None:
                 results[workload].append(run_one(workload, seed, args.seconds,
                                                  args.trace))
                 print(f"{workload} seed {seed}: ok", file=sys.stderr)
-        blocks[title] = results
         provenance = results[args.workloads[0]][0]["detail"]["provenance"]
         print(f"\nprovenance: {json.dumps({k: v for k, v in provenance.items() if k != 'seed'})}")
         for workload, runs in results.items():
@@ -131,8 +130,6 @@ def main() -> None:
             print_layers(results)
         else:
             print_block(title, results)
-    if args.json:
-        Path(args.json).write_text(json.dumps(blocks, indent=1))
 
 
 if __name__ == "__main__":
