@@ -21,8 +21,7 @@ for i in range(600):
     pair = rng.choice([("composer", "spouse"), ("director", "child"),
                        ("author", "birthplace")])
     records.append(SourceRecord(
-        id=str(i), e1=f"work{i}", r1=pair[0], e2=bridge, r2=pair[1],
-        e3=f"tail-{bridge}-{pair[1]}",
+        str(i), (f"work{i}", pair[0], bridge, pair[1], f"tail-{bridge}-{pair[1]}"),
     ))
 print(f"source rows: {len(records)}")
 
@@ -44,10 +43,10 @@ print(f"after cap 20 per relation pair: {len(capped)} rows")
 
 # Step 4: extend two-hop rows to three hops with extra facts.
 extra_facts = [
-    Triplet(Entity(r.e3), Relation("country"), Entity("Freedonia"))
+    Triplet(Entity(r.answer), Relation("country"), Entity("Freedonia"))
     for r in capped[: len(capped) // 2]
 ]
-whitelist = {Entity(r.e3) for r in capped}
+whitelist = {Entity(r.answer) for r in capped}
 three_hop = extend_to_three_hops(capped, extra_facts, whitelist)
 print(f"extended to three hops: {len(three_hop)} rows")
 print("sample:", three_hop[0].to_dict())

@@ -18,7 +18,7 @@ from .gateway import (DecodeConfig, FaultSpec, Gateway, GatewayConfigError,
                       OpenAIChatBackend, OracleBackend)
 from .kg import Entity, KnowledgeGraph, Relation, Triplet, add_fact
 from .prompts import DatasetStyle, PromptMode
-from .render import RepresentationTag, render as render_instance
+from .render import RepresentationTag, hop_sentences, render as render_instance
 
 REP_FLAGS = {
     "nl": RepresentationTag.NATURAL_LANGUAGE,
@@ -78,7 +78,9 @@ def cmd_partition(args) -> int:
     dataset.write_records(train, train_path)
     dataset.write_records(test, test_path)
     map_path.write_text(json.dumps(partition_map, indent=2), encoding="utf-8")
-    sizes = [len(p) for p in dataset.all_partitions(records, spec.num_partitions)]
+    sizes = [0] * spec.num_partitions
+    for record in records:
+        sizes[partition_map[record.bridge]] += 1
     print("partition sizes:", " ".join(str(s) for s in sizes))
     print(f"train (partition {spec.train_partition_index}): {len(train)} records")
     print(f"test (partition {spec.test_partition_index}): {len(test)} records")
@@ -131,7 +133,7 @@ def cmd_extend3(args) -> int:
             if line.strip()
         }
     else:
-        whitelist = {Entity(r.e3) for r in records}
+        whitelist = {Entity(r.answer) for r in records}
     extended = dataset.extend_to_three_hops(records, facts, whitelist)
     path = Path(args.output)
     _check_output(path, args.force)
@@ -140,21 +142,15 @@ def cmd_extend3(args) -> int:
     return 0
 
 
-def _context_for(chain) -> str:
-    return " ".join(
-        f"The {hop.relation.label} of {hop.head.label} is {hop.tail.label}."
-        for hop in chain.hops
-    )
-
-
-def _prompt_for(record, chain, mode, style, rep, pool, seed):
+def _prompt_for(record, mode, style, rep, pool, seed):
+    chain = record.to_chain()
     demonstration = None
     context = None
     if mode is PromptMode.ONE_SHOT:
         demo_chain = prompts.pick_demonstration(pool, chain, seed=seed)
         demonstration = render_instance(demo_chain, rep)
     elif mode is PromptMode.WITH_CONTEXT:
-        context = _context_for(chain)
+        context = " ".join(hop_sentences(chain))
     return prompts.build_prompt(
         chain, mode=mode, style=style, representation=rep,
         demonstration=demonstration, context=context,
@@ -176,8 +172,7 @@ def cmd_generate(args) -> int:
     pool = [r.to_chain() for r in records]
     lines = []
     for record in records:
-        chain = record.to_chain()
-        prompt = _prompt_for(record, chain, mode, style, rep, pool, args.seed)
+        prompt = _prompt_for(record, mode, style, rep, pool, args.seed)
         lines.append(json.dumps({"id": record.id, "prompt": prompt}))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines)} prompts to {path}")
@@ -239,21 +234,19 @@ def cmd_evaluate(args) -> int:
     gw = _build_gateway(args, records)
     gw.check()  # fail before the first request on misconfiguration
 
-    pending = [r for r in records if r.id not in done_ids]
+    pool = [r.to_chain() for r in records]
+    pending = [(r, chain) for r, chain in zip(records, pool) if r.id not in done_ids]
     if done_ids:
         print(f"resume: skipping {len(done_ids)} already-evaluated instances")
-    pool = [r.to_chain() for r in records]
-    chains = [r.to_chain() for r in pending]
     prompt_texts = [
-        _prompt_for(record, chain, mode, style, rep, pool, args.seed)
-        for record, chain in zip(pending, chains)
+        _prompt_for(record, mode, style, rep, pool, args.seed) for record, _ in pending
     ]
     results = gw.complete_batch(prompt_texts)
     judged = [
         evaluate.judge(
             record.id, chain, result.text, rep, transport_failed=not result.ok
         )
-        for record, chain, result in zip(pending, chains, results)
+        for (record, chain), result in zip(pending, results)
     ]
     with records_path.open("a", encoding="utf-8") as fh:
         for record in judged:

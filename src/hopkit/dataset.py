@@ -8,6 +8,7 @@ their seed, so whole pipelines are reproducible byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from collections import defaultdict
@@ -15,59 +16,69 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import prompts
-from .kg import Entity, Relation, ReasoningInstance, Triplet
+from .kg import Entity, ReasoningInstance, Triplet, make_chain
 from .prompts import DatasetStyle
 from .render import RepresentationTag, render as render_instance
-
-TSV_COLUMNS = ["id", "e1", "r1", "e2", "r2", "e3", "r3", "e4"]
 
 
 class IngestError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=None)
+def _columns(n_labels: int) -> tuple[str, ...]:
+    """Column names of a label chain: ``e1 r1 e2 r2 e3 ...``."""
+    return tuple(f"{'er'[i % 2]}{i // 2 + 1}" for i in range(n_labels))
+
+
+@dataclass(frozen=True, slots=True)
 class SourceRecord:
-    """One two- or three-hop row from the input dataset."""
+    """One row from the input dataset: an id and the alternating
+    entity/relation labels ``(e1, r1, e2, ..., rn, e(n+1))`` of an n-hop
+    chain, n >= 2.
+    """
 
     id: str
-    e1: str
-    r1: str
-    e2: str
-    r2: str
-    e3: str
-    r3: str | None = None
-    e4: str | None = None
+    labels: tuple[str, ...]
 
     def __post_init__(self):
-        if (self.r3 is None) != (self.e4 is None):
-            raise ValueError(f"record {self.id}: r3 and e4 must be present together")
-        for name in ("e1", "r1", "e2", "r2", "e3"):
-            if not getattr(self, name).strip():
+        n = len(self.labels)
+        if n < 5 or n % 2 == 0:
+            missing = _columns(max(5, n + 1))[n:]
+            raise ValueError(f"record {self.id}: missing fields: {', '.join(missing)}")
+        for name, label in zip(_columns(n), self.labels):
+            if not isinstance(label, str) or not label.strip():
                 raise ValueError(f"record {self.id}: empty field {name}")
-        if self.r3 is not None and not (self.r3.strip() and self.e4.strip()):
-            raise ValueError(f"record {self.id}: empty third-hop field")
 
     @property
     def n_hops(self) -> int:
-        return 3 if self.r3 is not None else 2
+        return len(self.labels) // 2
+
+    @property
+    def triples(self) -> list[tuple[str, str, str]]:
+        """(head, relation, tail) labels of each hop."""
+        labels = self.labels
+        return list(zip(labels[0::2], labels[1::2], labels[2::2]))
+
+    @property
+    def bridge(self) -> str:
+        """The first bridge entity, e2."""
+        return self.labels[2]
+
+    @property
+    def relation_pair(self) -> tuple[str, str]:
+        """The first two relations, (r1, r2)."""
+        return self.labels[1], self.labels[3]
+
+    @property
+    def answer(self) -> str:
+        return self.labels[-1]
 
     def to_chain(self) -> ReasoningInstance:
-        hops = [
-            Triplet(Entity(self.e1), Relation(self.r1), Entity(self.e2)),
-            Triplet(Entity(self.e2), Relation(self.r2), Entity(self.e3)),
-        ]
-        if self.r3 is not None:
-            hops.append(Triplet(Entity(self.e3), Relation(self.r3), Entity(self.e4)))
-        return ReasoningInstance(hops=tuple(hops), source_id=self.id)
+        return make_chain(*self.labels, source_id=self.id)
 
     def to_dict(self) -> dict:
-        d = {"id": self.id, "e1": self.e1, "r1": self.r1, "e2": self.e2,
-             "r2": self.r2, "e3": self.e3}
-        if self.r3 is not None:
-            d["r3"] = self.r3
-            d["e4"] = self.e4
-        return d
+        return {"id": self.id, **dict(zip(_columns(len(self.labels)), self.labels))}
 
 
 @dataclass(frozen=True)
@@ -150,11 +161,15 @@ class IngestResult:
 
 
 def _record_from_fields(fields: dict) -> SourceRecord:
-    clean = {k: v for k, v in fields.items() if v not in (None, "")}
-    missing = [c for c in TSV_COLUMNS[:6] if c not in clean]
-    if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
-    return SourceRecord(**{k: clean[k] for k in TSV_COLUMNS if k in clean})
+    """A record from one row's column -> cell map.  Trailing empty cells,
+    which a shorter chain leaves in a file of longer ones, are dropped.
+    """
+    if fields.get("id") in (None, ""):
+        raise ValueError("missing fields: id")
+    labels = [fields.get(c) for c in _columns(len(fields) + 1)]
+    while labels and labels[-1] in (None, ""):
+        labels.pop()
+    return SourceRecord(fields["id"], tuple(labels))
 
 
 def _iter_rows(path: Path, format: str):
@@ -164,9 +179,11 @@ def _iter_rows(path: Path, format: str):
         if not lines:
             return
         header = lines[0].split("\t")
-        unknown = set(header) - set(TSV_COLUMNS)
-        if unknown:
-            raise IngestError(f"unknown TSV columns: {sorted(unknown)}")
+        columns = {"id", *_columns(len(header) - 1)}
+        if len(header) < 6 or len(header) % 2 or set(header) != columns:
+            raise IngestError(
+                f"TSV header must be id e1 r1 ... rn e(n+1) with n >= 2, got {header}"
+            )
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -219,9 +236,7 @@ def ingest(path: str | Path, format: str = "tsv") -> IngestResult:
         if record.id in seen_ids:
             result.invalid_rows.append((lineno, f"duplicate id {record.id!r}"))
             continue
-        hops = [(record.e1, record.r1, record.e2), (record.e2, record.r2, record.e3)]
-        if record.r3 is not None:
-            hops.append((record.e3, record.r3, record.e4))
+        hops = record.triples
         conflict = None
         for head, rel, tail in hops:
             existing = facts.get((head, rel))
@@ -246,12 +261,11 @@ def ingest(path: str | Path, format: str = "tsv") -> IngestResult:
 def write_records(records: list[SourceRecord], path: str | Path, format: str = "tsv") -> None:
     path = Path(path)
     if format == "tsv":
-        three_hop = any(r.n_hops == 3 for r in records)
-        columns = TSV_COLUMNS if three_hop else TSV_COLUMNS[:6]
-        lines = ["\t".join(columns)]
+        # Shorter chains leave their trailing cells empty.
+        width = max((len(r.labels) for r in records), default=5)
+        lines = ["\t".join(("id", *_columns(width)))]
         for r in records:
-            d = r.to_dict()
-            lines.append("\t".join(d.get(c, "") for c in columns))
+            lines.append("\t".join((r.id, *r.labels)) + "\t" * (width - len(r.labels)))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif format == "json_lines":
         path.write_text(
@@ -261,27 +275,35 @@ def write_records(records: list[SourceRecord], path: str | Path, format: str = "
         raise IngestError(f"unknown format {format!r}")
 
 
+def _deal(
+    records: list[SourceRecord], num_partitions: int
+) -> tuple[list[list[SourceRecord]], dict[str, int]]:
+    """Group records by bridge entity (e2), order the groups by descending
+    size with an ascending label tiebreak, and deal them to partitions
+    round-robin.  Returns the partitions and the e2 -> partition map.
+    """
+    groups: dict[str, list[SourceRecord]] = defaultdict(list)
+    for record in records:
+        groups[record.bridge].append(record)
+    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    partition_map = {e2: k % num_partitions for k, (e2, _) in enumerate(ordered)}
+    partitions: list[list[SourceRecord]] = [[] for _ in range(num_partitions)]
+    for e2, members in ordered:
+        partitions[partition_map[e2]].extend(members)
+    return partitions, partition_map
+
+
 def partition_by_bridge(
     records: list[SourceRecord], spec: SplitSpec
 ) -> tuple[list[SourceRecord], list[SourceRecord], dict[str, int]]:
-    """Split records into round-robin partitions keyed by the bridge entity.
-
-    Records are grouped by e2; groups are ordered by descending size with an
-    ascending label tiebreak, then dealt to partitions round-robin, so every
-    unique bridge entity lands in exactly one partition.  Returns the
-    partitions at the spec's train/test indices plus the full e2 -> partition
-    map.
+    """Split records into round-robin partitions keyed by the bridge entity,
+    so every unique bridge entity lands in exactly one partition.  Returns
+    the partitions at the spec's train/test indices plus the full
+    e2 -> partition map.
     """
     if not records:
         raise ValueError("no records to partition")
-    groups: dict[str, list[SourceRecord]] = defaultdict(list)
-    for record in records:
-        groups[record.e2].append(record)
-    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    partition_map = {e2: k % spec.num_partitions for k, (e2, _) in enumerate(ordered)}
-    partitions: list[list[SourceRecord]] = [[] for _ in range(spec.num_partitions)]
-    for e2, members in ordered:
-        partitions[partition_map[e2]].extend(members)
+    partitions, partition_map = _deal(records, spec.num_partitions)
     return (
         partitions[spec.train_partition_index],
         partitions[spec.test_partition_index],
@@ -293,16 +315,7 @@ def all_partitions(
     records: list[SourceRecord], num_partitions: int
 ) -> list[list[SourceRecord]]:
     """Every partition under the same grouping rule as partition_by_bridge."""
-    spec = SplitSpec(num_partitions=max(num_partitions, 2),
-                     train_partition_index=0, test_partition_index=1)
-    groups: dict[str, list[SourceRecord]] = defaultdict(list)
-    for record in records:
-        groups[record.e2].append(record)
-    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    partitions: list[list[SourceRecord]] = [[] for _ in range(num_partitions)]
-    for k, (_, members) in enumerate(ordered):
-        partitions[k % num_partitions].extend(members)
-    return partitions
+    return _deal(records, num_partitions)[0]
 
 
 def cap_relation_pairs(
@@ -315,7 +328,7 @@ def cap_relation_pairs(
         raise ValueError("cap must be >= 1")
     by_pair: dict[tuple[str, str], list[int]] = defaultdict(list)
     for i, record in enumerate(records):
-        by_pair[(record.r1, record.r2)].append(i)
+        by_pair[record.relation_pair].append(i)
     rng = random.Random(seed)
     keep: set[int] = set()
     for pair in sorted(by_pair):
@@ -346,12 +359,9 @@ def extend_to_three_hops(
     for record in two_hop:
         if record.n_hops != 2:
             raise ValueError(f"record {record.id} is not two-hop")
-        if record.e3 not in whitelist or record.e3 not in candidates:
+        if record.answer not in whitelist or record.answer not in candidates:
             continue
-        r3, e4 = min(candidates[record.e3])
-        out.append(SourceRecord(id=record.id, e1=record.e1, r1=record.r1,
-                                e2=record.e2, r2=record.r2, e3=record.e3,
-                                r3=r3, e4=e4))
+        out.append(SourceRecord(record.id, record.labels + min(candidates[record.answer])))
     return out
 
 
@@ -359,10 +369,10 @@ def compute_overlap_stats(
     train: list[SourceRecord], test: list[SourceRecord]
 ) -> OverlapStats:
     """Distinct bridge-entity and relation-pair counts plus intersections."""
-    train_bridges = {r.e2 for r in train}
-    test_bridges = {r.e2 for r in test}
-    train_pairs = {(r.r1, r.r2) for r in train}
-    test_pairs = {(r.r1, r.r2) for r in test}
+    train_bridges = {r.bridge for r in train}
+    test_bridges = {r.bridge for r in test}
+    train_pairs = {r.relation_pair for r in train}
+    test_pairs = {r.relation_pair for r in test}
     shared_pairs = train_pairs & test_pairs
     return OverlapStats(
         train_size=len(train),
@@ -374,7 +384,7 @@ def compute_overlap_stats(
         relation_pairs_test=len(test_pairs),
         relation_pair_overlap=len(shared_pairs),
         rows_covered_by_shared_pairs=sum(
-            1 for r in test if (r.r1, r.r2) in shared_pairs
+            1 for r in test if r.relation_pair in shared_pairs
         ),
     )
 

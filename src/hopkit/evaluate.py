@@ -45,7 +45,7 @@ def _find_envelopes(completion: str) -> list[dict]:
             return found
         try:
             obj, end = decoder.raw_decode(completion[start:])
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # deep nesting is malformed too
             pos = start + 1
             continue
         if isinstance(obj, dict):
@@ -87,7 +87,7 @@ def judge_hops(
 ) -> list[bool]:
     """Per-hop verdicts: hop i is correct when the completion contains a
     triplet whose normalized head and tail match gold hop i, or (fallback)
-    states "<head> is <tail>" as a sentence fragment.
+    states "<head> is <tail>" with neither entity part of a longer word.
     """
     triplets: tuple[Triplet, ...] = ()
     for body in _candidate_bodies(completion, representation):
@@ -104,7 +104,9 @@ def judge_hops(
     for hop in gold.hops:
         head = normalize_answer(hop.head.label)
         tail = normalize_answer(hop.tail.label)
-        verdicts.append((head, tail) in pairs or f"{head} is {tail}" in flat)
+        verdicts.append((head, tail) in pairs or re.search(
+            rf"(?<!\w){re.escape(head)} is {re.escape(tail)}(?!\w)", flat
+        ) is not None)
     return verdicts
 
 
@@ -225,11 +227,10 @@ class MetricsReport:
 
 
 def _conditions(n_hops: int) -> list[tuple[int, ...]]:
-    conditions: list[tuple[int, ...]] = []
-    if n_hops == 3:
-        conditions.extend([(1, 2), (2, 3)])
-    conditions.append(tuple(range(1, n_hops + 1)))
-    return conditions
+    """Each pair of contiguous hops, then all hops (listed once when n = 2)."""
+    pairs = [(h, h + 1) for h in range(1, n_hops)]
+    every = tuple(range(1, n_hops + 1))
+    return pairs if every in pairs else [*pairs, every]
 
 
 def compute_metrics(records: list[EvalRecord]) -> MetricsReport:

@@ -237,8 +237,12 @@ class OpenAIChatBackend:
         try:
             body = response.json()
             text = body["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed response: {exc}", retryable=False) from exc
+        if not isinstance(text, str):
+            raise TransportError(
+                f"malformed response: content is {text!r}", retryable=False
+            )
         return text, body.get("usage")
 
 

@@ -8,14 +8,11 @@ and the question style asks "What is r2 of r1 of e1 ?".  Golden files under
 from __future__ import annotations
 
 import enum
-import logging
 import random
 from dataclasses import dataclass
 
 from .kg import ReasoningInstance
 from .render import RenderedExample, RepresentationTag
-
-logger = logging.getLogger(__name__)
 
 
 class DatasetStyle(str, enum.Enum):
@@ -50,19 +47,10 @@ class PromptBundle:
     full_prompt: str
 
 
-def build_query(
-    chain: ReasoningInstance, style: DatasetStyle, articled: bool = False
-) -> str:
-    """Query text with relations outermost-last-hop-first.
-
-    ``articled=True`` switches to the running-prose form
-    ("The spouse of the composer of ..."); the default is the bare form.
-    """
+def build_query(chain: ReasoningInstance, style: DatasetStyle) -> str:
+    """Query text with relations outermost-last-hop-first."""
     rels = [r.label for r in chain.relations]
-    if articled:
-        core = "The " + " of the ".join(reversed(rels)) + f" of {chain.start.label}"
-    else:
-        core = " of ".join(reversed(rels)) + f" of {chain.start.label}"
+    core = " of ".join(reversed(rels)) + f" of {chain.start.label}"
     if style is DatasetStyle.STATEMENT:
         return f"{core} is _"
     return f"What is {core} ?"
@@ -148,18 +136,15 @@ def pick_demonstration(
     pool: list[ReasoningInstance], query: ReasoningInstance, seed: int
 ) -> ReasoningInstance:
     """Seeded uniform pick from the pool, excluding instances that would leak
-    the query's start entity or final answer.  Falls back to the first pool
-    element (with a warning) when the exclusion empties the pool.
+    the query's start entity or final answer.  Raises ValueError when no
+    instance is left.
     """
-    if not pool:
-        raise ValueError("demonstration pool is empty")
     eligible = [
         c for c in pool if c.start != query.start and c.answer != query.answer
     ]
     if not eligible:
-        logger.warning(
-            "demonstration pool exhausted after excluding instances sharing "
-            "the query's start or answer; falling back to the first element"
+        raise ValueError(
+            "no demonstration in the pool avoids the query's start entity "
+            f"{query.start.label!r} and answer {query.answer.label!r}"
         )
-        return pool[0]
     return random.Random(seed).choice(eligible)

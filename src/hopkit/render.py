@@ -90,11 +90,16 @@ def composed_sentence(chain: ReasoningInstance, final: str | None = None) -> str
     return f"{prefix} of {chain.start.label} is {final or chain.answer.label}."
 
 
-def _render_natural_language(chain: ReasoningInstance) -> str:
-    sentences = [
+def hop_sentences(chain: ReasoningInstance) -> list[str]:
+    """One sentence per hop, e.g. "The spouse of David Shire is Didi Conn." """
+    return [
         f"The {hop.relation.label} of {hop.head.label} is {hop.tail.label}."
         for hop in chain.hops
     ]
+
+
+def _render_natural_language(chain: ReasoningInstance) -> str:
+    sentences = hop_sentences(chain)
     if chain.n_hops >= 2:
         sentences.append(composed_sentence(chain))
     return " ".join(sentences)

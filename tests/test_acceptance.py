@@ -160,9 +160,9 @@ def test_criterion_3_round_trip_property(tmp_path):
 
 def random_dataset(rng, n_records, n_bridges):
     return [
-        SourceRecord(id=str(i), e1=f"h{i}", r1=f"r{rng.randrange(3)}",
-                     e2=f"b{rng.randrange(n_bridges)}",
-                     r2=f"s{rng.randrange(3)}", e3=f"t{i}")
+        SourceRecord(str(i), (f"h{i}", f"r{rng.randrange(3)}",
+                              f"b{rng.randrange(n_bridges)}",
+                              f"s{rng.randrange(3)}", f"t{i}"))
         for i in range(n_records)
     ]
 
@@ -174,14 +174,14 @@ def test_criterion_4_partition_properties():
         records = random_dataset(rng, rng.randrange(2, 40), rng.randrange(1, 12))
         n = rng.randrange(2, 9)
         partitions = all_partitions(records, n)
-        bridge_sets = [{r.e2 for r in p} for p in partitions]
+        bridge_sets = [{r.bridge for r in p} for p in partitions]
         for a, b in itertools.combinations(bridge_sets, 2):
             assert not (a & b)
         combined = sorted(r.id for p in partitions for r in p)
         assert combined == sorted(r.id for r in records)
         sizes = [len(p) for p in partitions]
         group_sizes = [
-            sum(1 for r in records if r.e2 == e2) for e2 in {r.e2 for r in records}
+            sum(1 for r in records if r.bridge == e2) for e2 in {r.bridge for r in records}
         ]
         assert max(sizes) - min(sizes) <= max(group_sizes)
     # a fixture shaped like the two-hop source dataset: many rows, shared
@@ -288,8 +288,7 @@ def test_criterion_7_three_hop_extension():
     rng = random.Random(17)
     for _ in range(200):
         records = [
-            SourceRecord(id=str(i), e1=f"h{i}", r1="r", e2=f"b{i}", r2="s",
-                         e3=f"c{rng.randrange(8)}")
+            SourceRecord(str(i), (f"h{i}", "r", f"b{i}", "s", f"c{rng.randrange(8)}"))
             for i in range(rng.randrange(1, 30))
         ]
         facts = [
@@ -302,16 +301,15 @@ def test_criterion_7_three_hop_extension():
         assert len(extended) <= len(records)
         for record in extended:
             assert record.n_hops == 3
-            assert Entity(record.e3) in whitelist
-            assert (record.e3, record.r3, record.e4) in fact_keys
+            assert Entity(record.labels[4]) in whitelist
+            assert record.triples[2] in fact_keys
             assert validate_instance(record.to_chain()) == []
 
 
 @criterion(8, "relation-pair cap of 700 to exactly 500, deterministic", budget=5.0)
 def test_criterion_8_cap_determinism():
     records = [
-        SourceRecord(id=str(i), e1=f"h{i}", r1="composer", e2=f"b{i}",
-                     r2="spouse", e3=f"t{i}")
+        SourceRecord(str(i), (f"h{i}", "composer", f"b{i}", "spouse", f"t{i}"))
         for i in range(700)
     ]
     first = cap_relation_pairs(records, cap=500, seed=41)

@@ -123,6 +123,14 @@ class TestGenerate:
         first = json.loads(out.read_text().splitlines()[0])
         assert "Given context:" in first["prompt"]
 
+    def test_one_shot_without_a_leak_free_demonstration_fails(self, tmp_path, capsys):
+        path = tmp_path / "one.tsv"
+        write_tsv(path, [["1", "a", "r", "b", "s", "c"]])
+        code = main(["generate", "--input", str(path), "--output", str(tmp_path / "p"),
+                     "--kind", "prompts", "--mode", "one", "--rep", "json"])
+        assert code == 1
+        assert "error: no demonstration" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_oracle_closure_is_perfect(self, input_tsv, tmp_path, capsys):
@@ -152,6 +160,25 @@ class TestEvaluate:
                      "--output", str(tmp_path / "eval")])
         assert code == 1
         assert "backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rep", ["nl", "json", "py-static", "py-dynamic"])
+    def test_four_hop_oracle_closure(self, tmp_path, rep):
+        path = tmp_path / "four.tsv"
+        header = ["id", "e1", "r1", "e2", "r2", "e3", "r3", "e4", "r4", "e5"]
+        rows = [[str(i), f"work{i}", "composer", f"bridge{i}", "spouse",
+                 f"person{i}", "birthplace", f"town{i}", "country", f"land{i % 3}"]
+                for i in range(12)]
+        path.write_text("\n".join("\t".join(r) for r in [header, *rows]) + "\n",
+                        encoding="utf-8")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--input", str(path), "--output", str(out),
+                     "--oracle", "--rep", rep]) == 0
+        records = [json.loads(l) for l in (out / "eval_records.jsonl").read_text().splitlines()]
+        assert len(records) == 12
+        assert all(r["hop_correct"] == [True] * 4 and r["final_correct"] for r in records)
+        report = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
+        assert [r["condition"] for r in report[1:]] == [[1, 2], [2, 3], [3, 4], [1, 2, 3, 4]]
+        assert all(r["final_accuracy"] == 1.0 for r in report[1:])
 
     def test_fault_injection_lowers_accuracy(self, input_tsv, tmp_path):
         out = tmp_path / "eval"

@@ -14,8 +14,8 @@ from hopkit.prompts import DatasetStyle
 from hopkit.render import ENVELOPE_BODY_KEY, RepresentationTag, parse
 
 
-def rec(i, e1, r1, e2, r2, e3, r3=None, e4=None):
-    return SourceRecord(id=str(i), e1=e1, r1=r1, e2=e2, r2=r2, e3=e3, r3=r3, e4=e4)
+def rec(i, *labels):
+    return SourceRecord(str(i), labels)
 
 
 def write_tsv(path, rows, three_hop=False):
@@ -63,7 +63,7 @@ class TestIngest:
         rows = [{"id": "1", "e1": "a", "r1": "r", "e2": "b", "r2": "s", "e3": "c"}]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         result = ingest(path, "json_lines")
-        assert result.records[0].e2 == "b"
+        assert result.records[0].bridge == "b"
 
     def test_mostly_invalid_aborts(self, tmp_path):
         path = tmp_path / "in.tsv"
@@ -86,6 +86,76 @@ class TestIngest:
             write_records(records, path, format=fmt)
             assert ingest(path, fmt).records == records
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json_lines"])
+    @pytest.mark.parametrize("hops", ["two", "three", "mixed"])
+    def test_written_bytes_pinned(self, tmp_path, hops, fmt):
+        two = rec(1, "It Goes Like It Goes", "composer", "David Shire", "spouse",
+                  "Didi Conn")
+        three = rec(2, "a", "r", "b", "s", "c", "u", "d")
+        records = {"two": [two], "three": [three],
+                   "mixed": [two, three, rec(3, "x", "r", "y", "s", "z")]}[hops]
+        path = tmp_path / "out"
+        write_records(records, path, format=fmt)
+        assert path.read_bytes() == WRITTEN[hops, fmt]
+        assert ingest(path, fmt).records == records
+
+    def test_four_hop_header(self, tmp_path):
+        path = tmp_path / "in.tsv"
+        path.write_text("id\te1\tr1\te2\tr2\te3\tr3\te4\tr4\te5\n"
+                        "1\ta\tr\tb\ts\tc\tu\td\tv\te\n", encoding="utf-8")
+        [record] = ingest(path, "tsv").records
+        assert record.n_hops == record.to_chain().n_hops == 4
+        assert record.to_chain().answer == Entity("e")
+
+    @pytest.mark.parametrize("header", [
+        "id\te1\tr1\te2\tr2\te3\tr3",
+        "id\te1\tr1\te2\tr2\te4",
+        "id\te1\tr1\te2",
+        "e1\tr1\te2\tr2\te3\tr3",
+    ])
+    def test_header_must_be_a_chain(self, tmp_path, header):
+        path = tmp_path / "in.tsv"
+        path.write_text(header + "\n", encoding="utf-8")
+        with pytest.raises(IngestError):
+            ingest(path, "tsv")
+
+    def test_gap_in_chain_rejected(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        rows = [{"id": "1", "e1": "a", "r1": "r", "e2": "b", "r2": "s", "e3": "c"},
+                {"id": "2", "e1": "d", "r1": "r", "e2": "e", "r2": "s", "e3": "f",
+                 "e4": "g"}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        result = ingest(path, "json_lines")
+        assert [r.id for r in result.records] == ["1"]
+        assert result.invalid_rows == [(2, "record 2: empty field r3")]
+
+
+# write_records output as of the fixed-field record format, byte for byte.
+WRITTEN = {
+    ("two", "tsv"):
+        b"id\te1\tr1\te2\tr2\te3\n"
+        b"1\tIt Goes Like It Goes\tcomposer\tDavid Shire\tspouse\tDidi Conn\n",
+    ("two", "json_lines"):
+        b'{"id": "1", "e1": "It Goes Like It Goes", "r1": "composer", '
+        b'"e2": "David Shire", "r2": "spouse", "e3": "Didi Conn"}\n',
+    ("three", "tsv"):
+        b"id\te1\tr1\te2\tr2\te3\tr3\te4\n2\ta\tr\tb\ts\tc\tu\td\n",
+    ("three", "json_lines"):
+        b'{"id": "2", "e1": "a", "r1": "r", "e2": "b", "r2": "s", "e3": "c", '
+        b'"r3": "u", "e4": "d"}\n',
+    ("mixed", "tsv"):
+        b"id\te1\tr1\te2\tr2\te3\tr3\te4\n"
+        b"1\tIt Goes Like It Goes\tcomposer\tDavid Shire\tspouse\tDidi Conn\t\t\n"
+        b"2\ta\tr\tb\ts\tc\tu\td\n"
+        b"3\tx\tr\ty\ts\tz\t\t\n",
+    ("mixed", "json_lines"):
+        b'{"id": "1", "e1": "It Goes Like It Goes", "r1": "composer", '
+        b'"e2": "David Shire", "r2": "spouse", "e3": "Didi Conn"}\n'
+        b'{"id": "2", "e1": "a", "r1": "r", "e2": "b", "r2": "s", "e3": "c", '
+        b'"r3": "u", "e4": "d"}\n'
+        b'{"id": "3", "e1": "x", "r1": "r", "e2": "y", "r2": "s", "e3": "z"}\n',
+}
+
 
 class TestPartition:
     def test_uniform_groups_one_per_partition(self):
@@ -101,8 +171,8 @@ class TestPartition:
                 records.append(rec(f"{bridge}-{j}", f"h{bridge}{j}", "r", bridge, "s", f"t{j}"))
         spec = SplitSpec(num_partitions=2, train_partition_index=0, test_partition_index=1)
         train, test, partition_map = partition_by_bridge(records, spec)
-        assert {r.e2 for r in train} == {"b1", "b3", "b5"}
-        assert {r.e2 for r in test} == {"b2", "b4"}
+        assert {r.bridge for r in train} == {"b1", "b3", "b5"}
+        assert {r.bridge for r in test} == {"b2", "b4"}
         assert len(train) == 9 and len(test) == 6
         assert partition_map == {"b1": 0, "b2": 1, "b3": 0, "b4": 1, "b5": 0}
 
@@ -113,7 +183,7 @@ class TestPartition:
             for i in range(200)
         ]
         train, test, _ = partition_by_bridge(records, SplitSpec())
-        assert not ({r.e2 for r in train} & {r.e2 for r in test})
+        assert not ({r.bridge for r in train} & {r.bridge for r in test})
 
     def test_union_preserves_multiset(self):
         rng = random.Random(4)
@@ -158,7 +228,7 @@ class TestCap:
         ]
         capped = cap_relation_pairs(records, cap=20, seed=2)
         assert set(r.id for r in capped) <= set(r.id for r in records)
-        counts = collections.Counter((r.r1, r.r2) for r in capped)
+        counts = collections.Counter(r.relation_pair for r in capped)
         assert all(v <= 20 for v in counts.values())
 
 
@@ -169,7 +239,7 @@ class TestExtend:
     def test_single_extension(self):
         records = [rec(1, "a", "r", "b", "s", "c")]
         out = extend_to_three_hops(records, [self.fact("c", "u", "d")], {Entity("c")})
-        assert len(out) == 1 and out[0].r3 == "u" and out[0].e4 == "d"
+        assert len(out) == 1 and out[0].labels[5:] == ("u", "d")
 
     def test_no_extension_omitted(self):
         records = [rec(1, "a", "r", "b", "s", "c")]
@@ -184,7 +254,7 @@ class TestExtend:
         records = [rec(1, "a", "r", "b", "s", "c")]
         facts = [self.fact("c", "z", "a1"), self.fact("c", "u", "x"), self.fact("c", "u", "d")]
         out = extend_to_three_hops(records, facts, {Entity("c")})
-        assert (out[0].r3, out[0].e4) == ("u", "d")
+        assert out[0].labels[5:] == ("u", "d")
 
     def test_output_chains_are_valid(self):
         records = [rec(i, f"h{i}", "r", f"b{i}", "s", f"c{i % 3}") for i in range(9)]
@@ -193,7 +263,7 @@ class TestExtend:
         for record in extend_to_three_hops(records, facts, whitelist):
             chain = record.to_chain()
             assert chain.n_hops == 3
-            assert record.e3 in {"c0", "c1"}
+            assert record.labels[4] in {"c0", "c1"}
 
 
 class TestOverlapStats:

@@ -76,6 +76,16 @@ class TestJudgeHops:
         verdicts = judge_hops(completion.replace("!", "."), example_chain, NL)
         assert verdicts[0] is True
 
+    @pytest.mark.parametrize("completion,verdict", [
+        ("Paris is Francesca's home town.", False),
+        ("Sparis is France.", False),
+        ("Paris is France.", True),
+        ("(Paris is France)", True),
+    ])
+    def test_fallback_matches_whole_entities(self, completion, verdict):
+        chain = make_chain("Paris", "country", "France")
+        assert judge_hops(completion, chain, NL) == [verdict]
+
 
 class TestJudge:
     def test_oracle_completion_fully_correct(self, example_chain):
@@ -95,6 +105,12 @@ class TestJudge:
         record = judge("id1", example_chain, "no idea, sorry", NL)
         assert record.failure_class == "unparseable"
         assert not record.final_correct
+
+    @pytest.mark.parametrize("tag", list(RepresentationTag))
+    def test_deep_nesting_is_unparseable(self, example_chain, tag):
+        record = judge("id1", example_chain, '{"a": ' * 1000, tag)
+        assert record.failure_class == "unparseable"
+        assert record.hop_correct == (False, False)
 
 
 def synth_records(final_incorrect, final_correct, n_hops=2):

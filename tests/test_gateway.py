@@ -133,7 +133,42 @@ class TestGateway:
             DecodeConfig(temperature=-0.1)
 
 
+class FakeSession:
+    """Stands in for requests.Session: every POST gets one canned 200 reply."""
+
+    def __init__(self, body):
+        self.body = body
+        self.calls = 0
+
+    def post(self, url, json, headers, timeout):
+        self.calls += 1
+        return FakeResponse(self.body)
+
+
+class FakeResponse:
+    status_code = 200
+
+    def __init__(self, body):
+        self.body = body
+
+    def json(self):
+        return self.body
+
+
 class TestOpenAIBackend:
+    @pytest.mark.parametrize("body", [
+        [1, 2],
+        {"choices": [{"message": {"content": None}}]},
+    ])
+    def test_malformed_reply_is_a_final_transport_failure(self, monkeypatch, body):
+        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+        session = FakeSession(body)
+        backend = OpenAIChatBackend("http://localhost:9999/v1", session=session)
+        [result] = Gateway(backend=backend, backoff_base=0.0).complete_batch(["p"])
+        assert result.transport_status == "transport" and result.text is None
+        assert result.error.startswith("malformed response")
+        assert session.calls == 1
+
     def test_missing_token_fails_fast(self, monkeypatch):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
         backend = OpenAIChatBackend("http://localhost:9999/v1")

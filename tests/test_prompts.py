@@ -1,5 +1,3 @@
-import logging
-
 import pytest
 
 from hopkit import build_prompt, build_query, make_chain, pick_demonstration, render
@@ -22,12 +20,6 @@ def test_question_query(example_chain):
 def test_single_hop_query():
     assert build_query(make_chain("e1", "r1", "e2"), DatasetStyle.STATEMENT) == (
         "r1 of e1 is _"
-    )
-
-
-def test_articled_variant(example_chain):
-    assert build_query(example_chain, DatasetStyle.STATEMENT, articled=True) == (
-        "The spouse of the composer of It Goes Like It Goes is _"
     )
 
 
@@ -87,11 +79,11 @@ class TestPickDemonstration:
         other = make_chain("x", "r", "y", "s", "z")
         assert pick_demonstration([other], example_chain, seed=0) == other
 
-    def test_fallback_warns(self, example_chain, caplog):
-        with caplog.at_level(logging.WARNING, logger="hopkit.prompts"):
-            picked = pick_demonstration([example_chain], example_chain, seed=0)
-        assert picked == example_chain
-        assert any("exhausted" in r.message for r in caplog.records)
+    def test_exhausted_pool_raises(self, example_chain):
+        leaky_answer = make_chain("x", "r", "y", "s", "Didi Conn")
+        for pool in ([example_chain], [example_chain, leaky_answer], []):
+            with pytest.raises(ValueError, match="no demonstration"):
+                pick_demonstration(pool, example_chain, seed=0)
 
     def test_deterministic(self, example_chain):
         pool = [make_chain(f"x{i}", "r", f"y{i}", "s", f"z{i}") for i in range(20)]
