@@ -142,12 +142,17 @@ def cmd_extend3(args) -> int:
     return 0
 
 
-def _prompt_for(record, mode, style, rep, pool, seed):
+def _demonstrations(mode, chains):
+    """The indexed demonstration pool, built only where one-shot uses it."""
+    return prompts.DemonstrationPool(chains) if mode is PromptMode.ONE_SHOT else None
+
+
+def _prompt_for(record, mode, style, rep, demos, seed):
     chain = record.to_chain()
     demonstration = None
     context = None
     if mode is PromptMode.ONE_SHOT:
-        demo_chain = prompts.pick_demonstration(pool, chain, seed=seed)
+        demo_chain = demos.pick(chain, seed)
         demonstration = render_instance(demo_chain, rep)
     elif mode is PromptMode.WITH_CONTEXT:
         context = " ".join(hop_sentences(chain))
@@ -169,10 +174,10 @@ def cmd_generate(args) -> int:
         print(f"wrote {len(corpus)} training pairs to {path}")
         return 0
     mode = MODE_FLAGS[args.mode]
-    pool = [r.to_chain() for r in records]
+    demos = _demonstrations(mode, [r.to_chain() for r in records])
     lines = []
     for record in records:
-        prompt = _prompt_for(record, mode, style, rep, pool, args.seed)
+        prompt = _prompt_for(record, mode, style, rep, demos, args.seed)
         lines.append(json.dumps({"id": record.id, "prompt": prompt}))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines)} prompts to {path}")
@@ -234,12 +239,13 @@ def cmd_evaluate(args) -> int:
     gw = _build_gateway(args, records)
     gw.check()  # fail before the first request on misconfiguration
 
-    pool = [r.to_chain() for r in records]
-    pending = [(r, chain) for r, chain in zip(records, pool) if r.id not in done_ids]
+    chains = [r.to_chain() for r in records]
+    demos = _demonstrations(mode, chains)
+    pending = [(r, chain) for r, chain in zip(records, chains) if r.id not in done_ids]
     if done_ids:
         print(f"resume: skipping {len(done_ids)} already-evaluated instances")
     prompt_texts = [
-        _prompt_for(record, mode, style, rep, pool, args.seed) for record, _ in pending
+        _prompt_for(record, mode, style, rep, demos, args.seed) for record, _ in pending
     ]
     results = gw.complete_batch(prompt_texts)
     judged = [

@@ -42,6 +42,8 @@ class SourceRecord:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id.strip():
+            raise ValueError(f"record id must be a non-blank string, got {self.id!r}")
         n = len(self.labels)
         if n < 5 or n % 2 == 0:
             missing = _columns(max(5, n + 1))[n:]
@@ -164,12 +166,10 @@ def _record_from_fields(fields: dict) -> SourceRecord:
     """A record from one row's column -> cell map.  Trailing empty cells,
     which a shorter chain leaves in a file of longer ones, are dropped.
     """
-    if fields.get("id") in (None, ""):
-        raise ValueError("missing fields: id")
     labels = [fields.get(c) for c in _columns(len(fields) + 1)]
     while labels and labels[-1] in (None, ""):
         labels.pop()
-    return SourceRecord(fields["id"], tuple(labels))
+    return SourceRecord(fields.get("id"), tuple(labels))
 
 
 def _iter_rows(path: Path, format: str):

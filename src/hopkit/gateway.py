@@ -15,12 +15,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from .kg import Entity, KnowledgeGraph, Relation, ReasoningInstance, Triplet, infer
 from .render import (RepresentationTag, render as render_instance,
                      wrap_answer_envelope)
+
+if TYPE_CHECKING:
+    import requests
 
 UNKNOWN_ANSWER = "UNKNOWN"
 
@@ -203,7 +205,11 @@ class OpenAIChatBackend:
         self.endpoint = endpoint.rstrip("/")
         self.token_env = token_env
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests  # deferred: only HTTP runs pay for importing it
+
+            session = requests.Session()
+        self.session = session
 
     def check(self) -> None:
         if not self.endpoint:
@@ -214,6 +220,8 @@ class OpenAIChatBackend:
             )
 
     def send(self, prompt: str, config: DecodeConfig) -> tuple[str, dict | None]:
+        import requests
+
         payload = {
             "model": config.model_name,
             "messages": [{"role": "user", "content": prompt}],

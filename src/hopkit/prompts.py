@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .kg import ReasoningInstance
+from .kg import Entity, ReasoningInstance
 from .render import RenderedExample, RepresentationTag
 
 
@@ -132,19 +133,45 @@ def demonstration_query(demonstration: RenderedExample, style: DatasetStyle) -> 
     return build_query(demonstration.source_chain, style)
 
 
+class DemonstrationPool:
+    """One-shot demonstration candidates, indexed by start entity and by
+    answer, so a pick steps over only the candidates that would leak the
+    query instead of scanning the whole pool.
+    """
+
+    def __init__(self, pool: list[ReasoningInstance]):
+        self.pool = pool
+        # entity -> ascending pool positions
+        self._by_start: dict[Entity, list[int]] = defaultdict(list)
+        self._by_answer: dict[Entity, list[int]] = defaultdict(list)
+        for position, candidate in enumerate(pool):
+            self._by_start[candidate.start].append(position)
+            self._by_answer[candidate.answer].append(position)
+
+    def pick(self, query: ReasoningInstance, seed: int) -> ReasoningInstance:
+        """Seeded uniform pick among the instances that share neither the
+        query's start entity nor its final answer.  Draws exactly what
+        ``random.Random(seed).choice(eligible)`` draws over the eligible
+        instances in pool order.  Raises ValueError when none is left.
+        """
+        excluded = sorted({*self._by_start.get(query.start, ()),
+                           *self._by_answer.get(query.answer, ())})
+        n_eligible = len(self.pool) - len(excluded)
+        if not n_eligible:
+            raise ValueError(
+                "no demonstration in the pool avoids the query's start entity "
+                f"{query.start.label!r} and answer {query.answer.label!r}"
+            )
+        position = random.Random(seed).randrange(n_eligible)
+        for skipped in excluded:
+            if skipped > position:
+                break
+            position += 1
+        return self.pool[position]
+
+
 def pick_demonstration(
     pool: list[ReasoningInstance], query: ReasoningInstance, seed: int
 ) -> ReasoningInstance:
-    """Seeded uniform pick from the pool, excluding instances that would leak
-    the query's start entity or final answer.  Raises ValueError when no
-    instance is left.
-    """
-    eligible = [
-        c for c in pool if c.start != query.start and c.answer != query.answer
-    ]
-    if not eligible:
-        raise ValueError(
-            "no demonstration in the pool avoids the query's start entity "
-            f"{query.start.label!r} and answer {query.answer.label!r}"
-        )
-    return random.Random(seed).choice(eligible)
+    """``DemonstrationPool(pool).pick(query, seed)``, for a single pick."""
+    return DemonstrationPool(pool).pick(query, seed)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,20 @@ class TestCap:
         assert a.read_text() == b.read_text()
 
 
+    @pytest.mark.parametrize("bad_id", [[1], 7])
+    def test_non_string_id_is_rejected_not_raised(self, tmp_path, bad_id, capsys):
+        path = tmp_path / "rows.jsonl"
+        rows = [{"id": "1", "e1": "a", "r1": "r", "e2": "b", "r2": "s", "e3": "c"},
+                {"id": bad_id, "e1": "d", "r1": "r", "e2": "e", "r2": "s", "e3": "f"}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        assert main(["cap", "--input", str(path), "--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "1 records, 1 invalid" in captured.err
+        assert "kept 1 of 1" in captured.out
+        assert out.read_text().splitlines()[1:] == ["1\ta\tr\tb\ts\tc"]
+
+
 class TestExtend3:
     def test_adds_third_hop(self, input_tsv, tmp_path, capsys):
         facts = tmp_path / "facts.tsv"
@@ -130,6 +146,51 @@ class TestGenerate:
                      "--kind", "prompts", "--mode", "one", "--rep", "json"])
         assert code == 1
         assert "error: no demonstration" in capsys.readouterr().err
+
+
+# SHA-256 of `generate --kind prompts --mode one --seed 5` on one_shot_tsv,
+# as written by the linear-scan demonstration pick.
+ONE_SHOT_PROMPTS_SHA256 = {
+    ("nl", "statement"): "9d3f9c44f5af167de0aa47ded3b0ec92d379e01a845889d01deafcd8c9189897",
+    ("nl", "question"): "849f313afaef28d512bdc9579baa1ea789e6fdd073deab241c9841cb4c548c98",
+    ("json", "statement"): "cf604d531547b207d1925951d9ec55f7d225739f4c3202cf1a582b6adae9016a",
+    ("json", "question"): "2e0f1881994f18fd35d2529d250bb00d44997310dabccec9f08ba34193038391",
+    ("py-static", "statement"): "9c1d9dbc95ea454646b1370e717d81b90416dc64b8da9ae19349b9cec7cc0737",
+    ("py-static", "question"): "7e0a804c4f63d7db8e0367e8cdca2bf1ff606aa33110b7611eec77240784897e",
+    ("py-dynamic", "statement"): "7b4a6f086912e755bf2eab23f2bae889c8f6998e1ec37772755e79c1d9e31d56",
+    ("py-dynamic", "question"): "bb0f0accc665f223271dce811ff93fe73d9310f51df42d5c5a998810ac90c301",
+}
+
+
+@pytest.fixture
+def one_shot_tsv(tmp_path):
+    """Mixed two- and three-hop rows whose starts and answers collide often,
+    so many demonstrations are excluded for leaking."""
+    rng = random.Random(5)
+    header = ["id", "e1", "r1", "e2", "r2", "e3", "r3", "e4"]
+    rows = []
+    for i in range(30):
+        start, answer = f"work{rng.randrange(4)}", f"person{rng.randrange(3)}"
+        if rng.random() < 0.5:
+            rows.append([str(i), start, f"r{i}", f"mid{i}", "spouse", answer, "", ""])
+        else:
+            rows.append([str(i), start, f"r{i}", f"mid{i}", "spouse", f"far{i}",
+                         "country", answer])
+    path = tmp_path / "collide.tsv"
+    path.write_text("\n".join("\t".join(r) for r in [header, *rows]) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("rep", ["nl", "json", "py-static", "py-dynamic"])
+@pytest.mark.parametrize("style", ["statement", "question"])
+def test_one_shot_prompt_bytes_pinned(one_shot_tsv, tmp_path, rep, style):
+    out = tmp_path / "prompts.jsonl"
+    assert main(["generate", "--input", str(one_shot_tsv), "--output", str(out),
+                 "--kind", "prompts", "--mode", "one", "--rep", rep,
+                 "--style", style, "--seed", "5"]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == ONE_SHOT_PROMPTS_SHA256[rep, style]
 
 
 class TestEvaluate:

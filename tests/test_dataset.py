@@ -129,6 +129,22 @@ class TestIngest:
         assert [r.id for r in result.records] == ["1"]
         assert result.invalid_rows == [(2, "record 2: empty field r3")]
 
+    @pytest.mark.parametrize("bad_id", [[1], 7, {"n": 1}, None, "", "  "])
+    def test_id_must_be_a_non_blank_string(self, tmp_path, bad_id):
+        path = tmp_path / "in.jsonl"
+        rows = [{"id": "1", "e1": "a", "r1": "r", "e2": "b", "r2": "s", "e3": "c"},
+                {"id": bad_id, "e1": "d", "r1": "r", "e2": "e", "r2": "s", "e3": "f"}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        result = ingest(path, "json_lines")
+        assert [r.id for r in result.records] == ["1"]
+        [(lineno, reason)] = result.invalid_rows
+        assert lineno == 2 and "id" in reason
+
+    @pytest.mark.parametrize("bad_id", [[1], 7, None, "", " "])
+    def test_record_rejects_bad_id(self, bad_id):
+        with pytest.raises(ValueError, match="id"):
+            SourceRecord(bad_id, ("a", "r", "b", "s", "c"))
+
 
 # write_records output as of the fixed-field record format, byte for byte.
 WRITTEN = {

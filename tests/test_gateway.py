@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import requests
+
+import hopkit
 
 from hopkit import (DecodeConfig, Entity, FaultSpec, Gateway, OracleBackend,
                     build_prompt, chain_to_graph, make_chain, oracle_complete)
@@ -178,6 +185,36 @@ class TestOpenAIBackend:
     def test_token_present_passes_check(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
         OpenAIChatBackend("http://localhost:9999/v1").check()
+
+
+    def test_connection_error_is_a_retried_transport_failure(self, monkeypatch):
+        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+
+        class RefusingSession:
+            calls = 0
+
+            def post(self, url, json, headers, timeout):
+                self.calls += 1
+                raise requests.ConnectionError("connection refused")
+
+        session = RefusingSession()
+        backend = OpenAIChatBackend("http://localhost:9999/v1", session=session)
+        gw = Gateway(backend=backend, retries=2, backoff_base=0.0)
+        [result] = gw.complete_batch(["p"])
+        assert result.transport_status == "transport"
+        assert "connection refused" in result.error
+        assert session.calls == 3
+
+    def test_importing_the_cli_leaves_requests_unimported(self):
+        paths = [str(Path(hopkit.__file__).resolve().parents[1]),
+                 os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hopkit.cli; print('requests' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestConfigFile:

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from hopkit import build_prompt, build_query, make_chain, pick_demonstration, render
-from hopkit.prompts import DatasetStyle, PromptMode
+from hopkit.prompts import DatasetStyle, DemonstrationPool, PromptMode
 from hopkit.render import RepresentationTag
 
 
@@ -98,3 +100,44 @@ class TestPickDemonstration:
             assert pick_demonstration(
                 [leaky_start, leaky_answer, clean], example_chain, seed=seed
             ) == clean
+
+    def test_pool_pick_is_the_linear_scan_pick(self):
+        """The indexed pick returns the very instance a seeded choice over the
+        leak-free instances in pool order returns, and raises where that
+        list is empty.  Few starts and answers make most candidates leak."""
+        rng = random.Random(2412)
+        outcomes = {"picked": 0, "exhausted": 0}
+        for _ in range(400):
+            starts = [f"s{i}" for i in range(rng.randint(1, 4))]
+            answers = [f"a{i}" for i in range(rng.randint(1, 4))]
+            chains = []  # label chains of 1 to 3 hops
+            for i in range(rng.randint(0, 14)):
+                if chains and rng.random() < 0.2:  # an equal but distinct copy
+                    chains.append(rng.choice(chains))
+                    continue
+                middle = [f"m{i}-{k}" for k in range(rng.randint(0, 2))]
+                labels = [rng.choice(starts)]
+                for k, entity in enumerate([*middle, rng.choice(answers)]):
+                    labels += [f"r{k}", entity]
+                chains.append(labels)
+            pool = [make_chain(*labels) for labels in chains]
+            outsiders = [make_chain(rng.choice([*starts, "s-new"]), "r", "q",
+                                    "t", rng.choice([*answers, "a-new"]))
+                         for _ in range(3)]
+            demos = DemonstrationPool(pool)
+            for query in [*pool, *outsiders]:
+                seed = rng.randrange(2**32)
+                eligible = [c for c in pool
+                            if c.start != query.start and c.answer != query.answer]
+                if eligible:
+                    outcomes["picked"] += 1
+                    assert demos.pick(query, seed) is random.Random(seed).choice(eligible)
+                else:
+                    outcomes["exhausted"] += 1
+                    with pytest.raises(ValueError) as exc:
+                        demos.pick(query, seed)
+                    assert str(exc.value) == (
+                        "no demonstration in the pool avoids the query's start "
+                        f"entity {query.start.label!r} and answer {query.answer.label!r}"
+                    )
+        assert min(outcomes.values()) > 100, outcomes
