@@ -16,7 +16,6 @@ from .dataset import (FinetuneRecord, OverlapStats, SourceRecord, SplitSpec,
 from .gateway import (CompletionResult, DecodeConfig, FaultSpec, Gateway,
                       OpenAIChatBackend, OracleBackend, oracle_complete)
 from .evaluate import (ConditionRow, EvalRecord, MetricsReport, compute_metrics,
-                       emit_report, extract_answer, judge, judge_hops,
-                       normalize_answer)
+                       emit_report, judge, normalize_answer)
 
 __version__ = "0.1.0"

@@ -184,7 +184,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _build_gateway(args, records) -> Gateway:
+def _build_gateway(args, chains) -> Gateway:
     file_config = gateway.load_gateway_config(args.config) if args.config else {}
     model = args.model or file_config.get("model", "oracle")
     decode = DecodeConfig(
@@ -199,8 +199,8 @@ def _build_gateway(args, records) -> Gateway:
         if not args.oracle and not endpoint:
             raise CliError("pick a backend: --oracle or --endpoint")
         kg = KnowledgeGraph()
-        for record in records:
-            for hop in record.to_chain().hops:
+        for chain in chains:
+            for hop in chain.hops:
                 add_fact(kg, hop)
         fault = None
         if args.fault_prob > 0:
@@ -236,10 +236,10 @@ def cmd_evaluate(args) -> int:
         if records_path.exists():
             records_path.unlink()
 
-    gw = _build_gateway(args, records)
+    chains = [r.to_chain() for r in records]
+    gw = _build_gateway(args, chains)
     gw.check()  # fail before the first request on misconfiguration
 
-    chains = [r.to_chain() for r in records]
     demos = _demonstrations(mode, chains)
     pending = [(r, chain) for r, chain in zip(records, chains) if r.id not in done_ids]
     if done_ids:
@@ -254,9 +254,7 @@ def cmd_evaluate(args) -> int:
         )
         for (record, chain), result in zip(pending, results)
     ]
-    with records_path.open("a", encoding="utf-8") as fh:
-        for record in judged:
-            fh.write(json.dumps(record.to_dict()) + "\n")
+    evaluate.write_eval_records(judged, records_path)
     all_records = evaluate.read_eval_records(records_path)
     report = evaluate.compute_metrics(all_records)
     report_path.write_text(evaluate.emit_report(report, "text_table"), encoding="utf-8")

@@ -13,8 +13,9 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass
+from pathlib import Path
 
-from .kg import Entity, ReasoningInstance, Triplet
+from .kg import Entity, ReasoningInstance, Relation, Triplet
 from .render import ENVELOPE_BODY_KEY, RepresentationTag, parse as parse_body
 
 _QUOTES = "\"'“”‘’"
@@ -53,12 +54,12 @@ def _find_envelopes(completion: str) -> list[dict]:
         pos = start + end
 
 
-def extract_answer(completion: str, representation: RepresentationTag) -> str | None:
+def _extract_answer(completion: str, envelopes: list[dict]) -> str | None:
     """The Answer value of the first well-formed envelope, falling back to
     the trailing "is X" clause of the last sentence.  None when neither
     succeeds.
     """
-    for obj in _find_envelopes(completion):
+    for obj in envelopes:
         answer = obj.get("Answer")
         if isinstance(answer, str) and answer.strip():
             return answer
@@ -71,29 +72,23 @@ def extract_answer(completion: str, representation: RepresentationTag) -> str | 
     return None
 
 
-def _candidate_bodies(completion: str, representation: RepresentationTag) -> list[str]:
-    bodies = []
-    key = ENVELOPE_BODY_KEY[representation]
-    for obj in _find_envelopes(completion):
-        body = obj.get(key)
-        if isinstance(body, str) and body.strip():
-            bodies.append(body)
-    bodies.append(completion)
-    return bodies
-
-
-def judge_hops(
-    completion: str, gold: ReasoningInstance, representation: RepresentationTag
-) -> list[bool]:
-    """Per-hop verdicts: hop i is correct when the completion contains a
-    triplet whose normalized head and tail match gold hop i, or (fallback)
+def _judge_hops(
+    completion: str,
+    envelopes: list[dict],
+    gold: ReasoningInstance,
+    representation: RepresentationTag,
+) -> tuple[bool, ...]:
+    """Per-hop verdicts: hop i is correct when the first envelope body (or
+    else the whole completion) that parses to any triplet holds one whose
+    normalized head and tail match gold hop i, or (fallback) the completion
     states "<head> is <tail>" with neither entity part of a longer word.
     """
-    triplets: tuple[Triplet, ...] = ()
-    for body in _candidate_bodies(completion, representation):
-        parsed = parse_body(representation, body)
-        if parsed.triplets:
-            triplets = parsed.triplets
+    key = ENVELOPE_BODY_KEY[representation]
+    bodies = [obj[key] for obj in envelopes
+              if isinstance(obj.get(key), str) and obj[key].strip()]
+    for body in [*bodies, completion]:
+        triplets = parse_body(representation, body).triplets
+        if triplets:
             break
     pairs = {
         (normalize_answer(t.head.label), normalize_answer(t.tail.label))
@@ -107,7 +102,7 @@ def judge_hops(
         verdicts.append((head, tail) in pairs or re.search(
             rf"(?<!\w){re.escape(head)} is {re.escape(tail)}(?!\w)", flat
         ) is not None)
-    return verdicts
+    return tuple(verdicts)
 
 
 @dataclass(frozen=True)
@@ -138,8 +133,6 @@ class EvalRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalRecord":
-        from .kg import Relation
-
         hops = tuple(
             Triplet(Entity(h), Relation(r), Entity(t)) for h, r, t in d["gold"]
         )
@@ -172,7 +165,8 @@ def judge(
             hop_correct=tuple([False] * gold.n_hops),
             failure_class="transport",
         )
-    answer = extract_answer(completion, representation)
+    envelopes = _find_envelopes(completion)
+    answer = _extract_answer(completion, envelopes)
     final_correct = answer is not None and (
         normalize_answer(answer) == normalize_answer(gold.answer.label)
     )
@@ -182,7 +176,7 @@ def judge(
         completion=completion,
         extracted_answer=answer,
         final_correct=final_correct,
-        hop_correct=tuple(judge_hops(completion, gold, representation)),
+        hop_correct=_judge_hops(completion, envelopes, gold, representation),
         failure_class=None if answer is not None else "unparseable",
     )
 
@@ -330,16 +324,12 @@ def parse_machine_report(text: str) -> MetricsReport:
 
 
 def write_eval_records(records: list[EvalRecord], path) -> None:
-    from pathlib import Path
-
-    Path(path).write_text(
-        "".join(json.dumps(r.to_dict()) + "\n" for r in records), encoding="utf-8"
-    )
+    """Append one JSON line per record to the record log at ``path``."""
+    with Path(path).open("a", encoding="utf-8") as fh:
+        fh.write("".join(json.dumps(r.to_dict()) + "\n" for r in records))
 
 
 def read_eval_records(path) -> list[EvalRecord]:
-    from pathlib import Path
-
     return [
         EvalRecord.from_dict(json.loads(line))
         for line in Path(path).read_text(encoding="utf-8").splitlines()

@@ -157,13 +157,6 @@ def chain_to_graph(chain: ReasoningInstance) -> KnowledgeGraph:
 def validate_instance(chain: ReasoningInstance) -> list[str]:
     """Return one description per violated invariant, empty when valid."""
     problems = []
-    for i, hop in enumerate(chain.hops):
-        if not hop.head.label.strip():
-            problems.append(f"hop {i}: empty head")
-        if not hop.relation.label.strip():
-            problems.append(f"hop {i}: empty relation")
-        if not hop.tail.label.strip():
-            problems.append(f"hop {i}: empty tail")
     for i in range(len(chain.hops) - 1):
         if chain.hops[i].tail != chain.hops[i + 1].head:
             problems.append(

@@ -59,7 +59,6 @@ class ParsedBody:
     """
 
     triplets: tuple[Triplet, ...]
-    final_answer: Entity | None
     diagnostic: str | None = None
 
 
@@ -312,28 +311,6 @@ def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:
 _SENTENCE_RE = re.compile(r"^The (.+?) of (.+?) is (.+?)\.?$")
 
 
-def _order_triplets(
-    triplets: list[Triplet],
-) -> tuple[tuple[Triplet, ...], Entity | None]:
-    """Try to arrange triplets into a single chain; fall back to input order."""
-    if not triplets:
-        return (), None
-    remaining = list(triplets)
-    tails = {t.tail for t in remaining}
-    starts = [t for t in remaining if t.head not in tails]
-    if len(starts) != 1:
-        return tuple(triplets), None
-    chain = [starts[0]]
-    remaining.remove(starts[0])
-    while remaining:
-        nxt = [t for t in remaining if t.head == chain[-1].tail]
-        if len(nxt) != 1:
-            return tuple(triplets), None
-        chain.append(nxt[0])
-        remaining.remove(nxt[0])
-    return tuple(chain), chain[-1].tail
-
-
 def _parse_natural_language(body: str) -> ParsedBody:
     sentences = [s for s in re.split(r"(?<=\.)\s+", body.strip()) if s]
     matches = []
@@ -342,30 +319,23 @@ def _parse_natural_language(body: str) -> ParsedBody:
         if m:
             matches.append((sentence.strip(), m.groups()))
     if not matches:
-        return ParsedBody((), None, diagnostic="no hop sentences found")
+        return ParsedBody((), diagnostic="no hop sentences found")
     triplets = [
         Triplet(Entity(head), Relation(rel), Entity(tail))
         for _, (rel, head, tail) in matches
     ]
     # The summary sentence re-states the whole chain; drop it when present.
     if len(triplets) >= 2:
-        try:
-            prefix = ReasoningInstance(hops=tuple(triplets[:-1]))
-        except ValueError:
-            prefix = None
-        if prefix is not None and not validate_instance(prefix):
+        prefix = ReasoningInstance(hops=tuple(triplets[:-1]))
+        if not validate_instance(prefix):
             raw_last = matches[-1][0]
             expected = composed_sentence(prefix, final=triplets[-1].tail.label)
             if raw_last.rstrip(".") == expected.rstrip("."):
-                return ParsedBody(tuple(triplets[:-1]), triplets[-1].tail)
-    final = None
-    chain = ReasoningInstance(hops=tuple(triplets))
-    if not validate_instance(chain):
-        final = chain.answer
-    return ParsedBody(tuple(triplets), final)
+                return ParsedBody(tuple(triplets[:-1]))
+    return ParsedBody(tuple(triplets))
 
 
-def _triplets_from_relation_map(obj) -> list[Triplet]:
+def _triplets_from_relation_map(obj) -> tuple[Triplet, ...]:
     triplets = []
     if not isinstance(obj, dict):
         raise ValueError("expected a relation-keyed object")
@@ -375,38 +345,21 @@ def _triplets_from_relation_map(obj) -> list[Triplet]:
         for head, tail in inner.items():
             if isinstance(head, str) and isinstance(tail, str):
                 triplets.append(Triplet(Entity(head), Relation(rel), Entity(tail)))
-    return triplets
+    return tuple(triplets)
 
 
 def _parse_json(body: str) -> ParsedBody:
     try:
-        obj = json.loads(body)
-        triplets = _triplets_from_relation_map(obj)
+        return ParsedBody(_triplets_from_relation_map(json.loads(body)))
     except ValueError as exc:
-        return ParsedBody((), None, diagnostic=str(exc))
-    ordered, final = _order_triplets(triplets)
-    return ParsedBody(ordered, final)
-
-
-def _string_assignments(tree: ast.Module) -> dict[str, str]:
-    bindings = {}
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str)
-        ):
-            bindings[node.targets[0].id] = node.value.value
-    return bindings
+        return ParsedBody((), diagnostic=str(exc))
 
 
 def _parse_python_static(body: str) -> ParsedBody:
     try:
         tree = ast.parse(body)
     except SyntaxError as exc:
-        return ParsedBody((), None, diagnostic=f"syntax error: {exc}")
+        return ParsedBody((), diagnostic=f"syntax error: {exc}")
     mapping = None
     for node in ast.walk(tree):
         if (
@@ -420,39 +373,38 @@ def _parse_python_static(body: str) -> ParsedBody:
             except ValueError:
                 pass
     if not isinstance(mapping, dict):
-        return ParsedBody((), None, diagnostic="no relationships literal found")
+        return ParsedBody((), diagnostic="no relationships literal found")
     try:
-        triplets = _triplets_from_relation_map(mapping)
+        return ParsedBody(_triplets_from_relation_map(mapping))
     except ValueError as exc:
-        return ParsedBody((), None, diagnostic=str(exc))
-
-    # Recover chain order from the e1/r1..rn bindings when they are present.
-    bindings = _string_assignments(tree)
-    if "e1" in bindings and "r1" in bindings:
-        facts = {(t.head.label, t.relation.label): t.tail.label for t in triplets}
-        ordered = []
-        current = bindings["e1"]
-        i = 1
-        while f"r{i}" in bindings:
-            rel = bindings[f"r{i}"]
-            tail = facts.get((current, rel))
-            if tail is None:
-                break
-            ordered.append(Triplet(Entity(current), Relation(rel), Entity(tail)))
-            current = tail
-            i += 1
-        if len(ordered) == len(triplets):
-            return ParsedBody(tuple(ordered), ordered[-1].tail)
-    ordered, final = _order_triplets(triplets)
-    return ParsedBody(ordered, final)
+        return ParsedBody((), diagnostic=str(exc))
 
 
 def _parse_python_dynamic(body: str) -> ParsedBody:
     try:
         tree = ast.parse(body)
     except SyntaxError as exc:
-        return ParsedBody((), None, diagnostic=f"syntax error: {exc}")
-    bindings = _string_assignments(tree)
+        return ParsedBody((), diagnostic=f"syntax error: {exc}")
+    # Arguments resolve against the string bindings of the whole body, so
+    # they are read only after the walk has seen every assignment.
+    bindings: dict[str, str] = {}
+    fact_args = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+        ):
+            bindings[node.targets[0].id] = node.value.value
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_fact"
+            and len(node.args) == 3
+        ):
+            fact_args.append(node.args)
 
     def resolve(node) -> str | None:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -462,27 +414,13 @@ def _parse_python_dynamic(body: str) -> ParsedBody:
         return None
 
     triplets = []
-    infer_calls: list[tuple[str, list[str]]] = []
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            continue
-        args = [resolve(a) for a in node.args]
-        if node.func.attr == "add_fact" and len(args) == 3 and all(a is not None for a in args):
-            triplets.append(Triplet(Entity(args[0]), Relation(args[1]), Entity(args[2])))
-        elif node.func.attr == "infer" and len(args) >= 2 and all(a is not None for a in args):
-            infer_calls.append((args[0], args[1:]))
+    for args in fact_args:
+        head, rel, tail = (resolve(a) for a in args)
+        if head is not None and rel is not None and tail is not None:
+            triplets.append(Triplet(Entity(head), Relation(rel), Entity(tail)))
     if not triplets:
-        return ParsedBody((), None, diagnostic="no add_fact calls found")
-
-    final = None
-    if infer_calls:
-        start, relations = max(infer_calls, key=lambda c: len(c[1]))
-        facts = {(t.head.label, t.relation.label): t.tail.label for t in triplets}
-        current: str | None = start
-        for rel in relations:
-            current = facts.get((current, rel)) if current is not None else None
-        final = Entity(current) if current else None
-    return ParsedBody(tuple(triplets), final)
+        return ParsedBody((), diagnostic="no add_fact calls found")
+    return ParsedBody(tuple(triplets))
 
 
 _PARSERS = {
@@ -494,7 +432,8 @@ _PARSERS = {
 
 
 def parse(tag: RepresentationTag, body: str) -> ParsedBody:
-    """Extract hop triplets (and the final answer when stated) from a body.
+    """Extract the hop triplets a body states.  The judge reads them as an
+    unordered set of (head, tail) pairs, so no chain order is recovered.
 
     Never raises on arbitrary text; failures come back as an empty triplet
     list with a diagnostic.
@@ -502,4 +441,4 @@ def parse(tag: RepresentationTag, body: str) -> ParsedBody:
     try:
         return _PARSERS[tag](body)
     except Exception as exc:  # defensive: model output can be anything
-        return ParsedBody((), None, diagnostic=f"unexpected parse failure: {exc}")
+        return ParsedBody((), diagnostic=f"unexpected parse failure: {exc}")

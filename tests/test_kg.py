@@ -80,6 +80,8 @@ def test_empty_labels_rejected():
         Entity("   ")
     with pytest.raises(ValueError):
         Relation("")
+    with pytest.raises(ValueError):
+        Relation(" \t")
 
 
 def brute_force_infer(triplets, start, relations):

@@ -96,12 +96,11 @@ def test_parse_natural_language_with_summary_sentence():
         ("It Goes Like It Goes", "composer", "David Shire"),
         ("David Shire", "spouse", "Didi Conn"),
     ]
-    assert parsed.final_answer == Entity("Didi Conn")
 
 
 def test_parse_empty_json():
     parsed = parse(RepresentationTag.JSON, "{}")
-    assert parsed.triplets == () and parsed.final_answer is None
+    assert parsed.triplets == ()
 
 
 def test_parse_garbage_never_raises():
@@ -130,10 +129,15 @@ def test_roundtrip_random_chains(tag):
         parsed = parse(tag, render(chain, tag).body)
         assert sorted(parsed.triplets, key=str) == sorted(chain.hops, key=str)
         if tag in (RepresentationTag.NATURAL_LANGUAGE, RepresentationTag.PYTHON_DYNAMIC):
-            assert parsed.triplets == chain.hops  # order recovered too
+            assert parsed.triplets == chain.hops  # in body order
 
 
-def test_parse_dynamic_recovers_final_answer(example_chain):
-    body = render(example_chain, RepresentationTag.PYTHON_DYNAMIC).body
-    parsed = parse(RepresentationTag.PYTHON_DYNAMIC, body)
-    assert parsed.final_answer == Entity("Didi Conn")
+
+def test_parse_static_returns_every_literal_fact():
+    # e1/r1/r2 trace a self-loop; every fact of the literal must still come back
+    body = ("relationships = {'r': {'A': 'A'}, 's': {'B': 'C'}}\n"
+            "e1 = 'A'\nr1 = 'r'\nr2 = 'r'\n")
+    parsed = parse(RepresentationTag.PYTHON_STATIC, body)
+    assert {(t.head.label, t.relation.label, t.tail.label) for t in parsed.triplets} == {
+        ("A", "r", "A"), ("B", "s", "C"),
+    }
