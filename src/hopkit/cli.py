@@ -227,9 +227,9 @@ def cmd_evaluate(args) -> int:
     report_path = out / "report.txt"
     machine_path = out / "report.jsonl"
 
-    done_ids: set[str] = set()
+    resumed: list[evaluate.EvalRecord] = []
     if args.resume and records_path.exists():
-        done_ids = {r.instance_id for r in evaluate.read_eval_records(records_path)}
+        resumed = evaluate.read_eval_records(records_path)
     else:
         for path in (records_path, report_path, machine_path):
             _check_output(path, args.force)
@@ -241,6 +241,7 @@ def cmd_evaluate(args) -> int:
     gw.check()  # fail before the first request on misconfiguration
 
     demos = _demonstrations(mode, chains)
+    done_ids = {r.instance_id for r in resumed}
     pending = [(r, chain) for r, chain in zip(records, chains) if r.id not in done_ids]
     if done_ids:
         print(f"resume: skipping {len(done_ids)} already-evaluated instances")
@@ -255,8 +256,7 @@ def cmd_evaluate(args) -> int:
         for (record, chain), result in zip(pending, results)
     ]
     evaluate.write_eval_records(judged, records_path)
-    all_records = evaluate.read_eval_records(records_path)
-    report = evaluate.compute_metrics(all_records)
+    report = evaluate.compute_metrics(resumed + judged)
     report_path.write_text(evaluate.emit_report(report, "text_table"), encoding="utf-8")
     machine_path.write_text(evaluate.emit_report(report, "machine"), encoding="utf-8")
     print(evaluate.emit_report(report, "text_table"))
@@ -361,7 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, GatewayConfigError, dataset.IngestError, ValueError) as exc:
+    except (CliError, GatewayConfigError, dataset.IngestError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -94,12 +94,17 @@ def _judge_hops(
         (normalize_answer(t.head.label), normalize_answer(t.tail.label))
         for t in triplets
     }
-    flat = re.sub(r"\s+", " ", unicodedata.normalize("NFKC", completion)).lower()
+    flat = None  # the sentence fallback's text, built for the first missing hop
     verdicts = []
     for hop in gold.hops:
         head = normalize_answer(hop.head.label)
         tail = normalize_answer(hop.tail.label)
-        verdicts.append((head, tail) in pairs or re.search(
+        if (head, tail) in pairs:
+            verdicts.append(True)
+            continue
+        if flat is None:
+            flat = re.sub(r"\s+", " ", unicodedata.normalize("NFKC", completion)).lower()
+        verdicts.append(re.search(
             rf"(?<!\w){re.escape(head)} is {re.escape(tail)}(?!\w)", flat
         ) is not None)
     return tuple(verdicts)

@@ -256,7 +256,8 @@ class OpenAIChatBackend:
 
 @dataclass
 class Gateway:
-    """Bounded-concurrency completion runner with retry and backoff.
+    """Completion runner with retry and backoff: bounded concurrency for an
+    endpoint, a plain serial loop for the in-process oracle.
 
     Batch results come back in submission order regardless of which request
     finishes first.
@@ -299,24 +300,39 @@ class Gateway:
 
     def complete_batch(self, prompts: list[str]) -> list[CompletionResult]:
         self.check()
+        if isinstance(self.backend, OracleBackend):
+            # CPU-bound and in-process: threads only add contention
+            return [self.complete(prompt) for prompt in prompts]
         if not prompts:
             return []
         with ThreadPoolExecutor(max_workers=max(1, self.concurrency)) as pool:
             return list(pool.map(self.complete, prompts))
 
 
+_CONFIG_TYPES = {
+    "endpoint": (str, "a string"),
+    "model": (str, "a string"),
+    "token_env": (str, "a string"),
+    "temperature": ((int, float), "a number"),
+    "max_tokens": (int, "an integer"),
+    "concurrency": (int, "an integer"),
+    "retries": (int, "an integer"),
+}
+
+
 def load_gateway_config(path: str | Path) -> dict:
     """Read endpoint/model/decoding settings from a JSON config file.
 
-    Recognized keys: endpoint, model, temperature, max_tokens, concurrency,
-    retries, token_env.
+    Recognized keys and their types are in ``_CONFIG_TYPES``.
     """
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(obj, dict):
         raise GatewayConfigError(f"config file {path} must hold an object")
-    known = {"endpoint", "model", "temperature", "max_tokens", "concurrency",
-             "retries", "token_env"}
-    unknown = set(obj) - known
+    unknown = set(obj) - set(_CONFIG_TYPES)
     if unknown:
         raise GatewayConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in obj.items():
+        types, name = _CONFIG_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise GatewayConfigError(f"config key {key!r} must be {name}, got {value!r}")
     return obj

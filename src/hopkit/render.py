@@ -381,10 +381,21 @@ def _parse_python_static(body: str) -> ParsedBody:
 
 
 def _parse_python_dynamic(body: str) -> ParsedBody:
-    try:
-        tree = ast.parse(body)
-    except SyntaxError as exc:
-        return ParsedBody((), diagnostic=f"syntax error: {exc}")
+    # The preamble binds no string and calls no add_fact, and dropping its
+    # top-level subtree keeps the walk order of every other node, so only
+    # the text after it is parsed; when that text alone is a syntax error
+    # (it continues the preamble's class), the whole body is parsed.
+    tree = None
+    if body.startswith(DYNAMIC_PREAMBLE):
+        try:
+            tree = ast.parse(body[len(DYNAMIC_PREAMBLE):])
+        except SyntaxError:
+            pass
+    if tree is None:
+        try:
+            tree = ast.parse(body)
+        except SyntaxError as exc:
+            return ParsedBody((), diagnostic=f"syntax error: {exc}")
     # Arguments resolve against the string bindings of the whole body, so
     # they are read only after the walk has seen every assignment.
     bindings: dict[str, str] = {}

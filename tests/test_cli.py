@@ -216,6 +216,34 @@ class TestEvaluate:
         # the record log did not grow
         assert len((out / "eval_records.jsonl").read_text().splitlines()) == 20
 
+    @pytest.mark.parametrize("k", [0, 7, 20])
+    def test_partial_resume_reproduces_a_fresh_run(self, input_tsv, tmp_path, k):
+        args = ["evaluate", "--input", str(input_tsv), "--oracle", "--rep",
+                "py-dynamic", "--fault-prob", "0.3", "--seed", "3"]
+        fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+        assert main([*args, "--output", str(fresh)]) == 0
+        resumed.mkdir()
+        log = (fresh / "eval_records.jsonl").read_text(encoding="utf-8")
+        (resumed / "eval_records.jsonl").write_text(
+            "".join(log.splitlines(keepends=True)[:k]), encoding="utf-8")
+        assert main([*args, "--output", str(resumed), "--resume"]) == 0
+        report = json.loads((fresh / "report.jsonl").read_text().splitlines()[0])
+        assert 0 < report["final_correct_count"] < 20
+        for name in ("eval_records.jsonl", "report.txt", "report.jsonl"):
+            assert (resumed / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.parametrize("config", [
+        {"concurrency": "4"}, {"temperature": "hot"}, {"retries": "3"},
+    ])
+    def test_wrongly_typed_config_is_an_error(self, input_tsv, tmp_path, capsys,
+                                              config):
+        path = tmp_path / "gw.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["evaluate", "--input", str(input_tsv), "--output",
+                     str(tmp_path / "eval"), "--oracle", "--config", str(path)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_requires_a_backend(self, input_tsv, tmp_path, capsys):
         code = main(["evaluate", "--input", str(input_tsv),
                      "--output", str(tmp_path / "eval")])
@@ -266,5 +294,23 @@ class TestErrors:
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["partition", "--input", str(tmp_path / "nope.tsv"),
                      "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["report", "--input", "{missing}"],
+        ["extend3", "--input", "{records}", "--facts", "{missing}",
+         "--output", "{out}"],
+        ["extend3", "--input", "{records}", "--facts", "{facts}",
+         "--whitelist", "{missing}", "--output", "{out}"],
+        ["evaluate", "--input", "{records}", "--oracle", "--config", "{missing}",
+         "--output", "{out}"],
+    ], ids=["report-input", "extend3-facts", "extend3-whitelist", "evaluate-config"])
+    def test_missing_file_is_an_error(self, input_tsv, tmp_path, capsys, command):
+        facts = tmp_path / "facts.tsv"
+        facts.write_text("person0\tbirthplace\tParis\n", encoding="utf-8")
+        paths = {"missing": tmp_path / "missing.jsonl", "records": input_tsv,
+                 "facts": facts, "out": tmp_path / "out"}
+        code = main([arg.format(**paths) for arg in command])
         assert code == 1
         assert "error:" in capsys.readouterr().err

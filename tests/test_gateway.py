@@ -8,9 +8,11 @@ import pytest
 import requests
 
 import hopkit
+from hopkit import gateway
 
-from hopkit import (DecodeConfig, Entity, FaultSpec, Gateway, OracleBackend,
-                    build_prompt, chain_to_graph, make_chain, oracle_complete)
+from hopkit import (DecodeConfig, Entity, FaultSpec, Gateway, KnowledgeGraph,
+                    OracleBackend, add_fact, build_prompt, chain_to_graph,
+                    make_chain, oracle_complete)
 from hopkit.gateway import (GatewayConfigError, OpenAIChatBackend,
                             TransportError, load_gateway_config)
 from hopkit.prompts import DatasetStyle, PromptMode
@@ -131,6 +133,29 @@ class TestGateway:
         assert len(results) == 3
         assert all(r.ok for r in results)
 
+    def test_oracle_batch_runs_serially_in_order(self, monkeypatch):
+        chains = [make_chain(f"w{i}", "composer", f"p{i}", "spouse", f"s{i}")
+                  for i in range(12)]
+        kg = KnowledgeGraph()
+        for chain in chains:
+            for hop in chain.hops:
+                add_fact(kg, hop)
+        prompts = [
+            build_prompt(c, PromptMode.ZERO_SHOT, DatasetStyle.STATEMENT).full_prompt
+            for c in chains
+        ] + ["junk"]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool used")
+
+        monkeypatch.setattr(gateway, "ThreadPoolExecutor", no_pool)
+        results = Gateway(backend=OracleBackend(kg)).complete_batch(prompts)
+        assert [r.text for r in results] == [oracle_complete(p, kg) for p in prompts]
+        assert all(r.ok for r in results)
+        assert [c.answer.label in r.text for c, r in zip(chains, results)] == [True] * 12
+        with pytest.raises(AssertionError, match="thread pool used"):
+            Gateway(backend=FlakyBackend(0), backoff_base=0.0).complete_batch(["p"])
+
     def test_default_decode_is_greedy(self):
         config = DecodeConfig()
         assert config.temperature == 0.0
@@ -231,3 +256,20 @@ class TestConfigFile:
         path.write_text('{"bogus": 1}', encoding="utf-8")
         with pytest.raises(GatewayConfigError):
             load_gateway_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("concurrency", "4"), ("concurrency", True), ("concurrency", 2.5),
+        ("retries", "3"), ("max_tokens", None), ("temperature", "hot"),
+        ("temperature", False), ("endpoint", 5), ("model", ["m"]),
+        ("token_env", {}),
+    ])
+    def test_wrong_value_type_rejected(self, tmp_path, key, value):
+        path = tmp_path / "gw.json"
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
+        with pytest.raises(GatewayConfigError, match=key):
+            load_gateway_config(path)
+
+    def test_integer_temperature_accepted(self, tmp_path):
+        path = tmp_path / "gw.json"
+        path.write_text('{"temperature": 1, "concurrency": 2}', encoding="utf-8")
+        assert load_gateway_config(path) == {"temperature": 1, "concurrency": 2}
