@@ -229,6 +229,10 @@ def cmd_evaluate(args) -> int:
 
     resumed: list[evaluate.EvalRecord] = []
     if args.resume and records_path.exists():
+        dropped = evaluate.repair_cut_tail(records_path)
+        if dropped:
+            print(f"resume: dropped {dropped} bytes of a cut last line in "
+                  f"{records_path}", file=sys.stderr)
         resumed = evaluate.read_eval_records(records_path)
     else:
         for path in (records_path, report_path, machine_path):

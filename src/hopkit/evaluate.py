@@ -305,29 +305,6 @@ def emit_report(report: MetricsReport, format: str = "text_table") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_machine_report(text: str) -> MetricsReport:
-    """Inverse of ``emit_report(..., format="machine")``."""
-    lines = [json.loads(line) for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty report")
-    summary, row_objs = lines[0], lines[1:]
-    rows = tuple(
-        ConditionRow(
-            hops=tuple(o["condition"]),
-            final_incorrect=o["final_incorrect"],
-            final_correct=o["final_correct"],
-        )
-        for o in row_objs
-    )
-    return MetricsReport(
-        total=summary["total"],
-        transport_failures=summary["transport_failures"],
-        unparseable=summary["unparseable"],
-        final_correct_count=summary["final_correct_count"],
-        rows=rows,
-    )
-
-
 def write_eval_records(records: list[EvalRecord], path) -> None:
     """Append one JSON line per record to the record log at ``path``."""
     with Path(path).open("a", encoding="utf-8") as fh:
@@ -335,8 +312,38 @@ def write_eval_records(records: list[EvalRecord], path) -> None:
 
 
 def read_eval_records(path) -> list[EvalRecord]:
-    return [
-        EvalRecord.from_dict(json.loads(line))
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    """Every record of the log at ``path``; a line that does not decode to a
+    record raises ``ValueError`` naming ``path:line``.
+    """
+    records = []
+    with Path(path).open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(EvalRecord.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return records
+
+
+def repair_cut_tail(path) -> int:
+    """Make the log at ``path`` end with a whole line before records are
+    appended to it, and return how many bytes were dropped.
+
+    A run killed while appending can leave a last line without its newline.
+    That line is dropped when it does not decode to a record, and ended with
+    a newline when it does.
+    """
+    with Path(path).open("rb+") as fh:
+        data = fh.read()
+        if not data or data.endswith(b"\n"):
+            return 0
+        start = data.rfind(b"\n") + 1
+        try:
+            EvalRecord.from_dict(json.loads(data[start:]))
+        except (ValueError, KeyError, TypeError):
+            fh.truncate(start)
+            return len(data) - start
+        fh.write(b"\n")
+        return 0

@@ -12,7 +12,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -305,6 +304,9 @@ class Gateway:
             return [self.complete(prompt) for prompt in prompts]
         if not prompts:
             return []
+        # deferred like requests: in-process runs never load the pool or logging
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max(1, self.concurrency)) as pool:
             return list(pool.map(self.complete, prompts))
 

@@ -14,6 +14,8 @@ import ast
 import enum
 import json
 import re
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .kg import Entity, Relation, ReasoningInstance, Triplet, validate_instance
@@ -355,13 +357,33 @@ def _parse_json(body: str) -> ParsedBody:
         return ParsedBody((), diagnostic=str(exc))
 
 
+# The fields that hold statement lists.  Every node that has several of
+# them lists them in this order in its ``_fields`` ("cases" never comes with
+# another), and no expression holds a statement.
+_BLOCK_FIELDS = ("body", "handlers", "orelse", "finalbody", "cases")
+
+
+def _statements(tree: ast.Module) -> Iterator[ast.stmt]:
+    """Every statement of a module in ``ast.walk`` order, visiting no
+    expression.  Except handlers and match cases are stepped through so each
+    statement keeps its walk depth, which fixes its place in the order.
+    """
+    queue = deque(tree.body)
+    while queue:
+        node = queue.popleft()
+        for name in _BLOCK_FIELDS:
+            queue.extend(getattr(node, name, ()))
+        if isinstance(node, ast.stmt):
+            yield node
+
+
 def _parse_python_static(body: str) -> ParsedBody:
     try:
         tree = ast.parse(body)
     except SyntaxError as exc:
         return ParsedBody((), diagnostic=f"syntax error: {exc}")
     mapping = None
-    for node in ast.walk(tree):
+    for node in _statements(tree):
         if (
             isinstance(node, ast.Assign)
             and len(node.targets) == 1
@@ -380,27 +402,13 @@ def _parse_python_static(body: str) -> ParsedBody:
         return ParsedBody((), diagnostic=str(exc))
 
 
-def _parse_python_dynamic(body: str) -> ParsedBody:
-    # The preamble binds no string and calls no add_fact, and dropping its
-    # top-level subtree keeps the walk order of every other node, so only
-    # the text after it is parsed; when that text alone is a syntax error
-    # (it continues the preamble's class), the whole body is parsed.
-    tree = None
-    if body.startswith(DYNAMIC_PREAMBLE):
-        try:
-            tree = ast.parse(body[len(DYNAMIC_PREAMBLE):])
-        except SyntaxError:
-            pass
-    if tree is None:
-        try:
-            tree = ast.parse(body)
-        except SyntaxError as exc:
-            return ParsedBody((), diagnostic=f"syntax error: {exc}")
-    # Arguments resolve against the string bindings of the whole body, so
-    # they are read only after the walk has seen every assignment.
+def _bindings_and_calls(nodes) -> tuple[dict[str, str], list[ast.Call]]:
+    """The string bindings (later ones win) and the ``add_fact`` calls among
+    ``nodes``, in order.
+    """
     bindings: dict[str, str] = {}
-    fact_args = []
-    for node in ast.walk(tree):
+    calls = []
+    for node in nodes:
         if (
             isinstance(node, ast.Assign)
             and len(node.targets) == 1
@@ -413,10 +421,42 @@ def _parse_python_dynamic(body: str) -> ParsedBody:
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "add_fact"
-            and len(node.args) == 3
         ):
-            fact_args.append(node.args)
+            calls.append(node)
+    return bindings, calls
 
+
+def _parse_python_dynamic(body: str) -> ParsedBody:
+    # The preamble binds no string and calls no add_fact, and dropping its
+    # top-level subtree keeps the walk order of every other node, so only
+    # the text after it is parsed; when that text alone is a syntax error
+    # (it continues the preamble's class), the whole body is parsed.
+    tree = None
+    if body.startswith(DYNAMIC_PREAMBLE):
+        text = body[len(DYNAMIC_PREAMBLE):]
+        try:
+            tree = ast.parse(text)
+        except SyntaxError:
+            pass
+    if tree is None:
+        text = body
+        try:
+            tree = ast.parse(body)
+        except SyntaxError as exc:
+            return ParsedBody((), diagnostic=f"syntax error: {exc}")
+    # Bindings are statements, and so are the calls of a rendered body.  When
+    # the text spells "add_fact" once per statement-level call, no call hides
+    # in an expression; ASCII text rules out identifiers that NFKC folds to
+    # "add_fact".  Otherwise every node is walked.
+    bindings, calls = _bindings_and_calls(
+        node.value if isinstance(node, ast.Expr) else node
+        for node in _statements(tree)
+    )
+    if not (text.isascii() and text.count("add_fact") == len(calls)):
+        bindings, calls = _bindings_and_calls(ast.walk(tree))
+
+    # Arguments resolve against the string bindings of the whole body, so
+    # they are read only after every assignment has been seen.
     def resolve(node) -> str | None:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             return node.value
@@ -425,8 +465,10 @@ def _parse_python_dynamic(body: str) -> ParsedBody:
         return None
 
     triplets = []
-    for args in fact_args:
-        head, rel, tail = (resolve(a) for a in args)
+    for call in calls:
+        if len(call.args) != 3:
+            continue
+        head, rel, tail = (resolve(a) for a in call.args)
         if head is not None and rel is not None and tail is not None:
             triplets.append(Triplet(Entity(head), Relation(rel), Entity(tail)))
     if not triplets:

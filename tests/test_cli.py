@@ -193,6 +193,27 @@ def test_one_shot_prompt_bytes_pinned(one_shot_tsv, tmp_path, rep, style):
     assert digest == ONE_SHOT_PROMPTS_SHA256[rep, style]
 
 
+def resume_cut_log(input_tsv, tmp_path, cut_log):
+    """Evaluate afresh, then resume in a second directory whose record log
+    holds ``cut_log`` of the fresh log's bytes: every output must match the
+    fresh run's byte for byte.  Returns the cut log.
+    """
+    args = ["evaluate", "--input", str(input_tsv), "--oracle", "--rep",
+            "py-dynamic", "--fault-prob", "0.3", "--seed", "3"]
+    fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+    assert main([*args, "--output", str(fresh)]) == 0
+    resumed.mkdir()
+    log = (fresh / "eval_records.jsonl").read_bytes()
+    cut = cut_log(log)
+    (resumed / "eval_records.jsonl").write_bytes(cut)
+    assert main([*args, "--output", str(resumed), "--resume"]) == 0
+    report = json.loads((fresh / "report.jsonl").read_text().splitlines()[0])
+    assert 0 < report["final_correct_count"] < 20
+    for name in ("eval_records.jsonl", "report.txt", "report.jsonl"):
+        assert (resumed / name).read_bytes() == (fresh / name).read_bytes()
+    return cut
+
+
 class TestEvaluate:
     def test_oracle_closure_is_perfect(self, input_tsv, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -218,19 +239,38 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("k", [0, 7, 20])
     def test_partial_resume_reproduces_a_fresh_run(self, input_tsv, tmp_path, k):
-        args = ["evaluate", "--input", str(input_tsv), "--oracle", "--rep",
-                "py-dynamic", "--fault-prob", "0.3", "--seed", "3"]
-        fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
-        assert main([*args, "--output", str(fresh)]) == 0
-        resumed.mkdir()
-        log = (fresh / "eval_records.jsonl").read_text(encoding="utf-8")
-        (resumed / "eval_records.jsonl").write_text(
-            "".join(log.splitlines(keepends=True)[:k]), encoding="utf-8")
-        assert main([*args, "--output", str(resumed), "--resume"]) == 0
-        report = json.loads((fresh / "report.jsonl").read_text().splitlines()[0])
-        assert 0 < report["final_correct_count"] < 20
-        for name in ("eval_records.jsonl", "report.txt", "report.jsonl"):
-            assert (resumed / name).read_bytes() == (fresh / name).read_bytes()
+        resume_cut_log(input_tsv, tmp_path,
+                       lambda log: b"".join(log.splitlines(keepends=True)[:k]))
+
+    @pytest.mark.parametrize("k,cut", [(0, 1), (7, 60), (12, 2), (19, -1)])
+    def test_resume_after_a_cut_last_line(self, input_tsv, tmp_path, capsys, k, cut):
+        # k whole lines, then line k + 1 cut after ``cut`` bytes (-1: all but
+        # its newline, which leaves a whole record)
+        def cut_log(log):
+            lines = log.splitlines(keepends=True)
+            return b"".join(lines[:k]) + lines[k][:cut]
+
+        tail = resume_cut_log(input_tsv, tmp_path, cut_log).rsplit(b"\n", 1)[-1]
+        err = capsys.readouterr().err
+        if cut > 0:
+            assert f"dropped {len(tail)} bytes of a cut last line" in err
+        else:  # a whole record only gains its newline
+            assert "dropped" not in err
+
+    @pytest.mark.parametrize("bad", ["{\"instance_id\": ", "[]", "{}"])
+    def test_resume_refuses_a_bad_line_inside_the_log(self, input_tsv, tmp_path,
+                                                     capsys, bad):
+        out = tmp_path / "eval"
+        args = ["evaluate", "--input", str(input_tsv), "--output", str(out), "--oracle"]
+        assert main(args) == 0
+        log = out / "eval_records.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = bad + "\n"
+        log.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*args, "--resume"]) == 1
+        assert f"error: {log}:5: " in capsys.readouterr().err
+        assert log.read_text(encoding="utf-8") == "".join(lines)
 
     @pytest.mark.parametrize("config", [
         {"concurrency": "4"}, {"temperature": "hot"}, {"retries": "3"},

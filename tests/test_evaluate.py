@@ -1,22 +1,25 @@
 import ast
 import collections
 import hashlib
+import importlib
 import json
 import random
+import re
 
 import pytest
 
 from hopkit import (EvalRecord, FaultSpec, compute_metrics, emit_report, judge,
                     make_chain, normalize_answer, render)
 from hopkit import evaluate
-from hopkit.evaluate import (ConditionRow, parse_machine_report,
-                             read_eval_records, write_eval_records)
-from hopkit.render import ENVELOPE_BODY_KEY, RepresentationTag
+from hopkit.evaluate import ConditionRow, read_eval_records, write_eval_records
+from hopkit.render import DYNAMIC_PREAMBLE, ENVELOPE_BODY_KEY, RepresentationTag
 from tests.conftest import random_chain
 
 NL = RepresentationTag.NATURAL_LANGUAGE
 ALL_TAGS = list(RepresentationTag)
 CODE_TAGS = (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC)
+# the package's ``render`` attribute is the function, not the module
+render_module = importlib.import_module("hopkit.render")
 
 
 class TestNormalize:
@@ -131,6 +134,8 @@ class TestJudge:
     def test_one_envelope_scan_and_one_ast_walk_per_parse(
         self, monkeypatch, example_chain, tag
     ):
+        # One tree traversal per code parse: the statement traversal, and no
+        # full ast.walk, since neither body hides a call in an expression.
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -143,13 +148,16 @@ class TestJudge:
                             counted("scan", evaluate._find_envelopes))
         monkeypatch.setattr(evaluate, "parse_body", counted("parse", evaluate.parse_body))
         monkeypatch.setattr(ast, "walk", counted("walk", ast.walk))
+        monkeypatch.setattr(render_module, "_statements",
+                            counted("statements", render_module._statements))
         # the first envelope's body states no fact, so two bodies are parsed
         completion = ('{"Answer": "x", "%s": "x = 1"} ' % ENVELOPE_BODY_KEY[tag]
                       + render(example_chain, tag).envelope)
         record = judge("id1", example_chain, completion, tag)
         assert record.hop_correct == (True, True)
         assert calls["scan"] == 1 and calls["parse"] == 2
-        assert calls["walk"] == (2 if tag in CODE_TAGS else 0)
+        assert calls["statements"] == (2 if tag in CODE_TAGS else 0)
+        assert calls["walk"] == 0
 
 
 def synth_records(final_incorrect, final_correct, n_hops=2):
@@ -233,11 +241,6 @@ class TestReports:
         text = emit_report(compute_metrics([]), "text_table")
         assert "-" in text
 
-    def test_machine_roundtrip(self):
-        report = compute_metrics(synth_records(5, 15))
-        text = emit_report(report, "machine")
-        assert parse_machine_report(text) == report
-
     def test_condition_labels(self):
         assert ConditionRow((1, 2), 0, 0).label == "1st & 2nd hop correct"
         assert ConditionRow((2, 3), 0, 0).label == "2nd & 3rd hop correct"
@@ -251,6 +254,15 @@ class TestReports:
         write_eval_records(records[:1], path)
         write_eval_records(records[1:], path)  # appends
         assert read_eval_records(path) == records
+
+    @pytest.mark.parametrize("bad", ['{"instance_id": ', "[1]", '{"gold": []}'])
+    def test_bad_log_line_names_file_and_line(self, tmp_path, example_chain, bad):
+        path = tmp_path / "records.jsonl"
+        write_eval_records([judge("a", example_chain, None, NL)], path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("\n" + bad + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+            read_eval_records(path)
 
 
 # SHA-256 of the verdict tuples of the frozen fixture below.  It pins every
@@ -333,3 +345,34 @@ def test_frozen_verdicts():
                      list(record.hop_correct), record.failure_class])
     digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
     assert digest == FROZEN_VERDICTS_SHA256
+
+
+# Pieces of brace-, quote- and code-heavy text for the judge fuzz below.
+FUZZ_FRAGMENTS = [
+    "{", "}", "[", "]", "(", ")", '"', "'", "\\", ":", ",", ".", " ", "\n", "    ",
+    '{"a": ', '"Answer": ', '{"Answer": "', '"JSON structure": ', '"Explanation": ',
+    '"Python code snippet": ', "null", "1e999", "\x00", "\ud800",
+    "kb.add_fact(", "add_fact", "e1 = ", "r1", "'Didi Conn'", ")\n", "try:", "except:",
+    "except ValueError as exc:", "match e1:", "case _:", "def f():", "lambda: ",
+    "relationships = {", "ｅ1 = ", "kb.ａｄｄ_ｆａｃｔ(", "The spouse of ", " is ",
+    "David Shire", DYNAMIC_PREAMBLE,
+]
+
+
+def _fuzz_text(rng):
+    return "".join(rng.choice(FUZZ_FRAGMENTS) for _ in range(rng.randint(0, 60)))
+
+
+def test_judge_never_raises_on_fuzzed_text(example_chain):
+    rng = random.Random(1210)
+    for tag in ALL_TAGS:
+        for _ in range(300):
+            text = _fuzz_text(rng)
+            roll = rng.random()
+            if roll < 0.3:  # the fuzz as an envelope body
+                text = json.dumps({"Answer": _fuzz_text(rng), ENVELOPE_BODY_KEY[tag]: text})
+            elif roll < 0.4:  # the fuzz around a well-formed envelope
+                text = text + render(example_chain, tag).envelope + _fuzz_text(rng)
+            record = judge("id1", example_chain, text, tag)
+            assert len(record.hop_correct) == example_chain.n_hops
+            assert record.failure_class in (None, "unparseable")

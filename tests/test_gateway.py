@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -8,7 +9,6 @@ import pytest
 import requests
 
 import hopkit
-from hopkit import gateway
 
 from hopkit import (DecodeConfig, Entity, FaultSpec, Gateway, KnowledgeGraph,
                     OracleBackend, add_fact, build_prompt, chain_to_graph,
@@ -148,7 +148,7 @@ class TestGateway:
         def no_pool(*args, **kwargs):
             raise AssertionError("thread pool used")
 
-        monkeypatch.setattr(gateway, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         results = Gateway(backend=OracleBackend(kg)).complete_batch(prompts)
         assert [r.text for r in results] == [oracle_complete(p, kg) for p in prompts]
         assert all(r.ok for r in results)
@@ -231,15 +231,26 @@ class TestOpenAIBackend:
         assert session.calls == 3
 
     def test_importing_the_cli_leaves_requests_unimported(self):
-        paths = [str(Path(hopkit.__file__).resolve().parents[1]),
-                 os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, hopkit.cli; print('requests' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True, timeout=60,
-        )
-        assert out.stdout.strip() == "False"
+        assert not loaded_by_importing_the_cli("requests")
+
+    def test_importing_the_cli_leaves_the_thread_pool_unimported(self):
+        assert not loaded_by_importing_the_cli("concurrent.futures")
+        assert not loaded_by_importing_the_cli("logging")
+
+
+def loaded_by_importing_the_cli(module):
+    """Whether a fresh interpreter has ``module`` loaded after importing
+    ``hopkit.cli``.
+    """
+    paths = [str(Path(hopkit.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, hopkit.cli; print({module!r} in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return out.stdout.strip() == "True"
 
 
 class TestConfigFile:

@@ -264,3 +264,151 @@ def test_parse_dynamic_matches_whole_body_reference(monkeypatch):
         else:
             assert sources == [body]
     assert fallbacks > 50
+
+
+def reference_parse_static(body):
+    """The static parser as one ast.walk over the whole body: the last
+    ``relationships`` literal wins.  Failures mirror ``parse``: no triplets.
+    """
+    try:
+        mapping = None
+        for node in ast.walk(ast.parse(body)):
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == "relationships"
+            ):
+                try:
+                    mapping = ast.literal_eval(node.value)
+                except ValueError:
+                    pass
+        return tuple(
+            Triplet(Entity(head), Relation(rel), Entity(tail))
+            for rel, inner in mapping.items() if isinstance(inner, dict)
+            for head, tail in inner.items()
+            if isinstance(head, str) and isinstance(tail, str)
+        )
+    except Exception:
+        return ()
+
+
+_NAMES = ["e1", "e2", "e3", "r1", "r2"]
+_LABELS = ["Paris", "France", "capital", "Lyon", "Zoë", "ＡＢ"]
+
+
+def _fact_args(rng):
+    args = [rng.choice(_NAMES) if rng.random() < 0.8 else repr(rng.choice(_LABELS[:4]))
+            for _ in range(rng.choice([3, 3, 3, 2]))]
+    return ", ".join(args)
+
+
+def _simple_statement(rng):
+    """One line: a binding, a fact, a literal, or add_fact where a statement
+    traversal cannot see it (in an expression, a string, a comment, or an
+    identifier NFKC folds to it).
+    """
+    kind = rng.randrange(15)
+    if kind < 6:
+        label = rng.choice(_LABELS[:4] if rng.random() < 0.95 else _LABELS)
+        return f"{rng.choice(_NAMES)} = {label!r}"
+    if kind < 9:
+        return f"kb.add_fact({_fact_args(rng)})"
+    if kind == 9:
+        facts = {rng.choice(["r", "s"]): {rng.choice(_LABELS[:4]): rng.choice(_LABELS[:4])}
+                 for _ in range(rng.randint(1, 2))}
+        return f"relationships = {facts!r}"
+    if kind == 10:
+        return rng.choice(["print(e1)", "kb.infer(e1, r1)", "pass", "relationships = dict()"])
+    if kind == 11:  # a call inside an expression
+        template = rng.choice([
+            "x = kb.add_fact({})", "print(kb.add_fact({}))",
+            "f = lambda: kb.add_fact({})", "kb.add_fact(kb.add_fact({}), r1, e2)",
+            "[kb.add_fact({}) for _ in range(1)]", "y = (kb.add_fact({}), 1)",
+        ])
+        return template.format(_fact_args(rng))
+    if kind == 12:  # add_fact in a string or a comment
+        return rng.choice(["s = 'kb.add_fact(e1, r1, e2)'",
+                           "pass  # kb.add_fact(e1, r1, e2)",
+                           "print(e1)  # then add_fact"])
+    if kind == 13:  # fullwidth identifiers fold to ASCII ones
+        return rng.choice(["ｅ1 = 'Folded'", "kb.ａｄｄ_ｆａｃｔ(e1, r1, e2)",
+                           "x = kb.ａｄｄ_ｆａｃｔ(e1, r1, e2)"])
+    return f"{rng.choice(_NAMES)} = {rng.choice(_NAMES)}"
+
+
+def _block(rng, depth, size=2):
+    return [line for _ in range(rng.randint(1, size))
+            for line in _statement(rng, depth)]
+
+
+def _statement(rng, depth):
+    """The lines of one statement, compound below ``depth`` 3."""
+    if depth >= 3 or rng.random() < 0.7:
+        return [_simple_statement(rng)]
+
+    def inner():
+        return ["    " + line for line in _block(rng, depth + 1)]
+
+    kind = rng.randrange(7)
+    if kind == 0:
+        return ["if e1:", *inner()] + (["else:", *inner()] if rng.random() < 0.5 else [])
+    if kind == 1:
+        lines = ["try:", *inner(), "except ValueError:", *inner()]
+        if rng.random() < 0.5:
+            lines += ["except Exception as exc:", *inner()]
+        if rng.random() < 0.3:
+            lines += ["else:", *inner()]
+        if rng.random() < 0.3:
+            lines += ["finally:", *inner()]
+        return lines
+    if kind == 2:
+        lines = ["match e1:", "    case 'Paris':", *("    " + l for l in inner())]
+        if rng.random() < 0.5:
+            lines += ["    case _:", *("    " + l for l in inner())]
+        return lines
+    if kind == 3:
+        return ["def helper():", *inner()]
+    if kind == 4:
+        return ["for _ in range(1):", *inner()]
+    if kind == 5:
+        return ["with open('x') as fh:", *inner()]
+    return ["class Holder:", *inner()]
+
+
+def _nested_code_body(rng):
+    lines = _block(rng, 0, size=5)
+    roll = rng.random()
+    if roll < 0.2:  # the preamble is skipped
+        return DYNAMIC_PREAMBLE + "\n".join(lines)
+    if roll < 0.25:  # the preamble's class continues: the whole body parses
+        return DYNAMIC_PREAMBLE + "    e1 = 'ClassLevel'\n" + "\n".join(lines)
+    return "\n".join(lines)
+
+
+def test_code_parsers_match_ast_walk_references(monkeypatch):
+    real_walk = ast.walk
+    walks = []
+
+    def recording_walk(node):
+        walks.append(node)
+        return real_walk(node)
+
+    rng = random.Random(2412)
+    fast = fallback = 0
+    for _ in range(1500):
+        body = _nested_code_body(rng)
+        expected_static = reference_parse_static(body)
+        expected_dynamic = reference_parse_dynamic(body)
+        walks.clear()
+        monkeypatch.setattr(ast, "walk", recording_walk)
+        static = parse(RepresentationTag.PYTHON_STATIC, body)
+        assert not walks
+        dynamic = parse(RepresentationTag.PYTHON_DYNAMIC, body)
+        monkeypatch.setattr(ast, "walk", real_walk)
+        assert static.triplets == expected_static, body
+        assert dynamic.triplets == expected_dynamic, body
+        assert not (dynamic.diagnostic or "").startswith("syntax error"), body
+        fast += not walks
+        fallback += len(walks) == 1
+    assert fast > 50 and fallback > 50
