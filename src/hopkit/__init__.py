@@ -4,11 +4,11 @@ per-hop conditional accuracy.
 """
 
 from .kg import (Entity, KnowledgeGraph, Relation, ReasoningInstance, Triplet,
-                 add_fact, chain_to_graph, infer, make_chain, validate_instance)
+                 add_fact, infer, make_chain, validate_instance)
 from .render import (ParsedBody, RenderedExample, RepresentationTag, parse,
                      render, wrap_answer_envelope)
 from .prompts import (DatasetStyle, PromptBundle, PromptMode, build_prompt,
-                      build_query, pick_demonstration)
+                      build_query)
 from .dataset import (FinetuneRecord, OverlapStats, SourceRecord, SplitSpec,
                       build_finetune_corpus, cap_relation_pairs,
                       compute_overlap_stats, extend_to_three_hops, ingest,

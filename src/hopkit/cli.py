@@ -9,16 +9,17 @@ exits nonzero with a diagnostic on any pipeline error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
 
-from . import dataset, evaluate, gateway, prompts
+from . import __version__, dataset, evaluate, gateway, prompts
 from .gateway import (DecodeConfig, FaultSpec, Gateway, GatewayConfigError,
                       OpenAIChatBackend, OracleBackend)
 from .kg import Entity, KnowledgeGraph, Relation, Triplet, add_fact
 from .prompts import DatasetStyle, PromptMode
-from .render import RepresentationTag, hop_sentences, render as render_instance
+from .render import RepresentationTag
 
 REP_FLAGS = {
     "nl": RepresentationTag.NATURAL_LANGUAGE,
@@ -149,16 +150,9 @@ def _demonstrations(mode, chains):
 
 def _prompt_for(record, mode, style, rep, demos, seed):
     chain = record.to_chain()
-    demonstration = None
-    context = None
-    if mode is PromptMode.ONE_SHOT:
-        demo_chain = demos.pick(chain, seed)
-        demonstration = render_instance(demo_chain, rep)
-    elif mode is PromptMode.WITH_CONTEXT:
-        context = " ".join(hop_sentences(chain))
+    demonstration = demos.pick(chain, seed) if mode is PromptMode.ONE_SHOT else None
     return prompts.build_prompt(
-        chain, mode=mode, style=style, representation=rep,
-        demonstration=demonstration, context=context,
+        chain, mode=mode, style=style, representation=rep, demonstration=demonstration,
     ).full_prompt
 
 
@@ -202,12 +196,11 @@ def _build_gateway(args, chains) -> Gateway:
         for chain in chains:
             for hop in chain.hops:
                 add_fact(kg, hop)
-        fault = None
-        if args.fault_prob > 0:
-            fault = FaultSpec(
-                hop_index=args.fault_hop, probability=args.fault_prob, seed=args.seed
-            )
-        backend = OracleBackend(kg, REP_FLAGS[args.rep], corrupt=fault)
+        fault = FaultSpec(
+            hop_index=args.fault_hop, probability=args.fault_prob, seed=args.seed
+        )
+        backend = OracleBackend(kg, REP_FLAGS[args.rep],
+                                corrupt=fault if fault.probability else None)
     else:
         backend = OpenAIChatBackend(
             endpoint, token_env=file_config.get("token_env", "OPENAI_API_KEY")
@@ -216,33 +209,79 @@ def _build_gateway(args, chains) -> Gateway:
                    retries=retries)
 
 
+def _manifest(args, gw: Gateway) -> dict:
+    """The settings a resumed run must share with the run that wrote the log.
+
+    A setting that cannot change the output is null: the fault flags when no
+    fault is applied, and the seed when it picks neither a demonstration nor a
+    fault."""
+    backend = gw.backend
+    oracle = isinstance(backend, OracleBackend)
+    fault = backend.corrupt if oracle else None
+    seeded = fault is not None or MODE_FLAGS[args.mode] is PromptMode.ONE_SHOT
+    return {
+        "version": __version__,
+        "rep": args.rep, "mode": args.mode, "style": args.style,
+        "seed": args.seed if seeded else None,
+        "fault_hop": fault.hop_index if fault else None,
+        "fault_prob": fault.probability if fault else None,
+        "backend": "oracle" if oracle else backend.endpoint,
+        "model": gw.config.model_name,
+        "input_sha256": hashlib.sha256(Path(args.input).read_bytes()).hexdigest(),
+    }
+
+
+def _check_manifest(path: Path, manifest: dict) -> None:
+    """Refuse to resume a log written with other settings; warn when the log
+    has no manifest to compare with."""
+    if not path.exists():
+        print(f"resume: no {path}, so the log's settings go unchecked; "
+              "writing this run's", file=sys.stderr)
+        return
+    try:
+        logged = dict(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"{path}: not a run manifest: {exc}") from exc
+    differ = [f"{key} {logged.get(key)!r} -> {manifest.get(key)!r}"
+              for key in {**manifest, **logged} if logged.get(key) != manifest.get(key)]
+    if differ:
+        raise CliError(f"{path}: the log was written with other settings: "
+                       f"{', '.join(differ)}; resume with the same ones")
+
+
 def cmd_evaluate(args) -> int:
     records = _load_records(args.input, args.format or _format_of(args.input))
     rep = REP_FLAGS[args.rep]
     style = DatasetStyle(args.style)
     mode = MODE_FLAGS[args.mode]
+    chains = [r.to_chain() for r in records]
+    evaluate.common_hop_count(chains)  # the report needs one hop count
+    gw = _build_gateway(args, chains)
+    gw.check()  # fail before the first request on misconfiguration
+    manifest = _manifest(args, gw)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     records_path = out / "eval_records.jsonl"
     report_path = out / "report.txt"
     machine_path = out / "report.jsonl"
+    manifest_path = out / "manifest.json"
 
     resumed: list[evaluate.EvalRecord] = []
-    if args.resume and records_path.exists():
-        dropped = evaluate.repair_cut_tail(records_path)
-        if dropped:
-            print(f"resume: dropped {dropped} bytes of a cut last line in "
-                  f"{records_path}", file=sys.stderr)
-        resumed = evaluate.read_eval_records(records_path)
+    # a run stopped before its first log write leaves only the manifest
+    if args.resume and (records_path.exists() or manifest_path.exists()):
+        _check_manifest(manifest_path, manifest)
+        if records_path.exists():
+            dropped = evaluate.repair_cut_tail(records_path)
+            if dropped:
+                print(f"resume: dropped {dropped} bytes of a cut last line in "
+                      f"{records_path}", file=sys.stderr)
+            resumed = evaluate.read_eval_records(records_path)
     else:
-        for path in (records_path, report_path, machine_path):
+        for path in (records_path, report_path, machine_path, manifest_path):
             _check_output(path, args.force)
         if records_path.exists():
             records_path.unlink()
-
-    chains = [r.to_chain() for r in records]
-    gw = _build_gateway(args, chains)
-    gw.check()  # fail before the first request on misconfiguration
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
     demos = _demonstrations(mode, chains)
     done_ids = {r.instance_id for r in resumed}

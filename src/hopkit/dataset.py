@@ -394,17 +394,15 @@ def build_finetune_corpus(
     representation: RepresentationTag,
     style: DatasetStyle,
 ) -> list[FinetuneRecord]:
-    """Training pairs: per record, one one-hop example built from the first
-    hop and one two-hop example for the full chain.  Responses are answer
-    envelopes whose body is the record rendered in ``representation``.
+    """Training pairs: per record, one example for each prefix of its chain,
+    the first hop alone up to the full chain.  Responses are answer envelopes
+    whose body is the prefix rendered in ``representation``.
     """
     out = []
     for record in records:
-        if record.n_hops != 2:
-            raise ValueError(f"record {record.id} is not two-hop")
         chain = record.to_chain()
-        one_hop = ReasoningInstance(hops=chain.hops[:1], source_id=record.id)
-        for sub_chain, hops in ((one_hop, 1), (chain, 2)):
+        for hops in range(1, chain.n_hops + 1):
+            sub_chain = ReasoningInstance(hops=chain.hops[:hops], source_id=record.id)
             try:
                 example = render_instance(sub_chain, representation)
                 prompt = prompts.build_prompt(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -232,6 +233,14 @@ def _conditions(n_hops: int) -> list[tuple[int, ...]]:
     return pairs if every in pairs else [*pairs, every]
 
 
+def common_hop_count(chains: Iterable[ReasoningInstance]) -> int:
+    """The hop count every chain shares; raises ValueError on a mix."""
+    hop_counts = {chain.n_hops for chain in chains}
+    if len(hop_counts) != 1:
+        raise ValueError(f"records mix hop counts: {sorted(hop_counts)}")
+    return hop_counts.pop()
+
+
 def compute_metrics(records: list[EvalRecord]) -> MetricsReport:
     """Aggregate counts and conditional accuracies over judged records.
 
@@ -240,10 +249,7 @@ def compute_metrics(records: list[EvalRecord]) -> MetricsReport:
     """
     if not records:
         return MetricsReport(0, 0, 0, 0, rows=())
-    hop_counts = {r.gold.n_hops for r in records}
-    if len(hop_counts) != 1:
-        raise ValueError(f"records mix hop counts: {sorted(hop_counts)}")
-    n = hop_counts.pop()
+    n = common_hop_count(r.gold for r in records)
     usable = [r for r in records if r.failure_class != "transport"]
     rows = []
     for condition in _conditions(n):

@@ -156,6 +156,12 @@ class FaultSpec:
     probability: float
     seed: int
 
+    def __post_init__(self):
+        if self.hop_index < 0:
+            raise ValueError(f"fault hop index must be >= 0, not {self.hop_index}")
+        if not 0 <= self.probability <= 1:
+            raise ValueError(f"fault probability must be in [0, 1], not {self.probability}")
+
     def apply(self, chain: ReasoningInstance, prompt: str) -> ReasoningInstance:
         rng = random.Random(f"{self.seed}:{prompt}")
         if rng.random() >= self.probability or self.hop_index >= chain.n_hops:

@@ -13,14 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-class ChainError(ValueError):
-    """A reasoning chain violates the bridge-entity invariant."""
-
-    def __init__(self, message: str, hop_index: int):
-        super().__init__(message)
-        self.hop_index = hop_index
-
-
 @dataclass(frozen=True, order=True)
 class Entity:
     """A node identified by its surface form, e.g. ``Entity("David Shire")``."""
@@ -133,25 +125,6 @@ def infer(kg: KnowledgeGraph, start: Entity, relations: list[Relation]) -> Entit
             return None
         current = nxt
     return current
-
-
-def chain_to_graph(chain: ReasoningInstance) -> KnowledgeGraph:
-    """Build a graph containing exactly the chain's facts.
-
-    Raises ChainError naming the first offending hop index when the chain
-    breaks the bridge invariant.
-    """
-    for i in range(len(chain.hops) - 1):
-        if chain.hops[i].tail != chain.hops[i + 1].head:
-            raise ChainError(
-                f"hop {i}: tail {chain.hops[i].tail.label!r} does not bridge to "
-                f"hop {i + 1} head {chain.hops[i + 1].head.label!r}",
-                hop_index=i,
-            )
-    kg = KnowledgeGraph()
-    for hop in chain.hops:
-        add_fact(kg, hop)
-    return kg
 
 
 def validate_instance(chain: ReasoningInstance) -> list[str]:

@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .kg import Entity, ReasoningInstance
-from .render import RenderedExample, RepresentationTag
+from .render import RepresentationTag, hop_sentences, render as render_instance
 
 
 class DatasetStyle(str, enum.Enum):
@@ -39,12 +39,10 @@ _GENERATION_TARGET = {
 
 @dataclass(frozen=True)
 class PromptBundle:
-    mode: PromptMode
-    style: DatasetStyle
-    representation: RepresentationTag | None
-    demonstration: RenderedExample | None
-    context: str | None
-    query_text: str
+    """A built prompt.  Only ``full_prompt`` is carried; the wrapper stays
+    because the benchmark harness reads ``build_prompt(...).full_prompt``.
+    """
+
     full_prompt: str
 
 
@@ -77,13 +75,13 @@ def build_prompt(
     mode: PromptMode,
     style: DatasetStyle,
     representation: RepresentationTag | None = None,
-    demonstration: RenderedExample | None = None,
-    context: str | None = None,
+    demonstration: ReasoningInstance | None = None,
 ) -> PromptBundle:
     """Assemble the full prompt for one chain.
 
-    One-shot mode requires a representation and a rendered demonstration;
-    with-context mode requires the context text.
+    One-shot mode needs a representation and a demonstration chain, which it
+    renders in that representation.  With-context mode states the chain's
+    hops as the context.
     """
     query = build_query(chain, style)
     instruction = _instruction(style, representation)
@@ -92,20 +90,13 @@ def build_prompt(
     elif mode is PromptMode.ONE_SHOT:
         if representation is None or demonstration is None:
             raise ValueError("one-shot prompting needs a representation and a demonstration")
-        if demonstration.tag is not representation:
-            raise ValueError(
-                f"demonstration is {demonstration.tag.value}, prompt wants "
-                f"{representation.value}"
-            )
-        demo_chain_query = demonstration_query(demonstration, style)
         full = "\n".join([
-            _query_line(style, demo_chain_query, None),
-            demonstration.envelope,
+            _query_line(style, build_query(demonstration, style), None),
+            render_instance(demonstration, representation).envelope,
             _query_line(style, query, instruction),
         ])
     elif mode is PromptMode.WITH_CONTEXT:
-        if context is None:
-            raise ValueError("with-context prompting needs the context text")
+        context = " ".join(hop_sentences(chain))
         if style is DatasetStyle.STATEMENT:
             full = (
                 f"Given context: {context} and the uncompleted statement: "
@@ -115,22 +106,7 @@ def build_prompt(
             full = f"Given context: {context} and the question: {query} {instruction}"
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return PromptBundle(
-        mode=mode,
-        style=style,
-        representation=representation,
-        demonstration=demonstration,
-        context=context,
-        query_text=query,
-        full_prompt=full,
-    )
-
-
-def demonstration_query(demonstration: RenderedExample, style: DatasetStyle) -> str:
-    """Query text for a demonstration, recovered from its rendered source."""
-    if demonstration.source_chain is None:
-        raise ValueError("demonstration lacks its source chain")
-    return build_query(demonstration.source_chain, style)
+    return PromptBundle(full)
 
 
 class DemonstrationPool:
@@ -168,10 +144,3 @@ class DemonstrationPool:
                 break
             position += 1
         return self.pool[position]
-
-
-def pick_demonstration(
-    pool: list[ReasoningInstance], query: ReasoningInstance, seed: int
-) -> ReasoningInstance:
-    """``DemonstrationPool(pool).pick(query, seed)``, for a single pick."""
-    return DemonstrationPool(pool).pick(query, seed)

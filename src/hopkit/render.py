@@ -49,7 +49,6 @@ class RenderedExample:
     body: str
     answer: Entity
     envelope: str
-    source_chain: ReasoningInstance | None = None
 
 
 @dataclass(frozen=True)
@@ -303,7 +302,6 @@ def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:
         body=body,
         answer=chain.answer,
         envelope=wrap_answer_envelope(body, tag, chain.answer),
-        source_chain=chain,
     )
 
 

@@ -98,15 +98,13 @@ def test_criterion_2_golden_format_fidelity(example_chain):
         produced[f"prompt_zero_{style.value}.txt"] = build_prompt(
             example_chain, PromptMode.ZERO_SHOT, style
         ).full_prompt
-        context = ("The composer of It Goes Like It Goes is David Shire. "
-                   "The spouse of David Shire is Didi Conn.")
         produced[f"prompt_context_{style.value}.txt"] = build_prompt(
-            example_chain, PromptMode.WITH_CONTEXT, style, context=context
+            example_chain, PromptMode.WITH_CONTEXT, style
         ).full_prompt
         for tag in ALL_TAGS:
-            demo = render(example_chain, tag)
             produced[f"prompt_one_{tag.value}_{style.value}.txt"] = build_prompt(
-                example_chain, PromptMode.ONE_SHOT, style, tag, demonstration=demo
+                example_chain, PromptMode.ONE_SHOT, style, tag,
+                demonstration=example_chain,
             ).full_prompt
     golden_files = sorted(p.name for p in GOLDEN_DIR.glob("*.txt"))
     assert golden_files == sorted(produced)

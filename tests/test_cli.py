@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import hopkit
+from hopkit import gateway
 from hopkit.cli import main
 
 
@@ -193,6 +195,68 @@ def test_one_shot_prompt_bytes_pinned(one_shot_tsv, tmp_path, rep, style):
     assert digest == ONE_SHOT_PROMPTS_SHA256[rep, style]
 
 
+# SHA-256 of `generate --kind prompts --mode zero` and `--mode context --seed 5`
+# on one_shot_tsv, as written when the caller stated the context and rendered
+# the demonstration itself.
+ZERO_SHOT_PROMPTS_SHA256 = {
+    ("nl", "statement"): "14ff0c0ddebf8e4583561642cf162d8ebba69ffb0212e0778824a0910347b0b3",
+    ("nl", "question"): "74d8b080516dcd79bb7d6bbe517cff1c7fc87d5ab33513d9a78e3e5aad855b32",
+    ("json", "statement"): "6919550d4792878ce3e09156817b428c125aff8a6e6122d8d6e71f87da078dfa",
+    ("json", "question"): "edcadd1f28a9ce1e1fcbf1c1b14c22a206f1b6ed035e12250d578d3ade867672",
+    ("py-static", "statement"): "7e9547e203271b74bb003162e88b76216f4e9e84961dbe96d98c6a5c7da09bda",
+    ("py-static", "question"): "1b50e976cbd0672dc1c8e6fa345a9d8ce6dd1d6e98a16dd360fb015ff5add626",
+    ("py-dynamic", "statement"): "7e9547e203271b74bb003162e88b76216f4e9e84961dbe96d98c6a5c7da09bda",
+    ("py-dynamic", "question"): "1b50e976cbd0672dc1c8e6fa345a9d8ce6dd1d6e98a16dd360fb015ff5add626",
+}
+CONTEXT_PROMPTS_SHA256 = {
+    ("nl", "statement"): "a6a5da601613889337731be2d131b712d95be16997eb93afa33acedfe6578cb0",
+    ("nl", "question"): "57d0bd7b38aade65b23afca67e7caa9c6c658a0defa7b156c6aae09cd89d77cd",
+    ("json", "statement"): "33a44f49bf2503c9a016733220c09b2996ee94729f5fd999dc5e1a3c2dd654f1",
+    ("json", "question"): "c55d15bae05b41cba63abd7ded0cb1486bb36e1acee014036bbc60af28e20ff3",
+    ("py-static", "statement"): "8a5a0284f893226d0db939966ef2d265a0642542cf4466d71253ba0226706d2f",
+    ("py-static", "question"): "b52f6d07cd38e029410b3a0f5be6bfda9409f4cb247f1b188af37987e93e9507",
+    ("py-dynamic", "statement"): "8a5a0284f893226d0db939966ef2d265a0642542cf4466d71253ba0226706d2f",
+    ("py-dynamic", "question"): "b52f6d07cd38e029410b3a0f5be6bfda9409f4cb247f1b188af37987e93e9507",
+}
+
+
+@pytest.mark.parametrize("rep", ["nl", "json", "py-static", "py-dynamic"])
+@pytest.mark.parametrize("style", ["statement", "question"])
+@pytest.mark.parametrize("mode,pins", [("zero", ZERO_SHOT_PROMPTS_SHA256),
+                                       ("context", CONTEXT_PROMPTS_SHA256)])
+def test_zero_shot_and_context_prompt_bytes_pinned(one_shot_tsv, tmp_path, rep,
+                                                   style, mode, pins):
+    out = tmp_path / "prompts.jsonl"
+    assert main(["generate", "--input", str(one_shot_tsv), "--output", str(out),
+                 "--kind", "prompts", "--mode", mode, "--rep", rep,
+                 "--style", style, "--seed", "5"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == pins[rep, style]
+
+
+# SHA-256 of `generate --kind corpus` on input_tsv (two-hop), as written by
+# the corpus builder that took two-hop records only.
+TWO_HOP_CORPUS_SHA256 = {
+    ("nl", "statement"): "cbf4a95563bd177cd7c70846c1d34ee27788d6aa7a4ed16b3d8f8ebb8ca5f05d",
+    ("nl", "question"): "e4572329d9f7f4df1b4150e8c8a1365e7505bbff69d4b2e983585ad56de51fb4",
+    ("json", "statement"): "a7cd072b7cb38cdf2626715a7246f297aa30c16e42d0325e27c8726cc84ee00a",
+    ("json", "question"): "318aa94ca60bd32662ee8041dddc59500c49442faa98ecfce880555ef9311a66",
+    ("py-static", "statement"): "3e1ea33be839e58fcd2ad129c731d4b914a720c1f01683957478a86a283278c5",
+    ("py-static", "question"): "2c32f80073d467a53eb89b091e9437d04b6354c4fb978e5320b27f2b36ba0727",
+    ("py-dynamic", "statement"): "cfac4b7c00a9d290da4ba6c18f8ce1f9dae9bcb0733edf170bf2d8e2d816c2de",
+    ("py-dynamic", "question"): "34a06751b28a5a6328cc82b800b23ef04705ac6633c4b01f5bf9eea2a799c1e9",
+}
+
+
+@pytest.mark.parametrize("rep", ["nl", "json", "py-static", "py-dynamic"])
+@pytest.mark.parametrize("style", ["statement", "question"])
+def test_two_hop_corpus_bytes_pinned(input_tsv, tmp_path, rep, style):
+    out = tmp_path / "corpus.jsonl"
+    assert main(["generate", "--input", str(input_tsv), "--output", str(out),
+                 "--kind", "corpus", "--rep", rep, "--style", style]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == TWO_HOP_CORPUS_SHA256[rep, style]
+
+
 def resume_cut_log(input_tsv, tmp_path, cut_log):
     """Evaluate afresh, then resume in a second directory whose record log
     holds ``cut_log`` of the fresh log's bytes: every output must match the
@@ -271,6 +335,117 @@ class TestEvaluate:
         assert main([*args, "--resume"]) == 1
         assert f"error: {log}:5: " in capsys.readouterr().err
         assert log.read_text(encoding="utf-8") == "".join(lines)
+
+    def test_fresh_run_writes_its_manifest(self, input_tsv, tmp_path):
+        out = tmp_path / "eval"
+        args = ["evaluate", "--input", str(input_tsv), "--output", str(out),
+                "--oracle", "--rep", "json", "--fault-prob", "0.3", "--seed", "3"]
+        assert main(args) == 0
+        assert json.loads((out / "manifest.json").read_text()) == {
+            "version": hopkit.__version__, "rep": "json", "mode": "zero",
+            "style": "statement", "seed": 3, "fault_hop": 1, "fault_prob": 0.3,
+            "backend": "oracle", "model": "oracle",
+            "input_sha256": hashlib.sha256(input_tsv.read_bytes()).hexdigest(),
+        }
+        for name in ("eval_records.jsonl", "report.txt", "report.jsonl"):
+            (out / name).unlink()
+        assert main(args) == 1  # the manifest is an output like the others
+
+    def test_resume_refuses_other_settings(self, input_tsv, tmp_path, capsys):
+        out = tmp_path / "eval"
+        args = ["evaluate", "--input", str(input_tsv), "--output", str(out), "--oracle"]
+        assert main([*args, "--rep", "py-dynamic", "--fault-prob", "0.3"]) == 0
+        log, manifest = out / "eval_records.jsonl", out / "manifest.json"
+        cut = "".join(log.read_text(encoding="utf-8").splitlines(keepends=True)[:10])
+        log.write_text(cut, encoding="utf-8")
+        before = manifest.read_bytes()
+        capsys.readouterr()
+        assert main([*args, "--rep", "nl", "--fault-prob", "1.0", "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ")
+        assert "rep 'py-dynamic' -> 'nl'" in err and "fault_prob 0.3 -> 1.0" in err
+        assert log.read_text(encoding="utf-8") == cut
+        assert manifest.read_bytes() == before
+
+    def test_resume_ignores_settings_that_cannot_change_the_output(self, input_tsv,
+                                                                    tmp_path):
+        out = tmp_path / "eval"
+        args = ["evaluate", "--input", str(input_tsv), "--output", str(out), "--oracle"]
+        assert main(args) == 0
+        fresh = {p.name: p.read_bytes() for p in out.iterdir()}
+        log = out / "eval_records.jsonl"
+        cut = "".join(log.read_text(encoding="utf-8").splitlines(keepends=True)[:10])
+        log.write_text(cut, encoding="utf-8")
+        # no fault is applied and zero-shot picks no demonstration
+        assert main([*args, "--resume", "--fault-hop", "0", "--seed", "9"]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == fresh
+        one_shot = ["evaluate", "--input", str(input_tsv), "--output",
+                    str(tmp_path / "one"), "--oracle", "--mode", "one"]
+        assert main(one_shot) == 0
+        assert main([*one_shot, "--resume", "--seed", "9"]) == 1  # picks demonstrations
+
+    def test_resume_without_a_manifest_warns_and_writes_it(self, input_tsv, tmp_path,
+                                                            capsys):
+        out = tmp_path / "eval"
+        args = ["evaluate", "--input", str(input_tsv), "--output", str(out), "--oracle"]
+        assert main(args) == 0
+        manifest = out / "manifest.json"
+        written = manifest.read_bytes()
+        manifest.unlink()
+        capsys.readouterr()
+        assert main([*args, "--resume"]) == 0
+        assert f"resume: no {manifest}" in capsys.readouterr().err
+        assert manifest.read_bytes() == written
+
+    def test_resume_after_a_run_stopped_before_its_log(self, input_tsv, tmp_path,
+                                                       monkeypatch):
+        args = ["evaluate", "--input", str(input_tsv), "--oracle", "--rep",
+                "py-static", "--fault-prob", "0.3"]
+        fresh, stopped = tmp_path / "fresh", tmp_path / "stopped"
+        assert main([*args, "--output", str(fresh)]) == 0
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gateway.Gateway, "complete_batch", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                main([*args, "--output", str(stopped)])
+        assert [p.name for p in stopped.iterdir()] == ["manifest.json"]
+        assert main([*args, "--output", str(stopped), "--resume"]) == 0
+        for name in ("manifest.json", "eval_records.jsonl", "report.txt", "report.jsonl"):
+            assert (stopped / name).read_bytes() == (fresh / name).read_bytes()
+        assert main([*args, "--output", str(stopped), "--resume", "--seed", "4"]) == 1
+
+    def test_mixed_hop_counts_fail_before_any_request(self, tmp_path, capsys,
+                                                      monkeypatch):
+        path = tmp_path / "mixed.tsv"
+        header = ["id", "e1", "r1", "e2", "r2", "e3", "r3", "e4"]
+        rows = [[str(i), f"w{i}", "r", f"m{i}", "s", f"p{i}", *(
+            ["t", f"q{i}"] if i % 2 else ["", ""])] for i in range(6)]
+        path.write_text("\n".join("\t".join(r) for r in [header, *rows]) + "\n",
+                        encoding="utf-8")
+
+        def no_request(*args, **kwargs):
+            raise AssertionError("a request was made")
+
+        monkeypatch.setattr(gateway.Gateway, "complete_batch", no_request)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--input", str(path), "--output", str(out),
+                     "--oracle"]) == 1
+        assert "error: records mix hop counts: [2, 3]" in capsys.readouterr().err
+        assert not (out / "eval_records.jsonl").exists()
+
+    @pytest.mark.parametrize("flags", [["--fault-hop", "-1", "--fault-prob", "0.5"],
+                                       ["--fault-hop", "-1"],
+                                       ["--fault-prob", "7"], ["--fault-prob", "-3"],
+                                       ["--fault-prob", "nan"]])
+    def test_bad_fault_flags_are_an_error(self, input_tsv, tmp_path, capsys, flags):
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--input", str(input_tsv), "--output", str(out),
+                     "--oracle", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: fault ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("config", [
         {"concurrency": "4"}, {"temperature": "hot"}, {"retries": "3"},

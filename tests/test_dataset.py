@@ -320,6 +320,22 @@ class TestFinetuneCorpus:
         )
         assert [c.hops for c in corpus] == [1, 2]
 
+    def test_three_hop_record_yields_a_pair_per_prefix(self):
+        records = [rec(1, "a", "r", "b", "s", "c", "t", "d")]
+        corpus = build_finetune_corpus(
+            records, RepresentationTag.JSON, DatasetStyle.STATEMENT
+        )
+        assert [c.hops for c in corpus] == [1, 2, 3]
+        assert [json.loads(c.response)["Answer"] for c in corpus] == ["b", "c", "d"]
+        assert [c.prompt for c in corpus] == [
+            "Given the incomplete statement: r of a is _ , provide answer and "
+            "generate JSON structure for completing the statement",
+            "Given the incomplete statement: s of r of a is _ , provide answer and "
+            "generate JSON structure for completing the statement",
+            "Given the incomplete statement: t of s of r of a is _ , provide answer "
+            "and generate JSON structure for completing the statement",
+        ]
+
     def test_dynamic_response_contains_template(self):
         records = [rec(1, "It Goes Like It Goes", "composer", "David Shire",
                        "spouse", "Didi Conn")]

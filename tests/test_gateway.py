@@ -11,12 +11,20 @@ import requests
 import hopkit
 
 from hopkit import (DecodeConfig, Entity, FaultSpec, Gateway, KnowledgeGraph,
-                    OracleBackend, add_fact, build_prompt, chain_to_graph,
-                    make_chain, oracle_complete)
+                    OracleBackend, add_fact, build_prompt, make_chain,
+                    oracle_complete)
 from hopkit.gateway import (GatewayConfigError, OpenAIChatBackend,
                             TransportError, load_gateway_config)
 from hopkit.prompts import DatasetStyle, PromptMode
 from hopkit.render import RepresentationTag
+
+
+def chain_to_graph(chain):
+    """A graph holding exactly the chain's facts."""
+    kg = KnowledgeGraph()
+    for hop in chain.hops:
+        add_fact(kg, hop)
+    return kg
 
 
 @pytest.fixture
@@ -63,12 +71,9 @@ class TestOracleComplete:
         assert envelope["Answer"] == "Edith"
 
     def test_one_shot_prompt_uses_final_query(self, example_chain, example_kg):
-        from hopkit import render
-
-        demo = render(example_chain, RepresentationTag.NATURAL_LANGUAGE)
         prompt = build_prompt(
             example_chain, PromptMode.ONE_SHOT, DatasetStyle.STATEMENT,
-            RepresentationTag.NATURAL_LANGUAGE, demonstration=demo,
+            RepresentationTag.NATURAL_LANGUAGE, demonstration=example_chain,
         ).full_prompt
         envelope = json.loads(oracle_complete(prompt, example_kg))
         assert envelope["Answer"] == "Didi Conn"

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from hopkit import (Entity, KnowledgeGraph, Relation, Triplet, add_fact,
-                    chain_to_graph, infer, make_chain, validate_instance)
-from hopkit.kg import ChainError, ReasoningInstance
+                    infer, make_chain, validate_instance)
+from hopkit.kg import ReasoningInstance
 
 
 def fact(h, r, t):
@@ -46,24 +46,6 @@ def test_infer_one_and_two_hops():
     )
     assert infer(kg, start, [Relation("spouse")]) is None
     assert infer(kg, Entity("X"), []) == Entity("X")
-
-
-def test_chain_to_graph_roundtrip(example_chain):
-    kg = chain_to_graph(example_chain)
-    assert len(kg) == 2
-    assert infer(kg, example_chain.start, example_chain.relations) == example_chain.answer
-
-
-def test_chain_to_graph_single_hop():
-    kg = chain_to_graph(make_chain("a", "r", "b"))
-    assert len(kg) == 1
-
-
-def test_chain_to_graph_rejects_broken_bridge():
-    broken = ReasoningInstance(hops=(fact("a", "r", "b"), fact("c", "r2", "d")))
-    with pytest.raises(ChainError) as excinfo:
-        chain_to_graph(broken)
-    assert excinfo.value.hop_index == 0
 
 
 def test_validate_instance():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hopkit import build_prompt, build_query, make_chain, pick_demonstration, render
+from hopkit import build_prompt, build_query, make_chain
 from hopkit.prompts import DatasetStyle, DemonstrationPool, PromptMode
 from hopkit.render import RepresentationTag
 
@@ -34,10 +34,9 @@ def test_zero_shot_statement(example_chain):
 
 
 def test_one_shot_python_question(example_chain):
-    demo = render(example_chain, RepresentationTag.PYTHON_DYNAMIC)
     bundle = build_prompt(
         example_chain, PromptMode.ONE_SHOT, DatasetStyle.QUESTION,
-        RepresentationTag.PYTHON_DYNAMIC, demonstration=demo,
+        RepresentationTag.PYTHON_DYNAMIC, demonstration=example_chain,
     )
     assert '"Python code snippet"' in bundle.full_prompt
     assert bundle.full_prompt.endswith(
@@ -51,16 +50,11 @@ def test_one_shot_requires_demonstration(example_chain):
                      RepresentationTag.NATURAL_LANGUAGE)
 
 
-def test_with_context_requires_context(example_chain):
-    with pytest.raises(ValueError):
-        build_prompt(example_chain, PromptMode.WITH_CONTEXT, DatasetStyle.STATEMENT)
-
-
 def test_with_context_prefix(example_chain):
     context = ("The composer of It Goes Like It Goes is David Shire. "
                "The spouse of David Shire is Didi Conn.")
     bundle = build_prompt(example_chain, PromptMode.WITH_CONTEXT,
-                          DatasetStyle.STATEMENT, context=context)
+                          DatasetStyle.STATEMENT)
     assert bundle.full_prompt.startswith(f"Given context: {context}")
 
 
@@ -79,17 +73,17 @@ def test_query_label_counts(example_chain):
 class TestPickDemonstration:
     def test_single_unrelated(self, example_chain):
         other = make_chain("x", "r", "y", "s", "z")
-        assert pick_demonstration([other], example_chain, seed=0) == other
+        assert DemonstrationPool([other]).pick(example_chain, seed=0) == other
 
     def test_exhausted_pool_raises(self, example_chain):
         leaky_answer = make_chain("x", "r", "y", "s", "Didi Conn")
         for pool in ([example_chain], [example_chain, leaky_answer], []):
             with pytest.raises(ValueError, match="no demonstration"):
-                pick_demonstration(pool, example_chain, seed=0)
+                DemonstrationPool(pool).pick(example_chain, seed=0)
 
     def test_deterministic(self, example_chain):
         pool = [make_chain(f"x{i}", "r", f"y{i}", "s", f"z{i}") for i in range(20)]
-        picks = {pick_demonstration(pool, example_chain, seed=42) for _ in range(5)}
+        picks = {DemonstrationPool(pool).pick(example_chain, seed=42) for _ in range(5)}
         assert len(picks) == 1
 
     def test_excludes_leaky(self, example_chain):
@@ -97,8 +91,8 @@ class TestPickDemonstration:
         leaky_answer = make_chain("x", "r", "y", "s", "Didi Conn")
         clean = make_chain("x2", "r", "y2", "s", "z2")
         for seed in range(10):
-            assert pick_demonstration(
-                [leaky_start, leaky_answer, clean], example_chain, seed=seed
+            assert DemonstrationPool([leaky_start, leaky_answer, clean]).pick(
+                example_chain, seed=seed
             ) == clean
 
     def test_pool_pick_is_the_linear_scan_pick(self):
