@@ -39,7 +39,7 @@ print(" ", prompts[0])
 gateway = Gateway(backend=OracleBackend(kg, NL))
 results = gateway.complete_batch(prompts)
 records = [
-    judge(c.source_id or str(i), c, r.text, NL, transport_failed=not r.ok)
+    judge(c.source_id or str(i), c, r.text, NL)
     for i, (c, r) in enumerate(zip(chains, results))
 ]
 print()
@@ -51,7 +51,7 @@ fault = FaultSpec(hop_index=1, probability=0.3, seed=11)
 gateway = Gateway(backend=OracleBackend(kg, NL, corrupt=fault))
 results = gateway.complete_batch(prompts)
 records = [
-    judge(c.source_id or str(i), c, r.text, NL, transport_failed=not r.ok)
+    judge(c.source_id or str(i), c, r.text, NL)
     for i, (c, r) in enumerate(zip(chains, results))
 ]
 print("fault-injected run (hop 2 corrupted with p=0.3):")

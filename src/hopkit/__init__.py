@@ -13,8 +13,8 @@ from .dataset import (FinetuneRecord, OverlapStats, SourceRecord, SplitSpec,
                       build_finetune_corpus, cap_relation_pairs,
                       compute_overlap_stats, extend_to_three_hops, ingest,
                       partition_by_bridge)
-from .gateway import (CompletionResult, DecodeConfig, FaultSpec, Gateway,
-                      OpenAIChatBackend, OracleBackend, oracle_complete)
+from .gateway import (CompletionResult, FaultSpec, Gateway, OpenAIChatBackend,
+                      OracleBackend, oracle_complete)
 from .evaluate import (ConditionRow, EvalRecord, MetricsReport, compute_metrics,
                        emit_report, judge, normalize_answer)
 

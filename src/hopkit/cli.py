@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import __version__, dataset, evaluate, gateway, prompts
-from .gateway import (DecodeConfig, FaultSpec, Gateway, GatewayConfigError,
-                      OpenAIChatBackend, OracleBackend)
+from .gateway import (FaultSpec, Gateway, GatewayConfigError, OpenAIChatBackend,
+                      OracleBackend)
 from .kg import Entity, KnowledgeGraph, Relation, Triplet, add_fact
 from .prompts import DatasetStyle, PromptMode
 from .render import RepresentationTag
@@ -43,8 +43,8 @@ def _check_output(path: Path, force: bool) -> None:
         raise CliError(f"{path} exists; pass --force to overwrite")
 
 
-def _load_records(path: str, format: str) -> list[dataset.SourceRecord]:
-    result = dataset.ingest(path, format=format)
+def _load_records(path: str, format: str | None) -> list[dataset.SourceRecord]:
+    result = dataset.ingest(path, format=format or _format_of(path))
     if result.n_rejected:
         print(
             f"ingest: {len(result.records)} records, "
@@ -62,7 +62,7 @@ def _format_of(path: str) -> str:
 
 
 def cmd_partition(args) -> int:
-    records = _load_records(args.input, args.format or _format_of(args.input))
+    records = _load_records(args.input, args.format)
     spec = dataset.SplitSpec(
         num_partitions=args.partitions,
         train_partition_index=args.train_idx,
@@ -89,8 +89,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    train = _load_records(args.train, args.format or _format_of(args.train))
-    test = _load_records(args.test, args.format or _format_of(args.test))
+    train = _load_records(args.train, args.format)
+    test = _load_records(args.test, args.format)
     stats = dataset.compute_overlap_stats(train, test)
     print(stats.to_table())
     if args.output:
@@ -101,7 +101,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_cap(args) -> int:
-    records = _load_records(args.input, args.format or _format_of(args.input))
+    records = _load_records(args.input, args.format)
     capped = dataset.cap_relation_pairs(records, cap=args.cap, seed=args.seed)
     path = Path(args.output)
     _check_output(path, args.force)
@@ -125,7 +125,7 @@ def _load_facts(path: str) -> list[Triplet]:
 
 
 def cmd_extend3(args) -> int:
-    records = _load_records(args.input, args.format or _format_of(args.input))
+    records = _load_records(args.input, args.format)
     facts = _load_facts(args.facts)
     if args.whitelist:
         whitelist = {
@@ -139,7 +139,7 @@ def cmd_extend3(args) -> int:
     path = Path(args.output)
     _check_output(path, args.force)
     dataset.write_records(extended, path, format=_format_of(args.output))
-    print(f"extended {len(extended)} of {len(records)} records to three hops")
+    print(f"extended {len(extended)} of {len(records)} records by one hop")
     return 0
 
 
@@ -157,7 +157,7 @@ def _prompt_for(record, mode, style, rep, demos, seed):
 
 
 def cmd_generate(args) -> int:
-    records = _load_records(args.input, args.format or _format_of(args.input))
+    records = _load_records(args.input, args.format)
     rep = REP_FLAGS[args.rep]
     style = DatasetStyle(args.style)
     path = Path(args.output)
@@ -178,35 +178,35 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _build_gateway(args, chains) -> Gateway:
-    file_config = gateway.load_gateway_config(args.config) if args.config else {}
-    model = args.model or file_config.get("model", "oracle")
-    decode = DecodeConfig(
-        model_name=model,
-        temperature=file_config.get("temperature", 0.0),
-        max_tokens=file_config.get("max_tokens", 512),
-    )
-    concurrency = file_config.get("concurrency", 4)
-    retries = file_config.get("retries", 3)
-    endpoint = args.endpoint or file_config.get("endpoint")
+def _build_gateway(args, chains, n_hops: int) -> Gateway:
+    """The gateway for the flags and the --config file; a setting neither
+    names keeps the default of the class that reads it."""
+    config = gateway.load_gateway_config(args.config) if args.config else {}
+    for key in ("endpoint", "model"):
+        if getattr(args, key):
+            config[key] = getattr(args, key)
+    runner = {key: config.pop(key) for key in ("concurrency", "retries") if key in config}
+    endpoint = config.pop("endpoint", None)
     if args.oracle or not endpoint:
-        if not args.oracle and not endpoint:
+        if not args.oracle:
             raise CliError("pick a backend: --oracle or --endpoint")
+        fault = FaultSpec(
+            hop_index=args.fault_hop, probability=args.fault_prob, seed=args.seed
+        )
+        if fault.probability and fault.hop_index >= n_hops:
+            raise CliError(f"fault hop {fault.hop_index} is past the last hop of "
+                           f"these {n_hops}-hop records")
         kg = KnowledgeGraph()
         for chain in chains:
             for hop in chain.hops:
                 add_fact(kg, hop)
-        fault = FaultSpec(
-            hop_index=args.fault_hop, probability=args.fault_prob, seed=args.seed
-        )
         backend = OracleBackend(kg, REP_FLAGS[args.rep],
                                 corrupt=fault if fault.probability else None)
+    elif not config.get("model"):
+        raise CliError("an endpoint needs a model: pass --model or set model in --config")
     else:
-        backend = OpenAIChatBackend(
-            endpoint, token_env=file_config.get("token_env", "OPENAI_API_KEY")
-        )
-    return Gateway(backend=backend, config=decode, concurrency=concurrency,
-                   retries=retries)
+        backend = OpenAIChatBackend(endpoint, **config)
+    return Gateway(backend=backend, **runner)
 
 
 def _manifest(args, gw: Gateway) -> dict:
@@ -226,7 +226,7 @@ def _manifest(args, gw: Gateway) -> dict:
         "fault_hop": fault.hop_index if fault else None,
         "fault_prob": fault.probability if fault else None,
         "backend": "oracle" if oracle else backend.endpoint,
-        "model": gw.config.model_name,
+        "model": None if oracle else backend.model,
         "input_sha256": hashlib.sha256(Path(args.input).read_bytes()).hexdigest(),
     }
 
@@ -250,14 +250,14 @@ def _check_manifest(path: Path, manifest: dict) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    records = _load_records(args.input, args.format or _format_of(args.input))
+    records = _load_records(args.input, args.format)
     rep = REP_FLAGS[args.rep]
     style = DatasetStyle(args.style)
     mode = MODE_FLAGS[args.mode]
     chains = [r.to_chain() for r in records]
-    evaluate.common_hop_count(chains)  # the report needs one hop count
-    gw = _build_gateway(args, chains)
-    gw.check()  # fail before the first request on misconfiguration
+    n_hops = evaluate.common_hop_count(chains)  # the report needs one hop count
+    gw = _build_gateway(args, chains, n_hops)
+    gw.backend.check()  # fail before the first request on misconfiguration
     manifest = _manifest(args, gw)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -293,9 +293,7 @@ def cmd_evaluate(args) -> int:
     ]
     results = gw.complete_batch(prompt_texts)
     judged = [
-        evaluate.judge(
-            record.id, chain, result.text, rep, transport_failed=not result.ok
-        )
+        evaluate.judge(record.id, chain, result.text, rep)
         for (record, chain), result in zip(pending, results)
     ]
     evaluate.write_eval_records(judged, records_path)
@@ -332,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="input format (default: by file extension)")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("partition", help="round-robin split by bridge entity")
     common(p)
@@ -352,17 +349,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cap", help="cap records per relation pair")
     common(p)
     p.add_argument("--cap", type=int, default=500)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_cap)
 
-    p = sub.add_parser("extend3", help="extend two-hop records with a third hop")
+    p = sub.add_parser("extend3", help="extend records of any hop count by one hop")
     common(p)
     p.add_argument("--facts", required=True,
-                   help="TSV of third-hop facts: head, relation, tail")
+                   help="TSV of next-hop facts: head, relation, tail")
     p.add_argument("--whitelist",
-                   help="file of allowed e3 labels (default: e3 values of --input)")
+                   help="file of allowed answers to extend from "
+                        "(default: the answers of --input)")
     p.set_defaults(func=cmd_extend3)
 
     def eval_flags(p):
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--rep", choices=sorted(REP_FLAGS), default="nl")
         p.add_argument("--style", choices=[s.value for s in DatasetStyle],
                        default="statement")
@@ -404,8 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, GatewayConfigError, dataset.IngestError, ValueError,
-            OSError) as exc:
+    except (CliError, GatewayConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

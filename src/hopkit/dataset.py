@@ -341,25 +341,24 @@ def cap_relation_pairs(
 
 
 def extend_to_three_hops(
-    two_hop: list[SourceRecord],
+    records: list[SourceRecord],
     extra_facts: list[Triplet],
-    e3_whitelist: set[Entity],
+    whitelist: set[Entity],
 ) -> list[SourceRecord]:
-    """Extend two-hop records with a third hop (e3, r3, e4) from extra_facts.
+    """Extend n-hop records by one hop (answer, r, e) from extra_facts; the
+    name is from the two-hop source data, which this makes three-hop.
 
-    Only records whose e3 is in the whitelist and has at least one outgoing
-    fact are emitted; among multiple candidate third hops the
-    lexicographically smallest (r3, e4) label pair wins.
+    Only records whose answer is in the whitelist and has at least one
+    outgoing fact are emitted; among multiple candidate next hops the
+    lexicographically smallest (r, e) label pair wins.
     """
-    whitelist = {e.label for e in e3_whitelist}
+    allowed = {e.label for e in whitelist}
     candidates: dict[str, list[tuple[str, str]]] = defaultdict(list)
     for fact in extra_facts:
         candidates[fact.head.label].append((fact.relation.label, fact.tail.label))
     out = []
-    for record in two_hop:
-        if record.n_hops != 2:
-            raise ValueError(f"record {record.id} is not two-hop")
-        if record.answer not in whitelist or record.answer not in candidates:
+    for record in records:
+        if record.answer not in allowed or record.answer not in candidates:
             continue
         out.append(SourceRecord(record.id, record.labels + min(candidates[record.answer])))
     return out

@@ -158,14 +158,13 @@ def judge(
     gold: ReasoningInstance,
     completion: str | None,
     representation: RepresentationTag,
-    transport_failed: bool = False,
 ) -> EvalRecord:
-    """Build one EvalRecord from a raw completion (or a transport failure)."""
-    if transport_failed or completion is None:
+    """Build one EvalRecord from a raw completion; None is a transport failure."""
+    if completion is None:
         return EvalRecord(
             instance_id=instance_id,
             gold=gold,
-            completion=completion or "",
+            completion="",
             extracted_answer=None,
             final_correct=False,
             hop_correct=tuple([False] * gold.n_hops),

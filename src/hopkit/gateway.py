@@ -12,7 +12,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -24,6 +24,7 @@ if TYPE_CHECKING:
     import requests
 
 UNKNOWN_ANSWER = "UNKNOWN"
+REQUEST_TIMEOUT_S = 120.0
 
 
 class GatewayConfigError(RuntimeError):
@@ -37,30 +38,16 @@ class TransportError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DecodeConfig:
-    model_name: str = "oracle"
-    temperature: float = 0.0
-    max_tokens: int = 512
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be positive")
-
-
-@dataclass(frozen=True)
 class CompletionResult:
-    text: str | None
+    text: str | None  # None exactly when the transport failed
     latency: float
-    transport_status: str  # "ok" or "transport"
     token_usage: dict | None = None
     retries: int = 0
     error: str | None = None
 
     @property
     def ok(self) -> bool:
-        return self.transport_status == "ok"
+        return self.text is not None
 
 
 def _extract_query(prompt: str) -> str | None:
@@ -92,20 +79,9 @@ def _candidate_paths(core: str):
     core like "spouse of composer of It Goes Like It Goes".  Entity labels may
     themselves contain " of ", so every split point is a candidate.
     """
-    def strip_article(token: str) -> str:
-        for article in ("The ", "the "):
-            if token.startswith(article):
-                return token[len(article):]
-        return token
-
     tokens = core.split(" of ")
-    seen = set()
     for i in range(1, len(tokens)):
-        entity = " of ".join(tokens[i:])
-        for rels in (tuple(tokens[:i]), tuple(strip_article(t) for t in tokens[:i])):
-            if (rels, entity) not in seen:
-                seen.add((rels, entity))
-                yield list(rels), entity
+        yield tokens[:i], " of ".join(tokens[i:])
 
 
 def oracle_complete(
@@ -193,7 +169,7 @@ class OracleBackend:
     def check(self) -> None:
         pass
 
-    def send(self, prompt: str, config: DecodeConfig) -> tuple[str, dict | None]:
+    def send(self, prompt: str) -> tuple[str, dict | None]:
         return oracle_complete(prompt, self.kg, self.representation, self.corrupt), None
 
 
@@ -203,13 +179,17 @@ class OpenAIChatBackend:
     def __init__(
         self,
         endpoint: str,
+        model: str,
         token_env: str = "OPENAI_API_KEY",
-        timeout: float = 120.0,
+        temperature: float = 0.0,
+        max_tokens: int = 512,
         session: requests.Session | None = None,
     ):
         self.endpoint = endpoint.rstrip("/")
+        self.model = model
         self.token_env = token_env
-        self.timeout = timeout
+        self.temperature = temperature
+        self.max_tokens = max_tokens
         if session is None:
             import requests  # deferred: only HTTP runs pay for importing it
 
@@ -224,14 +204,14 @@ class OpenAIChatBackend:
                 f"missing bearer token: set the {self.token_env} environment variable"
             )
 
-    def send(self, prompt: str, config: DecodeConfig) -> tuple[str, dict | None]:
+    def send(self, prompt: str) -> tuple[str, dict | None]:
         import requests
 
         payload = {
-            "model": config.model_name,
+            "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": config.temperature,
-            "max_tokens": config.max_tokens,
+            "temperature": self.temperature,
+            "max_tokens": self.max_tokens,
         }
         headers = {"Authorization": f"Bearer {os.environ.get(self.token_env, '')}"}
         try:
@@ -239,7 +219,7 @@ class OpenAIChatBackend:
                 f"{self.endpoint}/chat/completions",
                 json=payload,
                 headers=headers,
-                timeout=self.timeout,
+                timeout=REQUEST_TIMEOUT_S,
             )
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
@@ -269,24 +249,19 @@ class Gateway:
     """
 
     backend: OracleBackend | OpenAIChatBackend
-    config: DecodeConfig = field(default_factory=DecodeConfig)
     concurrency: int = 4
     retries: int = 3
     backoff_base: float = 1.0
-
-    def check(self) -> None:
-        self.backend.check()
 
     def complete(self, prompt: str) -> CompletionResult:
         start = time.monotonic()
         attempts = 0
         while True:
             try:
-                text, usage = self.backend.send(prompt, self.config)
+                text, usage = self.backend.send(prompt)
                 return CompletionResult(
                     text=text,
                     latency=time.monotonic() - start,
-                    transport_status="ok",
                     token_usage=usage,
                     retries=attempts,
                 )
@@ -298,13 +273,12 @@ class Gateway:
                 return CompletionResult(
                     text=None,
                     latency=time.monotonic() - start,
-                    transport_status="transport",
                     retries=attempts,
                     error=str(exc),
                 )
 
     def complete_batch(self, prompts: list[str]) -> list[CompletionResult]:
-        self.check()
+        self.backend.check()
         if isinstance(self.backend, OracleBackend):
             # CPU-bound and in-process: threads only add contention
             return [self.complete(prompt) for prompt in prompts]
@@ -313,25 +287,27 @@ class Gateway:
         # deferred like requests: in-process runs never load the pool or logging
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=max(1, self.concurrency)) as pool:
+        with ThreadPoolExecutor(max_workers=self.concurrency) as pool:
             return list(pool.map(self.complete, prompts))
 
 
+# key: (accepted types, description, least value or None)
 _CONFIG_TYPES = {
-    "endpoint": (str, "a string"),
-    "model": (str, "a string"),
-    "token_env": (str, "a string"),
-    "temperature": ((int, float), "a number"),
-    "max_tokens": (int, "an integer"),
-    "concurrency": (int, "an integer"),
-    "retries": (int, "an integer"),
+    "endpoint": (str, "a string", None),
+    "model": (str, "a string", None),
+    "token_env": (str, "a string", None),
+    "temperature": ((int, float), "a number >= 0", 0),
+    "max_tokens": (int, "an integer >= 1", 1),
+    "concurrency": (int, "an integer >= 1", 1),
+    "retries": (int, "an integer", None),
 }
 
 
 def load_gateway_config(path: str | Path) -> dict:
     """Read endpoint/model/decoding settings from a JSON config file.
 
-    Recognized keys and their types are in ``_CONFIG_TYPES``.
+    Recognized keys, their types and ranges are in ``_CONFIG_TYPES``; each
+    key is named like the backend or ``Gateway`` parameter it sets.
     """
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(obj, dict):
@@ -340,7 +316,8 @@ def load_gateway_config(path: str | Path) -> dict:
     if unknown:
         raise GatewayConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in obj.items():
-        types, name = _CONFIG_TYPES[key]
-        if isinstance(value, bool) or not isinstance(value, types):
+        types, name, least = _CONFIG_TYPES[key]
+        if (isinstance(value, bool) or not isinstance(value, types)
+                or least is not None and not value >= least):
             raise GatewayConfigError(f"config key {key!r} must be {name}, got {value!r}")
     return obj

@@ -344,7 +344,7 @@ class TestEvaluate:
         assert json.loads((out / "manifest.json").read_text()) == {
             "version": hopkit.__version__, "rep": "json", "mode": "zero",
             "style": "statement", "seed": 3, "fault_hop": 1, "fault_prob": 0.3,
-            "backend": "oracle", "model": "oracle",
+            "backend": "oracle", "model": None,
             "input_sha256": hashlib.sha256(input_tsv.read_bytes()).hexdigest(),
         }
         for name in ("eval_records.jsonl", "report.txt", "report.jsonl"):
@@ -439,7 +439,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("flags", [["--fault-hop", "-1", "--fault-prob", "0.5"],
                                        ["--fault-hop", "-1"],
                                        ["--fault-prob", "7"], ["--fault-prob", "-3"],
-                                       ["--fault-prob", "nan"]])
+                                       ["--fault-prob", "nan"],
+                                       ["--fault-hop", "2", "--fault-prob", "0.5"]])
     def test_bad_fault_flags_are_an_error(self, input_tsv, tmp_path, capsys, flags):
         out = tmp_path / "eval"
         assert main(["evaluate", "--input", str(input_tsv), "--output", str(out),
@@ -458,6 +459,19 @@ class TestEvaluate:
                      str(tmp_path / "eval"), "--oracle", "--config", str(path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_endpoint_without_a_model_fails_before_any_request(
+            self, input_tsv, tmp_path, capsys, monkeypatch):
+        def no_request(*args, **kwargs):
+            raise AssertionError("a request was made")
+
+        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+        monkeypatch.setattr(gateway.OpenAIChatBackend, "send", no_request)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--input", str(input_tsv), "--output", str(out),
+                     "--endpoint", "http://127.0.0.1:9"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_requires_a_backend(self, input_tsv, tmp_path, capsys):
         code = main(["evaluate", "--input", str(input_tsv),

@@ -257,6 +257,12 @@ class TestExtend:
         out = extend_to_three_hops(records, [self.fact("c", "u", "d")], {Entity("c")})
         assert len(out) == 1 and out[0].labels[5:] == ("u", "d")
 
+    def test_three_hop_record_becomes_four_hop(self):
+        records = [rec(1, "a", "r", "b", "s", "c", "t", "d")]
+        [out] = extend_to_three_hops(records, [self.fact("d", "u", "e")], {Entity("d")})
+        assert out.labels == ("a", "r", "b", "s", "c", "t", "d", "u", "e")
+        assert out.to_chain().n_hops == 4
+
     def test_no_extension_omitted(self):
         records = [rec(1, "a", "r", "b", "s", "c")]
         assert extend_to_three_hops(records, [], {Entity("c")}) == []

@@ -114,7 +114,7 @@ class TestJudge:
         assert record.failure_class is None
 
     def test_transport_failure(self, example_chain):
-        record = judge("id1", example_chain, None, NL, transport_failed=True)
+        record = judge("id1", example_chain, None, NL)
         assert record.failure_class == "transport"
         assert not record.final_correct
         assert record.hop_correct == (False, False)
@@ -208,7 +208,7 @@ class TestComputeMetrics:
 
     def test_transport_excluded_from_denominators(self, example_chain):
         good = judge("a", example_chain, render(example_chain, NL).envelope, NL)
-        bad = judge("b", example_chain, None, NL, transport_failed=True)
+        bad = judge("b", example_chain, None, NL)
         report = compute_metrics([good, bad])
         assert report.transport_failures == 1
         assert report.overall_accuracy == 1.0
@@ -248,7 +248,7 @@ class TestReports:
     def test_eval_record_file_roundtrip(self, tmp_path, example_chain):
         records = [
             judge("a", example_chain, render(example_chain, NL).envelope, NL),
-            judge("b", example_chain, None, NL, transport_failed=True),
+            judge("b", example_chain, None, NL),
         ]
         path = tmp_path / "records.jsonl"
         write_eval_records(records[:1], path)

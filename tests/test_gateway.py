@@ -10,9 +10,8 @@ import requests
 
 import hopkit
 
-from hopkit import (DecodeConfig, Entity, FaultSpec, Gateway, KnowledgeGraph,
-                    OracleBackend, add_fact, build_prompt, make_chain,
-                    oracle_complete)
+from hopkit import (Entity, FaultSpec, Gateway, KnowledgeGraph, OracleBackend,
+                    add_fact, build_prompt, make_chain, oracle_complete)
 from hopkit.gateway import (GatewayConfigError, OpenAIChatBackend,
                             TransportError, load_gateway_config)
 from hopkit.prompts import DatasetStyle, PromptMode
@@ -109,7 +108,7 @@ class FlakyBackend:
     def check(self):
         pass
 
-    def send(self, prompt, config):
+    def send(self, prompt):
         self.calls += 1
         if self.calls <= self.failures:
             raise TransportError("HTTP 429")
@@ -127,7 +126,6 @@ class TestGateway:
         gw = Gateway(backend=FlakyBackend(10), retries=2, backoff_base=0.0)
         result = gw.complete("p")
         assert not result.ok
-        assert result.transport_status == "transport"
         assert result.text is None
 
     def test_batch_preserves_order_and_count(self, example_chain):
@@ -161,24 +159,20 @@ class TestGateway:
         with pytest.raises(AssertionError, match="thread pool used"):
             Gateway(backend=FlakyBackend(0), backoff_base=0.0).complete_batch(["p"])
 
-    def test_default_decode_is_greedy(self):
-        config = DecodeConfig()
-        assert config.temperature == 0.0
-
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            DecodeConfig(temperature=-0.1)
-
 
 class FakeSession:
     """Stands in for requests.Session: every POST gets one canned 200 reply."""
 
     def __init__(self, body):
         self.body = body
-        self.calls = 0
+        self.payloads = []
+
+    @property
+    def calls(self):
+        return len(self.payloads)
 
     def post(self, url, json, headers, timeout):
-        self.calls += 1
+        self.payloads.append(json)
         return FakeResponse(self.body)
 
 
@@ -193,6 +187,15 @@ class FakeResponse:
 
 
 class TestOpenAIBackend:
+    def test_request_carries_the_model_and_greedy_decoding(self, monkeypatch):
+        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+        session = FakeSession({"choices": [{"message": {"content": "x"}}]})
+        backend = OpenAIChatBackend("http://localhost:9999/v1", "m1", session=session)
+        assert Gateway(backend=backend).complete("p").text == "x"
+        [payload] = session.payloads
+        assert payload["model"] == "m1"
+        assert (payload["temperature"], payload["max_tokens"]) == (0.0, 512)
+
     @pytest.mark.parametrize("body", [
         [1, 2],
         {"choices": [{"message": {"content": None}}]},
@@ -200,21 +203,21 @@ class TestOpenAIBackend:
     def test_malformed_reply_is_a_final_transport_failure(self, monkeypatch, body):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
         session = FakeSession(body)
-        backend = OpenAIChatBackend("http://localhost:9999/v1", session=session)
+        backend = OpenAIChatBackend("http://localhost:9999/v1", "m", session=session)
         [result] = Gateway(backend=backend, backoff_base=0.0).complete_batch(["p"])
-        assert result.transport_status == "transport" and result.text is None
+        assert not result.ok and result.text is None
         assert result.error.startswith("malformed response")
         assert session.calls == 1
 
     def test_missing_token_fails_fast(self, monkeypatch):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-        backend = OpenAIChatBackend("http://localhost:9999/v1")
+        backend = OpenAIChatBackend("http://localhost:9999/v1", "m")
         with pytest.raises(GatewayConfigError):
             backend.check()
 
     def test_token_present_passes_check(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
-        OpenAIChatBackend("http://localhost:9999/v1").check()
+        OpenAIChatBackend("http://localhost:9999/v1", "m").check()
 
 
     def test_connection_error_is_a_retried_transport_failure(self, monkeypatch):
@@ -228,10 +231,10 @@ class TestOpenAIBackend:
                 raise requests.ConnectionError("connection refused")
 
         session = RefusingSession()
-        backend = OpenAIChatBackend("http://localhost:9999/v1", session=session)
+        backend = OpenAIChatBackend("http://localhost:9999/v1", "m", session=session)
         gw = Gateway(backend=backend, retries=2, backoff_base=0.0)
         [result] = gw.complete_batch(["p"])
-        assert result.transport_status == "transport"
+        assert not result.ok
         assert "connection refused" in result.error
         assert session.calls == 3
 
@@ -277,7 +280,8 @@ class TestConfigFile:
         ("concurrency", "4"), ("concurrency", True), ("concurrency", 2.5),
         ("retries", "3"), ("max_tokens", None), ("temperature", "hot"),
         ("temperature", False), ("endpoint", 5), ("model", ["m"]),
-        ("token_env", {}),
+        ("token_env", {}), ("temperature", -0.1), ("max_tokens", 0),
+        ("concurrency", 0),
     ])
     def test_wrong_value_type_rejected(self, tmp_path, key, value):
         path = tmp_path / "gw.json"
