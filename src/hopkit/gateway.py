@@ -2,8 +2,8 @@
 and a built-in graph-traversal oracle used as a deterministic test double.
 
 Decoding defaults to greedy (temperature 0) so batch runs are reproducible.
-Every submitted prompt yields exactly one CompletionResult: transport
-failures are classified and returned, never raised mid-batch.
+Every prompt yields one CompletionResult, in order: transport failures are
+returned, never raised, and a retry waiting out its backoff holds no worker.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,54 +242,98 @@ class OpenAIChatBackend:
 
 @dataclass
 class Gateway:
-    """Completion runner with retry and backoff: bounded concurrency for an
-    endpoint, a plain serial loop for the in-process oracle.
-
-    Batch results come back in submission order regardless of which request
-    finishes first.
-    """
+    """Completion runner with retry and backoff: at most ``concurrency`` endpoint
+    workers, none held by a record waiting out its backoff, or the oracle as one
+    worker on the calling thread.  Results keep submission order; a raise or a
+    Ctrl-C stops every worker after its current send, and propagates."""
 
     backend: OracleBackend | OpenAIChatBackend
     concurrency: int = 4
     retries: int = 3
     backoff_base: float = 1.0
 
-    def complete(self, prompt: str) -> CompletionResult:
-        start = time.monotonic()
-        attempts = 0
-        while True:
-            try:
-                text, usage = self.backend.send(prompt)
-                return CompletionResult(
-                    text=text,
-                    latency=time.monotonic() - start,
-                    token_usage=usage,
-                    retries=attempts,
-                )
-            except TransportError as exc:
-                if exc.retryable and attempts < self.retries:
-                    time.sleep(self.backoff_base * (2 ** attempts))
-                    attempts += 1
-                    continue
-                return CompletionResult(
-                    text=None,
-                    latency=time.monotonic() - start,
-                    retries=attempts,
-                    error=str(exc),
-                )
+    def _attempt(self, prompt: str, attempts: int,
+                 start: float) -> CompletionResult | float:
+        """One send: the final result, or the seconds to back off before the next."""
+        try:
+            text, usage = self.backend.send(prompt)
+            return CompletionResult(text=text, latency=time.monotonic() - start,
+                                    token_usage=usage, retries=attempts)
+        except TransportError as exc:
+            if exc.retryable and attempts < self.retries:
+                return self.backoff_base * (2 ** attempts)
+            return CompletionResult(text=None, latency=time.monotonic() - start,
+                                    retries=attempts, error=str(exc))
 
     def complete_batch(self, prompts: list[str]) -> list[CompletionResult]:
         self.backend.check()
-        if isinstance(self.backend, OracleBackend):
-            # CPU-bound and in-process: threads only add contention
-            return [self.complete(prompt) for prompt in prompts]
-        if not prompts:
-            return []
+        schedule = _Schedule(self, prompts)
+        if isinstance(self.backend, OracleBackend) or not prompts:
+            # in-process and CPU-bound (or empty): threads only add contention
+            schedule.work()
+            return schedule.results
         # deferred like requests: in-process runs never load the pool or logging
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=self.concurrency) as pool:
-            return list(pool.map(self.complete, prompts))
+        workers = min(self.concurrency, len(prompts))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            try:
+                for future in [pool.submit(schedule.work) for _ in range(workers)]:
+                    future.result()
+            finally:  # a worker's raise or a Ctrl-C here must stop the others
+                schedule.stop()
+        return schedule.results
+
+
+class _Schedule:
+    """One batch's fresh prompts and heap of retries by due time, shared by its
+    workers under one condition.  Only endpoints retry, so heapq loads lazily."""
+
+    def __init__(self, gateway: Gateway, prompts: list[str]):
+        self.gateway, self.prompts = gateway, prompts
+        self.results: list = [None] * len(prompts)
+        self.left = len(prompts)  # prompts without a final result
+        self.fresh = 0            # the next prompt never sent
+        self.retry: list = []     # heap of (due, index, attempts, first start)
+        self.stopped = False
+        self.cond = threading.Condition()
+
+    def stop(self) -> None:
+        with self.cond:
+            self.stopped = True
+            self.cond.notify_all()
+
+    def _take(self) -> tuple | None:
+        """The earliest due retry, else the next fresh prompt, else a wait;
+        None once the batch is done or stopped."""
+        with self.cond:
+            while self.left and not self.stopped:
+                now = time.monotonic()
+                if self.retry and self.retry[0][0] <= now:
+                    import heapq
+                    return heapq.heappop(self.retry)[1:]
+                if self.fresh < len(self.prompts):
+                    self.fresh += 1
+                    return self.fresh - 1, 0, now
+                self.cond.wait(self.retry[0][0] - now if self.retry else None)
+            return None
+
+    def work(self) -> None:
+        """One worker; its exit, for whatever reason, stops the batch."""
+        try:
+            for index, attempts, start in iter(self._take, None):
+                outcome = self.gateway._attempt(self.prompts[index], attempts, start)
+                with self.cond:
+                    if isinstance(outcome, CompletionResult):
+                        self.results[index] = outcome
+                        self.left -= 1
+                    else:
+                        import heapq
+                        heapq.heappush(self.retry, (time.monotonic() + outcome,
+                                                    index, attempts + 1, start))
+                    self.cond.notify_all()
+        finally:
+            self.stop()
 
 
 # key: (accepted types, description, least value or None)
@@ -299,7 +344,7 @@ _CONFIG_TYPES = {
     "temperature": ((int, float), "a number >= 0", 0),
     "max_tokens": (int, "an integer >= 1", 1),
     "concurrency": (int, "an integer >= 1", 1),
-    "retries": (int, "an integer", None),
+    "retries": (int, "an integer >= 0", 0),
 }
 
 

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -118,13 +120,13 @@ class FlakyBackend:
 class TestGateway:
     def test_retry_then_success(self):
         gw = Gateway(backend=FlakyBackend(2), backoff_base=0.0)
-        result = gw.complete("p")
+        result = gw.complete_batch(["p"])[0]
         assert result.ok and result.retries == 2
         assert result.text == "ok"
 
     def test_failure_beyond_cap_classified(self):
         gw = Gateway(backend=FlakyBackend(10), retries=2, backoff_base=0.0)
-        result = gw.complete("p")
+        result = gw.complete_batch(["p"])[0]
         assert not result.ok
         assert result.text is None
 
@@ -160,6 +162,162 @@ class TestGateway:
             Gateway(backend=FlakyBackend(0), backoff_base=0.0).complete_batch(["p"])
 
 
+class RecordingBackend:
+    """Thread-safe fake endpoint: records every send in order, the threads
+    alive during sends and the sends in flight.  Each prompt in ``fail_once``
+    gets one retryable error first; the first ``gather`` sends wait for each
+    other before answering.
+    """
+
+    def __init__(self, fail_once=(), delay=0.0, gather=0):
+        self.lock = threading.Lock()
+        self.sent = []
+        self.threads = set()
+        self.most_threads = 0
+        self.in_flight = self.most_in_flight = 0
+        self.fail_once = set(fail_once)
+        self.delay = delay
+        self.gather = gather
+        self.barrier = threading.Barrier(gather, timeout=10) if gather else None
+
+    def check(self):
+        pass
+
+    def send(self, prompt):
+        with self.lock:
+            self.sent.append(prompt)
+            self.threads.add(threading.get_ident())
+            self.most_threads = max(self.most_threads, threading.active_count())
+            self.in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+            fail = prompt in self.fail_once
+            self.fail_once.discard(prompt)
+            gather = len(self.sent) <= self.gather
+        try:
+            if gather:
+                self.barrier.wait()
+            time.sleep(self.delay)
+            if fail:
+                raise TransportError("HTTP 429")
+            return f"ok {prompt}", None
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+class RaisingBackend:
+    """Answers at once, except that send number ``at`` raises ``exc_type``."""
+
+    def __init__(self, exc_type, at):
+        self.lock = threading.Lock()
+        self.calls = 0
+        self.exc_type = exc_type
+        self.at = at
+
+    def check(self):
+        pass
+
+    def send(self, prompt):
+        with self.lock:
+            self.calls += 1
+            call = self.calls
+        if call == self.at:
+            raise self.exc_type(f"send {call}")
+        time.sleep(0.001)
+        return "ok", None
+
+
+class TestSchedule:
+    def test_backing_off_record_frees_its_slot(self):
+        prompts = [f"p{i}" for i in range(6)]
+        backend = RecordingBackend(fail_once={"p0"})
+        gw = Gateway(backend=backend, concurrency=1, backoff_base=0.2)
+        results = gw.complete_batch(prompts)
+        assert backend.sent == prompts + ["p0"]
+        assert [r.text for r in results] == [f"ok {p}" for p in prompts]
+        assert [r.retries for r in results] == [1, 0, 0, 0, 0, 0]
+        assert results[0].latency >= 0.2
+
+    def test_a_due_retry_goes_before_fresh_prompts(self):
+        prompts = [f"p{i}" for i in range(4)]
+        backend = RecordingBackend(fail_once={"p1"})
+        gw = Gateway(backend=backend, concurrency=1, backoff_base=0.0)
+        results = gw.complete_batch(prompts)
+        assert backend.sent == ["p0", "p1", "p1", "p2", "p3"]
+        assert [r.retries for r in results] == [0, 1, 0, 0]
+
+    def test_sends_in_flight_never_exceed_concurrency(self):
+        prompts = [f"p{i}" for i in range(40)]
+        backend = RecordingBackend(fail_once=prompts[::7], delay=0.002, gather=3)
+        gw = Gateway(backend=backend, concurrency=3, backoff_base=0.01)
+        results = gw.complete_batch(prompts)
+        assert backend.most_in_flight == 3
+        assert len(backend.sent) == 40 + len(prompts[::7])
+        assert [r.text for r in results] == [f"ok {p}" for p in prompts]
+        assert [r.retries for r in results] == [int(i % 7 == 0) for i in range(40)]
+
+    def test_one_prompt_is_sent_from_one_thread(self):
+        backend = RecordingBackend(fail_once={"p"})
+        threads_before = threading.active_count()
+        gw = Gateway(backend=backend, concurrency=8, backoff_base=0.05)
+        [result] = gw.complete_batch(["p"])
+        assert result.ok and result.retries == 1
+        assert backend.sent == ["p", "p"]
+        assert len(backend.threads) == 1
+        assert backend.most_threads <= threads_before + 1
+
+    @pytest.mark.parametrize("exc_type", [KeyboardInterrupt, ValueError])
+    def test_a_raising_send_stops_the_batch(self, exc_type):
+        backend = RaisingBackend(exc_type, at=10)
+        gw = Gateway(backend=backend, concurrency=4, backoff_base=0.0)
+        raised = []
+
+        def run():
+            try:
+                gw.complete_batch([f"p{i}" for i in range(200)])
+            except BaseException as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "complete_batch hung after a raise"
+        [exc] = raised
+        assert type(exc) is exc_type and str(exc) == "send 10"
+        assert 10 <= backend.calls <= 10 + 4
+
+    def test_ctrl_c_in_the_caller_stops_every_send(self):
+        script = """
+import os, signal, threading, time
+from hopkit.gateway import Gateway
+
+sent = []
+
+class Slow:
+    def check(self):
+        pass
+
+    def send(self, prompt):
+        sent.append(prompt)
+        time.sleep(0.002)
+        return "ok", None
+
+threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT)).start()
+try:
+    Gateway(backend=Slow(), concurrency=4).complete_batch(
+        [str(i) for i in range(2000)])
+except KeyboardInterrupt:
+    at_raise = len(sent)
+    time.sleep(0.3)
+    print(at_raise, len(sent))
+"""
+        out = subprocess.run([sys.executable, "-c", script], env=hopkit_env(),
+                             capture_output=True, text=True, check=True, timeout=60)
+        at_raise, at_end = map(int, out.stdout.split())
+        assert 0 < at_raise < 2000
+        assert at_end == at_raise
+
+
 class FakeSession:
     """Stands in for requests.Session: every POST gets one canned 200 reply."""
 
@@ -191,7 +349,7 @@ class TestOpenAIBackend:
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
         session = FakeSession({"choices": [{"message": {"content": "x"}}]})
         backend = OpenAIChatBackend("http://localhost:9999/v1", "m1", session=session)
-        assert Gateway(backend=backend).complete("p").text == "x"
+        assert Gateway(backend=backend).complete_batch(["p"])[0].text == "x"
         [payload] = session.payloads
         assert payload["model"] == "m1"
         assert (payload["temperature"], payload["max_tokens"]) == (0.0, 512)
@@ -244,21 +402,26 @@ class TestOpenAIBackend:
     def test_importing_the_cli_leaves_the_thread_pool_unimported(self):
         assert not loaded_by_importing_the_cli("concurrent.futures")
         assert not loaded_by_importing_the_cli("logging")
+        assert not loaded_by_importing_the_cli("heapq")
 
 
 def loaded_by_importing_the_cli(module):
     """Whether a fresh interpreter has ``module`` loaded after importing
     ``hopkit.cli``.
     """
-    paths = [str(Path(hopkit.__file__).resolve().parents[1]),
-             os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     out = subprocess.run(
         [sys.executable, "-c",
          f"import sys, hopkit.cli; print({module!r} in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+        env=hopkit_env(), capture_output=True, text=True, check=True, timeout=60,
     )
     return out.stdout.strip() == "True"
+
+
+def hopkit_env():
+    """The environment, with this checkout's hopkit first on PYTHONPATH."""
+    paths = [str(Path(hopkit.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 class TestConfigFile:
@@ -281,7 +444,7 @@ class TestConfigFile:
         ("retries", "3"), ("max_tokens", None), ("temperature", "hot"),
         ("temperature", False), ("endpoint", 5), ("model", ["m"]),
         ("token_env", {}), ("temperature", -0.1), ("max_tokens", 0),
-        ("concurrency", 0),
+        ("concurrency", 0), ("retries", -1),
     ])
     def test_wrong_value_type_rejected(self, tmp_path, key, value):
         path = tmp_path / "gw.json"
