@@ -15,14 +15,10 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .kg import Entity, KnowledgeGraph, Relation, ReasoningInstance, Triplet, infer
 from .render import (RepresentationTag, render as render_instance,
                      wrap_answer_envelope)
-
-if TYPE_CHECKING:
-    import requests
 
 UNKNOWN_ANSWER = "UNKNOWN"
 REQUEST_TIMEOUT_S = 120.0
@@ -175,7 +171,12 @@ class OracleBackend:
 
 
 class OpenAIChatBackend:
-    """Minimal client for any OpenAI-compatible /chat/completions endpoint."""
+    """Minimal client for any OpenAI-compatible /chat/completions endpoint, over
+    pooled stdlib keep-alive connections: no more are open than sends in flight
+    (at most the gateway's ``concurrency``), and one that raised is never reused.
+    The proxy is read from the environment once (``<scheme>_proxy``, else
+    ``all_proxy``, unless ``no_proxy`` matches); an https endpoint is reached
+    through its CONNECT tunnel.  TLS verifies against the system's trust store."""
 
     def __init__(
         self,
@@ -184,52 +185,93 @@ class OpenAIChatBackend:
         token_env: str = "OPENAI_API_KEY",
         temperature: float = 0.0,
         max_tokens: int = 512,
-        session: requests.Session | None = None,
     ):
+        import ssl  # deferred, like http.client: only endpoint runs pay for them
+        import urllib.request
+        from base64 import b64encode
+        from urllib.parse import unquote, urlsplit
+
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self.token_env = token_env
         self.temperature = temperature
         self.max_tokens = max_tokens
-        if session is None:
-            import requests  # deferred: only HTTP runs pay for importing it
-
-            session = requests.Session()
-        self.session = session
+        self.url = url = urlsplit(self.endpoint)
+        self.path = url.path + "/chat/completions"
+        self.address, self.tunnel, self.proxy_auth = (url.hostname, url.port), None, {}
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        if proxy and not urllib.request.proxy_bypass(url.hostname or ""):
+            proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            auth = {}
+            if proxy.username is not None:
+                user = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+                auth["Proxy-Authorization"] = f"Basic {b64encode(user.encode()).decode()}"
+            self.address = (proxy.hostname, proxy.port or 80)
+            if url.scheme == "https":
+                self.tunnel = (url.hostname, url.port, auth)
+            else:  # a plain-HTTP proxy takes the absolute URI
+                self.path, self.proxy_auth = self.endpoint + "/chat/completions", auth
+        self.context = ssl.create_default_context() if url.scheme == "https" else None
+        self.idle, self.lock = [], threading.Lock()  # connections no send holds
 
     def check(self) -> None:
-        if not self.endpoint:
-            raise GatewayConfigError("no endpoint configured")
+        if self.url.scheme not in ("http", "https") or not self.url.hostname:
+            raise GatewayConfigError(
+                f"endpoint {self.endpoint!r} is not an http:// or https:// URL with a host")
         if not os.environ.get(self.token_env):
             raise GatewayConfigError(
                 f"missing bearer token: set the {self.token_env} environment variable"
             )
 
-    def send(self, prompt: str) -> tuple[str, dict | None]:
-        import requests
+    def _connection(self):
+        """An idle connection, else a new one.  An idle connection that reads
+        as ready holds the server's close (or bytes no request asked for), so
+        it is dropped before use, as urllib3 does, and never costs a retry."""
+        import http.client
+        import select
 
-        payload = {
+        with self.lock:
+            while self.idle:
+                conn = self.idle.pop()
+                if conn.sock and not select.select([conn.sock], [], [], 0)[0]:
+                    return conn
+                conn.close()
+        if self.context is None:
+            return http.client.HTTPConnection(*self.address, timeout=REQUEST_TIMEOUT_S)
+        conn = http.client.HTTPSConnection(*self.address, timeout=REQUEST_TIMEOUT_S,
+                                           context=self.context)
+        if self.tunnel:
+            conn.set_tunnel(*self.tunnel)
+        return conn
+
+    def send(self, prompt: str) -> tuple[str, dict | None]:
+        import http.client
+
+        payload = json.dumps({
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.temperature,
             "max_tokens": self.max_tokens,
-        }
-        headers = {"Authorization": f"Bearer {os.environ.get(self.token_env, '')}"}
+        }).encode("utf-8")
+        headers = {"Authorization": f"Bearer {os.environ.get(self.token_env, '')}",
+                   "Content-Type": "application/json", **self.proxy_auth}
+        conn = self._connection()
         try:
-            response = self.session.post(
-                f"{self.endpoint}/chat/completions",
-                json=payload,
-                headers=headers,
-                timeout=REQUEST_TIMEOUT_S,
-            )
-        except requests.RequestException as exc:
+            conn.request("POST", self.path, payload, headers)
+            with conn.getresponse() as response:
+                status, data = response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
             raise TransportError(str(exc)) from exc
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransportError(f"HTTP {response.status_code}")
-        if response.status_code != 200:
-            raise TransportError(f"HTTP {response.status_code}", retryable=False)
+        with self.lock:
+            self.idle.append(conn)
+        if status == 429 or status >= 500:
+            raise TransportError(f"HTTP {status}")
+        if status != 200:
+            raise TransportError(f"HTTP {status}", retryable=False)
         try:
-            body = response.json()
+            body = json.loads(data)
             text = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed response: {exc}", retryable=False) from exc
@@ -272,7 +314,7 @@ class Gateway:
             # in-process and CPU-bound (or empty): threads only add contention
             schedule.work()
             return schedule.results
-        # deferred like requests: in-process runs never load the pool or logging
+        # deferred: in-process runs never load the pool or logging
         from concurrent.futures import ThreadPoolExecutor
 
         workers = min(self.concurrency, len(prompts))

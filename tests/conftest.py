@@ -1,4 +1,7 @@
+import json
 import random
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,112 @@ def random_chain(rng: random.Random, n_hops: int | None = None) -> ReasoningInst
         for i in range(n_hops)
     )
     return ReasoningInstance(hops=hops, source_id=f"chain-{rng.randrange(10**9)}")
+
+
+def chat_reply(text):
+    """A 200 chat-completions body whose one choice says ``text``."""
+    return {"choices": [{"message": {"role": "assistant", "content": text}}]}
+
+
+class ChatServer(ThreadingHTTPServer):
+    """A loopback OpenAI-compatible endpoint on an ephemeral 127.0.0.1 port.
+
+    ``reply(prompt)`` gives each chat request's (status, JSON body); a status
+    of None sends the body, bytes, as the whole reply.  The server records
+    every request line with its headers and every payload, and counts the
+    connections it accepts.  With ``close_after_reply`` it closes each
+    connection after one reply, without saying so in a header, and releases
+    ``closed`` once the socket is shut.  A CONNECT is recorded and refused
+    with a 502, so the server also stands in for a proxy.
+    """
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), ChatHandler)
+        self.lock = threading.Lock()
+        self.received = []  # (request line, headers)
+        self.payloads = []
+        self.connections = 0
+        self.close_after_reply = False
+        self.closed = threading.Semaphore(0)
+        self.reply = lambda prompt: (200, chat_reply("ok"))
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_port}"
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        if self.close_after_reply:
+            self.closed.release()
+
+
+class ChatHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive unless the server closes
+    disable_nagle_algorithm = True  # headers and body go in separate writes
+
+    def handle(self):
+        with self.server.lock:
+            self.server.connections += 1
+        super().handle()
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with self.server.lock:
+            self.server.received.append((self.requestline, dict(self.headers)))
+            self.server.payloads.append(payload)
+        self._respond(*self.server.reply(payload["messages"][-1]["content"]))
+        self.close_connection = self.server.close_after_reply
+
+    def do_CONNECT(self):
+        with self.server.lock:
+            self.server.received.append((self.requestline, dict(self.headers)))
+        self._respond(502, {})
+
+    def _respond(self, status, body):
+        if status is None:
+            self.wfile.write(body)
+            return
+        data = json.dumps(body).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def endpoint_env(monkeypatch):
+    """A bearer token and no proxy variable, so loopback calls go straight
+    out."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+
+
+def _serve():
+    server = ChatServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+@pytest.fixture
+def chat_server(endpoint_env):
+    yield from _serve()
+
+
+@pytest.fixture
+def proxy_server(endpoint_env):
+    """A second ChatServer, standing in for a forward proxy."""
+    yield from _serve()

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 import hopkit
-from hopkit import gateway
+from hopkit import KnowledgeGraph, OracleBackend, add_fact, dataset, gateway
 from hopkit.cli import main
+from hopkit.render import RepresentationTag
+from tests.conftest import chat_reply
 
 
 def write_tsv(path, rows):
@@ -472,6 +475,52 @@ class TestEvaluate:
                      "--endpoint", "http://127.0.0.1:9"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("endpoint", ["localhost:9", "127.0.0.1:9/v1",
+                                          "ftp://127.0.0.1:9/v1", "http://",
+                                          "https:///v1"])
+    def test_endpoint_without_an_http_url_fails_before_any_request(
+            self, input_tsv, tmp_path, capsys, monkeypatch, endpoint):
+        def no_request(*args, **kwargs):
+            raise AssertionError("a request was made")
+
+        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+        monkeypatch.setattr(gateway.OpenAIChatBackend, "send", no_request)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--input", str(input_tsv), "--output", str(out),
+                     "--endpoint", endpoint, "--model", "m"]) == 1
+        assert capsys.readouterr().err.startswith("error: endpoint ")
+        assert not out.exists()
+
+    def test_endpoint_run_over_a_loopback_socket(self, input_tsv, tmp_path, capsys,
+                                                 chat_server):
+        kg = KnowledgeGraph()
+        for record in dataset.ingest(input_tsv).records:
+            for hop in record.to_chain().hops:
+                add_fact(kg, hop)
+        oracle = OracleBackend(kg, RepresentationTag.JSON)
+
+        def reply(prompt):
+            if re.search(r"\bwork7\b", prompt):
+                return 400, {"error": {"message": "refused"}}
+            return 200, chat_reply(oracle.send(prompt)[0])
+
+        chat_server.reply = reply
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--input", str(input_tsv), "--output", str(out),
+                     "--endpoint", chat_server.url, "--model", "m", "--rep",
+                     "json"]) == 0
+        assert "Transport failures: 1" in capsys.readouterr().out
+        records = {r["instance_id"]: r for r in map(
+            json.loads, (out / "eval_records.jsonl").read_text().splitlines())}
+        assert len(records) == 20
+        assert records.pop("7")["failure_class"] == "transport"
+        assert all(r["hop_correct"] == [True, True] and r["final_correct"]
+                   for r in records.values())
+        report = json.loads((out / "report.jsonl").read_text().splitlines()[0])
+        assert (report["final_correct_count"], report["transport_failures"]) == (19, 1)
+        assert len(chat_server.payloads) == 20
+        assert {p["model"] for p in chat_server.payloads} == {"m"}
 
     def test_requires_a_backend(self, input_tsv, tmp_path, capsys):
         code = main(["evaluate", "--input", str(input_tsv),

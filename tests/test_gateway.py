@@ -1,14 +1,15 @@
 import concurrent.futures
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
 import time
+from base64 import b64encode
 from pathlib import Path
 
 import pytest
-import requests
 
 import hopkit
 
@@ -18,6 +19,7 @@ from hopkit.gateway import (GatewayConfigError, OpenAIChatBackend,
                             TransportError, load_gateway_config)
 from hopkit.prompts import DatasetStyle, PromptMode
 from hopkit.render import RepresentationTag
+from tests.conftest import chat_reply
 
 
 def chain_to_graph(chain):
@@ -318,54 +320,29 @@ except KeyboardInterrupt:
         assert at_end == at_raise
 
 
-class FakeSession:
-    """Stands in for requests.Session: every POST gets one canned 200 reply."""
-
-    def __init__(self, body):
-        self.body = body
-        self.payloads = []
-
-    @property
-    def calls(self):
-        return len(self.payloads)
-
-    def post(self, url, json, headers, timeout):
-        self.payloads.append(json)
-        return FakeResponse(self.body)
-
-
-class FakeResponse:
-    status_code = 200
-
-    def __init__(self, body):
-        self.body = body
-
-    def json(self):
-        return self.body
-
-
 class TestOpenAIBackend:
-    def test_request_carries_the_model_and_greedy_decoding(self, monkeypatch):
-        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
-        session = FakeSession({"choices": [{"message": {"content": "x"}}]})
-        backend = OpenAIChatBackend("http://localhost:9999/v1", "m1", session=session)
+    def test_request_carries_the_model_and_greedy_decoding(self, chat_server):
+        chat_server.reply = lambda prompt: (200, chat_reply("x"))
+        backend = OpenAIChatBackend(chat_server.url + "/v1", "m1")
         assert Gateway(backend=backend).complete_batch(["p"])[0].text == "x"
-        [payload] = session.payloads
+        [payload] = chat_server.payloads
         assert payload["model"] == "m1"
         assert (payload["temperature"], payload["max_tokens"]) == (0.0, 512)
+        [(line, headers)] = chat_server.received
+        assert line == "POST /v1/chat/completions HTTP/1.1"
+        assert headers["Authorization"] == "Bearer sk-test"
 
     @pytest.mark.parametrize("body", [
         [1, 2],
         {"choices": [{"message": {"content": None}}]},
     ])
-    def test_malformed_reply_is_a_final_transport_failure(self, monkeypatch, body):
-        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
-        session = FakeSession(body)
-        backend = OpenAIChatBackend("http://localhost:9999/v1", "m", session=session)
+    def test_malformed_reply_is_a_final_transport_failure(self, chat_server, body):
+        chat_server.reply = lambda prompt: (200, body)
+        backend = OpenAIChatBackend(chat_server.url + "/v1", "m")
         [result] = Gateway(backend=backend, backoff_base=0.0).complete_batch(["p"])
         assert not result.ok and result.text is None
         assert result.error.startswith("malformed response")
-        assert session.calls == 1
+        assert len(chat_server.payloads) == 1
 
     def test_missing_token_fails_fast(self, monkeypatch):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
@@ -377,27 +354,94 @@ class TestOpenAIBackend:
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
         OpenAIChatBackend("http://localhost:9999/v1", "m").check()
 
-
-    def test_connection_error_is_a_retried_transport_failure(self, monkeypatch):
-        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
-
-        class RefusingSession:
-            calls = 0
-
-            def post(self, url, json, headers, timeout):
-                self.calls += 1
-                raise requests.ConnectionError("connection refused")
-
-        session = RefusingSession()
-        backend = OpenAIChatBackend("http://localhost:9999/v1", "m", session=session)
-        gw = Gateway(backend=backend, retries=2, backoff_base=0.0)
-        [result] = gw.complete_batch(["p"])
+    def test_connection_error_is_a_retried_transport_failure(self, endpoint_env,
+                                                             monkeypatch):
+        with socket.socket() as unheard:  # bound but not listening: refuses
+            unheard.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{unheard.getsockname()[1]}/v1"
+            backend = OpenAIChatBackend(url, "m")
+            sent, send = [], backend.send
+            monkeypatch.setattr(backend, "send", lambda p: sent.append(p) or send(p))
+            gw = Gateway(backend=backend, retries=2, backoff_base=0.0)
+            [result] = gw.complete_batch(["p"])
         assert not result.ok
-        assert "connection refused" in result.error
-        assert session.calls == 3
+        assert "connection refused" in result.error.lower()
+        assert sent == ["p"] * 3
 
-    def test_importing_the_cli_leaves_requests_unimported(self):
-        assert not loaded_by_importing_the_cli("requests")
+    def test_a_429_is_retried_on_the_same_connection(self, chat_server):
+        replies = iter([(429, {}), (200, chat_reply("x"))])
+        chat_server.reply = lambda prompt: next(replies)
+        backend = OpenAIChatBackend(chat_server.url, "m")
+        [result] = Gateway(backend=backend, backoff_base=0.0).complete_batch(["p"])
+        assert (result.text, result.retries) == ("x", 1)
+        assert len(chat_server.payloads) == 2
+        assert chat_server.connections == 1
+
+    def test_a_connection_that_raised_is_never_reused(self, chat_server):
+        replies = iter([(None, b"NOT HTTP\r\n"), (200, chat_reply("x"))])
+        chat_server.reply = lambda prompt: next(replies)
+        backend = OpenAIChatBackend(chat_server.url, "m")
+        gw = Gateway(backend=backend, retries=1, backoff_base=0.0)
+        [result] = gw.complete_batch(["p"])
+        assert (result.text, result.retries) == ("x", 1)
+        assert chat_server.connections == 2
+
+    def test_a_400_is_final(self, chat_server):
+        chat_server.reply = lambda prompt: (400, {"error": {"message": "bad"}})
+        backend = OpenAIChatBackend(chat_server.url, "m")
+        [result] = Gateway(backend=backend, backoff_base=0.0).complete_batch(["p"])
+        assert (result.text, result.error, result.retries) == (None, "HTTP 400", 0)
+        assert len(chat_server.payloads) == 1
+
+    def test_connections_never_outnumber_concurrency(self, chat_server):
+        chat_server.reply = lambda prompt: (200, chat_reply(f"ok {prompt}"))
+        prompts = [f"p{i}" for i in range(40)]
+        backend = OpenAIChatBackend(chat_server.url, "m")
+        results = Gateway(backend=backend, concurrency=3).complete_batch(prompts)
+        assert [r.text for r in results] == [f"ok {p}" for p in prompts]
+        assert len(chat_server.payloads) == 40
+        assert 1 <= chat_server.connections <= 3
+
+    def test_a_connection_the_server_closed_costs_no_retry(self, chat_server):
+        chat_server.close_after_reply = True
+        backend = OpenAIChatBackend(chat_server.url, "m")
+        gw = Gateway(backend=backend, backoff_base=0.0)
+        for i in range(4):
+            [result] = gw.complete_batch([f"p{i}"])
+            assert result.ok and result.retries == 0
+            assert chat_server.closed.acquire(timeout=10)
+        assert len(chat_server.payloads) == 4
+        assert chat_server.connections == 4
+
+    def test_http_proxy_takes_the_absolute_uri_unless_no_proxy_matches(
+            self, chat_server, proxy_server, monkeypatch):
+        monkeypatch.setenv("http_proxy", f"u%40x:p%3A@127.0.0.1:{proxy_server.server_port}")
+        for no_proxy in (None, "example.org, 127.0.0.1"):
+            if no_proxy:
+                monkeypatch.setenv("no_proxy", no_proxy)
+            backend = OpenAIChatBackend(chat_server.url + "/v1", "m")
+            assert Gateway(backend=backend).complete_batch(["p"])[0].text == "ok"
+        [(line, headers)] = proxy_server.received
+        assert line == f"POST {chat_server.url}/v1/chat/completions HTTP/1.1"
+        assert headers["Host"] == f"127.0.0.1:{chat_server.server_port}"
+        assert headers["Proxy-Authorization"] == "Basic " + b64encode(b"u@x:p:").decode()
+        [(line, headers)] = chat_server.received
+        assert line == "POST /v1/chat/completions HTTP/1.1"
+        assert "Proxy-Authorization" not in headers
+
+    def test_https_proxy_opens_a_connect_tunnel(self, proxy_server, monkeypatch):
+        monkeypatch.setenv("https_proxy",
+                           f"http://u:p@127.0.0.1:{proxy_server.server_port}")
+        backend = OpenAIChatBackend("https://api.example.invalid/v1", "m")
+        [result] = Gateway(backend=backend, retries=0).complete_batch(["p"])
+        assert not result.ok and "502" in result.error
+        [(line, headers)] = proxy_server.received
+        assert line.startswith("CONNECT api.example.invalid:443 HTTP/1.")
+        assert headers["Proxy-Authorization"] == "Basic " + b64encode(b"u:p").decode()
+
+    def test_importing_the_cli_leaves_the_http_client_unimported(self):
+        for module in ("http.client", "urllib.request", "ssl", "select"):
+            assert not loaded_by_importing_the_cli(module), module
 
     def test_importing_the_cli_leaves_the_thread_pool_unimported(self):
         assert not loaded_by_importing_the_cli("concurrent.futures")
