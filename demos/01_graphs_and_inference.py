@@ -41,5 +41,5 @@ chain = make_chain("It Goes Like It Goes", "composer", "David Shire",
 print()
 print("chain start:", chain.start.label)
 print("chain answer:", chain.answer.label)
-print("bridge entities:", [e.label for e in chain.bridges])
+print("bridge entities:", [hop.tail.label for hop in chain.hops[:-1]])
 print("validation problems:", validate_instance(chain))

@@ -9,7 +9,6 @@ exits nonzero with a diagnostic on any pipeline error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -215,6 +214,8 @@ def _manifest(args, gw: Gateway) -> dict:
     A setting that cannot change the output is null: the fault flags when no
     fault is applied, and the seed when it picks neither a demonstration nor a
     fault."""
+    import hashlib  # deferred: only evaluate hashes, and OpenSSL is slow to load
+
     backend = gw.backend
     oracle = isinstance(backend, OracleBackend)
     fault = backend.corrupt if oracle else None
@@ -291,7 +292,10 @@ def cmd_evaluate(args) -> int:
     prompt_texts = [
         _prompt_for(record, mode, style, rep, demos, args.seed) for record, _ in pending
     ]
-    results = gw.complete_batch(prompt_texts)
+    try:
+        results = gw.complete_batch(prompt_texts)
+    finally:
+        gw.backend.close()
     judged = [
         evaluate.judge(record.id, chain, result.text, rep)
         for (record, chain), result in zip(pending, results)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import random
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from pathlib import Path
 
 from . import prompts
@@ -31,26 +30,25 @@ def _columns(n_labels: int) -> tuple[str, ...]:
     return tuple(f"{'er'[i % 2]}{i // 2 + 1}" for i in range(n_labels))
 
 
-@dataclass(frozen=True, slots=True)
-class SourceRecord:
+class SourceRecord(namedtuple("SourceRecord", "id labels")):
     """One row from the input dataset: an id and the alternating
     entity/relation labels ``(e1, r1, e2, ..., rn, e(n+1))`` of an n-hop
     chain, n >= 2.
     """
 
-    id: str
-    labels: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id.strip():
-            raise ValueError(f"record id must be a non-blank string, got {self.id!r}")
-        n = len(self.labels)
+    def __new__(cls, id: str, labels: tuple[str, ...]):
+        if not isinstance(id, str) or not id.strip():
+            raise ValueError(f"record id must be a non-blank string, got {id!r}")
+        n = len(labels)
         if n < 5 or n % 2 == 0:
             missing = _columns(max(5, n + 1))[n:]
-            raise ValueError(f"record {self.id}: missing fields: {', '.join(missing)}")
-        for name, label in zip(_columns(n), self.labels):
+            raise ValueError(f"record {id}: missing fields: {', '.join(missing)}")
+        for name, label in zip(_columns(n), labels):
             if not isinstance(label, str) or not label.strip():
-                raise ValueError(f"record {self.id}: empty field {name}")
+                raise ValueError(f"record {id}: empty field {name}")
+        return tuple.__new__(cls, (id, labels))
 
     @property
     def n_hops(self) -> int:
@@ -83,40 +81,35 @@ class SourceRecord:
         return {"id": self.id, **dict(zip(_columns(len(self.labels)), self.labels))}
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(namedtuple(
+        "SplitSpec", "num_partitions train_partition_index test_partition_index")):
     """Round-robin partition count plus which partitions become train/test."""
 
-    num_partitions: int = 8
-    train_partition_index: int = 2
-    test_partition_index: int = 4
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.num_partitions < 2:
+    def __new__(cls, num_partitions: int = 8, train_partition_index: int = 2,
+                test_partition_index: int = 4):
+        if num_partitions < 2:
             raise ValueError("need at least 2 partitions to pick train and test")
-        for idx in (self.train_partition_index, self.test_partition_index):
-            if not 0 <= idx < self.num_partitions:
+        for idx in (train_partition_index, test_partition_index):
+            if not 0 <= idx < num_partitions:
                 raise ValueError(f"partition index {idx} out of range")
-        if self.train_partition_index == self.test_partition_index:
+        if train_partition_index == test_partition_index:
             raise ValueError("train and test partitions must differ")
+        return tuple.__new__(cls, (num_partitions, train_partition_index,
+                                   test_partition_index))
 
 
-@dataclass(frozen=True)
-class OverlapStats:
+class OverlapStats(namedtuple("OverlapStats", (
+        "train_size test_size bridge_entities_train bridge_entities_test "
+        "bridge_overlap relation_pairs_train relation_pairs_test "
+        "relation_pair_overlap rows_covered_by_shared_pairs"))):
     """Train/test intersection counts, one field per report row."""
 
-    train_size: int
-    test_size: int
-    bridge_entities_train: int
-    bridge_entities_test: int
-    bridge_overlap: int
-    relation_pairs_train: int
-    relation_pairs_test: int
-    relation_pair_overlap: int
-    rows_covered_by_shared_pairs: int
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return self._asdict()
 
     def to_table(self) -> str:
         rows = [
@@ -135,27 +128,22 @@ class OverlapStats:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class FinetuneRecord:
+class FinetuneRecord(namedtuple("FinetuneRecord", "prompt response hops representation")):
     """One prompt/response training pair."""
 
-    prompt: str
-    response: str
-    hops: int
-    representation: str
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {"prompt": self.prompt, "response": self.response,
-                "hops": self.hops, "representation": self.representation}
+        return self._asdict()
 
 
-@dataclass
 class IngestResult:
     """Accepted records plus per-row rejection bookkeeping."""
 
-    records: list[SourceRecord]
-    invalid_rows: list[tuple[int, str]] = field(default_factory=list)
-    conflicting_rows: list[tuple[int, str]] = field(default_factory=list)
+    def __init__(self):
+        self.records: list[SourceRecord] = []
+        self.invalid_rows: list[tuple[int, str]] = []
+        self.conflicting_rows: list[tuple[int, str]] = []
 
     @property
     def n_rejected(self) -> int:
@@ -219,7 +207,7 @@ def ingest(path: str | Path, format: str = "tsv") -> IngestResult:
     path = Path(path)
     if not path.exists():
         raise IngestError(f"no such file: {path}")
-    result = IngestResult(records=[])
+    result = IngestResult()
     facts: dict[tuple[str, str], str] = {}
     seen_ids: set[str] = set()
     total = 0

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from pathlib import Path
 
 from .kg import Entity, ReasoningInstance, Relation, Triplet
@@ -111,17 +111,13 @@ def _judge_hops(
     return tuple(verdicts)
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """One judged model interaction."""
+class EvalRecord(namedtuple("EvalRecord", (
+        "instance_id gold completion extracted_answer final_correct hop_correct "
+        "failure_class"), defaults=(None,))):
+    """One judged model interaction; ``failure_class`` is None, "transport" or
+    "unparseable"."""
 
-    instance_id: str
-    gold: ReasoningInstance
-    completion: str
-    extracted_answer: str | None
-    final_correct: bool
-    hop_correct: tuple[bool, ...]
-    failure_class: str | None = None  # "transport" or "unparseable"
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -186,13 +182,10 @@ def judge(
     )
 
 
-@dataclass(frozen=True)
-class ConditionRow:
+class ConditionRow(namedtuple("ConditionRow", "hops final_incorrect final_correct")):
     """Counts for one hop-correctness condition (1-based hop numbers)."""
 
-    hops: tuple[int, ...]
-    final_incorrect: int
-    final_correct: int
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -208,13 +201,11 @@ class ConditionRow:
         return self.final_correct / denominator
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    total: int
-    transport_failures: int
-    unparseable: int
-    final_correct_count: int
-    rows: tuple[ConditionRow, ...]
+class MetricsReport(namedtuple("MetricsReport", (
+        "total transport_failures unparseable final_correct_count rows"))):
+    """Counts over judged records, and one ConditionRow per condition."""
+
+    __slots__ = ()
 
     @property
     def overall_accuracy(self) -> float | None:

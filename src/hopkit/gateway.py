@@ -13,7 +13,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .kg import Entity, KnowledgeGraph, Relation, ReasoningInstance, Triplet, infer
@@ -34,13 +34,12 @@ class TransportError(RuntimeError):
         self.retryable = retryable
 
 
-@dataclass(frozen=True)
-class CompletionResult:
-    text: str | None  # None exactly when the transport failed
-    latency: float
-    token_usage: dict | None = None
-    retries: int = 0
-    error: str | None = None
+class CompletionResult(namedtuple("CompletionResult",
+                                  "text latency token_usage retries error",
+                                  defaults=(None, 0, None))):
+    """One prompt's outcome; ``text`` is None exactly when the transport failed."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -116,8 +115,7 @@ def oracle_complete(
     return render_instance(chain, representation).envelope
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(namedtuple("FaultSpec", "hop_index probability seed")):
     """Seeded corruption of one hop, for exercising the evaluation harness.
 
     With probability ``probability`` (decided per prompt, independent of call
@@ -125,15 +123,14 @@ class FaultSpec:
     next hop's head is rewritten too so the chain stays well formed.
     """
 
-    hop_index: int
-    probability: float
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.hop_index < 0:
-            raise ValueError(f"fault hop index must be >= 0, not {self.hop_index}")
-        if not 0 <= self.probability <= 1:
-            raise ValueError(f"fault probability must be in [0, 1], not {self.probability}")
+    def __new__(cls, hop_index: int, probability: float, seed: int):
+        if hop_index < 0:
+            raise ValueError(f"fault hop index must be >= 0, not {hop_index}")
+        if not 0 <= probability <= 1:
+            raise ValueError(f"fault probability must be in [0, 1], not {probability}")
+        return tuple.__new__(cls, (hop_index, probability, seed))
 
     def apply(self, chain: ReasoningInstance, prompt: str) -> ReasoningInstance:
         rng = random.Random(f"{self.seed}:{prompt}")
@@ -166,6 +163,9 @@ class OracleBackend:
     def check(self) -> None:
         pass
 
+    def close(self) -> None:
+        pass
+
     def send(self, prompt: str) -> tuple[str, dict | None]:
         return oracle_complete(prompt, self.kg, self.representation, self.corrupt), None
 
@@ -173,10 +173,11 @@ class OracleBackend:
 class OpenAIChatBackend:
     """Minimal client for any OpenAI-compatible /chat/completions endpoint, over
     pooled stdlib keep-alive connections: no more are open than sends in flight
-    (at most the gateway's ``concurrency``), and one that raised is never reused.
-    The proxy is read from the environment once (``<scheme>_proxy``, else
-    ``all_proxy``, unless ``no_proxy`` matches); an https endpoint is reached
-    through its CONNECT tunnel.  TLS verifies against the system's trust store."""
+    (at most the gateway's ``concurrency``), one that raised is never reused, and
+    ``close`` closes the idle ones.  The proxy is read from the environment once
+    (``<scheme>_proxy``, else ``all_proxy``, unless ``no_proxy`` matches); an
+    https endpoint is reached through its CONNECT tunnel.  TLS verifies against
+    the system's trust store."""
 
     def __init__(
         self,
@@ -223,6 +224,13 @@ class OpenAIChatBackend:
             raise GatewayConfigError(
                 f"missing bearer token: set the {self.token_env} environment variable"
             )
+
+    def close(self) -> None:
+        """Close every idle connection; a later send opens a new one."""
+        with self.lock:
+            idle, self.idle = self.idle, []
+        for conn in idle:
+            conn.close()
 
     def _connection(self):
         """An idle connection, else a new one.  An idle connection that reads
@@ -282,17 +290,18 @@ class OpenAIChatBackend:
         return text, body.get("usage")
 
 
-@dataclass
 class Gateway:
     """Completion runner with retry and backoff: at most ``concurrency`` endpoint
     workers, none held by a record waiting out its backoff, or the oracle as one
     worker on the calling thread.  Results keep submission order; a raise or a
     Ctrl-C stops every worker after its current send, and propagates."""
 
-    backend: OracleBackend | OpenAIChatBackend
-    concurrency: int = 4
-    retries: int = 3
-    backoff_base: float = 1.0
+    def __init__(self, backend: OracleBackend | OpenAIChatBackend,
+                 concurrency: int = 4, retries: int = 3, backoff_base: float = 1.0):
+        self.backend = backend
+        self.concurrency = concurrency
+        self.retries = retries
+        self.backoff_base = backoff_base
 
     def _attempt(self, prompt: str, attempts: int,
                  start: float) -> CompletionResult | float:

@@ -10,70 +10,73 @@ ingestion (see :mod:`hopkit.dataset`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass(frozen=True, order=True)
-class Entity:
+class _Label:
+    """An immutable non-blank label, equal only to one of the same class and
+    text, so ``Entity("x")`` equals neither ``Relation("x")`` nor ``("x",)``."""
+
+    __slots__ = ("label",)
+
+    def __init__(self, label: str):
+        if not label.strip():
+            raise ValueError(f"{type(self).__name__.lower()} label must be non-empty")
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.label == self.label
+
+    def __hash__(self):
+        return hash((type(self), self.label))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(label={self.label!r})"
+
+
+class Entity(_Label):
     """A node identified by its surface form, e.g. ``Entity("David Shire")``."""
 
-    label: str
-
-    def __post_init__(self):
-        if not self.label.strip():
-            raise ValueError("entity label must be non-empty")
+    __slots__ = ()
 
 
-@dataclass(frozen=True, order=True)
-class Relation:
+class Relation(_Label):
     """A directed edge label, e.g. ``Relation("composer")``."""
 
-    label: str
-
-    def __post_init__(self):
-        if not self.label.strip():
-            raise ValueError("relation label must be non-empty")
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(namedtuple("Triplet", "head relation tail")):
     """One atomic fact: ``head --relation--> tail``.  Also one reasoning hop."""
 
-    head: Entity
-    relation: Relation
-    tail: Entity
+    __slots__ = ()
 
 
-@dataclass
 class KnowledgeGraph:
     """Functional fact store mapping (head, relation) to a single tail."""
 
-    facts: dict[tuple[Entity, Relation], Entity] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.facts)
-
-    def triplets(self) -> list[Triplet]:
-        return [Triplet(h, r, t) for (h, r), t in self.facts.items()]
-
-    def lookup(self, head: Entity, relation: Relation) -> Entity | None:
-        return self.facts.get((head, relation))
+    def __init__(self):
+        self.facts: dict[tuple[Entity, Relation], Entity] = {}
 
 
-@dataclass(frozen=True)
-class ReasoningInstance:
+class ReasoningInstance(namedtuple("ReasoningInstance", "hops source_id")):
     """An n-hop chain of triplets where each hop's tail is the next hop's head.
 
     ``hops`` must be non-empty; the datasets in this toolkit use n in
     {1, 2, 3} but any n >= 1 is accepted.
     """
 
-    hops: tuple[Triplet, ...]
-    source_id: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.hops:
+    def __new__(cls, hops: tuple[Triplet, ...], source_id: str | None = None):
+        if not hops:
             raise ValueError("a reasoning chain needs at least one hop")
+        return tuple.__new__(cls, (hops, source_id))
 
     @property
     def n_hops(self) -> int:
@@ -92,11 +95,6 @@ class ReasoningInstance:
     def relations(self) -> list[Relation]:
         """Relations in traversal order (first hop first)."""
         return [hop.relation for hop in self.hops]
-
-    @property
-    def bridges(self) -> list[Entity]:
-        """Intermediate entities shared by consecutive hops."""
-        return [hop.tail for hop in self.hops[:-1]]
 
 
 def add_fact(kg: KnowledgeGraph, t: Triplet) -> bool:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 
 from .kg import Entity, ReasoningInstance
 from .render import RepresentationTag, hop_sentences, render as render_instance
@@ -37,13 +36,13 @@ _GENERATION_TARGET = {
 }
 
 
-@dataclass(frozen=True)
-class PromptBundle:
-    """A built prompt.  Only ``full_prompt`` is carried; the wrapper stays
-    because the benchmark harness reads ``build_prompt(...).full_prompt``.
+class PromptBundle(namedtuple("PromptBundle", "full_prompt")):
+    """A built prompt: ``full_prompt`` is the whole text sent to the model.
+    A one-field tuple rather than the bare string, because
+    ``perfbench/run.py`` reads ``build_prompt(...).full_prompt``.
     """
 
-    full_prompt: str
+    __slots__ = ()
 
 
 def build_query(chain: ReasoningInstance, style: DatasetStyle) -> str:

@@ -14,9 +14,8 @@ import ast
 import enum
 import json
 import re
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .kg import Entity, Relation, ReasoningInstance, Triplet, validate_instance
 
@@ -41,26 +40,20 @@ class RenderError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RenderedExample:
+class RenderedExample(namedtuple("RenderedExample", "tag body answer envelope")):
     """A chain rendered in one representation, plus its answer envelope."""
 
-    tag: RepresentationTag
-    body: str
-    answer: Entity
-    envelope: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ParsedBody:
+class ParsedBody(namedtuple("ParsedBody", "triplets diagnostic", defaults=(None,))):
     """Triplets recovered from a representation-formatted text.
 
     ``triplets`` is empty and ``diagnostic`` set when the body cannot be
     parsed; parsing never raises on bad input.
     """
 
-    triplets: tuple[Triplet, ...]
-    diagnostic: str | None = None
+    __slots__ = ()
 
 
 def _py_str(label: str) -> str:

@@ -35,6 +35,20 @@ def example_kg(example_chain):
     return chain_to_graph(example_chain)
 
 
+@pytest.fixture
+def chat_backend():
+    """Builds ``OpenAIChatBackend``s, and closes each at teardown."""
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(OpenAIChatBackend(*args, **kwargs))
+        return built[-1]
+
+    yield build
+    for backend in built:
+        backend.close()
+
+
 class TestOracleComplete:
     def test_zero_shot_statement(self, example_chain, example_kg):
         prompt = build_prompt(
@@ -321,9 +335,10 @@ except KeyboardInterrupt:
 
 
 class TestOpenAIBackend:
-    def test_request_carries_the_model_and_greedy_decoding(self, chat_server):
+    def test_request_carries_the_model_and_greedy_decoding(self, chat_server,
+                                                           chat_backend):
         chat_server.reply = lambda prompt: (200, chat_reply("x"))
-        backend = OpenAIChatBackend(chat_server.url + "/v1", "m1")
+        backend = chat_backend(chat_server.url + "/v1", "m1")
         assert Gateway(backend=backend).complete_batch(["p"])[0].text == "x"
         [payload] = chat_server.payloads
         assert payload["model"] == "m1"
@@ -336,30 +351,31 @@ class TestOpenAIBackend:
         [1, 2],
         {"choices": [{"message": {"content": None}}]},
     ])
-    def test_malformed_reply_is_a_final_transport_failure(self, chat_server, body):
+    def test_malformed_reply_is_a_final_transport_failure(self, chat_server, body,
+                                                          chat_backend):
         chat_server.reply = lambda prompt: (200, body)
-        backend = OpenAIChatBackend(chat_server.url + "/v1", "m")
+        backend = chat_backend(chat_server.url + "/v1", "m")
         [result] = Gateway(backend=backend, backoff_base=0.0).complete_batch(["p"])
         assert not result.ok and result.text is None
         assert result.error.startswith("malformed response")
         assert len(chat_server.payloads) == 1
 
-    def test_missing_token_fails_fast(self, monkeypatch):
+    def test_missing_token_fails_fast(self, monkeypatch, chat_backend):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-        backend = OpenAIChatBackend("http://localhost:9999/v1", "m")
+        backend = chat_backend("http://localhost:9999/v1", "m")
         with pytest.raises(GatewayConfigError):
             backend.check()
 
-    def test_token_present_passes_check(self, monkeypatch):
+    def test_token_present_passes_check(self, monkeypatch, chat_backend):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
-        OpenAIChatBackend("http://localhost:9999/v1", "m").check()
+        chat_backend("http://localhost:9999/v1", "m").check()
 
     def test_connection_error_is_a_retried_transport_failure(self, endpoint_env,
-                                                             monkeypatch):
+                                                             monkeypatch, chat_backend):
         with socket.socket() as unheard:  # bound but not listening: refuses
             unheard.bind(("127.0.0.1", 0))
             url = f"http://127.0.0.1:{unheard.getsockname()[1]}/v1"
-            backend = OpenAIChatBackend(url, "m")
+            backend = chat_backend(url, "m")
             sent, send = [], backend.send
             monkeypatch.setattr(backend, "send", lambda p: sent.append(p) or send(p))
             gw = Gateway(backend=backend, retries=2, backoff_base=0.0)
@@ -368,43 +384,44 @@ class TestOpenAIBackend:
         assert "connection refused" in result.error.lower()
         assert sent == ["p"] * 3
 
-    def test_a_429_is_retried_on_the_same_connection(self, chat_server):
+    def test_a_429_is_retried_on_the_same_connection(self, chat_server, chat_backend):
         replies = iter([(429, {}), (200, chat_reply("x"))])
         chat_server.reply = lambda prompt: next(replies)
-        backend = OpenAIChatBackend(chat_server.url, "m")
+        backend = chat_backend(chat_server.url, "m")
         [result] = Gateway(backend=backend, backoff_base=0.0).complete_batch(["p"])
         assert (result.text, result.retries) == ("x", 1)
         assert len(chat_server.payloads) == 2
         assert chat_server.connections == 1
 
-    def test_a_connection_that_raised_is_never_reused(self, chat_server):
+    def test_a_connection_that_raised_is_never_reused(self, chat_server, chat_backend):
         replies = iter([(None, b"NOT HTTP\r\n"), (200, chat_reply("x"))])
         chat_server.reply = lambda prompt: next(replies)
-        backend = OpenAIChatBackend(chat_server.url, "m")
+        backend = chat_backend(chat_server.url, "m")
         gw = Gateway(backend=backend, retries=1, backoff_base=0.0)
         [result] = gw.complete_batch(["p"])
         assert (result.text, result.retries) == ("x", 1)
         assert chat_server.connections == 2
 
-    def test_a_400_is_final(self, chat_server):
+    def test_a_400_is_final(self, chat_server, chat_backend):
         chat_server.reply = lambda prompt: (400, {"error": {"message": "bad"}})
-        backend = OpenAIChatBackend(chat_server.url, "m")
+        backend = chat_backend(chat_server.url, "m")
         [result] = Gateway(backend=backend, backoff_base=0.0).complete_batch(["p"])
         assert (result.text, result.error, result.retries) == (None, "HTTP 400", 0)
         assert len(chat_server.payloads) == 1
 
-    def test_connections_never_outnumber_concurrency(self, chat_server):
+    def test_connections_never_outnumber_concurrency(self, chat_server, chat_backend):
         chat_server.reply = lambda prompt: (200, chat_reply(f"ok {prompt}"))
         prompts = [f"p{i}" for i in range(40)]
-        backend = OpenAIChatBackend(chat_server.url, "m")
+        backend = chat_backend(chat_server.url, "m")
         results = Gateway(backend=backend, concurrency=3).complete_batch(prompts)
         assert [r.text for r in results] == [f"ok {p}" for p in prompts]
         assert len(chat_server.payloads) == 40
         assert 1 <= chat_server.connections <= 3
 
-    def test_a_connection_the_server_closed_costs_no_retry(self, chat_server):
+    def test_a_connection_the_server_closed_costs_no_retry(self, chat_server,
+                                                           chat_backend):
         chat_server.close_after_reply = True
-        backend = OpenAIChatBackend(chat_server.url, "m")
+        backend = chat_backend(chat_server.url, "m")
         gw = Gateway(backend=backend, backoff_base=0.0)
         for i in range(4):
             [result] = gw.complete_batch([f"p{i}"])
@@ -414,12 +431,12 @@ class TestOpenAIBackend:
         assert chat_server.connections == 4
 
     def test_http_proxy_takes_the_absolute_uri_unless_no_proxy_matches(
-            self, chat_server, proxy_server, monkeypatch):
+            self, chat_server, proxy_server, monkeypatch, chat_backend):
         monkeypatch.setenv("http_proxy", f"u%40x:p%3A@127.0.0.1:{proxy_server.server_port}")
         for no_proxy in (None, "example.org, 127.0.0.1"):
             if no_proxy:
                 monkeypatch.setenv("no_proxy", no_proxy)
-            backend = OpenAIChatBackend(chat_server.url + "/v1", "m")
+            backend = chat_backend(chat_server.url + "/v1", "m")
             assert Gateway(backend=backend).complete_batch(["p"])[0].text == "ok"
         [(line, headers)] = proxy_server.received
         assert line == f"POST {chat_server.url}/v1/chat/completions HTTP/1.1"
@@ -429,10 +446,11 @@ class TestOpenAIBackend:
         assert line == "POST /v1/chat/completions HTTP/1.1"
         assert "Proxy-Authorization" not in headers
 
-    def test_https_proxy_opens_a_connect_tunnel(self, proxy_server, monkeypatch):
+    def test_https_proxy_opens_a_connect_tunnel(self, proxy_server, monkeypatch,
+                                                chat_backend):
         monkeypatch.setenv("https_proxy",
                            f"http://u:p@127.0.0.1:{proxy_server.server_port}")
-        backend = OpenAIChatBackend("https://api.example.invalid/v1", "m")
+        backend = chat_backend("https://api.example.invalid/v1", "m")
         [result] = Gateway(backend=backend, retries=0).complete_batch(["p"])
         assert not result.ok and "502" in result.error
         [(line, headers)] = proxy_server.received
@@ -440,25 +458,46 @@ class TestOpenAIBackend:
         assert headers["Proxy-Authorization"] == "Basic " + b64encode(b"u:p").decode()
 
     def test_importing_the_cli_leaves_the_http_client_unimported(self):
-        for module in ("http.client", "urllib.request", "ssl", "select"):
-            assert not loaded_by_importing_the_cli(module), module
+        assert loaded_by_importing_the_cli(
+            "http.client", "urllib.request", "ssl", "select") == []
 
     def test_importing_the_cli_leaves_the_thread_pool_unimported(self):
-        assert not loaded_by_importing_the_cli("concurrent.futures")
-        assert not loaded_by_importing_the_cli("logging")
-        assert not loaded_by_importing_the_cli("heapq")
+        assert loaded_by_importing_the_cli("concurrent.futures", "logging", "heapq") == []
 
 
-def loaded_by_importing_the_cli(module):
-    """Whether a fresh interpreter has ``module`` loaded after importing
-    ``hopkit.cli``.
+def test_importing_the_cli_leaves_dataclasses_inspect_and_hashlib_unimported():
+    # argparse, which the cli imports, shows that the probe sees what it loads
+    assert loaded_by_importing_the_cli(
+        "dataclasses", "inspect", "hashlib", "argparse") == ["argparse"]
+
+
+def test_endpoint_tests_leave_no_socket_unclosed():
+    """Every connection an endpoint test opens, through the backend or through
+    ``hopkit evaluate``, is closed: under ``-X dev`` a socket that is only
+    garbage-collected warns, and here that warning fails the run."""
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "pytest",
+         "-q", "-p", "no:cacheprovider", "-W", "error::pytest.PytestUnraisableExceptionWarning",
+         "tests/test_gateway.py::TestOpenAIBackend", "tests/test_cli.py", "-k",
+         "TestOpenAIBackend or endpoint"],
+        cwd=root, env=hopkit_env(), capture_output=True, text=True, timeout=300,
+    )
+    output = out.stdout + out.stderr
+    assert out.returncode == 0 and "ResourceWarning" not in output, output[-4000:]
+    assert " passed" in out.stdout and "deselected" in out.stdout
+
+
+def loaded_by_importing_the_cli(*modules):
+    """Those of ``modules`` a fresh interpreter has loaded after importing
+    ``hopkit.cli``, in the order given.
     """
     out = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, hopkit.cli; print({module!r} in sys.modules)"],
+         f"import sys, hopkit.cli; print(*[m for m in {modules!r} if m in sys.modules])"],
         env=hopkit_env(), capture_output=True, text=True, check=True, timeout=60,
     )
-    return out.stdout.strip() == "True"
+    return out.stdout.split()
 
 
 def hopkit_env():
