@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import random
 from collections import defaultdict, namedtuple
 from pathlib import Path
@@ -45,20 +46,19 @@ class SourceRecord(namedtuple("SourceRecord", "id labels")):
         if n < 5 or n % 2 == 0:
             missing = _columns(max(5, n + 1))[n:]
             raise ValueError(f"record {id}: missing fields: {', '.join(missing)}")
-        for name, label in zip(_columns(n), labels):
-            if not isinstance(label, str) or not label.strip():
-                raise ValueError(f"record {id}: empty field {name}")
+        try:
+            filled = all(map(str.strip, labels))
+        except TypeError:  # a label that is not a string
+            filled = False
+        if not filled:
+            for name, label in zip(_columns(n), labels):
+                if not isinstance(label, str) or not label.strip():
+                    raise ValueError(f"record {id}: empty field {name}")
         return tuple.__new__(cls, (id, labels))
 
     @property
     def n_hops(self) -> int:
         return len(self.labels) // 2
-
-    @property
-    def triples(self) -> list[tuple[str, str, str]]:
-        """(head, relation, tail) labels of each hop."""
-        labels = self.labels
-        return list(zip(labels[0::2], labels[1::2], labels[2::2]))
 
     @property
     def bridge(self) -> str:
@@ -150,36 +150,31 @@ class IngestResult:
         return len(self.invalid_rows) + len(self.conflicting_rows)
 
 
-def _record_from_fields(fields: dict) -> SourceRecord:
-    """A record from one row's column -> cell map.  Trailing empty cells,
-    which a shorter chain leaves in a file of longer ones, are dropped.
+def _rows(path: Path, format: str):
+    """Yield ``(lineno, id, labels)`` for each non-blank row, or
+    ``(lineno, problem, None)`` for a row with no fields to read.  TSV
+    columns are matched by header name, in any order.
     """
-    labels = [fields.get(c) for c in _columns(len(fields) + 1)]
-    while labels and labels[-1] in (None, ""):
-        labels.pop()
-    return SourceRecord(fields.get("id"), tuple(labels))
-
-
-def _iter_rows(path: Path, format: str):
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     if format == "tsv":
         if not lines:
             return
         header = lines[0].split("\t")
-        columns = {"id", *_columns(len(header) - 1)}
-        if len(header) < 6 or len(header) % 2 or set(header) != columns:
+        width = len(header)
+        if width < 6 or width % 2 or set(header) != {"id", *_columns(width - 1)}:
             raise IngestError(
                 f"TSV header must be id e1 r1 ... rn e(n+1) with n >= 2, got {header}"
             )
+        id_at = header.index("id")
+        pick_labels = operator.itemgetter(*map(header.index, _columns(width - 1)))
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
             values = line.split("\t")
-            if len(values) != len(header):
-                yield lineno, None, f"expected {len(header)} fields, got {len(values)}"
+            if len(values) != width:
+                yield lineno, f"expected {width} fields, got {len(values)}", None
                 continue
-            yield lineno, dict(zip(header, values)), None
+            yield lineno, values[id_at], pick_labels(values)
     elif format == "json_lines":
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
@@ -187,12 +182,12 @@ def _iter_rows(path: Path, format: str):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                yield lineno, None, f"bad JSON: {exc}"
+                yield lineno, f"bad JSON: {exc}", None
                 continue
             if not isinstance(obj, dict):
-                yield lineno, None, "row is not an object"
+                yield lineno, "row is not an object", None
                 continue
-            yield lineno, obj, None
+            yield lineno, obj.get("id"), tuple(map(obj.get, _columns(len(obj) + 1)))
     else:
         raise IngestError(f"unknown format {format!r}")
 
@@ -210,35 +205,37 @@ def ingest(path: str | Path, format: str = "tsv") -> IngestResult:
     result = IngestResult()
     facts: dict[tuple[str, str], str] = {}
     seen_ids: set[str] = set()
-    total = 0
-    for lineno, fields, problem in _iter_rows(path, format):
-        total += 1
-        if problem is not None:
-            result.invalid_rows.append((lineno, problem))
+    for lineno, id, labels in _rows(path, format):
+        if labels is None:  # a row without fields: ``id`` is its problem
+            result.invalid_rows.append((lineno, id))
             continue
+        # Trailing empty cells are what a shorter chain leaves in a file of
+        # longer ones.
+        while labels and labels[-1] in (None, ""):
+            labels = labels[:-1]
         try:
-            record = _record_from_fields(fields)
+            record = SourceRecord(id, labels)
         except (ValueError, TypeError) as exc:
             result.invalid_rows.append((lineno, str(exc)))
             continue
-        if record.id in seen_ids:
-            result.invalid_rows.append((lineno, f"duplicate id {record.id!r}"))
+        if id in seen_ids:
+            result.invalid_rows.append((lineno, f"duplicate id {id!r}"))
             continue
-        hops = record.triples
-        conflict = None
-        for head, rel, tail in hops:
-            existing = facts.get((head, rel))
-            if existing is not None and existing != tail:
+        hops = range(0, len(labels) - 2, 2)
+        for i in hops:
+            existing = facts.get((labels[i], labels[i + 1]))
+            if existing is not None and existing != labels[i + 2]:
+                head, rel, tail = labels[i:i + 3]
                 conflict = f"({head!r}, {rel!r}) already maps to {existing!r}, not {tail!r}"
+                result.conflicting_rows.append((lineno, conflict))
                 break
-        if conflict is not None:
-            result.conflicting_rows.append((lineno, conflict))
-            continue
-        for head, rel, tail in hops:
-            facts[(head, rel)] = tail
-        seen_ids.add(record.id)
-        result.records.append(record)
-    if total and len(result.invalid_rows) > total / 2:
+        else:
+            for i in hops:
+                facts[labels[i], labels[i + 1]] = labels[i + 2]
+            seen_ids.add(id)
+            result.records.append(record)
+    total = len(result.records) + result.n_rejected
+    if len(result.invalid_rows) > total / 2:
         raise IngestError(
             f"{len(result.invalid_rows)} of {total} rows invalid; "
             f"first problem at line {result.invalid_rows[0][0]}: {result.invalid_rows[0][1]}"

@@ -105,10 +105,23 @@ def _judge_hops(
             continue
         if flat is None:
             flat = re.sub(r"\s+", " ", unicodedata.normalize("NFKC", completion)).lower()
-        verdicts.append(re.search(
-            rf"(?<!\w){re.escape(head)} is {re.escape(tail)}(?!\w)", flat
-        ) is not None)
+        verdicts.append(_states(flat, f"{head} is {tail}"))
     return tuple(verdicts)
+
+
+def _states(flat: str, claim: str) -> bool:
+    """Whether ``claim`` occurs in ``flat`` with a non-word character (or
+    the text's edge) on either side, as ``(?<!\\w)claim(?!\\w)`` matches:
+    a word character is alphanumeric or ``_``.
+    """
+    at = flat.find(claim)
+    while at >= 0:
+        end = at + len(claim)
+        before, after = flat[at - 1:at], flat[end:end + 1]
+        if not (before.isalnum() or before == "_" or after.isalnum() or after == "_"):
+            return True
+        at = flat.find(claim, at + 1)
+    return False
 
 
 class EvalRecord(namedtuple("EvalRecord", (

@@ -300,7 +300,7 @@ def test_criterion_7_three_hop_extension():
         for record in extended:
             assert record.n_hops == 3
             assert Entity(record.labels[4]) in whitelist
-            assert record.triples[2] in fact_keys
+            assert tuple(record.labels[4:7]) in fact_keys
             assert validate_instance(record.to_chain()) == []
 
 

@@ -107,6 +107,15 @@ class TestIngest:
         assert record.n_hops == record.to_chain().n_hops == 4
         assert record.to_chain().answer == Entity("e")
 
+    def test_columns_are_read_by_header_name(self, tmp_path):
+        path = tmp_path / "in.tsv"
+        path.write_text("e1\tid\tr1\te2\tr2\te3\n"
+                        "a\t1\tr\tb\ts\tc\n"
+                        "d\t2\tr\te\ts\t\n", encoding="utf-8")
+        result = ingest(path, "tsv")
+        assert result.records == [rec(1, "a", "r", "b", "s", "c")]
+        assert result.invalid_rows == [(3, "record 2: missing fields: e3")]
+
     @pytest.mark.parametrize("header", [
         "id\te1\tr1\te2\tr2\te3\tr3",
         "id\te1\tr1\te2\tr2\te4",

@@ -104,6 +104,56 @@ class TestJudgeHops:
         chain = make_chain("Paris", "country", "France")
         assert hop_verdicts(completion, chain) == (verdict,)
 
+    @staticmethod
+    def _regex_states(flat, head, tail):
+        """The sentence fallback as a word-boundary regex."""
+        pattern = rf"(?<!\w){re.escape(head)} is {re.escape(tail)}(?!\w)"
+        return re.search(pattern, flat) is not None
+
+    @pytest.mark.parametrize("flat, expected", [
+        ("a is b", True),                       # both text edges
+        ("_a is b", False), ("a is b_", False),
+        ("٣a is b", False), ("a is b²", False),  # a Unicode decimal and digit
+        ("½a is b", False), ("a is bⅫ", False),  # Unicode numerics
+        ("\u0301a is b", True),                 # a combining mark is not \w
+        ("xa is b, a is b", True),              # the second occurrence counts
+        ("ba is b is b", False),
+    ])
+    def test_fallback_scan_edges(self, flat, expected):
+        assert evaluate._states(flat, "a is b") is expected
+        assert self._regex_states(flat, "a", "b") is expected
+
+    def test_fallback_scan_overlaps(self):
+        # The only whole-word occurrence overlaps a rejected one.
+        assert evaluate._states("xa is a is a", "a is a")
+        assert self._regex_states("xa is a is a", "a", "a")
+
+    def test_fallback_scan_agrees_with_the_regex(self):
+        rng = random.Random(20261018)
+        pieces = ["a", "b", "_", " ", ".", "-", "is", " is ", "1", "٣", "²", "½",
+                  "Ⅻ", "é", "\u0301", "ß", "\u3000"]
+        entity_pieces = [p for p in pieces if "is" not in p]
+        outcomes = collections.Counter()
+        for _ in range(20000):
+            head, tail = ("".join(rng.choice(entity_pieces) for _ in range(rng.randint(0, 2)))
+                          for _ in "ht")
+            claim = f"{head} is {tail}"
+            parts = [rng.choice(pieces) for _ in range(rng.randint(0, 6))]
+            for _ in range(rng.randint(0, 3)):
+                parts.insert(rng.randint(0, len(parts)), claim)
+            flat = "".join(parts)
+            expected = self._regex_states(flat, head, tail)
+            assert evaluate._states(flat, claim) is expected, (flat, head, tail)
+            outcomes[expected, claim in flat] += 1
+        # every kind of case is reached: no occurrence, only partial-word
+        # occurrences, and a whole-word one
+        assert set(outcomes) == {(False, False), (False, True), (True, True)}
+
+    def test_word_characters_are_alphanumerics_and_underscore(self):
+        word = re.compile(r"\w").match
+        assert all((c.isalnum() or c == "_") is (word(c) is not None)
+                   for c in map(chr, range(0x110000)))
+
 
 class TestJudge:
     def test_oracle_completion_fully_correct(self, example_chain):

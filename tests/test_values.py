@@ -96,6 +96,12 @@ class TestConstructorChecks:
         (("7", ("a", "r", "b")), "record 7: missing fields: r2, e3"),
         (("7", ("a", "r", "b", "s", "c", "t")), "record 7: missing fields: e4"),
         (("7", ("a", "r", " ", "s", "c")), "record 7: empty field e2"),
+        (("7", ("a", "r", "b", "s", " \t ")), "record 7: empty field e3"),
+        (("7", ("a", "\u3000", "b", "s", "c")), "record 7: empty field r1"),
+        (("7", (1, "r", "b", "s", "c")), "record 7: empty field e1"),
+        (("7", ("a", "r", "b", None, "c")), "record 7: empty field r2"),
+        (("7", ("a", "r", "", "s", 0)), "record 7: empty field e2"),
+        (("7", ("a", "r", "b", ["s"], " ")), "record 7: empty field r2"),
     ])
     def test_a_bad_source_record_is_refused(self, args, message):
         with pytest.raises(ValueError, match=exactly(message)):
