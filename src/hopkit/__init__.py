@@ -9,7 +9,7 @@ from .render import (ParsedBody, RenderedExample, RepresentationTag, parse,
                      render, wrap_answer_envelope)
 from .prompts import (DatasetStyle, PromptBundle, PromptMode, build_prompt,
                       build_query)
-from .dataset import (FinetuneRecord, OverlapStats, SourceRecord, SplitSpec,
+from .dataset import (OverlapStats, SourceRecord, SplitSpec,
                       build_finetune_corpus, cap_relation_pairs,
                       compute_overlap_stats, extend_to_three_hops, ingest,
                       partition_by_bridge)

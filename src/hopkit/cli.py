@@ -9,6 +9,7 @@ exits nonzero with a diagnostic on any pipeline error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -43,7 +44,18 @@ def _check_output(path: Path, force: bool) -> None:
 
 
 def _load_records(path: str, format: str | None) -> list[dataset.SourceRecord]:
-    result = dataset.ingest(path, format=format or _format_of(path))
+    # Rows hold no reference cycles, so a collection during the load frees
+    # nothing and only walks the records read so far.  They live until the
+    # command ends, so they are frozen out of later collections; main
+    # unfreezes them.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = dataset.ingest(path, format=format or _format_of(path))
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
     if result.n_rejected:
         print(
             f"ingest: {len(result.records)} records, "
@@ -112,7 +124,7 @@ def cmd_cap(args) -> int:
 def _load_facts(path: str) -> list[Triplet]:
     facts = []
     for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
     ):
         if not line.strip():
             continue
@@ -129,7 +141,7 @@ def cmd_extend3(args) -> int:
     if args.whitelist:
         whitelist = {
             Entity(line.strip())
-            for line in Path(args.whitelist).read_text(encoding="utf-8").splitlines()
+            for line in Path(args.whitelist).read_text(encoding="utf-8-sig").splitlines()
             if line.strip()
         }
     else:
@@ -162,18 +174,17 @@ def cmd_generate(args) -> int:
     path = Path(args.output)
     _check_output(path, args.force)
     if args.kind == "corpus":
-        corpus = dataset.build_finetune_corpus(records, rep, style)
-        dataset.write_finetune_corpus(corpus, path)
-        print(f"wrote {len(corpus)} training pairs to {path}")
+        n = dataset.write_finetune_corpus(
+            dataset.build_finetune_corpus(records, rep, style), path)
+        print(f"wrote {n} training pairs to {path}")
         return 0
     mode = MODE_FLAGS[args.mode]
     demos = _demonstrations(mode, [r.to_chain() for r in records])
-    lines = []
-    for record in records:
-        prompt = _prompt_for(record, mode, style, rep, demos, args.seed)
-        lines.append(json.dumps({"id": record.id, "prompt": prompt}))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(lines)} prompts to {path}")
+    n = dataset.write_lines(path, (
+        json.dumps({"id": record.id,
+                    "prompt": _prompt_for(record, mode, style, rep, demos, args.seed)})
+        for record in records))
+    print(f"wrote {n} prompts to {path}")
     return 0
 
 
@@ -406,11 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    unfreeze = gc.get_freeze_count() == 0  # hand an in-process caller its objects back
     try:
         return args.func(args)
     except (CliError, GatewayConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if unfreeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -9,10 +9,12 @@ their seed, so whole pipelines are reproducible byte for byte.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 import random
 from collections import defaultdict, namedtuple
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import prompts
@@ -128,15 +130,6 @@ class OverlapStats(namedtuple("OverlapStats", (
         return "\n".join(lines)
 
 
-class FinetuneRecord(namedtuple("FinetuneRecord", "prompt response hops representation")):
-    """One prompt/response training pair."""
-
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return self._asdict()
-
-
 class IngestResult:
     """Accepted records plus per-row rejection bookkeeping."""
 
@@ -155,7 +148,8 @@ def _rows(path: Path, format: str):
     ``(lineno, problem, None)`` for a row with no fields to read.  TSV
     columns are matched by header name, in any order.
     """
-    lines = path.read_text(encoding="utf-8").splitlines()
+    # utf-8-sig drops the byte-order mark that spreadsheet exports start with
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
     if format == "tsv":
         if not lines:
             return
@@ -243,19 +237,35 @@ def ingest(path: str | Path, format: str = "tsv") -> IngestResult:
     return result
 
 
-def write_records(records: list[SourceRecord], path: str | Path, format: str = "tsv") -> None:
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each string of ``lines`` as one line, as it is made, and return
+    how many were written.  They go to a sibling ``.part`` file that replaces
+    ``path`` only after the last one, so an error while making a line leaves
+    ``path`` as it was.
+    """
     path = Path(path)
+    part = path.with_name(path.name + ".part")
+    count = 0
+    try:
+        with part.open("w", encoding="utf-8") as fh:
+            for count, line in enumerate(lines, start=1):
+                fh.write(line + "\n")
+        part.replace(path)
+    finally:
+        part.unlink(missing_ok=True)
+    return count
+
+
+def write_records(records: list[SourceRecord], path: str | Path, format: str = "tsv") -> None:
     if format == "tsv":
         # Shorter chains leave their trailing cells empty.
         width = max((len(r.labels) for r in records), default=5)
-        lines = ["\t".join(("id", *_columns(width)))]
-        for r in records:
-            lines.append("\t".join((r.id, *r.labels)) + "\t" * (width - len(r.labels)))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header = "\t".join(("id", *_columns(width)))
+        write_lines(path, itertools.chain((header,), (
+            "\t".join((r.id, *r.labels)) + "\t" * (width - len(r.labels))
+            for r in records)))
     elif format == "json_lines":
-        path.write_text(
-            "".join(json.dumps(r.to_dict()) + "\n" for r in records), encoding="utf-8"
-        )
+        write_lines(path, (json.dumps(r.to_dict()) for r in records))
     else:
         raise IngestError(f"unknown format {format!r}")
 
@@ -377,12 +387,12 @@ def build_finetune_corpus(
     records: list[SourceRecord],
     representation: RepresentationTag,
     style: DatasetStyle,
-) -> list[FinetuneRecord]:
-    """Training pairs: per record, one example for each prefix of its chain,
-    the first hop alone up to the full chain.  Responses are answer envelopes
-    whose body is the prefix rendered in ``representation``.
+) -> Iterator[dict]:
+    """Yield training pairs as dicts keyed ``prompt``, ``response``, ``hops``
+    and ``representation``: per record, one pair for each prefix of its
+    chain, the first hop alone up to the full chain.  Responses are answer
+    envelopes whose body is the prefix rendered in ``representation``.
     """
-    out = []
     for record in records:
         chain = record.to_chain()
         for hops in range(1, chain.n_hops + 1):
@@ -395,16 +405,11 @@ def build_finetune_corpus(
                 ).full_prompt
             except ValueError as exc:
                 raise ValueError(f"record {record.id}: {exc}") from exc
-            out.append(FinetuneRecord(
-                prompt=prompt,
-                response=example.envelope,
-                hops=hops,
-                representation=representation.value,
-            ))
-    return out
+            yield {"prompt": prompt, "response": example.envelope, "hops": hops,
+                   "representation": representation.value}
 
 
-def write_finetune_corpus(corpus: list[FinetuneRecord], path: str | Path) -> None:
-    Path(path).write_text(
-        "".join(json.dumps(r.to_dict()) + "\n" for r in corpus), encoding="utf-8"
-    )
+def write_finetune_corpus(corpus: Iterable[dict], path: str | Path) -> int:
+    """Write one JSON line per training pair as ``corpus`` yields it; returns
+    the number of pairs."""
+    return write_lines(path, map(json.dumps, corpus))

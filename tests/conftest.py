@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -6,9 +7,17 @@ from pathlib import Path
 
 import pytest
 
+import hopkit
 from hopkit import Entity, Relation, ReasoningInstance, Triplet, make_chain
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def hopkit_env():
+    """The environment, with this checkout's hopkit first on PYTHONPATH."""
+    paths = [str(Path(hopkit.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import json
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,7 @@ import hopkit
 from hopkit import KnowledgeGraph, OracleBackend, add_fact, dataset, gateway
 from hopkit.cli import main
 from hopkit.render import RepresentationTag
-from tests.conftest import chat_reply
+from tests.conftest import chat_reply, hopkit_env
 
 
 def write_tsv(path, rows):
@@ -117,6 +120,16 @@ class TestExtend3:
         assert lines[0].split("\t") == ["id", "e1", "r1", "e2", "r2", "e3", "r3", "e4"]
         assert lines[1].endswith("birthplace\tParis")
 
+    def test_facts_and_whitelist_may_start_with_a_byte_order_mark(self, input_tsv,
+                                                                  tmp_path, capsys):
+        facts, whitelist = tmp_path / "facts.tsv", tmp_path / "allowed.txt"
+        facts.write_text("\ufeffperson0\tbirthplace\tParis\n", encoding="utf-8")
+        whitelist.write_text("\ufeffperson0\n", encoding="utf-8")
+        code = main(["extend3", "--input", str(input_tsv), "--facts", str(facts),
+                     "--whitelist", str(whitelist), "--output", str(tmp_path / "out.tsv")])
+        assert code == 0
+        assert "extended 2 of 20" in capsys.readouterr().out
+
 
 class TestGenerate:
     def test_corpus_has_two_pairs_per_row(self, input_tsv, tmp_path, capsys):
@@ -151,6 +164,23 @@ class TestGenerate:
                      "--kind", "prompts", "--mode", "one", "--rep", "json"])
         assert code == 1
         assert "error: no demonstration" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]  # no partial output is left
+
+    def test_corpus_that_fails_to_render_leaves_the_old_output(self, tmp_path, capsys):
+        path = tmp_path / "rows.jsonl"
+        rows = [{"id": str(i), "e1": f"a{i}", "r1": "r", "e2": f"b{i}", "r2": "s",
+                 "e3": f"c{i}"} for i in range(3)]
+        rows[2]["e3"] = "line\rbreak"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        out = tmp_path / "corpus.jsonl"
+        out.write_text("old\n", encoding="utf-8")
+        code = main(["generate", "--input", str(path), "--output", str(out),
+                     "--kind", "corpus", "--rep", "py-static", "--force"])
+        assert code == 1
+        assert "error: record 2: label 'line\\rbreak' contains a line break" in (
+            capsys.readouterr().err)
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert sorted(tmp_path.iterdir()) == [out, path]
 
 
 # SHA-256 of `generate --kind prompts --mode one --seed 5` on one_shot_tsv,
@@ -592,3 +622,68 @@ class TestErrors:
         code = main([arg.format(**paths) for arg in command])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestCollector:
+    """main leaves the cyclic collector as it found it, and pauses it only
+    while records load."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("case", ["ok", "missing-input", "mostly-invalid"])
+    def test_state_round_trips(self, collector, case, input_tsv, tmp_path,
+                               monkeypatch, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("id\te1\tr1\te2\tr2\te3\n1\ta\tr\tb\ts\tc\nbad\nworse\n",
+                       encoding="utf-8")
+        source = {"ok": input_tsv, "missing-input": tmp_path / "nope.tsv",
+                  "mostly-invalid": bad}[case]
+        seen = {}
+        for name in ("ingest", "partition_by_bridge"):
+            def spy(*args, _real=getattr(dataset, name), _name=name, **kwargs):
+                seen[_name] = gc.isenabled()
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(dataset, name, spy)
+        frozen = gc.get_freeze_count()
+        code = main(["partition", "--input", str(source),
+                     "--output", str(tmp_path / "split")])
+        assert code == (0 if case == "ok" else 1), capsys.readouterr().err
+        assert gc.isenabled() is collector
+        assert gc.get_freeze_count() == frozen
+        assert seen["ingest"] is False
+        if case == "ok":
+            assert seen["partition_by_bridge"] is collector
+
+
+# Counts the collector's full passes during one command, after the import.
+FULL_PASSES = """
+import gc, sys
+from hopkit.cli import main
+full = []
+gc.callbacks.append(lambda phase, info: phase == "stop" and info["generation"] == 2
+                    and full.append(info))
+code = main(sys.argv[1:])
+print(len(full))
+sys.exit(code)
+"""
+
+
+def test_partition_of_a_large_file_makes_no_full_collection(tmp_path):
+    # With the collector on while records load, this file costs one full
+    # pass over every record; the assertion is a count, never a time.
+    n = 30_000
+    rows = [[str(i), f"work {i}", f"made by {i % 7}", f"bridge {i % 997}",
+             f"then {i % 5}", f"tail {i % 997}/{i % 5}"] for i in range(n)]
+    path = tmp_path / "big.tsv"
+    write_tsv(path, rows)
+    out = subprocess.run(
+        [sys.executable, "-c", FULL_PASSES, "partition", "--input", str(path),
+         "--output", str(tmp_path / "split")],
+        env=hopkit_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0"

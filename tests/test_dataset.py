@@ -1,3 +1,4 @@
+import codecs
 import collections
 import json
 import random
@@ -64,6 +65,15 @@ class TestIngest:
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         result = ingest(path, "json_lines")
         assert result.records[0].bridge == "b"
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json_lines"])
+    def test_byte_order_mark_is_not_part_of_the_first_row(self, tmp_path, fmt):
+        records = [rec(1, "a", "r", "b", "s", "c"), rec(2, "d", "r", "e", "s", "f")]
+        path = tmp_path / "in"
+        write_records(records, path, format=fmt)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        result = ingest(path, fmt)
+        assert result.records == records and result.n_rejected == 0
 
     def test_mostly_invalid_aborts(self, tmp_path):
         path = tmp_path / "in.tsv"
@@ -330,19 +340,19 @@ class TestOverlapStats:
 class TestFinetuneCorpus:
     def test_two_records_per_row(self):
         records = [rec(1, "a", "r", "b", "s", "c")]
-        corpus = build_finetune_corpus(
+        corpus = list(build_finetune_corpus(
             records, RepresentationTag.NATURAL_LANGUAGE, DatasetStyle.STATEMENT
-        )
-        assert [c.hops for c in corpus] == [1, 2]
+        ))
+        assert [c["hops"] for c in corpus] == [1, 2]
 
     def test_three_hop_record_yields_a_pair_per_prefix(self):
         records = [rec(1, "a", "r", "b", "s", "c", "t", "d")]
-        corpus = build_finetune_corpus(
+        corpus = list(build_finetune_corpus(
             records, RepresentationTag.JSON, DatasetStyle.STATEMENT
-        )
-        assert [c.hops for c in corpus] == [1, 2, 3]
-        assert [json.loads(c.response)["Answer"] for c in corpus] == ["b", "c", "d"]
-        assert [c.prompt for c in corpus] == [
+        ))
+        assert [c["hops"] for c in corpus] == [1, 2, 3]
+        assert [json.loads(c["response"])["Answer"] for c in corpus] == ["b", "c", "d"]
+        assert [c["prompt"] for c in corpus] == [
             "Given the incomplete statement: r of a is _ , provide answer and "
             "generate JSON structure for completing the statement",
             "Given the incomplete statement: s of r of a is _ , provide answer and "
@@ -354,19 +364,19 @@ class TestFinetuneCorpus:
     def test_dynamic_response_contains_template(self):
         records = [rec(1, "It Goes Like It Goes", "composer", "David Shire",
                        "spouse", "Didi Conn")]
-        corpus = build_finetune_corpus(
+        corpus = list(build_finetune_corpus(
             records, RepresentationTag.PYTHON_DYNAMIC, DatasetStyle.STATEMENT
-        )
-        body = json.loads(corpus[1].response)["Python code snippet"]
+        ))
+        body = json.loads(corpus[1]["response"])["Python code snippet"]
         assert "kb.add_fact(e1, r1, e2)" in body
         assert "class KnowledgeBase" in body
 
     @pytest.mark.parametrize("tag", list(RepresentationTag))
     def test_responses_roundtrip(self, tag):
         records = [rec(i, f"h{i}", "r", f"b{i}", "s", f"t{i}") for i in range(5)]
-        corpus = build_finetune_corpus(records, tag, DatasetStyle.QUESTION)
+        corpus = list(build_finetune_corpus(records, tag, DatasetStyle.QUESTION))
         assert len(corpus) == 2 * len(records)
         for item in corpus:
-            envelope = json.loads(item.response)
+            envelope = json.loads(item["response"])
             parsed = parse(tag, envelope[ENVELOPE_BODY_KEY[tag]])
-            assert len(parsed.triplets) == item.hops
+            assert len(parsed.triplets) == item["hops"]

@@ -1,6 +1,5 @@
 import concurrent.futures
 import json
-import os
 import socket
 import subprocess
 import sys
@@ -11,15 +10,13 @@ from pathlib import Path
 
 import pytest
 
-import hopkit
-
 from hopkit import (Entity, FaultSpec, Gateway, KnowledgeGraph, OracleBackend,
                     add_fact, build_prompt, make_chain, oracle_complete)
 from hopkit.gateway import (GatewayConfigError, OpenAIChatBackend,
                             TransportError, load_gateway_config)
 from hopkit.prompts import DatasetStyle, PromptMode
 from hopkit.render import RepresentationTag
-from tests.conftest import chat_reply
+from tests.conftest import chat_reply, hopkit_env
 
 
 def chain_to_graph(chain):
@@ -498,13 +495,6 @@ def loaded_by_importing_the_cli(*modules):
         env=hopkit_env(), capture_output=True, text=True, check=True, timeout=60,
     )
     return out.stdout.split()
-
-
-def hopkit_env():
-    """The environment, with this checkout's hopkit first on PYTHONPATH."""
-    paths = [str(Path(hopkit.__file__).resolve().parents[1]),
-             os.environ.get("PYTHONPATH")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 class TestConfigFile:
