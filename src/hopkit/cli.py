@@ -100,22 +100,22 @@ def cmd_partition(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.output:
+        _check_output(Path(args.output), args.force)
     train = _load_records(args.train, args.format)
     test = _load_records(args.test, args.format)
     stats = dataset.compute_overlap_stats(train, test)
     print(stats.to_table())
     if args.output:
-        path = Path(args.output)
-        _check_output(path, args.force)
-        path.write_text(json.dumps(stats.to_dict(), indent=2) + "\n", encoding="utf-8")
+        Path(args.output).write_text(json.dumps(stats.to_dict(), indent=2) + "\n", encoding="utf-8")
     return 0
 
 
 def cmd_cap(args) -> int:
-    records = _load_records(args.input, args.format)
-    capped = dataset.cap_relation_pairs(records, cap=args.cap, seed=args.seed)
     path = Path(args.output)
     _check_output(path, args.force)
+    records = _load_records(args.input, args.format)
+    capped = dataset.cap_relation_pairs(records, cap=args.cap, seed=args.seed)
     dataset.write_records(capped, path, format=_format_of(args.output))
     print(f"kept {len(capped)} of {len(records)} records (cap {args.cap})")
     return 0
@@ -136,6 +136,8 @@ def _load_facts(path: str) -> list[Triplet]:
 
 
 def cmd_extend3(args) -> int:
+    path = Path(args.output)
+    _check_output(path, args.force)
     records = _load_records(args.input, args.format)
     facts = _load_facts(args.facts)
     if args.whitelist:
@@ -147,24 +149,15 @@ def cmd_extend3(args) -> int:
     else:
         whitelist = {Entity(r.answer) for r in records}
     extended = dataset.extend_to_three_hops(records, facts, whitelist)
-    path = Path(args.output)
-    _check_output(path, args.force)
     dataset.write_records(extended, path, format=_format_of(args.output))
     print(f"extended {len(extended)} of {len(records)} records by one hop")
     return 0
 
 
-def _demonstrations(mode, chains):
-    """The indexed demonstration pool, built only where one-shot uses it."""
-    return prompts.DemonstrationPool(chains) if mode is PromptMode.ONE_SHOT else None
-
-
-def _prompt_for(record, mode, style, rep, demos, seed):
-    chain = record.to_chain()
-    demonstration = demos.pick(chain, seed) if mode is PromptMode.ONE_SHOT else None
-    return prompts.build_prompt(
-        chain, mode=mode, style=style, representation=rep, demonstration=demonstration,
-    ).full_prompt
+def _prompt_for(chain, mode, style, rep, demos, seed):
+    if mode is PromptMode.ONE_SHOT:
+        return demos.prompt(chain, seed, style, rep)
+    return prompts.build_prompt(chain, mode=mode, style=style, representation=rep).full_prompt
 
 
 def cmd_generate(args) -> int:
@@ -179,11 +172,12 @@ def cmd_generate(args) -> int:
         print(f"wrote {n} training pairs to {path}")
         return 0
     mode = MODE_FLAGS[args.mode]
-    demos = _demonstrations(mode, [r.to_chain() for r in records])
+    chains = [r.to_chain() for r in records]
+    demos = prompts.DemonstrationPool(chains) if mode is PromptMode.ONE_SHOT else None
     n = dataset.write_lines(path, (
         json.dumps({"id": record.id,
-                    "prompt": _prompt_for(record, mode, style, rep, demos, args.seed)})
-        for record in records))
+                    "prompt": _prompt_for(chain, mode, style, rep, demos, args.seed)})
+        for record, chain in zip(records, chains)))
     print(f"wrote {n} prompts to {path}")
     return 0
 
@@ -295,13 +289,13 @@ def cmd_evaluate(args) -> int:
             records_path.unlink()
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
-    demos = _demonstrations(mode, chains)
+    demos = prompts.DemonstrationPool(chains) if mode is PromptMode.ONE_SHOT else None
     done_ids = {r.instance_id for r in resumed}
     pending = [(r, chain) for r, chain in zip(records, chains) if r.id not in done_ids]
     if done_ids:
         print(f"resume: skipping {len(done_ids)} already-evaluated instances")
     prompt_texts = [
-        _prompt_for(record, mode, style, rep, demos, args.seed) for record, _ in pending
+        _prompt_for(chain, mode, style, rep, demos, args.seed) for _, chain in pending
     ]
     try:
         results = gw.complete_batch(prompt_texts)
@@ -320,13 +314,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.output:
+        _check_output(Path(args.output), args.force)
     records = evaluate.read_eval_records(args.input)
     report = evaluate.compute_metrics(records)
     print(evaluate.emit_report(report, "text_table"))
     if args.output:
-        path = Path(args.output)
-        _check_output(path, args.force)
-        path.write_text(evaluate.emit_report(report, "machine"), encoding="utf-8")
+        Path(args.output).write_text(evaluate.emit_report(report, "machine"), encoding="utf-8")
     return 0
 
 

@@ -69,6 +69,14 @@ def _query_line(style: DatasetStyle, query: str, instruction: str | None) -> str
     return f"{line} {instruction}" if instruction else line
 
 
+def _demonstration_lines(demonstration: ReasoningInstance, style: DatasetStyle,
+                         representation: RepresentationTag) -> str:
+    """What a one-shot prompt shows ahead of its query: the demonstration's
+    query line, without instruction, then its envelope, each ending a line."""
+    query_line = _query_line(style, build_query(demonstration, style), None)
+    return f"{query_line}\n{render_instance(demonstration, representation).envelope}\n"
+
+
 def build_prompt(
     chain: ReasoningInstance,
     mode: PromptMode,
@@ -89,11 +97,8 @@ def build_prompt(
     elif mode is PromptMode.ONE_SHOT:
         if representation is None or demonstration is None:
             raise ValueError("one-shot prompting needs a representation and a demonstration")
-        full = "\n".join([
-            _query_line(style, build_query(demonstration, style), None),
-            render_instance(demonstration, representation).envelope,
-            _query_line(style, query, instruction),
-        ])
+        full = (_demonstration_lines(demonstration, style, representation)
+                + _query_line(style, query, instruction))
     elif mode is PromptMode.WITH_CONTEXT:
         context = " ".join(hop_sentences(chain))
         if style is DatasetStyle.STATEMENT:
@@ -122,13 +127,11 @@ class DemonstrationPool:
         for position, candidate in enumerate(pool):
             self._by_start[candidate.start].append(position)
             self._by_answer[candidate.answer].append(position)
+        # Keyed by what a draw and a rendering depend on, never by the excluded set.
+        self._draws: dict[tuple[int, int], int] = {}
+        self._shown: dict[tuple[int, DatasetStyle, RepresentationTag], str] = {}
 
-    def pick(self, query: ReasoningInstance, seed: int) -> ReasoningInstance:
-        """Seeded uniform pick among the instances that share neither the
-        query's start entity nor its final answer.  Draws exactly what
-        ``random.Random(seed).choice(eligible)`` draws over the eligible
-        instances in pool order.  Raises ValueError when none is left.
-        """
+    def _position(self, query: ReasoningInstance, seed: int) -> int:
         excluded = sorted({*self._by_start.get(query.start, ()),
                            *self._by_answer.get(query.answer, ())})
         n_eligible = len(self.pool) - len(excluded)
@@ -137,9 +140,36 @@ class DemonstrationPool:
                 "no demonstration in the pool avoids the query's start entity "
                 f"{query.start.label!r} and answer {query.answer.label!r}"
             )
-        position = random.Random(seed).randrange(n_eligible)
+        position = self._draws.get((seed, n_eligible))
+        if position is None:
+            position = self._draws[seed, n_eligible] = random.Random(seed).randrange(n_eligible)
         for skipped in excluded:
             if skipped > position:
                 break
             position += 1
-        return self.pool[position]
+        return position
+
+    def pick(self, query: ReasoningInstance, seed: int) -> ReasoningInstance:
+        """Seeded uniform pick among the instances that share neither the
+        query's start entity nor its final answer.  Draws exactly what
+        ``random.Random(seed).choice(eligible)`` draws over the eligible
+        instances in pool order.  Raises ValueError when none is left.
+        """
+        return self.pool[self._position(query, seed)]
+
+    def prompt(self, query: ReasoningInstance, seed: int, style: DatasetStyle,
+               representation: RepresentationTag) -> str:
+        """The one-shot prompt ``build_prompt`` makes for ``query`` with the
+        demonstration ``pick`` draws.  Each demonstration is rendered once per
+        style and representation; an error names both records.
+        """
+        key = (self._position(query, seed), style, representation)
+        if key not in self._shown:
+            demonstration = self.pool[key[0]]
+            try:
+                self._shown[key] = _demonstration_lines(demonstration, style, representation)
+            except ValueError as exc:
+                raise ValueError(f"record {query.source_id}: demonstration record "
+                                 f"{demonstration.source_id}: {exc}") from exc
+        zero_shot = build_prompt(query, PromptMode.ZERO_SHOT, style, representation)
+        return self._shown[key] + zero_shot.full_prompt

@@ -5,12 +5,13 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import hopkit
-from hopkit import KnowledgeGraph, OracleBackend, add_fact, dataset, gateway
+from hopkit import KnowledgeGraph, OracleBackend, add_fact, dataset, gateway, prompts
 from hopkit.cli import main
 from hopkit.render import RepresentationTag
 from tests.conftest import chat_reply, hopkit_env
@@ -183,6 +184,24 @@ class TestGenerate:
         assert sorted(tmp_path.iterdir()) == [out, path]
 
 
+    def test_one_shot_demonstration_that_fails_to_render_names_both_records(
+            self, tmp_path, capsys):
+        path = tmp_path / "rows.jsonl"
+        rows = [{"id": f"q{i}", "e1": f"a{i}", "r1": "r", "e2": f"b{i}", "r2": "s",
+                 "e3": f"c{i}"} for i in range(2)]
+        rows[1]["e3"] = "line\rbreak"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        out = tmp_path / "prompts.jsonl"
+        code = main(["generate", "--input", str(path), "--output", str(out),
+                     "--kind", "prompts", "--mode", "one", "--rep", "py-static"])
+        assert code == 1
+        # q0's only leak-free demonstration is q1
+        assert capsys.readouterr().err == (
+            "error: record q0: demonstration record q1: "
+            "label 'line\\rbreak' contains a line break\n")
+        assert sorted(tmp_path.iterdir()) == [path]  # no partial output is left
+
+
 # SHA-256 of `generate --kind prompts --mode one --seed 5` on one_shot_tsv,
 # as written by the linear-scan demonstration pick.
 ONE_SHOT_PROMPTS_SHA256 = {
@@ -226,6 +245,89 @@ def test_one_shot_prompt_bytes_pinned(one_shot_tsv, tmp_path, rep, style):
                  "--style", style, "--seed", "5"]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == ONE_SHOT_PROMPTS_SHA256[rep, style]
+
+
+# SHA-256 of eval_records.jsonl and report.jsonl from `evaluate --oracle
+# --mode one --fault-prob 0.5 --seed 5` on input_tsv, as written when every
+# one-shot prompt drew and rendered its demonstration afresh.  The fault draw
+# is seeded by the whole prompt, so these also pin the demonstration text.
+ONE_SHOT_EVALUATE_SHA256 = {
+    ("nl", "statement"): ("828c7ea233f34fbeb77c0a61245288555fffd18675bd6afb016b5ecd61a335a7",
+                          "24b507974cd6fac0dd2e274a23750ece3523e3e33e852ed8a01e16a732a9e83d"),
+    ("nl", "question"): ("4ccd0e6769b0470e203b95ad0422f0cc9b29375c14c9b4bf1806eb131eb745e3",
+                         "24b507974cd6fac0dd2e274a23750ece3523e3e33e852ed8a01e16a732a9e83d"),
+    ("json", "statement"): ("508ff86139f47da3c981b91404a358a3a68557b50db318e716f3f946dbdb9149",
+                            "d09f764a2d7189dab2b3ff8efb51e57b163331e40240508219f7283e6c2fdac0"),
+    ("json", "question"): ("9c9e9c2caa2bac75b3ef8ce747c8c008489b9eb9923ebdb919a27c480c22832c",
+                           "4c4503a03927acf4d8639ebc088afeafa79b941be47a03e537e05c57ee343cff"),
+    ("py-static", "statement"): (
+        "6264ec885f7f57ba893b975d9339612090e984f4391925895ab4a5a8f08d846e",
+        "d09f764a2d7189dab2b3ff8efb51e57b163331e40240508219f7283e6c2fdac0"),
+    ("py-static", "question"): (
+        "0a27c33a99d2539e9497fed1d9a3b5b004cab5d572b24d0f4470e3f4fd997a37",
+        "d09f764a2d7189dab2b3ff8efb51e57b163331e40240508219f7283e6c2fdac0"),
+    ("py-dynamic", "statement"): (
+        "39fbf7e471f30626bbae41b92c49c4944e189a258ddb4c524d6b608162b17c5d",
+        "15cfbb6ee91782101a57e25785fb3549a0613b863ec01956d18158dacf17994c"),
+    ("py-dynamic", "question"): (
+        "ff3e664b2508fd0a28f2fafca29e0109177bfd7254d35bd1b38f7f4f34c32075",
+        "e4ae74dec80f725411a8979ea1fc78335ce0724ca1cd4f883808869ee0bbdf49"),
+}
+
+
+@pytest.mark.parametrize("rep", ["nl", "json", "py-static", "py-dynamic"])
+@pytest.mark.parametrize("style", ["statement", "question"])
+def test_one_shot_evaluate_bytes_pinned(input_tsv, tmp_path, capsys, rep, style):
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--input", str(input_tsv), "--output", str(out),
+                 "--oracle", "--mode", "one", "--fault-prob", "0.5", "--seed", "5",
+                 "--rep", rep, "--style", style]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("eval_records.jsonl", "report.jsonl"))
+    assert digests == ONE_SHOT_EVALUATE_SHA256[rep, style]
+
+
+def test_one_shot_prompts_do_each_piece_of_work_once(one_shot_tsv, tmp_path,
+                                                     monkeypatch):
+    """Each demonstration is rendered once, each (seed, eligible count) draw
+    is made once, and each record's chain is built once: counted, not timed."""
+    records = dataset.ingest(one_shot_tsv).records
+    chains = [r.to_chain() for r in records]
+    pool = prompts.DemonstrationPool(chains)
+    demonstrations = {pool.pick(chain, 5) for chain in chains}
+    assert len(demonstrations) < len(chains)
+
+    rendered, made, draws, built = Counter(), [], [], Counter()
+    real_render, real_to_chain = prompts.render_instance, dataset.SourceRecord.to_chain
+
+    def render(chain, representation):
+        rendered[chain] += 1
+        return real_render(chain, representation)
+
+    class CountedRandom(random.Random):
+        def __init__(self, seed):
+            made.append(seed)
+            super().__init__(seed)
+
+        def randrange(self, n):
+            draws.append((made[-1], n))
+            return super().randrange(n)
+
+    def to_chain(record):
+        built[record.id] += 1
+        return real_to_chain(record)
+
+    monkeypatch.setattr(prompts, "render_instance", render)
+    monkeypatch.setattr(prompts.random, "Random", CountedRandom)
+    monkeypatch.setattr(dataset.SourceRecord, "to_chain", to_chain)
+    assert main(["generate", "--input", str(one_shot_tsv), "--output",
+                 str(tmp_path / "p.jsonl"), "--kind", "prompts", "--mode", "one",
+                 "--rep", "py-dynamic", "--seed", "5"]) == 0
+    assert rendered == Counter(demonstrations)
+    # one Random per (seed, eligible count), and fewer of those than records
+    assert len(made) == len(set(draws)) == len(draws) < len(chains)
+    assert made == [5] * len(made)
+    assert built == Counter(r.id for r in records)
 
 
 # SHA-256 of `generate --kind prompts --mode zero` and `--mode context --seed 5`
@@ -599,6 +701,34 @@ class TestReport:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("command", [
+        ["stats", "--train", "{records}", "--test", "{records}", "--output", "{out}"],
+        ["cap", "--input", "{records}", "--output", "{out}"],
+        ["extend3", "--input", "{records}", "--facts", "{facts}", "--output", "{out}"],
+        ["report", "--input", "{log}", "--output", "{out}"],
+    ], ids=["stats", "cap", "extend3", "report"])
+    def test_existing_output_is_refused_before_any_work(self, input_tsv, tmp_path,
+                                                        capsys, monkeypatch, command):
+        facts = tmp_path / "facts.tsv"
+        facts.write_text("person0\tbirthplace\tParis\n", encoding="utf-8")
+        assert main(["evaluate", "--input", str(input_tsv), "--oracle",
+                     "--output", str(tmp_path / "eval")]) == 0
+        out = tmp_path / "existing"
+        out.write_text("old\n", encoding="utf-8")
+        paths = {"records": input_tsv, "facts": facts, "out": out,
+                 "log": tmp_path / "eval" / "eval_records.jsonl"}
+        capsys.readouterr()
+        reads = []
+        for module, name in ((dataset, "ingest"), (hopkit.evaluate, "read_eval_records")):
+            monkeypatch.setattr(module, name, lambda *a, _name=name, **k: reads.append(_name))
+        code = main([arg.format(**paths) for arg in command])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert reads == []  # no input was read
+        assert captured.err == f"error: {out} exists; pass --force to overwrite\n"
+        assert captured.out == ""
+        assert out.read_text(encoding="utf-8") == "old\n"
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["partition", "--input", str(tmp_path / "nope.tsv"),
                      "--output", str(tmp_path / "out")])
