@@ -3,7 +3,7 @@
 Each representation encodes the same facts differently: prose sentences, a
 nested JSON map, a static Python dict with chained lookups, and a dynamic
 fact store with an inference routine.  Every rendered body parses back to
-the original triplets.
+the original facts, as (head, relation, tail) label strings.
 """
 
 from hopkit import make_chain, parse, render
@@ -23,8 +23,8 @@ for tag in RepresentationTag:
     print(example.envelope[:120] + ("..." if len(example.envelope) > 120 else ""))
 
     # Round-trip: the body alone is enough to recover the facts.
-    parsed = parse(tag, example.body)
-    recovered = [(t.head.label, t.relation.label, t.tail.label) for t in parsed.triplets]
+    # parse returns (head, relation, tail) label strings, one per fact.
+    recovered = parse(tag, example.body).triplets
     assert sorted(recovered) == sorted(
         (t.head.label, t.relation.label, t.tail.label) for t in chain.hops
     )

@@ -131,7 +131,10 @@ def _load_facts(path: str) -> list[Triplet]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise CliError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
-        facts.append(Triplet(Entity(parts[0]), Relation(parts[1]), Entity(parts[2])))
+        try:
+            facts.append(Triplet(Entity(parts[0]), Relation(parts[1]), Entity(parts[2])))
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: {exc}") from exc
     return facts
 
 

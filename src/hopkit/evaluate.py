@@ -13,13 +13,14 @@ import json
 import re
 import unicodedata
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from .kg import Entity, ReasoningInstance, Relation, Triplet
 from .render import ENVELOPE_BODY_KEY, RepresentationTag, parse as parse_body
 
 _QUOTES = "\"'“”‘’"
+_JSON_DECODER = json.JSONDecoder()  # keeps no state between decodes
 
 
 def normalize_answer(text: str) -> str:
@@ -32,13 +33,11 @@ def normalize_answer(text: str) -> str:
         if stripped == text:
             break
         text = stripped
-    text = re.sub(r"\s+", " ", text)
-    return text.lower()
+    return " ".join(text.split()).lower()
 
 
 def _find_envelopes(completion: str) -> list[dict]:
     """Every well-formed JSON object embedded in the completion, in order."""
-    decoder = json.JSONDecoder()
     found = []
     pos = 0
     while True:
@@ -46,7 +45,7 @@ def _find_envelopes(completion: str) -> list[dict]:
         if start < 0:
             return found
         try:
-            obj, end = decoder.raw_decode(completion[start:])
+            obj, end = _JSON_DECODER.raw_decode(completion[start:])
         except (json.JSONDecodeError, RecursionError):  # deep nesting is malformed too
             pos = start + 1
             continue
@@ -78,28 +77,28 @@ def _judge_hops(
     envelopes: list[dict],
     gold: ReasoningInstance,
     representation: RepresentationTag,
+    normalize: Callable[[str], str],
 ) -> tuple[bool, ...]:
     """Per-hop verdicts: hop i is correct when the first envelope body (or
-    else the whole completion) that parses to any triplet holds one whose
-    normalized head and tail match gold hop i, or (fallback) the completion
-    states "<head> is <tail>" with neither entity part of a longer word.
+    else the whole completion) that states a fact with a non-blank head and
+    tail holds one whose normalized head and tail match gold hop i, or
+    (fallback) the completion states "<head> is <tail>" with neither entity
+    part of a longer word.  A fact with a blank head or tail is dropped.
     """
     key = ENVELOPE_BODY_KEY[representation]
     bodies = [obj[key] for obj in envelopes
               if isinstance(obj.get(key), str) and obj[key].strip()]
     for body in [*bodies, completion]:
-        triplets = parse_body(representation, body).triplets
-        if triplets:
+        pairs = {(normalize(head), normalize(tail))
+                 for head, _, tail in parse_body(representation, body).triplets
+                 if head.strip() and tail.strip()}
+        if pairs:
             break
-    pairs = {
-        (normalize_answer(t.head.label), normalize_answer(t.tail.label))
-        for t in triplets
-    }
     flat = None  # the sentence fallback's text, built for the first missing hop
     verdicts = []
     for hop in gold.hops:
-        head = normalize_answer(hop.head.label)
-        tail = normalize_answer(hop.tail.label)
+        head = normalize(hop.head.label)
+        tail = normalize(hop.tail.label)
         if (head, tail) in pairs:
             verdicts.append(True)
             continue
@@ -179,10 +178,17 @@ def judge(
             hop_correct=tuple([False] * gold.n_hops),
             failure_class="transport",
         )
+    normalized = {}  # label -> normalize_answer(label), for this call only
+
+    def normalize(label: str) -> str:
+        if label not in normalized:
+            normalized[label] = normalize_answer(label)
+        return normalized[label]
+
     envelopes = _find_envelopes(completion)
     answer = _extract_answer(completion, envelopes)
     final_correct = answer is not None and (
-        normalize_answer(answer) == normalize_answer(gold.answer.label)
+        normalize(answer) == normalize(gold.answer.label)
     )
     return EvalRecord(
         instance_id=instance_id,
@@ -190,7 +196,7 @@ def judge(
         completion=completion,
         extracted_answer=answer,
         final_correct=final_correct,
-        hop_correct=_judge_hops(completion, envelopes, gold, representation),
+        hop_correct=_judge_hops(completion, envelopes, gold, representation, normalize),
         failure_class=None if answer is not None else "unparseable",
     )
 

@@ -17,7 +17,7 @@ import re
 from collections import deque, namedtuple
 from collections.abc import Iterator
 
-from .kg import Entity, Relation, ReasoningInstance, Triplet, validate_instance
+from .kg import Entity, ReasoningInstance, validate_instance
 
 
 class RepresentationTag(str, enum.Enum):
@@ -47,10 +47,12 @@ class RenderedExample(namedtuple("RenderedExample", "tag body answer envelope"))
 
 
 class ParsedBody(namedtuple("ParsedBody", "triplets diagnostic", defaults=(None,))):
-    """Triplets recovered from a representation-formatted text.
+    """Facts recovered from a representation-formatted text.
 
-    ``triplets`` is empty and ``diagnostic`` set when the body cannot be
-    parsed; parsing never raises on bad input.
+    ``triplets`` holds one ``(head, relation, tail)`` tuple of label strings
+    per fact, in body order; a label may be blank.  It is empty and
+    ``diagnostic`` set when the body cannot be parsed; parsing never raises
+    on bad input.
     """
 
     __slots__ = ()
@@ -74,13 +76,16 @@ def _check_code_safe(chain: ReasoningInstance) -> None:
                 raise RenderError(f"label {label!r} contains a line break")
 
 
-def composed_sentence(chain: ReasoningInstance, final: str | None = None) -> str:
-    """The one-sentence summary, e.g.
+def composed_sentence(relations: list[str], start: str, final: str) -> str:
+    """The one-sentence summary of a chain from its labels, e.g.
     "The spouse of the composer of It Goes Like It Goes is Didi Conn."
     """
-    rels = [r.label for r in chain.relations]
-    prefix = "The " + " of the ".join(reversed(rels))
-    return f"{prefix} of {chain.start.label} is {final or chain.answer.label}."
+    return f"The {' of the '.join(reversed(relations))} of {start} is {final}."
+
+
+def _summary(chain: ReasoningInstance) -> str:
+    return composed_sentence([r.label for r in chain.relations], chain.start.label,
+                             chain.answer.label)
 
 
 def hop_sentences(chain: ReasoningInstance) -> list[str]:
@@ -94,7 +99,7 @@ def hop_sentences(chain: ReasoningInstance) -> list[str]:
 def _render_natural_language(chain: ReasoningInstance) -> str:
     sentences = hop_sentences(chain)
     if chain.n_hops >= 2:
-        sentences.append(composed_sentence(chain))
+        sentences.append(_summary(chain))
     return " ".join(sentences)
 
 
@@ -152,7 +157,7 @@ def _render_python_static(chain: ReasoningInstance) -> str:
     lines.append('print(f"%s of {e1} is {e%d}")' % (rel_vars, n + 1))
     lines.append("")
     lines.append("# when you run the code, it will output:")
-    lines.append("# " + composed_sentence(chain)[:-1])
+    lines.append("# " + _summary(chain)[:-1])
     return "\n".join(lines)
 
 
@@ -302,43 +307,42 @@ def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:
 # Parsing
 
 _SENTENCE_RE = re.compile(r"^The (.+?) of (.+?) is (.+?)\.?$")
+_SENTENCE_END_RE = re.compile(r"(?<=\.)\s+")
 
 
 def _parse_natural_language(body: str) -> ParsedBody:
-    sentences = [s for s in re.split(r"(?<=\.)\s+", body.strip()) if s]
-    matches = []
-    for sentence in sentences:
-        m = _SENTENCE_RE.match(sentence.strip())
+    # Split pieces neither start nor end with whitespace: the body is
+    # stripped, and each split eats a whole whitespace run.
+    triplets = []
+    for sentence in _SENTENCE_END_RE.split(body.strip()):
+        m = _SENTENCE_RE.match(sentence)
         if m:
-            matches.append((sentence.strip(), m.groups()))
-    if not matches:
+            rel, head, tail = m.groups()
+            triplets.append((head, rel, tail))
+            last = sentence
+    if not triplets:
         return ParsedBody((), diagnostic="no hop sentences found")
-    triplets = [
-        Triplet(Entity(head), Relation(rel), Entity(tail))
-        for _, (rel, head, tail) in matches
-    ]
     # The summary sentence re-states the whole chain; drop it when present.
     if len(triplets) >= 2:
-        prefix = ReasoningInstance(hops=tuple(triplets[:-1]))
-        if not validate_instance(prefix):
-            raw_last = matches[-1][0]
-            expected = composed_sentence(prefix, final=triplets[-1].tail.label)
-            if raw_last.rstrip(".") == expected.rstrip("."):
-                return ParsedBody(tuple(triplets[:-1]))
+        prefix = triplets[:-1]
+        if all(prefix[i][2] == prefix[i + 1][0] for i in range(len(prefix) - 1)):
+            expected = composed_sentence([rel for _, rel, _ in prefix], prefix[0][0],
+                                         triplets[-1][2])
+            if last.rstrip(".") == expected.rstrip("."):
+                return ParsedBody(tuple(prefix))
     return ParsedBody(tuple(triplets))
 
 
-def _triplets_from_relation_map(obj) -> tuple[Triplet, ...]:
-    triplets = []
+def _triplets_from_relation_map(obj) -> tuple[tuple[str, str, str], ...]:
+    """Every (head, relation, tail) of a relation-keyed map whose three
+    labels are strings."""
     if not isinstance(obj, dict):
         raise ValueError("expected a relation-keyed object")
-    for rel, inner in obj.items():
-        if not isinstance(inner, dict):
-            continue
-        for head, tail in inner.items():
-            if isinstance(head, str) and isinstance(tail, str):
-                triplets.append(Triplet(Entity(head), Relation(rel), Entity(tail)))
-    return tuple(triplets)
+    return tuple(
+        (head, rel, tail)
+        for rel, inner in obj.items() if isinstance(rel, str) and isinstance(inner, dict)
+        for head, tail in inner.items() if isinstance(head, str) and isinstance(tail, str)
+    )
 
 
 def _parse_json(body: str) -> ParsedBody:
@@ -387,10 +391,7 @@ def _parse_python_static(body: str) -> ParsedBody:
                 pass
     if not isinstance(mapping, dict):
         return ParsedBody((), diagnostic="no relationships literal found")
-    try:
-        return ParsedBody(_triplets_from_relation_map(mapping))
-    except ValueError as exc:
-        return ParsedBody((), diagnostic=str(exc))
+    return ParsedBody(_triplets_from_relation_map(mapping))
 
 
 def _bindings_and_calls(nodes) -> tuple[dict[str, str], list[ast.Call]]:
@@ -461,7 +462,7 @@ def _parse_python_dynamic(body: str) -> ParsedBody:
             continue
         head, rel, tail = (resolve(a) for a in call.args)
         if head is not None and rel is not None and tail is not None:
-            triplets.append(Triplet(Entity(head), Relation(rel), Entity(tail)))
+            triplets.append((head, rel, tail))
     if not triplets:
         return ParsedBody((), diagnostic="no add_fact calls found")
     return ParsedBody(tuple(triplets))
@@ -476,8 +477,10 @@ _PARSERS = {
 
 
 def parse(tag: RepresentationTag, body: str) -> ParsedBody:
-    """Extract the hop triplets a body states.  The judge reads them as an
-    unordered set of (head, tail) pairs, so no chain order is recovered.
+    """Extract the facts a body states, as ``(head, relation, tail)`` label
+    strings.  A fact with a label that is not a string is skipped; a blank
+    label is kept.  The judge reads the facts as an unordered set of
+    (head, tail) pairs, so no chain order is recovered.
 
     Never raises on arbitrary text; failures come back as an empty triplet
     list with a diagnostic.

@@ -46,6 +46,12 @@ def random_chain(rng: random.Random, n_hops: int | None = None) -> ReasoningInst
     return ReasoningInstance(hops=hops, source_id=f"chain-{rng.randrange(10**9)}")
 
 
+def label_triples(chain: ReasoningInstance) -> tuple[tuple[str, str, str], ...]:
+    """The chain's hops as the (head, relation, tail) label strings that
+    ``parse`` returns, in chain order."""
+    return tuple((hop.head.label, hop.relation.label, hop.tail.label) for hop in chain.hops)
+
+
 def chat_reply(text):
     """A 200 chat-completions body whose one choice says ``text``."""
     return {"choices": [{"message": {"role": "assistant", "content": text}}]}

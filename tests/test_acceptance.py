@@ -25,7 +25,7 @@ from hopkit.dataset import all_partitions
 from hopkit.kg import Entity, Relation
 from hopkit.prompts import DatasetStyle, PromptMode
 from hopkit.render import RepresentationTag, parse
-from tests.conftest import GOLDEN_DIR, random_chain
+from tests.conftest import GOLDEN_DIR, label_triples, random_chain
 
 ALL_TAGS = list(RepresentationTag)
 
@@ -123,7 +123,7 @@ def test_criterion_3_round_trip_property(tmp_path):
         for tag in ALL_TAGS:
             example = render(chain, tag)
             parsed = parse(tag, example.body)
-            assert sorted(parsed.triplets, key=str) == sorted(chain.hops, key=str)
+            assert sorted(parsed.triplets) == sorted(label_triples(chain))
             if tag in (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC):
                 path = tmp_path / f"chain{i}_{tag.value}.py"
                 path.write_text(example.body, encoding="utf-8")

@@ -131,6 +131,22 @@ class TestExtend3:
         assert code == 0
         assert "extended 2 of 20" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("row, message", [
+        ("person0\tbirthplace", "expected head<TAB>relation<TAB>tail"),
+        ("person0\t \tParis", "relation label must be non-empty"),
+        ("\u3000\tbirthplace\tParis", "entity label must be non-empty"),
+    ], ids=["field-count", "blank-relation", "blank-head"])
+    def test_bad_facts_row_names_file_and_line(self, input_tsv, tmp_path, capsys,
+                                               row, message):
+        facts = tmp_path / "facts.tsv"
+        facts.write_text(f"person1\tbirthplace\tLyon\n\n{row}\n", encoding="utf-8")
+        out = tmp_path / "three.tsv"
+        code = main(["extend3", "--input", str(input_tsv), "--facts", str(facts),
+                     "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {facts}:3: {message}\n"
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_corpus_has_two_pairs_per_row(self, input_tsv, tmp_path, capsys):

@@ -10,9 +10,10 @@ import pytest
 
 from hopkit import (EvalRecord, FaultSpec, compute_metrics, emit_report, judge,
                     make_chain, normalize_answer, render)
-from hopkit import evaluate
+from hopkit import evaluate, kg
 from hopkit.evaluate import ConditionRow, read_eval_records, write_eval_records
-from hopkit.render import DYNAMIC_PREAMBLE, ENVELOPE_BODY_KEY, RepresentationTag
+from hopkit.render import (DYNAMIC_PREAMBLE, ENVELOPE_BODY_KEY, RepresentationTag,
+                           wrap_answer_envelope)
 from tests.conftest import random_chain
 
 NL = RepresentationTag.NATURAL_LANGUAGE
@@ -32,6 +33,13 @@ class TestNormalize:
     ])
     def test_examples(self, raw, expected):
         assert normalize_answer(raw) == expected
+
+    def test_split_whitespace_is_the_regex_whitespace(self):
+        # normalize_answer collapses runs with str.split, which splits on
+        # exactly the characters str.isspace accepts.
+        space = re.compile(r"\s").match
+        assert all(c.isspace() is (space(c) is not None)
+                   for c in map(chr, range(0x110000)))
 
 
 def extracted(completion):
@@ -208,6 +216,105 @@ class TestJudge:
         assert calls["scan"] == 1 and calls["parse"] == 2
         assert calls["statements"] == (2 if tag in CODE_TAGS else 0)
         assert calls["walk"] == 0
+
+
+BLANKS = ["", " ", "\u3000"]
+
+
+def _blank_fact(rng, chain):
+    """A fact naming the chain's labels, with one label blank.  A blank tail
+    goes under a fresh relation, so it never replaces a rendered fact."""
+    entities = [chain.start.label] + [hop.tail.label for hop in chain.hops]
+    fact = [rng.choice(entities), rng.choice([r.label for r in chain.relations]),
+            rng.choice(entities)]
+    slot = rng.randrange(3)
+    fact[slot] = rng.choice(BLANKS)
+    if slot == 2:
+        fact[1] = "extra"
+    return tuple(fact)
+
+
+def _with_fact(rng, tag, chain, fact):
+    """The chain's rendered body, stating ``fact`` as well."""
+    head, rel, tail = fact
+    body = render(chain, tag).body
+    if tag is NL:
+        sentences = re.split(r"(?<=\.) ", body)
+        sentences.insert(rng.randrange(len(sentences) + 1), f"The {rel} of {head} is {tail}.")
+        return " ".join(sentences)
+    if tag is RepresentationTag.PYTHON_DYNAMIC:
+        lines = body[len(DYNAMIC_PREAMBLE):].split("\n")
+        lines.insert(rng.randrange(len(lines) + 1), f"kb.add_fact({head!r}, {rel!r}, {tail!r})")
+        return DYNAMIC_PREAMBLE + "\n".join(lines)
+    mapping = {}
+    for hop in chain.hops:
+        mapping.setdefault(hop.relation.label, {})[hop.head.label] = hop.tail.label
+    mapping.setdefault(rel, {})[head] = tail
+    if tag is RepresentationTag.JSON:
+        return json.dumps(mapping, indent=4)
+    start, end = body.index("relationships = {"), body.index("\n}\n") + 2
+    return body[:start] + f"relationships = {mapping!r}" + body[end:]
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_a_blank_labelled_fact_never_turns_a_true_hop_false(tag):
+    rng = random.Random(f"blank-{tag.value}")
+    for _ in range(150):
+        chain = random_chain(rng, rng.randint(1, 4))
+        fact = _blank_fact(rng, chain)
+        body = _with_fact(rng, tag, chain, fact)
+        if not (tag is NL and "" in fact):  # "" leaves no sentence slot to fill
+            assert fact in render_module.parse(tag, body).triplets, body
+        record = judge("id1", chain, wrap_answer_envelope(body, tag, chain.answer), tag)
+        assert record.hop_correct == (True,) * chain.n_hops, body
+        assert record.final_correct
+
+
+def test_a_blank_key_costs_one_fact_not_the_body():
+    chain = make_chain("A", "r", "B", "s", "C")
+    body = json.dumps({"r": {"A": "B"}, "s": {"B": "C"}, "t": {" ": "D"}})
+    completion = json.dumps({"Answer": "C", "JSON structure": body})
+    assert hop_verdicts(completion, chain, RepresentationTag.JSON) == (True, True)
+
+
+def test_a_non_string_relation_key_costs_its_facts_only():
+    chain = make_chain("A", "r", "B", "s", "C")
+    body = "relationships = {'r': {'A': 'B'}, 1: {'B': 'X'}, ('s',): {'B': 'Y'}, 's': {'B': 'C'}}"
+    assert hop_verdicts(body, chain, RepresentationTag.PYTHON_STATIC) == (True, True)
+
+
+def test_judge_reads_the_first_body_with_a_non_blank_pair():
+    chain = make_chain("A", "r", "B", "s", "C")
+    blank = json.dumps({"JSON structure": json.dumps({"r": {" ": "B", "A": "\u3000"}})})
+    stated = render(chain, RepresentationTag.JSON).envelope
+    assert hop_verdicts(blank + stated, chain, RepresentationTag.JSON) == (True, True)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_judging_normalizes_each_label_once_and_builds_no_label_object(
+    monkeypatch, tag
+):
+    chain = make_chain("It Goes Like It Goes", "composer", "David Shire",
+                       "spouse", "Didi Conn", "birthplace", "New York")
+    envelope = render(chain, tag).envelope
+    calls = collections.Counter()
+    real_normalize = evaluate.normalize_answer
+
+    def counted(text):
+        calls[text] += 1
+        return real_normalize(text)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a label object was built while judging")
+
+    monkeypatch.setattr(evaluate, "normalize_answer", counted)
+    for cls, name in [(kg._Label, "__init__"), (kg.Triplet, "__new__"),
+                      (kg.ReasoningInstance, "__new__")]:
+        monkeypatch.setattr(cls, name, forbidden)
+    record = judge("id1", chain, envelope, tag)
+    assert record.hop_correct == (True, True, True) and record.final_correct
+    assert calls == collections.Counter(
+        ["It Goes Like It Goes", "David Shire", "Didi Conn", "New York"])
 
 
 def synth_records(final_incorrect, final_correct, n_hops=2):
@@ -426,3 +533,49 @@ def test_judge_never_raises_on_fuzzed_text(example_chain):
             record = judge("id1", example_chain, text, tag)
             assert len(record.hop_correct) == example_chain.n_hops
             assert record.failure_class in (None, "unparseable")
+
+
+# Blank labels as the four parsers read them: JSON keys and values, code
+# literals and bindings, and sentence slots; as pieces, and as whole facts.
+BLANK_FRAGMENTS = [
+    '{"": ', '{" ": ', '{"\u3000": ', '"": ""', '" ": "x"', '"r": {" ": "Didi Conn"}',
+    "''", "' '", "'\u3000'", "kb.add_fact('', r1, e2)", "kb.add_fact(e1, ' ', e2)",
+    "kb.add_fact(e1, r1, '\u3000')", "e2 = ''", "r1 = ' '", "The   of ", " is \u3000.",
+    "relationships = {'r': {' ': 'x'}, 1: {'a': 'b'}}",
+]
+BLANK_FACTS = [
+    "The spouse of \u3000 is Didi Conn.", "The   of David Shire is Didi Conn.",
+    '{"spouse": {" ": "Didi Conn", "David Shire": "\u3000"}}',
+    "relationships = {' ': {'David Shire': 'Didi Conn'}, 'spouse': {'': 'x'}}",
+    "kb.add_fact('', 'spouse', 'Didi Conn')", "kb.add_fact(' ', r1, e2)",
+    "e1 = '\u3000'", "r1 = ''",
+]
+
+
+def test_judge_never_raises_on_fuzzed_blank_labels(monkeypatch, example_chain):
+    reached = collections.Counter()  # parses that returned a blank label, per tag
+    real_parse = evaluate.parse_body
+
+    def recording_parse(tag, body):
+        parsed = real_parse(tag, body)
+        reached[tag] += any(not label.strip() for fact in parsed.triplets for label in fact)
+        return parsed
+
+    monkeypatch.setattr(evaluate, "parse_body", recording_parse)
+    rng = random.Random(1211)
+    for tag in ALL_TAGS:
+        for _ in range(300):
+            if rng.random() < 0.4:
+                text = "\n".join(rng.choice(BLANK_FACTS) for _ in range(rng.randint(1, 3)))
+            else:
+                text = "".join(rng.choice(FUZZ_FRAGMENTS + BLANK_FRAGMENTS)
+                               for _ in range(rng.randint(0, 60)))
+            roll = rng.random()
+            if roll < 0.5:  # the text as an envelope body
+                text = json.dumps({"Answer": _fuzz_text(rng), ENVELOPE_BODY_KEY[tag]: text})
+            elif roll < 0.6:  # the text around a well-formed envelope
+                text = text + render(example_chain, tag).envelope + _fuzz_text(rng)
+            record = judge("id1", example_chain, text, tag)
+            assert len(record.hop_correct) == example_chain.n_hops
+            assert record.failure_class in (None, "unparseable")
+    assert all(reached[tag] for tag in ALL_TAGS), reached

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from hopkit import Entity, make_chain, parse, render, wrap_answer_envelope
-from hopkit.kg import Relation, Triplet
 from hopkit.render import DYNAMIC_PREAMBLE, RenderError, RepresentationTag
-from tests.conftest import random_chain
+from tests.conftest import label_triples, random_chain
 
 ALL_TAGS = list(RepresentationTag)
 
@@ -92,12 +91,10 @@ def test_parse_natural_language_with_summary_sentence():
         "The spouse of the composer of It Goes Like It Goes is Didi Conn."
     )
     parsed = parse(RepresentationTag.NATURAL_LANGUAGE, body)
-    assert [
-        (t.head.label, t.relation.label, t.tail.label) for t in parsed.triplets
-    ] == [
+    assert parsed.triplets == (
         ("It Goes Like It Goes", "composer", "David Shire"),
         ("David Shire", "spouse", "Didi Conn"),
-    ]
+    )
 
 
 def test_parse_empty_json():
@@ -120,7 +117,7 @@ def test_quotes_in_labels_roundtrip():
         if tag in (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC):
             compile(example.body, "<rendered>", "exec")
         parsed = parse(tag, example.body)
-        assert sorted(parsed.triplets, key=str) == sorted(chain.hops, key=str)
+        assert sorted(parsed.triplets) == sorted(label_triples(chain))
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
@@ -129,9 +126,9 @@ def test_roundtrip_random_chains(tag):
     for _ in range(50):
         chain = random_chain(rng)
         parsed = parse(tag, render(chain, tag).body)
-        assert sorted(parsed.triplets, key=str) == sorted(chain.hops, key=str)
+        assert sorted(parsed.triplets) == sorted(label_triples(chain))
         if tag in (RepresentationTag.NATURAL_LANGUAGE, RepresentationTag.PYTHON_DYNAMIC):
-            assert parsed.triplets == chain.hops  # in body order
+            assert parsed.triplets == label_triples(chain)  # in body order
 
 
 
@@ -140,14 +137,31 @@ def test_parse_static_returns_every_literal_fact():
     body = ("relationships = {'r': {'A': 'A'}, 's': {'B': 'C'}}\n"
             "e1 = 'A'\nr1 = 'r'\nr2 = 'r'\n")
     parsed = parse(RepresentationTag.PYTHON_STATIC, body)
-    assert {(t.head.label, t.relation.label, t.tail.label) for t in parsed.triplets} == {
-        ("A", "r", "A"), ("B", "s", "C"),
-    }
+    assert set(parsed.triplets) == {("A", "r", "A"), ("B", "s", "C")}
+
+
+def test_parse_skips_only_the_facts_with_a_non_string_label():
+    body = ("relationships = {'r': {'A': 'B', 2: 'X', 'C': None}, 1: {'B': 'Y'},"
+            " ('s',): {'B': 'Z'}, 's': {'B': 'C', ' ': ''}}")
+    assert parse(RepresentationTag.PYTHON_STATIC, body).triplets == (
+        ("A", "r", "B"), ("B", "s", "C"), (" ", "s", ""),
+    )
+
+
+@pytest.mark.parametrize("tag, body", [
+    (RepresentationTag.NATURAL_LANGUAGE, "The r of A is B. The   of \u3000 is C."),
+    (RepresentationTag.JSON, '{"r": {"A": "B"}, " ": {"\u3000": "C"}}'),
+    (RepresentationTag.PYTHON_STATIC, "relationships = {'r': {'A': 'B'}, ' ': {'\u3000': 'C'}}"),
+    (RepresentationTag.PYTHON_DYNAMIC, "kb.add_fact('A', 'r', 'B')\nkb.add_fact('\u3000', ' ', 'C')"),
+])
+def test_parse_keeps_blank_labels(tag, body):
+    assert parse(tag, body).triplets == (("A", "r", "B"), ("\u3000", " ", "C"))
 
 
 def reference_parse_dynamic(body):
     """The dynamic parser as it was before it skipped the preamble: one
-    ast.walk over the whole body.  Failures mirror ``parse``: no triplets.
+    ast.walk over the whole body, returning label triples.  Failures mirror
+    ``parse``: no triplets.
     """
     try:
         tree = ast.parse(body)
@@ -180,13 +194,10 @@ def reference_parse_dynamic(body):
         return None
 
     triplets = []
-    try:
-        for args in fact_args:
-            head, rel, tail = (resolve(a) for a in args)
-            if head is not None and rel is not None and tail is not None:
-                triplets.append(Triplet(Entity(head), Relation(rel), Entity(tail)))
-    except Exception:
-        return ()
+    for args in fact_args:
+        head, rel, tail = (resolve(a) for a in args)
+        if head is not None and rel is not None and tail is not None:
+            triplets.append((head, rel, tail))
     return tuple(triplets)
 
 
@@ -268,7 +279,9 @@ def test_parse_dynamic_matches_whole_body_reference(monkeypatch):
 
 def reference_parse_static(body):
     """The static parser as one ast.walk over the whole body: the last
-    ``relationships`` literal wins.  Failures mirror ``parse``: no triplets.
+    ``relationships`` literal wins, and its facts whose labels are all
+    strings come back as label triples.  Failures mirror ``parse``: no
+    triplets.
     """
     try:
         mapping = None
@@ -284,8 +297,9 @@ def reference_parse_static(body):
                 except ValueError:
                     pass
         return tuple(
-            Triplet(Entity(head), Relation(rel), Entity(tail))
-            for rel, inner in mapping.items() if isinstance(inner, dict)
+            (head, rel, tail)
+            for rel, inner in mapping.items()
+            if isinstance(rel, str) and isinstance(inner, dict)
             for head, tail in inner.items()
             if isinstance(head, str) and isinstance(tail, str)
         )
