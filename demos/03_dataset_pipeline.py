@@ -7,9 +7,9 @@ how many rows any one relation pair contributes.
 
 import random
 
-from hopkit import (Entity, Relation, SourceRecord, SplitSpec, Triplet,
-                    cap_relation_pairs, compute_overlap_stats,
-                    extend_to_three_hops, partition_by_bridge)
+from hopkit import (SourceRecord, SplitSpec, Triplet, cap_relation_pairs,
+                    compute_overlap_stats, extend_to_three_hops,
+                    partition_by_bridge)
 
 rng = random.Random(7)
 
@@ -43,10 +43,10 @@ print(f"after cap 20 per relation pair: {len(capped)} rows")
 
 # Step 4: extend two-hop rows to three hops with extra facts.
 extra_facts = [
-    Triplet(Entity(r.answer), Relation("country"), Entity("Freedonia"))
+    Triplet(r.answer, "country", "Freedonia")
     for r in capped[: len(capped) // 2]
 ]
-whitelist = {Entity(r.answer) for r in capped}
+whitelist = {r.answer for r in capped}
 three_hop = extend_to_three_hops(capped, extra_facts, whitelist)
 print(f"extended to three hops: {len(three_hop)} rows")
 print("sample:", three_hop[0].to_dict())

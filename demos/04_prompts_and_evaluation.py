@@ -9,7 +9,7 @@ conditional accuracy: answers built on correct hops remain correct.
 
 import random
 
-from hopkit import (FaultSpec, Gateway, KnowledgeGraph, OracleBackend,
+from hopkit import (FaultSpec, Gateway, OracleBackend,
                     add_fact, build_prompt, compute_metrics, emit_report,
                     judge, make_chain)
 from hopkit.prompts import DatasetStyle, PromptMode
@@ -23,7 +23,7 @@ chains = [
     make_chain(f"work{i}", "composer", f"person{i}", "spouse", f"partner{i}")
     for i in range(100)
 ]
-kg = KnowledgeGraph()
+kg = {}
 for chain in chains:
     for hop in chain.hops:
         add_fact(kg, hop)

@@ -3,8 +3,8 @@ triplets, render them as text/JSON/Python, and evaluate model outputs with
 per-hop conditional accuracy.
 """
 
-from .kg import (Entity, KnowledgeGraph, Relation, ReasoningInstance, Triplet,
-                 add_fact, infer, make_chain, validate_instance)
+from .kg import (ReasoningInstance, Triplet, add_fact, infer, make_chain,
+                 validate_instance)
 from .render import (ParsedBody, RenderedExample, RepresentationTag, parse,
                      render, wrap_answer_envelope)
 from .prompts import (DatasetStyle, PromptBundle, PromptMode, build_prompt,

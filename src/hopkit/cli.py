@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__, dataset, evaluate, gateway, prompts
 from .gateway import (FaultSpec, Gateway, GatewayConfigError, OpenAIChatBackend,
                       OracleBackend)
-from .kg import Entity, KnowledgeGraph, Relation, Triplet, add_fact
+from .kg import Triplet, add_fact, check_labels
 from .prompts import DatasetStyle, PromptMode
 from .render import RepresentationTag
 
@@ -132,9 +132,10 @@ def _load_facts(path: str) -> list[Triplet]:
         if len(parts) != 3:
             raise CliError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
         try:
-            facts.append(Triplet(Entity(parts[0]), Relation(parts[1]), Entity(parts[2])))
+            check_labels(parts)
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from exc
+        facts.append(Triplet(*parts))
     return facts
 
 
@@ -145,12 +146,12 @@ def cmd_extend3(args) -> int:
     facts = _load_facts(args.facts)
     if args.whitelist:
         whitelist = {
-            Entity(line.strip())
+            line.strip()
             for line in Path(args.whitelist).read_text(encoding="utf-8-sig").splitlines()
             if line.strip()
         }
     else:
-        whitelist = {Entity(r.answer) for r in records}
+        whitelist = {r.answer for r in records}
     extended = dataset.extend_to_three_hops(records, facts, whitelist)
     dataset.write_records(extended, path, format=_format_of(args.output))
     print(f"extended {len(extended)} of {len(records)} records by one hop")
@@ -203,7 +204,7 @@ def _build_gateway(args, chains, n_hops: int) -> Gateway:
         if fault.probability and fault.hop_index >= n_hops:
             raise CliError(f"fault hop {fault.hop_index} is past the last hop of "
                            f"these {n_hops}-hop records")
-        kg = KnowledgeGraph()
+        kg = {}
         for chain in chains:
             for hop in chain.hops:
                 add_fact(kg, hop)

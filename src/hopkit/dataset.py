@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import prompts
-from .kg import Entity, ReasoningInstance, Triplet, make_chain
+from .kg import ReasoningInstance, Triplet, first_bad_label, make_chain
 from .prompts import DatasetStyle
 from .render import RepresentationTag, render as render_instance
 
@@ -48,14 +48,9 @@ class SourceRecord(namedtuple("SourceRecord", "id labels")):
         if n < 5 or n % 2 == 0:
             missing = _columns(max(5, n + 1))[n:]
             raise ValueError(f"record {id}: missing fields: {', '.join(missing)}")
-        try:
-            filled = all(map(str.strip, labels))
-        except TypeError:  # a label that is not a string
-            filled = False
-        if not filled:
-            for name, label in zip(_columns(n), labels):
-                if not isinstance(label, str) or not label.strip():
-                    raise ValueError(f"record {id}: empty field {name}")
+        bad = first_bad_label(labels)
+        if bad is not None:
+            raise ValueError(f"record {id}: empty field {_columns(n)[bad]}")
         return tuple.__new__(cls, (id, labels))
 
     @property
@@ -338,7 +333,7 @@ def cap_relation_pairs(
 def extend_to_three_hops(
     records: list[SourceRecord],
     extra_facts: list[Triplet],
-    whitelist: set[Entity],
+    whitelist: set[str],
 ) -> list[SourceRecord]:
     """Extend n-hop records by one hop (answer, r, e) from extra_facts; the
     name is from the two-hop source data, which this makes three-hop.
@@ -347,13 +342,12 @@ def extend_to_three_hops(
     outgoing fact are emitted; among multiple candidate next hops the
     lexicographically smallest (r, e) label pair wins.
     """
-    allowed = {e.label for e in whitelist}
     candidates: dict[str, list[tuple[str, str]]] = defaultdict(list)
-    for fact in extra_facts:
-        candidates[fact.head.label].append((fact.relation.label, fact.tail.label))
+    for head, relation, tail in extra_facts:
+        candidates[head].append((relation, tail))
     out = []
     for record in records:
-        if record.answer not in allowed or record.answer not in candidates:
+        if record.answer not in whitelist or record.answer not in candidates:
             continue
         out.append(SourceRecord(record.id, record.labels + min(candidates[record.answer])))
     return out

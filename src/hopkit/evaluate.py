@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
-from .kg import Entity, ReasoningInstance, Relation, Triplet
+from .kg import ReasoningInstance, Triplet, check_labels
 from .render import ENVELOPE_BODY_KEY, RepresentationTag, parse as parse_body
 
 _QUOTES = "\"'“”‘’"
@@ -96,9 +96,9 @@ def _judge_hops(
             break
     flat = None  # the sentence fallback's text, built for the first missing hop
     verdicts = []
-    for hop in gold.hops:
-        head = normalize(hop.head.label)
-        tail = normalize(hop.tail.label)
+    for head, _, tail in gold.hops:
+        head = normalize(head)
+        tail = normalize(tail)
         if (head, tail) in pairs:
             verdicts.append(True)
             continue
@@ -134,9 +134,7 @@ class EvalRecord(namedtuple("EvalRecord", (
     def to_dict(self) -> dict:
         return {
             "instance_id": self.instance_id,
-            "gold": [
-                [h.head.label, h.relation.label, h.tail.label] for h in self.gold.hops
-            ],
+            "gold": [list(hop) for hop in self.gold.hops],
             "completion": self.completion,
             "extracted_answer": self.extracted_answer,
             "final_correct": self.final_correct,
@@ -147,9 +145,11 @@ class EvalRecord(namedtuple("EvalRecord", (
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalRecord":
-        hops = tuple(
-            Triplet(Entity(h), Relation(r), Entity(t)) for h, r, t in d["gold"]
-        )
+        """The record ``to_dict`` wrote; raises ValueError on a gold label
+        that is not a non-blank string."""
+        hops = tuple(Triplet(h, r, t) for h, r, t in d["gold"])
+        for hop in hops:
+            check_labels(hop)
         return cls(
             instance_id=d["instance_id"],
             gold=ReasoningInstance(hops=hops, source_id=d.get("gold_source_id")),
@@ -188,7 +188,7 @@ def judge(
     envelopes = _find_envelopes(completion)
     answer = _extract_answer(completion, envelopes)
     final_correct = answer is not None and (
-        normalize(answer) == normalize(gold.answer.label)
+        normalize(answer) == normalize(gold.answer)
     )
     return EvalRecord(
         instance_id=instance_id,

@@ -16,7 +16,7 @@ import time
 from collections import namedtuple
 from pathlib import Path
 
-from .kg import Entity, KnowledgeGraph, Relation, ReasoningInstance, Triplet, infer
+from .kg import ReasoningInstance, Triplet, infer
 from .render import (RepresentationTag, render as render_instance,
                      wrap_answer_envelope)
 
@@ -71,18 +71,19 @@ def _extract_query(prompt: str) -> str | None:
 
 
 def _candidate_paths(core: str):
-    """Possible (relations outermost-first, start entity) readings of a query
-    core like "spouse of composer of It Goes Like It Goes".  Entity labels may
-    themselves contain " of ", so every split point is a candidate.
+    """Possible (relations in traversal order, start entity) readings of a
+    query core like "spouse of composer of It Goes Like It Goes", which names
+    the relations outermost first.  Entity labels may themselves contain
+    " of ", so every split point is a candidate.
     """
     tokens = core.split(" of ")
     for i in range(1, len(tokens)):
-        yield tokens[:i], " of ".join(tokens[i:])
+        yield tokens[i - 1::-1], " of ".join(tokens[i:])
 
 
 def oracle_complete(
     prompt: str,
-    kg: KnowledgeGraph,
+    kg: dict[tuple[str, str], str],
     representation: RepresentationTag = RepresentationTag.NATURAL_LANGUAGE,
     corrupt: "FaultSpec | None" = None,
 ) -> str:
@@ -95,21 +96,19 @@ def oracle_complete(
     core = _extract_query(prompt)
     chain = None
     if core is not None:
-        for rel_labels, start_label in _candidate_paths(core):
-            relations = [Relation(r) for r in reversed(rel_labels)]
-            start = Entity(start_label)
+        for relations, start in _candidate_paths(core):
             if infer(kg, start, relations) is None:
                 continue
             hops = []
             current = start
             for relation in relations:
-                tail = kg.facts[(current, relation)]
+                tail = kg[current, relation]
                 hops.append(Triplet(current, relation, tail))
                 current = tail
             chain = ReasoningInstance(hops=tuple(hops))
             break
     if chain is None:
-        return wrap_answer_envelope("", representation, Entity(UNKNOWN_ANSWER))
+        return wrap_answer_envelope("", representation, UNKNOWN_ANSWER)
     if corrupt is not None:
         chain = corrupt.apply(chain, prompt)
     return render_instance(chain, representation).envelope
@@ -137,7 +136,7 @@ class FaultSpec(namedtuple("FaultSpec", "hop_index probability seed")):
         if rng.random() >= self.probability or self.hop_index >= chain.n_hops:
             return chain
         hops = list(chain.hops)
-        bad = Entity("NOT-" + hops[self.hop_index].tail.label)
+        bad = "NOT-" + hops[self.hop_index].tail
         hops[self.hop_index] = Triplet(
             hops[self.hop_index].head, hops[self.hop_index].relation, bad
         )
@@ -152,7 +151,7 @@ class OracleBackend:
 
     def __init__(
         self,
-        kg: KnowledgeGraph,
+        kg: dict[tuple[str, str], str],
         representation: RepresentationTag = RepresentationTag.NATURAL_LANGUAGE,
         corrupt: FaultSpec | None = None,
     ):

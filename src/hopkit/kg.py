@@ -1,11 +1,12 @@
-"""Knowledge-graph core: entities, relations, triplets, and the hop-by-hop
-inference oracle.
+"""Knowledge-graph core: triplets of label strings, reasoning chains, and
+the hop-by-hop inference oracle.
 
-The fact store is functional: each (head, relation) key maps to exactly one
-tail entity.  Real knowledge bases have multi-valued relations, but the
-datasets this toolkit targets are single-answer, and a functional store keeps
-inference deterministic.  Conflicting rows are rejected upstream during
-ingestion (see :mod:`hopkit.dataset`).
+Entities and relations are their labels, plain ``str``.  A knowledge graph
+is a ``dict`` mapping each ``(head, relation)`` key to exactly one tail.
+Real knowledge bases have multi-valued relations, but the datasets this
+toolkit targets are single-answer, and a functional store keeps inference
+deterministic.  Conflicting rows are rejected upstream during ingestion
+(see :mod:`hopkit.dataset`).
 """
 
 from __future__ import annotations
@@ -13,55 +14,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 
-class _Label:
-    """An immutable non-blank label, equal only to one of the same class and
-    text, so ``Entity("x")`` equals neither ``Relation("x")`` nor ``("x",)``."""
-
-    __slots__ = ("label",)
-
-    def __init__(self, label: str):
-        if not label.strip():
-            raise ValueError(f"{type(self).__name__.lower()} label must be non-empty")
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other.label == self.label
-
-    def __hash__(self):
-        return hash((type(self), self.label))
-
-    def __repr__(self):
-        return f"{type(self).__name__}(label={self.label!r})"
-
-
-class Entity(_Label):
-    """A node identified by its surface form, e.g. ``Entity("David Shire")``."""
-
-    __slots__ = ()
-
-
-class Relation(_Label):
-    """A directed edge label, e.g. ``Relation("composer")``."""
-
-    __slots__ = ()
-
-
 class Triplet(namedtuple("Triplet", "head relation tail")):
-    """One atomic fact: ``head --relation--> tail``.  Also one reasoning hop."""
+    """One atomic fact, ``head --relation--> tail``, as three label strings.
+    Also one reasoning hop."""
 
     __slots__ = ()
-
-
-class KnowledgeGraph:
-    """Functional fact store mapping (head, relation) to a single tail."""
-
-    def __init__(self):
-        self.facts: dict[tuple[Entity, Relation], Entity] = {}
 
 
 class ReasoningInstance(namedtuple("ReasoningInstance", "hops source_id")):
@@ -83,45 +40,44 @@ class ReasoningInstance(namedtuple("ReasoningInstance", "hops source_id")):
         return len(self.hops)
 
     @property
-    def start(self) -> Entity:
+    def start(self) -> str:
         return self.hops[0].head
 
     @property
-    def answer(self) -> Entity:
+    def answer(self) -> str:
         """Gold final entity of the chain."""
         return self.hops[-1].tail
 
     @property
-    def relations(self) -> list[Relation]:
+    def relations(self) -> list[str]:
         """Relations in traversal order (first hop first)."""
         return [hop.relation for hop in self.hops]
 
 
-def add_fact(kg: KnowledgeGraph, t: Triplet) -> bool:
-    """Insert ``t`` into the fact store.
+def add_fact(kg: dict[tuple[str, str], str], t: Triplet) -> bool:
+    """Insert ``t`` into the graph ``kg``.
 
     Returns True when an existing fact under the same (head, relation) key
     was replaced by a different tail.  Re-inserting an identical fact is a
     no-op and returns False.
     """
     key = (t.head, t.relation)
-    previous = kg.facts.get(key)
-    kg.facts[key] = t.tail
+    previous = kg.get(key)
+    kg[key] = t.tail
     return previous is not None and previous != t.tail
 
 
-def infer(kg: KnowledgeGraph, start: Entity, relations: list[Relation]) -> Entity | None:
-    """Walk ``relations`` left to right from ``start``.
+def infer(kg: dict[tuple[str, str], str], start: str, relations: list[str]) -> str | None:
+    """Walk ``relations`` left to right from ``start`` through the graph ``kg``.
 
     Returns the final entity, or None as soon as any (entity, relation) key
     is missing.  An empty relation list returns ``start`` unchanged.
     """
     current = start
     for relation in relations:
-        nxt = kg.facts.get((current, relation))
-        if nxt is None:
+        current = kg.get((current, relation))
+        if current is None:
             return None
-        current = nxt
     return current
 
 
@@ -131,10 +87,33 @@ def validate_instance(chain: ReasoningInstance) -> list[str]:
     for i in range(len(chain.hops) - 1):
         if chain.hops[i].tail != chain.hops[i + 1].head:
             problems.append(
-                f"hop {i}: tail {chain.hops[i].tail.label!r} does not bridge to "
-                f"hop {i + 1} head {chain.hops[i + 1].head.label!r}"
+                f"hop {i}: tail {chain.hops[i].tail!r} does not bridge to "
+                f"hop {i + 1} head {chain.hops[i + 1].head!r}"
             )
     return problems
+
+
+def first_bad_label(labels) -> int | None:
+    """The position of the first of ``labels`` that is not a non-blank
+    string, or None when every one is."""
+    try:
+        if all(map(str.strip, labels)):
+            return None
+    except TypeError:  # a label that is not a string
+        pass
+    return next(i for i, label in enumerate(labels)
+                if not isinstance(label, str) or not label.strip())
+
+
+def check_labels(labels) -> None:
+    """Raise ValueError naming the first of the alternating entity/relation
+    ``labels`` that is not a non-blank string."""
+    i = first_bad_label(labels)
+    if i is not None:
+        kind = "relation" if i % 2 else "entity"
+        if isinstance(labels[i], str):
+            raise ValueError(f"{kind} label must be non-empty")
+        raise ValueError(f"{kind} label must be a string, not {labels[i]!r}")
 
 
 def make_chain(*labels: str, source_id: str | None = None) -> ReasoningInstance:
@@ -144,9 +123,7 @@ def make_chain(*labels: str, source_id: str | None = None) -> ReasoningInstance:
     """
     if len(labels) < 3 or len(labels) % 2 == 0:
         raise ValueError("expected e1, r1, e2 [, r2, e3, ...]")
-    hops = []
-    for i in range(0, len(labels) - 2, 2):
-        hops.append(
-            Triplet(Entity(labels[i]), Relation(labels[i + 1]), Entity(labels[i + 2]))
-        )
-    return ReasoningInstance(hops=tuple(hops), source_id=source_id)
+    check_labels(labels)
+    return ReasoningInstance(
+        hops=tuple(map(Triplet, labels[:-2:2], labels[1::2], labels[2::2])),
+        source_id=source_id)

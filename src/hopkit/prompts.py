@@ -11,7 +11,7 @@ import enum
 import random
 from collections import defaultdict, namedtuple
 
-from .kg import Entity, ReasoningInstance
+from .kg import ReasoningInstance
 from .render import RepresentationTag, hop_sentences, render as render_instance
 
 
@@ -47,8 +47,7 @@ class PromptBundle(namedtuple("PromptBundle", "full_prompt")):
 
 def build_query(chain: ReasoningInstance, style: DatasetStyle) -> str:
     """Query text with relations outermost-last-hop-first."""
-    rels = [r.label for r in chain.relations]
-    core = " of ".join(reversed(rels)) + f" of {chain.start.label}"
+    core = " of ".join(reversed(chain.relations)) + f" of {chain.start}"
     if style is DatasetStyle.STATEMENT:
         return f"{core} is _"
     return f"What is {core} ?"
@@ -122,8 +121,8 @@ class DemonstrationPool:
     def __init__(self, pool: list[ReasoningInstance]):
         self.pool = pool
         # entity -> ascending pool positions
-        self._by_start: dict[Entity, list[int]] = defaultdict(list)
-        self._by_answer: dict[Entity, list[int]] = defaultdict(list)
+        self._by_start: dict[str, list[int]] = defaultdict(list)
+        self._by_answer: dict[str, list[int]] = defaultdict(list)
         for position, candidate in enumerate(pool):
             self._by_start[candidate.start].append(position)
             self._by_answer[candidate.answer].append(position)
@@ -138,7 +137,7 @@ class DemonstrationPool:
         if not n_eligible:
             raise ValueError(
                 "no demonstration in the pool avoids the query's start entity "
-                f"{query.start.label!r} and answer {query.answer.label!r}"
+                f"{query.start!r} and answer {query.answer!r}"
             )
         position = self._draws.get((seed, n_eligible))
         if position is None:

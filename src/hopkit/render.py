@@ -17,7 +17,7 @@ import re
 from collections import deque, namedtuple
 from collections.abc import Iterator
 
-from .kg import Entity, ReasoningInstance, validate_instance
+from .kg import ReasoningInstance, validate_instance
 
 
 class RepresentationTag(str, enum.Enum):
@@ -40,7 +40,7 @@ class RenderError(ValueError):
     pass
 
 
-class RenderedExample(namedtuple("RenderedExample", "tag body answer envelope")):
+class RenderedExample(namedtuple("RenderedExample", "body answer envelope")):
     """A chain rendered in one representation, plus its answer envelope."""
 
     __slots__ = ()
@@ -71,7 +71,7 @@ def _check_chain(chain: ReasoningInstance) -> None:
 
 def _check_code_safe(chain: ReasoningInstance) -> None:
     for hop in chain.hops:
-        for label in (hop.head.label, hop.relation.label, hop.tail.label):
+        for label in hop:
             if "\n" in label or "\r" in label:
                 raise RenderError(f"label {label!r} contains a line break")
 
@@ -84,15 +84,13 @@ def composed_sentence(relations: list[str], start: str, final: str) -> str:
 
 
 def _summary(chain: ReasoningInstance) -> str:
-    return composed_sentence([r.label for r in chain.relations], chain.start.label,
-                             chain.answer.label)
+    return composed_sentence(chain.relations, chain.start, chain.answer)
 
 
 def hop_sentences(chain: ReasoningInstance) -> list[str]:
     """One sentence per hop, e.g. "The spouse of David Shire is Didi Conn." """
     return [
-        f"The {hop.relation.label} of {hop.head.label} is {hop.tail.label}."
-        for hop in chain.hops
+        f"The {relation} of {head} is {tail}." for head, relation, tail in chain.hops
     ]
 
 
@@ -106,15 +104,15 @@ def _render_natural_language(chain: ReasoningInstance) -> str:
 def _relation_map(chain: ReasoningInstance) -> dict[str, dict[str, str]]:
     """Relation-keyed nested map; same-relation hops merge under one key."""
     mapping: dict[str, dict[str, str]] = {}
-    for hop in chain.hops:
-        inner = mapping.setdefault(hop.relation.label, {})
-        existing = inner.get(hop.head.label)
-        if existing is not None and existing != hop.tail.label:
+    for head, relation, tail in chain.hops:
+        inner = mapping.setdefault(relation, {})
+        existing = inner.get(head)
+        if existing is not None and existing != tail:
             raise RenderError(
-                f"ambiguous fact: ({hop.head.label!r}, {hop.relation.label!r}) "
-                f"maps to both {existing!r} and {hop.tail.label!r}"
+                f"ambiguous fact: ({head!r}, {relation!r}) "
+                f"maps to both {existing!r} and {tail!r}"
             )
-        inner[hop.head.label] = hop.tail.label
+        inner[head] = tail
     return mapping
 
 
@@ -141,9 +139,9 @@ def _render_python_static(chain: ReasoningInstance) -> str:
     lines.append("")
 
     lines.append("# Define entities and relationships")
-    lines.append(f"e1 = {_py_str(chain.start.label)}")
+    lines.append(f"e1 = {_py_str(chain.start)}")
     for i, rel in enumerate(chain.relations, start=1):
-        lines.append(f"r{i} = {_py_str(rel.label)}")
+        lines.append(f"r{i} = {_py_str(rel)}")
     lines.append("")
 
     for i in range(1, chain.n_hops + 1):
@@ -213,10 +211,10 @@ def _render_python_dynamic(chain: ReasoningInstance) -> str:
     lines.append("")
 
     lines.append("# Step 2. Define entities and relationships")
-    lines.append(f"e1 = {_py_str(chain.start.label)}")
+    lines.append(f"e1 = {_py_str(chain.start)}")
     for i, hop in enumerate(chain.hops, start=1):
-        lines.append(f"r{i} = {_py_str(hop.relation.label)}")
-        lines.append(f"e{i + 1} = {_py_str(hop.tail.label)}")
+        lines.append(f"r{i} = {_py_str(hop.relation)}")
+        lines.append(f"e{i + 1} = {_py_str(hop.tail)}")
     lines.append("")
 
     lines.append("# Add entities and relationships to the knowledge base.")
@@ -226,24 +224,22 @@ def _render_python_dynamic(chain: ReasoningInstance) -> str:
 
     lines.append("# Step 3. Perform inference.")
     infer_lines: list[tuple[str, str]] = []
-    for i, hop in enumerate(chain.hops, start=1):
+    for i, (head, relation, tail) in enumerate(chain.hops, start=1):
         infer_lines.append(
             (
                 f"result{i} = kb.infer(e{i}, r{i})",
-                f"# Should return {hop.tail.label}, "
-                f"({hop.head.label}, {hop.relation.label}) -> {hop.tail.label}",
+                f"# Should return {tail}, ({head}, {relation}) -> {tail}",
             )
         )
     if n >= 2:
         args = ", ".join(["e1"] + [f"r{i}" for i in range(1, n + 1)])
         path = ", ".join(
-            f"({hop.head.label}, {hop.relation.label}) -> {hop.tail.label}"
-            for hop in chain.hops
+            f"({head}, {relation}) -> {tail}" for head, relation, tail in chain.hops
         )
         infer_lines.append(
             (
                 f"result{n + 1} = kb.infer({args})",
-                f"# Should return {chain.answer.label}, {path}",
+                f"# Should return {chain.answer}, {path}",
             )
         )
     width = max(len(code) for code, _ in infer_lines) + 6
@@ -253,21 +249,20 @@ def _render_python_dynamic(chain: ReasoningInstance) -> str:
 
     lines.append("# Output the result")
     print_lines: list[tuple[str, str]] = []
-    for i, hop in enumerate(chain.hops, start=1):
+    for i, (head, relation, tail) in enumerate(chain.hops, start=1):
         print_lines.append(
             (
                 f"print(result{i})",
-                f"# Output: {hop.tail.label} is related to {hop.head.label} "
-                f"through {hop.relation.label}",
+                f"# Output: {tail} is related to {head} through {relation}",
             )
         )
     if n >= 2:
-        rels = _and_join([r.label for r in chain.relations])
+        rels = _and_join(chain.relations)
         print_lines.append(
             (
                 f"print(result{n + 1})",
-                f"# Output: {chain.answer.label} is related to "
-                f"{chain.start.label} through {rels}",
+                f"# Output: {chain.answer} is related to "
+                f"{chain.start} through {rels}",
             )
         )
     pwidth = max(len(code) for code, _ in print_lines) + 2
@@ -284,11 +279,11 @@ _RENDERERS = {
 }
 
 
-def wrap_answer_envelope(body: str, tag: RepresentationTag, answer: Entity) -> str:
+def wrap_answer_envelope(body: str, tag: RepresentationTag, answer: str) -> str:
     """The ``{"Answer": ..., <body key>: ...}`` object literal the model is
     asked to emit; "Answer" always comes first.
     """
-    return json.dumps({"Answer": answer.label, ENVELOPE_BODY_KEY[tag]: body})
+    return json.dumps({"Answer": answer, ENVELOPE_BODY_KEY[tag]: body})
 
 
 def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:
@@ -296,7 +291,6 @@ def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:
     _check_chain(chain)
     body = _RENDERERS[tag](chain)
     return RenderedExample(
-        tag=tag,
         body=body,
         answer=chain.answer,
         envelope=wrap_answer_envelope(body, tag, chain.answer),

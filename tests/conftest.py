@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hopkit
-from hopkit import Entity, Relation, ReasoningInstance, Triplet, make_chain
+from hopkit import ReasoningInstance, Triplet, make_chain
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -40,16 +40,10 @@ def random_chain(rng: random.Random, n_hops: int | None = None) -> ReasoningInst
     entities = [f"E{rng.randrange(10**6)}-{i}" for i in range(n_hops + 1)]
     relations = [f"rel{rng.randrange(100)}" for _ in range(n_hops)]
     hops = tuple(
-        Triplet(Entity(entities[i]), Relation(relations[i]), Entity(entities[i + 1]))
+        Triplet(entities[i], relations[i], entities[i + 1])
         for i in range(n_hops)
     )
     return ReasoningInstance(hops=hops, source_id=f"chain-{rng.randrange(10**9)}")
-
-
-def label_triples(chain: ReasoningInstance) -> tuple[tuple[str, str, str], ...]:
-    """The chain's hops as the (head, relation, tail) label strings that
-    ``parse`` returns, in chain order."""
-    return tuple((hop.head.label, hop.relation.label, hop.tail.label) for hop in chain.hops)
 
 
 def chat_reply(text):

@@ -15,17 +15,16 @@ from pathlib import Path
 
 import pytest
 
-from hopkit import (EvalRecord, KnowledgeGraph, SourceRecord, SplitSpec,
+from hopkit import (EvalRecord, SourceRecord, SplitSpec,
                     Triplet, add_fact, build_prompt, cap_relation_pairs,
                     compute_metrics, compute_overlap_stats,
                     extend_to_three_hops, infer, make_chain,
                     partition_by_bridge, render, validate_instance)
 from hopkit.cli import main
 from hopkit.dataset import all_partitions
-from hopkit.kg import Entity, Relation
 from hopkit.prompts import DatasetStyle, PromptMode
 from hopkit.render import RepresentationTag, parse
-from tests.conftest import GOLDEN_DIR, label_triples, random_chain
+from tests.conftest import GOLDEN_DIR, random_chain
 
 ALL_TAGS = list(RepresentationTag)
 
@@ -123,13 +122,13 @@ def test_criterion_3_round_trip_property(tmp_path):
         for tag in ALL_TAGS:
             example = render(chain, tag)
             parsed = parse(tag, example.body)
-            assert sorted(parsed.triplets) == sorted(label_triples(chain))
+            assert sorted(parsed.triplets) == sorted(chain.hops)
             if tag in (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC):
                 path = tmp_path / f"chain{i}_{tag.value}.py"
                 path.write_text(example.body, encoding="utf-8")
                 python_files.append(str(path))
                 if tag is RepresentationTag.PYTHON_DYNAMIC and len(dynamic_manifest) < 50:
-                    dynamic_manifest.append([str(path), chain.answer.label])
+                    dynamic_manifest.append([str(path), chain.answer])
     # one external interpreter call syntax-checks every python body
     subprocess.run(
         [sys.executable, "-m", "py_compile", *python_files], check=True
@@ -260,9 +259,9 @@ def test_criterion_6_inference_oracle_equivalence():
     rng = random.Random(99)
     for _ in range(1000):
         n_entities = rng.randrange(3, 13)
-        entities = [Entity(f"n{j}") for j in range(n_entities)]
-        vocab = [Relation(f"r{j}") for j in range(rng.choice([2, 3]))]
-        kg = KnowledgeGraph()
+        entities = [f"n{j}" for j in range(n_entities)]
+        vocab = [f"r{j}" for j in range(rng.choice([2, 3]))]
+        kg = {}
         triplets = []
         for head in entities:
             for relation in vocab:
@@ -290,16 +289,16 @@ def test_criterion_7_three_hop_extension():
             for i in range(rng.randrange(1, 30))
         ]
         facts = [
-            Triplet(Entity(f"c{j}"), Relation(f"u{k}"), Entity(f"d{j}{k}"))
+            Triplet(f"c{j}", f"u{k}", f"d{j}{k}")
             for j in range(8) for k in range(rng.randrange(0, 3))
         ]
-        whitelist = {Entity(f"c{j}") for j in range(8) if rng.random() < 0.5}
-        fact_keys = {(t.head.label, t.relation.label, t.tail.label) for t in facts}
+        whitelist = {f"c{j}" for j in range(8) if rng.random() < 0.5}
+        fact_keys = set(facts)
         extended = extend_to_three_hops(records, facts, whitelist)
         assert len(extended) <= len(records)
         for record in extended:
             assert record.n_hops == 3
-            assert Entity(record.labels[4]) in whitelist
+            assert record.labels[4] in whitelist
             assert tuple(record.labels[4:7]) in fact_keys
             assert validate_instance(record.to_chain()) == []
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hopkit
-from hopkit import KnowledgeGraph, OracleBackend, add_fact, dataset, gateway, prompts
+from hopkit import OracleBackend, add_fact, dataset, gateway, prompts
 from hopkit.cli import main
 from hopkit.render import RepresentationTag
 from tests.conftest import chat_reply, hopkit_env
@@ -429,6 +429,19 @@ def resume_cut_log(input_tsv, tmp_path, cut_log):
     return cut
 
 
+# Gold chains no eval record log may hold, and the error that names each.
+BAD_GOLD = [
+    ([[1, "r", "b"], ["b", "s", "c"]], "entity label must be a string, not 1"),
+    ([["a", "r", "b"], ["b", " ", "c"]], "relation label must be non-empty"),
+]
+BAD_GOLD_IDS = ["int-label", "blank-label"]
+
+
+def with_gold(line, gold):
+    """A record log line with its gold chain replaced by ``gold``."""
+    return json.dumps({**json.loads(line), "gold": gold})
+
+
 class TestEvaluate:
     def test_oracle_closure_is_perfect(self, input_tsv, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -486,6 +499,32 @@ class TestEvaluate:
         assert main([*args, "--resume"]) == 1
         assert f"error: {log}:5: " in capsys.readouterr().err
         assert log.read_text(encoding="utf-8") == "".join(lines)
+
+    @pytest.mark.parametrize("gold, message", BAD_GOLD, ids=BAD_GOLD_IDS)
+    def test_resume_refuses_a_bad_gold_label(self, input_tsv, tmp_path, capsys,
+                                             gold, message):
+        out = tmp_path / "eval"
+        args = ["evaluate", "--input", str(input_tsv), "--output", str(out), "--oracle"]
+        assert main(args) == 0
+        log = out / "eval_records.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = with_gold(lines[4], gold) + "\n"
+        log.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*args, "--resume"]) == 1
+        assert capsys.readouterr().err == f"error: {log}:5: {message}\n"
+        assert log.read_text(encoding="utf-8") == "".join(lines)
+
+    @pytest.mark.parametrize("gold, message", BAD_GOLD, ids=BAD_GOLD_IDS)
+    def test_resume_drops_a_cut_last_line_with_a_bad_gold_label(self, input_tsv,
+                                                                tmp_path, capsys,
+                                                                gold, message):
+        def cut_log(log):
+            lines = log.decode("utf-8").splitlines(keepends=True)
+            return ("".join(lines[:7]) + with_gold(lines[7], gold)).encode("utf-8")
+
+        tail = resume_cut_log(input_tsv, tmp_path, cut_log).rsplit(b"\n", 1)[-1]
+        assert f"dropped {len(tail)} bytes of a cut last line" in capsys.readouterr().err
 
     def test_fresh_run_writes_its_manifest(self, input_tsv, tmp_path):
         out = tmp_path / "eval"
@@ -642,7 +681,7 @@ class TestEvaluate:
 
     def test_endpoint_run_over_a_loopback_socket(self, input_tsv, tmp_path, capsys,
                                                  chat_server):
-        kg = KnowledgeGraph()
+        kg = {}
         for record in dataset.ingest(input_tsv).records:
             for hop in record.to_chain().hops:
                 add_fact(kg, hop)
@@ -714,6 +753,21 @@ class TestReport:
         assert code == 0
         assert "Accuracy" in capsys.readouterr().out
         assert machine.read_text() == (out / "report.jsonl").read_text()
+
+    @pytest.mark.parametrize("gold, message", BAD_GOLD, ids=BAD_GOLD_IDS)
+    def test_a_bad_gold_label_names_log_and_line(self, input_tsv, tmp_path, capsys,
+                                                 gold, message):
+        out = tmp_path / "eval"
+        main(["evaluate", "--input", str(input_tsv), "--output", str(out), "--oracle"])
+        log = out / "eval_records.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines()
+        lines[2] = with_gold(lines[2], gold)
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--input", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {log}:3: {message}\n"
+        assert captured.out == ""
 
 
 class TestErrors:

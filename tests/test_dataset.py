@@ -5,12 +5,11 @@ import random
 
 import pytest
 
-from hopkit import (Entity, SourceRecord, SplitSpec, Triplet,
+from hopkit import (SourceRecord, SplitSpec, Triplet,
                     build_finetune_corpus, cap_relation_pairs,
                     compute_overlap_stats, extend_to_three_hops, ingest,
                     partition_by_bridge)
 from hopkit.dataset import IngestError, all_partitions, write_records
-from hopkit.kg import Relation
 from hopkit.prompts import DatasetStyle
 from hopkit.render import ENVELOPE_BODY_KEY, RepresentationTag, parse
 
@@ -115,7 +114,7 @@ class TestIngest:
                         "1\ta\tr\tb\ts\tc\tu\td\tv\te\n", encoding="utf-8")
         [record] = ingest(path, "tsv").records
         assert record.n_hops == record.to_chain().n_hops == 4
-        assert record.to_chain().answer == Entity("e")
+        assert record.to_chain().answer == "e"
 
     def test_columns_are_read_by_header_name(self, tmp_path):
         path = tmp_path / "in.tsv"
@@ -268,39 +267,36 @@ class TestCap:
 
 
 class TestExtend:
-    def fact(self, h, r, t):
-        return Triplet(Entity(h), Relation(r), Entity(t))
-
     def test_single_extension(self):
         records = [rec(1, "a", "r", "b", "s", "c")]
-        out = extend_to_three_hops(records, [self.fact("c", "u", "d")], {Entity("c")})
+        out = extend_to_three_hops(records, [Triplet("c", "u", "d")], {"c"})
         assert len(out) == 1 and out[0].labels[5:] == ("u", "d")
 
     def test_three_hop_record_becomes_four_hop(self):
         records = [rec(1, "a", "r", "b", "s", "c", "t", "d")]
-        [out] = extend_to_three_hops(records, [self.fact("d", "u", "e")], {Entity("d")})
+        [out] = extend_to_three_hops(records, [Triplet("d", "u", "e")], {"d"})
         assert out.labels == ("a", "r", "b", "s", "c", "t", "d", "u", "e")
         assert out.to_chain().n_hops == 4
 
     def test_no_extension_omitted(self):
         records = [rec(1, "a", "r", "b", "s", "c")]
-        assert extend_to_three_hops(records, [], {Entity("c")}) == []
+        assert extend_to_three_hops(records, [], {"c"}) == []
 
     def test_whitelist_excludes(self):
         records = [rec(1, "a", "r", "b", "s", "c")]
-        out = extend_to_three_hops(records, [self.fact("c", "u", "d")], {Entity("zzz")})
+        out = extend_to_three_hops(records, [Triplet("c", "u", "d")], {"zzz"})
         assert out == []
 
     def test_lexicographic_tiebreak(self):
         records = [rec(1, "a", "r", "b", "s", "c")]
-        facts = [self.fact("c", "z", "a1"), self.fact("c", "u", "x"), self.fact("c", "u", "d")]
-        out = extend_to_three_hops(records, facts, {Entity("c")})
+        facts = [Triplet("c", "z", "a1"), Triplet("c", "u", "x"), Triplet("c", "u", "d")]
+        out = extend_to_three_hops(records, facts, {"c"})
         assert out[0].labels[5:] == ("u", "d")
 
     def test_output_chains_are_valid(self):
         records = [rec(i, f"h{i}", "r", f"b{i}", "s", f"c{i % 3}") for i in range(9)]
-        facts = [self.fact(f"c{i}", "u", f"d{i}") for i in range(2)]
-        whitelist = {Entity("c0"), Entity("c1")}
+        facts = [Triplet(f"c{i}", "u", f"d{i}") for i in range(2)]
+        whitelist = {"c0", "c1"}
         for record in extend_to_three_hops(records, facts, whitelist):
             chain = record.to_chain()
             assert chain.n_hops == 3

@@ -224,8 +224,8 @@ BLANKS = ["", " ", "\u3000"]
 def _blank_fact(rng, chain):
     """A fact naming the chain's labels, with one label blank.  A blank tail
     goes under a fresh relation, so it never replaces a rendered fact."""
-    entities = [chain.start.label] + [hop.tail.label for hop in chain.hops]
-    fact = [rng.choice(entities), rng.choice([r.label for r in chain.relations]),
+    entities = [chain.start] + [hop.tail for hop in chain.hops]
+    fact = [rng.choice(entities), rng.choice(chain.relations),
             rng.choice(entities)]
     slot = rng.randrange(3)
     fact[slot] = rng.choice(BLANKS)
@@ -248,7 +248,7 @@ def _with_fact(rng, tag, chain, fact):
         return DYNAMIC_PREAMBLE + "\n".join(lines)
     mapping = {}
     for hop in chain.hops:
-        mapping.setdefault(hop.relation.label, {})[hop.head.label] = hop.tail.label
+        mapping.setdefault(hop.relation, {})[hop.head] = hop.tail
     mapping.setdefault(rel, {})[head] = tail
     if tag is RepresentationTag.JSON:
         return json.dumps(mapping, indent=4)
@@ -308,9 +308,8 @@ def test_judging_normalizes_each_label_once_and_builds_no_label_object(
         raise AssertionError("a label object was built while judging")
 
     monkeypatch.setattr(evaluate, "normalize_answer", counted)
-    for cls, name in [(kg._Label, "__init__"), (kg.Triplet, "__new__"),
-                      (kg.ReasoningInstance, "__new__")]:
-        monkeypatch.setattr(cls, name, forbidden)
+    for cls in (kg.Triplet, kg.ReasoningInstance):
+        monkeypatch.setattr(cls, "__new__", forbidden)
     record = judge("id1", chain, envelope, tag)
     assert record.hop_correct == (True, True, True) and record.final_correct
     assert calls == collections.Counter(
@@ -467,7 +466,7 @@ def _perturbed_completion(rng, index):
         replied = fault.apply(gold, f"prompt {index}")
     rendered_tag = rng.choice(ALL_TAGS) if rng.random() < 0.1 else tag
     body = _perturbed_body(rng, render(replied, rendered_tag).body, rendered_tag)
-    answer = replied.answer.label
+    answer = replied.answer
     if rng.random() < 0.15:
         answer = rng.choice(["", "   ", None, 42, ["x"], {"k": "v"}])
     envelope = {"Answer": answer, ENVELOPE_BODY_KEY[rendered_tag]: body}
@@ -484,7 +483,7 @@ def _perturbed_completion(rng, index):
         completion = (rng.choice(["Sure! Here it is: ", "Answer:\n", "Let me think. "])
                       + completion
                       + rng.choice(["", " Hope that helps.",
-                                    f" So the answer is {gold.answer.label}."]))
+                                    f" So the answer is {gold.answer}."]))
     if rng.random() < 0.01:
         completion = '{"a": ' * rng.randint(1, 1500) + completion
     if rng.random() < 0.1:

@@ -2,56 +2,47 @@ import random
 
 import pytest
 
-from hopkit import (Entity, KnowledgeGraph, Relation, Triplet, add_fact,
-                    infer, make_chain, validate_instance)
+from hopkit import Triplet, add_fact, infer, make_chain, validate_instance
 from hopkit.kg import ReasoningInstance
 
 
-def fact(h, r, t):
-    return Triplet(Entity(h), Relation(r), Entity(t))
-
-
 def test_add_fact_and_lookup():
-    kg = KnowledgeGraph()
-    replaced = add_fact(kg, fact("It Goes Like It Goes", "composer", "David Shire"))
+    kg = {}
+    replaced = add_fact(kg, Triplet("It Goes Like It Goes", "composer", "David Shire"))
     assert not replaced
-    assert kg.facts[Entity("It Goes Like It Goes"), Relation("composer")] == Entity(
-        "David Shire"
-    )
+    assert kg == {("It Goes Like It Goes", "composer"): "David Shire"}
 
 
 def test_add_fact_idempotent_reinsert():
-    kg = KnowledgeGraph()
-    t = fact("A", "r", "B")
+    kg = {}
+    t = Triplet("A", "r", "B")
     add_fact(kg, t)
     assert add_fact(kg, t) is False
-    assert len(kg.facts) == 1
+    assert len(kg) == 1
 
 
 def test_add_fact_overwrite_reported():
-    kg = KnowledgeGraph()
-    add_fact(kg, fact("A", "r", "B"))
-    assert add_fact(kg, fact("A", "r", "C")) is True
-    assert kg.facts[Entity("A"), Relation("r")] == Entity("C")
+    kg = {}
+    add_fact(kg, Triplet("A", "r", "B"))
+    assert add_fact(kg, Triplet("A", "r", "C")) is True
+    assert kg["A", "r"] == "C"
 
 
 def test_infer_one_and_two_hops():
-    kg = KnowledgeGraph()
-    add_fact(kg, fact("It Goes Like It Goes", "composer", "David Shire"))
-    add_fact(kg, fact("David Shire", "spouse", "Didi Conn"))
-    start = Entity("It Goes Like It Goes")
-    assert infer(kg, start, [Relation("composer")]) == Entity("David Shire")
-    assert infer(kg, start, [Relation("composer"), Relation("spouse")]) == Entity(
-        "Didi Conn"
-    )
-    assert infer(kg, start, [Relation("spouse")]) is None
-    assert infer(kg, Entity("X"), []) == Entity("X")
+    kg = {}
+    add_fact(kg, Triplet("It Goes Like It Goes", "composer", "David Shire"))
+    add_fact(kg, Triplet("David Shire", "spouse", "Didi Conn"))
+    start = "It Goes Like It Goes"
+    assert infer(kg, start, ["composer"]) == "David Shire"
+    assert infer(kg, start, ["composer", "spouse"]) == "Didi Conn"
+    assert infer(kg, start, ["spouse"]) is None
+    assert infer(kg, "X", []) == "X"
 
 
 def test_validate_instance():
     assert validate_instance(make_chain("a", "r", "b", "r2", "c")) == []
     broken = ReasoningInstance(
-        hops=(fact("a", "r", "b"), fact("b", "r2", "c"), fact("x", "r3", "y"))
+        hops=(Triplet("a", "r", "b"), Triplet("b", "r2", "c"), Triplet("x", "r3", "y"))
     )
     problems = validate_instance(broken)
     assert len(problems) == 1 and "hop 1" in problems[0]
@@ -59,11 +50,11 @@ def test_validate_instance():
 
 def test_empty_labels_rejected():
     with pytest.raises(ValueError):
-        Entity("   ")
+        make_chain("   ", "r", "b")
     with pytest.raises(ValueError):
-        Relation("")
+        make_chain("a", "", "b")
     with pytest.raises(ValueError):
-        Relation(" \t")
+        make_chain("a", " \t", "b")
 
 
 def brute_force_infer(triplets, start, relations):
@@ -80,13 +71,13 @@ def brute_force_infer(triplets, start, relations):
 def test_infer_matches_brute_force_small():
     rng = random.Random(7)
     for _ in range(50):
-        entities = [Entity(f"e{i}") for i in range(rng.randint(3, 15))]
-        relations = [Relation(f"r{i}") for i in range(rng.randint(1, 3))]
-        kg = KnowledgeGraph()
+        entities = [f"e{i}" for i in range(rng.randint(3, 15))]
+        relations = [f"r{i}" for i in range(rng.randint(1, 3))]
+        kg = {}
         for _ in range(rng.randint(1, 40)):
             add_fact(kg, Triplet(rng.choice(entities), rng.choice(relations),
                                  rng.choice(entities)))
-        triplets = [Triplet(h, r, t) for (h, r), t in kg.facts.items()]
+        triplets = [Triplet(h, r, t) for (h, r), t in kg.items()]
         for start in entities:
             for _ in range(10):
                 seq = [rng.choice(relations) for _ in range(rng.randint(0, 3))]
@@ -95,9 +86,9 @@ def test_infer_matches_brute_force_small():
 
 def test_infer_composes():
     rng = random.Random(11)
-    entities = [Entity(f"e{i}") for i in range(10)]
-    relations = [Relation(f"r{i}") for i in range(3)]
-    kg = KnowledgeGraph()
+    entities = [f"e{i}" for i in range(10)]
+    relations = [f"r{i}" for i in range(3)]
+    kg = {}
     for _ in range(30):
         add_fact(kg, Triplet(rng.choice(entities), rng.choice(relations),
                              rng.choice(entities)))

@@ -132,6 +132,6 @@ class TestPickDemonstration:
                         demos.pick(query, seed)
                     assert str(exc.value) == (
                         "no demonstration in the pool avoids the query's start "
-                        f"entity {query.start.label!r} and answer {query.answer.label!r}"
+                        f"entity {query.start!r} and answer {query.answer!r}"
                     )
         assert min(outcomes.values()) > 100, outcomes

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from hopkit import Entity, make_chain, parse, render, wrap_answer_envelope
+from hopkit import make_chain, parse, render, wrap_answer_envelope
 from hopkit.render import DYNAMIC_PREAMBLE, RenderError, RepresentationTag
-from tests.conftest import label_triples, random_chain
+from tests.conftest import random_chain
 
 ALL_TAGS = list(RepresentationTag)
 
@@ -73,9 +73,9 @@ def test_envelope_keys(example_chain):
 
 
 def test_envelope_escaping():
-    text = wrap_answer_envelope('say "hi"', RepresentationTag.NATURAL_LANGUAGE, Entity("X"))
+    text = wrap_answer_envelope('say "hi"', RepresentationTag.NATURAL_LANGUAGE, "X")
     assert json.loads(text) == {"Answer": "X", "Explanation": 'say "hi"'}
-    empty = wrap_answer_envelope("", RepresentationTag.NATURAL_LANGUAGE, Entity("X"))
+    empty = wrap_answer_envelope("", RepresentationTag.NATURAL_LANGUAGE, "X")
     assert json.loads(empty) == {"Answer": "X", "Explanation": ""}
 
 
@@ -117,7 +117,7 @@ def test_quotes_in_labels_roundtrip():
         if tag in (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC):
             compile(example.body, "<rendered>", "exec")
         parsed = parse(tag, example.body)
-        assert sorted(parsed.triplets) == sorted(label_triples(chain))
+        assert sorted(parsed.triplets) == sorted(chain.hops)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
@@ -126,9 +126,9 @@ def test_roundtrip_random_chains(tag):
     for _ in range(50):
         chain = random_chain(rng)
         parsed = parse(tag, render(chain, tag).body)
-        assert sorted(parsed.triplets) == sorted(label_triples(chain))
+        assert sorted(parsed.triplets) == sorted(chain.hops)
         if tag in (RepresentationTag.NATURAL_LANGUAGE, RepresentationTag.PYTHON_DYNAMIC):
-            assert parsed.triplets == label_triples(chain)  # in body order
+            assert parsed.triplets == chain.hops  # in body order
 
 
 

@@ -1,12 +1,15 @@
 """Value semantics of hopkit's immutable record types: equality, hashing,
 immutability and the checks their constructors make."""
 
+import json
+import random
 import re
 
 import pytest
 
-from hopkit import (Entity, EvalRecord, FaultSpec, OverlapStats, Relation,
-                    SourceRecord, SplitSpec, Triplet, judge, make_chain)
+from hopkit import (EvalRecord, FaultSpec, OracleBackend, OverlapStats,
+                    SourceRecord, SplitSpec, Triplet, ingest, judge, make_chain)
+from hopkit.cli import main
 from hopkit.kg import ReasoningInstance
 from hopkit.render import RepresentationTag
 
@@ -15,42 +18,161 @@ def exactly(message):
     return "^" + re.escape(message) + "$"
 
 
+# Labels as a seeded fuzz draws them: each starts with a letter, so none is
+# blank, and the rest mixes spaces, punctuation, " of " and " is ".
+LABEL_PIECES = ["a", "Z", "0", " ", ".", "'", '"', "\u00e9", "\u3000", " of ", " is "]
+BLANKS = ["", " ", "\u3000", " \t "]
+CELL_BLANKS = [" ", "\u3000"]  # blanks a TSV cell can hold
+NON_STRINGS = [1, 2.5, True, ["a"], {"k": "v"}]
+
+
+def random_labels(rng, n_hops):
+    return [rng.choice("abcXYZ") + "".join(rng.choices(LABEL_PIECES, k=rng.randrange(5)))
+            + str(i) for i in range(2 * n_hops + 1)]
+
+
+def all_label_strings(hops):
+    return all(type(label) is str for hop in hops for label in hop)
+
+
+def label_kind(slot):
+    return "relation" if slot % 2 else "entity"
+
+
+def refusal(slot, bad):
+    """The message a label check gives for ``bad`` at chain position ``slot``."""
+    if isinstance(bad, str):
+        return f"{label_kind(slot)} label must be non-empty"
+    return f"{label_kind(slot)} label must be a string, not {bad!r}"
+
+
 class TestLabels:
-    @pytest.mark.parametrize("cls", [Entity, Relation])
-    def test_equal_labels_give_equal_values_with_equal_hashes(self, cls):
-        assert cls("x") == cls("x") and not cls("x") != cls("x")
-        assert hash(cls("x")) == hash(cls("x"))
-        assert cls("x") != cls("y")
-        assert len({cls("x"), cls("x"), cls("y")}) == 2
+    """Every layer holds a chain's hops as plain ``str`` labels, and every
+    entry point refuses a label that is blank or not a string."""
 
-    def test_an_entity_equals_no_relation_and_no_tuple(self):
-        for other in (Relation("x"), ("x",), "x"):
-            assert Entity("x") != other and other != Entity("x")
-            assert not Entity("x") == other
-        assert len({Entity("x"), Relation("x"), ("x",)}) == 3
-
-    def test_repr_names_the_class_and_label(self):
-        assert repr(Entity("x")) == "Entity(label='x')"
-        assert repr(Relation("r")) == "Relation(label='r')"
-
-    @pytest.mark.parametrize("value", [
-        Entity("x"), Relation("r"), Triplet(Entity("a"), Relation("r"), Entity("b")),
-    ], ids=["entity", "relation", "triplet"])
+    @pytest.mark.parametrize("value", [Triplet("a", "r", "b")], ids=["triplet"])
     def test_no_attribute_can_be_set_or_deleted(self, value):
         for name in ("label", "head", "relation", "tail", "other"):
             with pytest.raises(AttributeError):
-                setattr(value, name, Entity("z"))
+                setattr(value, name, "z")
             with pytest.raises(AttributeError):
                 delattr(value, name)
 
-    @pytest.mark.parametrize("cls, label, message", [
-        (Entity, "   ", "entity label must be non-empty"),
-        (Entity, "", "entity label must be non-empty"),
-        (Relation, " \t", "relation label must be non-empty"),
+    @pytest.mark.parametrize("kind, label, message", [
+        ("Entity", "   ", "entity label must be non-empty"),
+        ("Entity", "", "entity label must be non-empty"),
+        ("Relation", " \t", "relation label must be non-empty"),
     ])
-    def test_a_blank_label_is_refused(self, cls, label, message):
+    def test_a_blank_label_is_refused(self, kind, label, message):
+        labels = ["a", "r", "b"]
+        labels[1 if kind == "Relation" else 0] = label
         with pytest.raises(ValueError, match=exactly(message)):
-            cls(label)
+            make_chain(*labels)
+
+    def test_chains_records_and_logs_hold_str_labels(self):
+        rng = random.Random(16)
+        for i in range(200):
+            labels = random_labels(rng, rng.randint(2, 4))
+            chain = make_chain(*labels, source_id=str(i))
+            assert all_label_strings(chain.hops)
+            from_record = SourceRecord(str(i), tuple(labels)).to_chain()
+            assert from_record == chain and all_label_strings(from_record.hops)
+            record = judge(str(i), chain, rng.choice([None, "x", chain.answer]),
+                           rng.choice(list(RepresentationTag)))
+            logged = EvalRecord.from_dict(json.loads(json.dumps(record.to_dict())))
+            assert logged == record and all_label_strings(logged.gold.hops)
+
+    def test_a_corrupted_hop_holds_str_labels(self):
+        rng = random.Random(17)
+        for i in range(200):
+            chain = make_chain(*random_labels(rng, rng.randint(1, 4)))
+            hop = rng.randrange(chain.n_hops)
+            corrupted = FaultSpec(hop, 1.0, i).apply(chain, f"prompt {i}")
+            assert corrupted.hops[hop].tail == "NOT-" + chain.hops[hop].tail
+            assert all_label_strings(corrupted.hops)
+
+    def test_the_oracle_graph_holds_str_labels(self, tmp_path, monkeypatch):
+        rng = random.Random(18)
+        path = tmp_path / "records.tsv"
+        rows = ["\t".join(["id", "e1", "r1", "e2", "r2", "e3"])]
+        rows += ["\t".join([str(i), *random_labels(rng, 2)]) for i in range(30)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        graphs = []
+        real_send = OracleBackend.send
+        monkeypatch.setattr(OracleBackend, "send",
+                            lambda self, prompt: graphs.append(self.kg) or real_send(self, prompt))
+        assert main(["evaluate", "--input", str(path), "--oracle",
+                     "--output", str(tmp_path / "eval")]) == 0
+        assert len(graphs) == 30 and len(graphs[0]) == 60
+        assert all(type(label) is str
+                   for (head, relation), tail in graphs[0].items()
+                   for label in (head, relation, tail))
+
+    def test_make_chain_refuses_a_blank_or_non_string_label(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            labels = random_labels(rng, rng.randint(1, 4))
+            slot = rng.randrange(len(labels))
+            labels[slot] = bad = rng.choice(BLANKS + NON_STRINGS)
+            with pytest.raises(ValueError, match=exactly(refusal(slot, bad))):
+                make_chain(*labels)
+
+    def test_from_dict_refuses_a_blank_or_non_string_gold_label(self):
+        rng = random.Random(20)
+        for i in range(200):
+            chain = make_chain(*random_labels(rng, rng.randint(1, 4)))
+            logged = judge(str(i), chain, "x", RepresentationTag.JSON).to_dict()
+            hop, slot = rng.randrange(chain.n_hops), rng.randrange(3)
+            logged["gold"][hop][slot] = bad = rng.choice(BLANKS + NON_STRINGS)
+            with pytest.raises(ValueError, match=exactly(refusal(slot, bad))):
+                EvalRecord.from_dict(json.loads(json.dumps(logged)))
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json_lines"])
+    def test_ingest_refuses_a_blank_or_non_string_label(self, tmp_path, fmt):
+        rng = random.Random(21)
+        columns = ["e1", "r1", "e2", "r2", "e3"]
+        # A TSV cell is always a string; an empty last cell reads as a
+        # shorter chain, and a JSON null as a missing field.
+        bad_values = CELL_BLANKS + (NON_STRINGS if fmt == "json_lines" else [])
+        for case in range(50):
+            rows = [dict(zip(["id", *columns], [f"{case}-{i}", *random_labels(rng, 2)]))
+                    for i in range(4)]
+            bad_row = rng.randrange(4)
+            column = rng.choice(columns)
+            rows[bad_row][column] = rng.choice(bad_values)
+            path = tmp_path / f"records{case}"
+            if fmt == "tsv":
+                lines = ["\t".join(["id", *columns])]
+                lines += ["\t".join(row.values()) for row in rows]
+            else:
+                lines = [json.dumps(row) for row in rows]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            result = ingest(path, fmt)
+            lineno = bad_row + (2 if fmt == "tsv" else 1)
+            bad_id = rows[bad_row]["id"]
+            assert result.invalid_rows == [(lineno, f"record {bad_id}: empty field {column}")]
+            assert [r.id for r in result.records] == [
+                row["id"] for row in rows if row["id"] != bad_id]
+            assert all(all_label_strings(r.to_chain().hops) for r in result.records)
+
+    def test_extend3_refuses_a_blank_fact_label_naming_file_and_line(self, tmp_path,
+                                                                     capsys):
+        rng = random.Random(22)
+        path = tmp_path / "records.tsv"
+        path.write_text("id\te1\tr1\te2\tr2\te3\n1\ta\tr\tb\ts\tc\n", encoding="utf-8")
+        for case in range(20):
+            facts = [random_labels(rng, 1) for _ in range(rng.randint(1, 4))]
+            bad_line, slot = rng.randrange(len(facts)), rng.randrange(3)
+            facts[bad_line][slot] = bad = rng.choice(CELL_BLANKS)
+            facts_path = tmp_path / f"facts{case}.tsv"
+            facts_path.write_text("".join("\t".join(f) + "\n" for f in facts),
+                                  encoding="utf-8")
+            out = tmp_path / f"out{case}.tsv"
+            assert main(["extend3", "--input", str(path), "--facts", str(facts_path),
+                         "--output", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {facts_path}:{bad_line + 1}: {refusal(slot, bad)}\n")
+            assert not out.exists()
 
 
 class TestChains:
@@ -58,7 +180,7 @@ class TestChains:
         a = make_chain("a", "r", "b", "s", "c", source_id="1")
         b = make_chain("a", "r", "b", "s", "c", source_id="1")
         assert a == b and hash(a) == hash(b)
-        assert a.hops[0] == Triplet(Entity("a"), Relation("r"), Entity("b"))
+        assert a.hops[0] == Triplet("a", "r", "b")
         assert a != make_chain("a", "r", "b", "s", "c", source_id="2")
 
     def test_an_empty_chain_is_refused(self):
