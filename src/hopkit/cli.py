@@ -13,25 +13,30 @@ import gc
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, dataset, evaluate, gateway, prompts
-from .gateway import (FaultSpec, Gateway, GatewayConfigError, OpenAIChatBackend,
-                      OracleBackend)
+from . import __version__, dataset
 from .kg import Triplet, add_fact, check_labels
-from .prompts import DatasetStyle, PromptMode
 from .render import RepresentationTag
 
+if TYPE_CHECKING:
+    from .gateway import Gateway
+
+# The values of RepresentationTag, PromptMode and DatasetStyle, as strings:
+# prompts, gateway and evaluate are imported only by the commands that run
+# them.
 REP_FLAGS = {
-    "nl": RepresentationTag.NATURAL_LANGUAGE,
-    "json": RepresentationTag.JSON,
-    "py-static": RepresentationTag.PYTHON_STATIC,
-    "py-dynamic": RepresentationTag.PYTHON_DYNAMIC,
+    "nl": "natural_language",
+    "json": "json",
+    "py-static": "python_static",
+    "py-dynamic": "python_dynamic",
 }
 MODE_FLAGS = {
-    "zero": PromptMode.ZERO_SHOT,
-    "one": PromptMode.ONE_SHOT,
-    "context": PromptMode.WITH_CONTEXT,
+    "zero": "zero_shot",
+    "one": "one_shot",
+    "context": "with_context",
 }
+STYLES = ["statement", "question"]
 
 
 class CliError(RuntimeError):
@@ -159,15 +164,21 @@ def cmd_extend3(args) -> int:
 
 
 def _prompt_for(chain, mode, style, rep, demos, seed):
-    if mode is PromptMode.ONE_SHOT:
+    """The prompt for ``chain``; ``demos`` is the pool of a one-shot run,
+    else None."""
+    if demos is not None:
         return demos.prompt(chain, seed, style, rep)
+    from . import prompts
+
     return prompts.build_prompt(chain, mode=mode, style=style, representation=rep).full_prompt
 
 
 def cmd_generate(args) -> int:
+    from . import prompts
+
     records = _load_records(args.input, args.format)
-    rep = REP_FLAGS[args.rep]
-    style = DatasetStyle(args.style)
+    rep = RepresentationTag(REP_FLAGS[args.rep])
+    style = prompts.DatasetStyle(args.style)
     path = Path(args.output)
     _check_output(path, args.force)
     if args.kind == "corpus":
@@ -175,9 +186,9 @@ def cmd_generate(args) -> int:
             dataset.build_finetune_corpus(records, rep, style), path)
         print(f"wrote {n} training pairs to {path}")
         return 0
-    mode = MODE_FLAGS[args.mode]
+    mode = prompts.PromptMode(MODE_FLAGS[args.mode])
     chains = [r.to_chain() for r in records]
-    demos = prompts.DemonstrationPool(chains) if mode is PromptMode.ONE_SHOT else None
+    demos = prompts.DemonstrationPool(chains) if mode is prompts.PromptMode.ONE_SHOT else None
     n = dataset.write_lines(path, (
         json.dumps({"id": record.id,
                     "prompt": _prompt_for(chain, mode, style, rep, demos, args.seed)})
@@ -189,7 +200,10 @@ def cmd_generate(args) -> int:
 def _build_gateway(args, chains, n_hops: int) -> Gateway:
     """The gateway for the flags and the --config file; a setting neither
     names keeps the default of the class that reads it."""
-    config = gateway.load_gateway_config(args.config) if args.config else {}
+    from .gateway import (FaultSpec, Gateway, OpenAIChatBackend, OracleBackend,
+                          load_gateway_config)
+
+    config = load_gateway_config(args.config) if args.config else {}
     for key in ("endpoint", "model"):
         if getattr(args, key):
             config[key] = getattr(args, key)
@@ -208,7 +222,7 @@ def _build_gateway(args, chains, n_hops: int) -> Gateway:
         for chain in chains:
             for hop in chain.hops:
                 add_fact(kg, hop)
-        backend = OracleBackend(kg, REP_FLAGS[args.rep],
+        backend = OracleBackend(kg, RepresentationTag(REP_FLAGS[args.rep]),
                                 corrupt=fault if fault.probability else None)
     elif not config.get("model"):
         raise CliError("an endpoint needs a model: pass --model or set model in --config")
@@ -225,10 +239,12 @@ def _manifest(args, gw: Gateway) -> dict:
     fault."""
     import hashlib  # deferred: only evaluate hashes, and OpenSSL is slow to load
 
+    from .gateway import OracleBackend
+
     backend = gw.backend
     oracle = isinstance(backend, OracleBackend)
     fault = backend.corrupt if oracle else None
-    seeded = fault is not None or MODE_FLAGS[args.mode] is PromptMode.ONE_SHOT
+    seeded = fault is not None or args.mode == "one"
     return {
         "version": __version__,
         "rep": args.rep, "mode": args.mode, "style": args.style,
@@ -260,14 +276,19 @@ def _check_manifest(path: Path, manifest: dict) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    from . import evaluate, gateway, prompts
+
     records = _load_records(args.input, args.format)
-    rep = REP_FLAGS[args.rep]
-    style = DatasetStyle(args.style)
-    mode = MODE_FLAGS[args.mode]
+    rep = RepresentationTag(REP_FLAGS[args.rep])
+    style = prompts.DatasetStyle(args.style)
+    mode = prompts.PromptMode(MODE_FLAGS[args.mode])
     chains = [r.to_chain() for r in records]
     n_hops = evaluate.common_hop_count(chains)  # the report needs one hop count
-    gw = _build_gateway(args, chains, n_hops)
-    gw.backend.check()  # fail before the first request on misconfiguration
+    try:
+        gw = _build_gateway(args, chains, n_hops)
+        gw.backend.check()  # fail before the first request on misconfiguration
+    except gateway.GatewayConfigError as exc:
+        raise CliError(str(exc)) from exc
     manifest = _manifest(args, gw)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -293,7 +314,7 @@ def cmd_evaluate(args) -> int:
             records_path.unlink()
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
-    demos = prompts.DemonstrationPool(chains) if mode is PromptMode.ONE_SHOT else None
+    demos = prompts.DemonstrationPool(chains) if mode is prompts.PromptMode.ONE_SHOT else None
     done_ids = {r.instance_id for r in resumed}
     pending = [(r, chain) for r, chain in zip(records, chains) if r.id not in done_ids]
     if done_ids:
@@ -318,6 +339,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import evaluate
+
     if args.output:
         _check_output(Path(args.output), args.force)
     records = evaluate.read_eval_records(args.input)
@@ -377,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     def eval_flags(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--rep", choices=sorted(REP_FLAGS), default="nl")
-        p.add_argument("--style", choices=[s.value for s in DatasetStyle],
-                       default="statement")
+        p.add_argument("--style", choices=STYLES, default="statement")
         p.add_argument("--mode", choices=sorted(MODE_FLAGS), default="zero")
 
     p = sub.add_parser("generate", help="write prompts or a fine-tune corpus")
@@ -418,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     unfreeze = gc.get_freeze_count() == 0  # hand an in-process caller its objects back
     try:
         return args.func(args)
-    except (CliError, GatewayConfigError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

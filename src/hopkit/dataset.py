@@ -15,12 +15,15 @@ import operator
 import random
 from collections import defaultdict, namedtuple
 from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import prompts
 from .kg import ReasoningInstance, Triplet, first_bad_label, make_chain
-from .prompts import DatasetStyle
 from .render import RepresentationTag, render as render_instance
+
+if TYPE_CHECKING:
+    from .prompts import DatasetStyle
 
 
 class IngestError(ValueError):
@@ -387,6 +390,8 @@ def build_finetune_corpus(
     chain, the first hop alone up to the full chain.  Responses are answer
     envelopes whose body is the prefix rendered in ``representation``.
     """
+    from . import prompts  # through the module, where a tracer wraps build_prompt
+
     for record in records:
         chain = record.to_chain()
         for hops in range(1, chain.n_hops + 1):
@@ -403,7 +408,25 @@ def build_finetune_corpus(
                    "representation": representation.value}
 
 
+_PAIR_KEYS = ["prompt", "response", "hops", "representation"]
+
+
+def _pair_line(pair: dict) -> str:
+    """``json.dumps(pair)``, joined from its encoded strings when ``pair``
+    is a training pair as build_finetune_corpus yields it."""
+    if list(pair) == _PAIR_KEYS:
+        prompt, response, hops, representation = pair.values()
+        if type(hops) is int:
+            try:
+                return (f'{{"prompt": {_json_string(prompt)}, '
+                        f'"response": {_json_string(response)}, "hops": {hops}, '
+                        f'"representation": {_json_string(representation)}}}')
+            except TypeError:  # a value that is not a string
+                pass
+    return json.dumps(pair)
+
+
 def write_finetune_corpus(corpus: Iterable[dict], path: str | Path) -> int:
     """Write one JSON line per training pair as ``corpus`` yields it; returns
     the number of pairs."""
-    return write_lines(path, map(json.dumps, corpus))
+    return write_lines(path, map(_pair_line, corpus))

@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
-from .kg import ReasoningInstance, Triplet, check_labels
+from .kg import ReasoningInstance, Triplet, check_labels, validate_instance
 from .render import ENVELOPE_BODY_KEY, RepresentationTag, parse as parse_body
 
 _QUOTES = "\"'“”‘’"
@@ -145,18 +145,30 @@ class EvalRecord(namedtuple("EvalRecord", (
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalRecord":
-        """The record ``to_dict`` wrote; raises ValueError on a gold label
-        that is not a non-blank string."""
-        hops = tuple(Triplet(h, r, t) for h, r, t in d["gold"])
-        for hop in hops:
+        """The record ``to_dict`` wrote; raises ValueError on a gold hop that
+        is not three non-blank label strings, on gold hops that do not
+        bridge, and on a hop verdict count other than the hop count."""
+        hops = []
+        for i, hop in enumerate(d["gold"]):
+            if not isinstance(hop, (list, tuple)) or len(hop) != 3:
+                raise ValueError(f"gold hop {i} must be three labels, got {hop!r}")
             check_labels(hop)
+            hops.append(Triplet(*hop))
+        gold = ReasoningInstance(hops=tuple(hops), source_id=d.get("gold_source_id"))
+        problems = validate_instance(gold)
+        if problems:
+            raise ValueError(f"gold {problems[0]}")
+        hop_correct = tuple(d["hop_correct"])
+        if len(hop_correct) != len(hops):
+            raise ValueError(f"hop_correct has {len(hop_correct)} verdicts "
+                             f"for {len(hops)} gold hops")
         return cls(
             instance_id=d["instance_id"],
-            gold=ReasoningInstance(hops=hops, source_id=d.get("gold_source_id")),
+            gold=gold,
             completion=d["completion"],
             extracted_answer=d["extracted_answer"],
             final_correct=d["final_correct"],
-            hop_correct=tuple(d["hop_correct"]),
+            hop_correct=hop_correct,
             failure_class=d.get("failure_class"),
         )
 

@@ -16,6 +16,7 @@ import json
 import re
 from collections import deque, namedtuple
 from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .kg import ReasoningInstance, validate_instance
 
@@ -281,9 +282,11 @@ _RENDERERS = {
 
 def wrap_answer_envelope(body: str, tag: RepresentationTag, answer: str) -> str:
     """The ``{"Answer": ..., <body key>: ...}`` object literal the model is
-    asked to emit; "Answer" always comes first.
+    asked to emit; "Answer" always comes first.  The bytes are those of
+    ``json.dumps`` of that dict, joined from the encoded strings.
     """
-    return json.dumps({"Answer": answer, ENVELOPE_BODY_KEY[tag]: body})
+    return (f'{{"Answer": {_json_string(answer)}, '
+            f'{_json_string(ENVELOPE_BODY_KEY[tag])}: {_json_string(body)}}}')
 
 
 def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:

@@ -6,11 +6,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import hopkit
 from hopkit import ReasoningInstance, Triplet, make_chain
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# Text that JSON must escape: quotes, backslashes, control characters,
+# non-ASCII and non-BMP code points, and a lone surrogate.
+JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\u00e9\U0001f600'), st.characters()))
 
 
 def hopkit_env():

@@ -433,8 +433,14 @@ def resume_cut_log(input_tsv, tmp_path, cut_log):
 BAD_GOLD = [
     ([[1, "r", "b"], ["b", "s", "c"]], "entity label must be a string, not 1"),
     ([["a", "r", "b"], ["b", " ", "c"]], "relation label must be non-empty"),
+    (["abc", "cde"], "gold hop 0 must be three labels, got 'abc'"),
+    ([["a", "r", "b"], ["x", "s", "d"]],
+     "gold hop 0: tail 'b' does not bridge to hop 1 head 'x'"),
+    # the log's records are two-hop, so two verdicts for three hops
+    ([["a", "r", "b"], ["b", "s", "c"], ["c", "t", "d"]],
+     "hop_correct has 2 verdicts for 3 gold hops"),
 ]
-BAD_GOLD_IDS = ["int-label", "blank-label"]
+BAD_GOLD_IDS = ["int-label", "blank-label", "string-hops", "unbridged", "extra-hop"]
 
 
 def with_gold(line, gold):
@@ -649,6 +655,16 @@ class TestEvaluate:
                      str(tmp_path / "eval"), "--oracle", "--config", str(path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_a_gateway_config_error_is_an_error_line(self, input_tsv, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        code = main(["evaluate", "--input", str(input_tsv), "--output", str(tmp_path / "eval"),
+                     "--endpoint", "http://127.0.0.1:9", "--model", "m"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: missing bearer token: set the OPENAI_API_KEY environment variable\n")
+        assert not (tmp_path / "eval").exists()
 
     def test_endpoint_without_a_model_fails_before_any_request(
             self, input_tsv, tmp_path, capsys, monkeypatch):

@@ -4,14 +4,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopkit import (SourceRecord, SplitSpec, Triplet,
                     build_finetune_corpus, cap_relation_pairs,
                     compute_overlap_stats, extend_to_three_hops, ingest,
                     partition_by_bridge)
-from hopkit.dataset import IngestError, all_partitions, write_records
+from hopkit.dataset import (IngestError, all_partitions, write_finetune_corpus,
+                            write_records)
 from hopkit.prompts import DatasetStyle
 from hopkit.render import ENVELOPE_BODY_KEY, RepresentationTag, parse
+from tests.conftest import JSON_TEXT
 
 
 def rec(i, *labels):
@@ -333,6 +336,16 @@ class TestOverlapStats:
         assert "Bridge Entities" in stats.to_table()
 
 
+ANY_VALUE = st.one_of(JSON_TEXT, st.integers(), st.booleans(), st.none(), st.floats(),
+                     st.lists(JSON_TEXT, max_size=3))
+
+
+def training_pair(hops=st.integers(), representation=JSON_TEXT):
+    """Dicts with the keys of a training pair, in its order."""
+    return st.tuples(JSON_TEXT, JSON_TEXT, hops, representation).map(
+        lambda values: dict(zip(["prompt", "response", "hops", "representation"], values)))
+
+
 class TestFinetuneCorpus:
     def test_two_records_per_row(self):
         records = [rec(1, "a", "r", "b", "s", "c")]
@@ -366,6 +379,18 @@ class TestFinetuneCorpus:
         body = json.loads(corpus[1]["response"])["Python code snippet"]
         assert "kb.add_fact(e1, r1, e2)" in body
         assert "class KnowledgeBase" in body
+
+    @settings(max_examples=100, database=None, derandomize=True)
+    @given(pairs=st.lists(max_size=4, elements=st.one_of(
+        training_pair(), training_pair(hops=ANY_VALUE),
+        training_pair(representation=ANY_VALUE),
+        st.dictionaries(  # keys missing, reordered or extra
+            st.sampled_from(["prompt", "response", "hops", "representation", "extra"]),
+            ANY_VALUE))))
+    def test_written_lines_are_those_of_json_dumps(self, pairs, tmp_path_factory):
+        path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+        assert write_finetune_corpus(pairs, path) == len(pairs)
+        assert path.read_text(encoding="utf-8").splitlines() == list(map(json.dumps, pairs))
 
     @pytest.mark.parametrize("tag", list(RepresentationTag))
     def test_responses_roundtrip(self, tag):

@@ -3,10 +3,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopkit import make_chain, parse, render, wrap_answer_envelope
-from hopkit.render import DYNAMIC_PREAMBLE, RenderError, RepresentationTag
-from tests.conftest import random_chain
+from hopkit.render import (DYNAMIC_PREAMBLE, ENVELOPE_BODY_KEY, RenderError,
+                           RepresentationTag)
+from tests.conftest import JSON_TEXT, random_chain
 
 ALL_TAGS = list(RepresentationTag)
 
@@ -77,6 +79,13 @@ def test_envelope_escaping():
     assert json.loads(text) == {"Answer": "X", "Explanation": 'say "hi"'}
     empty = wrap_answer_envelope("", RepresentationTag.NATURAL_LANGUAGE, "X")
     assert json.loads(empty) == {"Answer": "X", "Explanation": ""}
+
+
+@settings(max_examples=300, database=None, derandomize=True)
+@given(answer=JSON_TEXT, body=JSON_TEXT, tag=st.sampled_from(ALL_TAGS))
+def test_envelope_bytes_are_those_of_json_dumps(answer, body, tag):
+    assert wrap_answer_envelope(body, tag, answer) == json.dumps(
+        {"Answer": answer, ENVELOPE_BODY_KEY[tag]: body})
 
 
 def test_render_deterministic(example_chain):

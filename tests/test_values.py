@@ -127,6 +127,27 @@ class TestLabels:
             with pytest.raises(ValueError, match=exactly(refusal(slot, bad))):
                 EvalRecord.from_dict(json.loads(json.dumps(logged)))
 
+    @pytest.mark.parametrize("gold, hop_correct, message", [
+        (["abc", "cde"], [True, True], "gold hop 0 must be three labels, got 'abc'"),
+        ([["a", "r", "b"], ["b", "s"]], [True, True],
+         "gold hop 1 must be three labels, got ['b', 's']"),
+        ([["a", "r", "b", "s"]], [True], "gold hop 0 must be three labels, "
+                                         "got ['a', 'r', 'b', 's']"),
+        ([["a", "r", "b"], ["x", "s", "d"]], [True, True],
+         "gold hop 0: tail 'b' does not bridge to hop 1 head 'x'"),
+        ([["a", "r", "b"], ["b", "s", "c"]], [True, True, False],
+         "hop_correct has 3 verdicts for 2 gold hops"),
+        ([["a", "r", "b"], ["b", "s", "c"]], [True],
+         "hop_correct has 1 verdicts for 2 gold hops"),
+    ], ids=["string-hops", "two-labels", "four-labels", "unbridged",
+            "extra-verdict", "missing-verdict"])
+    def test_from_dict_refuses_a_misshapen_gold_chain(self, gold, hop_correct, message):
+        logged = judge("1", make_chain("a", "r", "b", "s", "c"), "x",
+                       RepresentationTag.JSON).to_dict()
+        logged.update(gold=gold, hop_correct=hop_correct)
+        with pytest.raises(ValueError, match=exactly(message)):
+            EvalRecord.from_dict(logged)
+
     @pytest.mark.parametrize("fmt", ["tsv", "json_lines"])
     def test_ingest_refuses_a_blank_or_non_string_label(self, tmp_path, fmt):
         rng = random.Random(21)
