@@ -5,8 +5,7 @@ per-hop conditional accuracy.
 
 from importlib import import_module as _import_module
 
-from .kg import (ReasoningInstance, Triplet, add_fact, infer, make_chain,
-                 validate_instance)
+from .kg import ReasoningInstance, Triplet, add_fact, infer, make_chain
 # Eager: ``hopkit.render`` names both this submodule and its ``render``
 # function, and the function must win.
 from .render import (ParsedBody, RenderedExample, RepresentationTag, parse,

@@ -92,6 +92,7 @@ def cmd_partition(args) -> int:
     for path in (train_path, test_path, map_path):
         _check_output(path, args.force)
     train, test, partition_map = dataset.partition_by_bridge(records, spec)
+    dataset.check_tsv_cells(train + test)  # before either file is replaced
     dataset.write_records(train, train_path)
     dataset.write_records(test, test_path)
     map_path.write_text(json.dumps(partition_map, indent=2), encoding="utf-8")
@@ -128,9 +129,7 @@ def cmd_cap(args) -> int:
 
 def _load_facts(path: str) -> list[Triplet]:
     facts = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(dataset.read_lines(path), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -150,11 +149,8 @@ def cmd_extend3(args) -> int:
     records = _load_records(args.input, args.format)
     facts = _load_facts(args.facts)
     if args.whitelist:
-        whitelist = {
-            line.strip()
-            for line in Path(args.whitelist).read_text(encoding="utf-8-sig").splitlines()
-            if line.strip()
-        }
+        whitelist = {line.strip() for line in dataset.read_lines(args.whitelist)
+                     if line.strip()}
     else:
         whitelist = {r.answer for r in records}
     extended = dataset.extend_to_three_hops(records, facts, whitelist)
@@ -163,14 +159,14 @@ def cmd_extend3(args) -> int:
     return 0
 
 
-def _prompt_for(chain, mode, style, rep, demos, seed):
-    """The prompt for ``chain``; ``demos`` is the pool of a one-shot run,
+def _prompt_for(record, mode, style, rep, demos, seed):
+    """The prompt for ``record``; ``demos`` is the pool of a one-shot run,
     else None."""
     if demos is not None:
-        return demos.prompt(chain, seed, style, rep)
+        return demos.prompt(record, seed, style, rep)
     from . import prompts
 
-    return prompts.build_prompt(chain, mode=mode, style=style, representation=rep).full_prompt
+    return prompts.build_prompt(record, mode=mode, style=style, representation=rep).full_prompt
 
 
 def cmd_generate(args) -> int:
@@ -187,17 +183,16 @@ def cmd_generate(args) -> int:
         print(f"wrote {n} training pairs to {path}")
         return 0
     mode = prompts.PromptMode(MODE_FLAGS[args.mode])
-    chains = [r.to_chain() for r in records]
-    demos = prompts.DemonstrationPool(chains) if mode is prompts.PromptMode.ONE_SHOT else None
+    demos = prompts.DemonstrationPool(records) if mode is prompts.PromptMode.ONE_SHOT else None
     n = dataset.write_lines(path, (
         json.dumps({"id": record.id,
-                    "prompt": _prompt_for(chain, mode, style, rep, demos, args.seed)})
-        for record, chain in zip(records, chains)))
+                    "prompt": _prompt_for(record, mode, style, rep, demos, args.seed)})
+        for record in records))
     print(f"wrote {n} prompts to {path}")
     return 0
 
 
-def _build_gateway(args, chains, n_hops: int) -> Gateway:
+def _build_gateway(args, records, n_hops: int) -> Gateway:
     """The gateway for the flags and the --config file; a setting neither
     names keeps the default of the class that reads it."""
     from .gateway import (FaultSpec, Gateway, OpenAIChatBackend, OracleBackend,
@@ -219,8 +214,8 @@ def _build_gateway(args, chains, n_hops: int) -> Gateway:
             raise CliError(f"fault hop {fault.hop_index} is past the last hop of "
                            f"these {n_hops}-hop records")
         kg = {}
-        for chain in chains:
-            for hop in chain.hops:
+        for record in records:
+            for hop in record.hops:
                 add_fact(kg, hop)
         backend = OracleBackend(kg, RepresentationTag(REP_FLAGS[args.rep]),
                                 corrupt=fault if fault.probability else None)
@@ -282,10 +277,9 @@ def cmd_evaluate(args) -> int:
     rep = RepresentationTag(REP_FLAGS[args.rep])
     style = prompts.DatasetStyle(args.style)
     mode = prompts.PromptMode(MODE_FLAGS[args.mode])
-    chains = [r.to_chain() for r in records]
-    n_hops = evaluate.common_hop_count(chains)  # the report needs one hop count
+    n_hops = evaluate.common_hop_count(records)  # the report needs one hop count
     try:
-        gw = _build_gateway(args, chains, n_hops)
+        gw = _build_gateway(args, records, n_hops)
         gw.backend.check()  # fail before the first request on misconfiguration
     except gateway.GatewayConfigError as exc:
         raise CliError(str(exc)) from exc
@@ -314,22 +308,19 @@ def cmd_evaluate(args) -> int:
             records_path.unlink()
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
-    demos = prompts.DemonstrationPool(chains) if mode is prompts.PromptMode.ONE_SHOT else None
+    demos = prompts.DemonstrationPool(records) if mode is prompts.PromptMode.ONE_SHOT else None
     done_ids = {r.instance_id for r in resumed}
-    pending = [(r, chain) for r, chain in zip(records, chains) if r.id not in done_ids]
+    pending = [r for r in records if r.id not in done_ids]
     if done_ids:
         print(f"resume: skipping {len(done_ids)} already-evaluated instances")
-    prompt_texts = [
-        _prompt_for(chain, mode, style, rep, demos, args.seed) for _, chain in pending
-    ]
+    prompt_texts = [_prompt_for(record, mode, style, rep, demos, args.seed)
+                    for record in pending]
     try:
         results = gw.complete_batch(prompt_texts)
     finally:
         gw.backend.close()
-    judged = [
-        evaluate.judge(record.id, chain, result.text, rep)
-        for (record, chain), result in zip(pending, results)
-    ]
+    judged = [evaluate.judge(record.id, record, result.text, rep)
+              for record, result in zip(pending, results)]
     evaluate.write_eval_records(judged, records_path)
     report = evaluate.compute_metrics(resumed + judged)
     report_path.write_text(evaluate.emit_report(report, "text_table"), encoding="utf-8")

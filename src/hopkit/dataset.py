@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .kg import ReasoningInstance, Triplet, first_bad_label, make_chain
+from .kg import ReasoningInstance, Triplet, first_bad_label
 from .render import RepresentationTag, render as render_instance
 
 if TYPE_CHECKING:
@@ -36,10 +36,9 @@ def _columns(n_labels: int) -> tuple[str, ...]:
     return tuple(f"{'er'[i % 2]}{i // 2 + 1}" for i in range(n_labels))
 
 
-class SourceRecord(namedtuple("SourceRecord", "id labels")):
-    """One row from the input dataset: an id and the alternating
-    entity/relation labels ``(e1, r1, e2, ..., rn, e(n+1))`` of an n-hop
-    chain, n >= 2.
+class SourceRecord(ReasoningInstance):
+    """One row from the input dataset: a chain of n >= 2 hops whose
+    ``source_id`` is the row's id, built as ``SourceRecord(id, labels)``.
     """
 
     __slots__ = ()
@@ -54,11 +53,14 @@ class SourceRecord(namedtuple("SourceRecord", "id labels")):
         bad = first_bad_label(labels)
         if bad is not None:
             raise ValueError(f"record {id}: empty field {_columns(n)[bad]}")
-        return tuple.__new__(cls, (id, labels))
+        return tuple.__new__(cls, (tuple(labels), id))
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with these
+        return self.id, self.labels
 
     @property
-    def n_hops(self) -> int:
-        return len(self.labels) // 2
+    def id(self) -> str:
+        return self.source_id
 
     @property
     def bridge(self) -> str:
@@ -69,13 +71,6 @@ class SourceRecord(namedtuple("SourceRecord", "id labels")):
     def relation_pair(self) -> tuple[str, str]:
         """The first two relations, (r1, r2)."""
         return self.labels[1], self.labels[3]
-
-    @property
-    def answer(self) -> str:
-        return self.labels[-1]
-
-    def to_chain(self) -> ReasoningInstance:
-        return make_chain(*self.labels, source_id=self.id)
 
     def to_dict(self) -> dict:
         return {"id": self.id, **dict(zip(_columns(len(self.labels)), self.labels))}
@@ -141,13 +136,21 @@ class IngestResult:
         return len(self.invalid_rows) + len(self.conflicting_rows)
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of the text file at ``path``, less a byte-order mark, split
+    at line ends only: ``str.splitlines`` would also split at U+2028 and the like."""
+    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _rows(path: Path, format: str):
     """Yield ``(lineno, id, labels)`` for each non-blank row, or
     ``(lineno, problem, None)`` for a row with no fields to read.  TSV
     columns are matched by header name, in any order.
     """
-    # utf-8-sig drops the byte-order mark that spreadsheet exports start with
-    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    lines = read_lines(path)
     if format == "tsv":
         if not lines:
             return
@@ -254,8 +257,21 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> int:
     return count
 
 
+def check_tsv_cells(records: list[SourceRecord]) -> None:
+    """Refuse, naming its record and column, a tab or line break in any cell."""
+    cells = "".join(itertools.chain(map(operator.attrgetter("source_id"), records),
+                                    *map(operator.attrgetter("labels"), records)))
+    if "\t" in cells or "\n" in cells or "\r" in cells:  # look for it cell by cell
+        for r in records:
+            for column, cell in zip(("id", *_columns(len(r.labels))), (r.id, *r.labels)):
+                if "\t" in cell or "\n" in cell or "\r" in cell:
+                    raise ValueError(f"record {r.id!r}: {column} holds a tab or a "
+                                     "line break, which a TSV cell cannot hold")
+
+
 def write_records(records: list[SourceRecord], path: str | Path, format: str = "tsv") -> None:
     if format == "tsv":
+        check_tsv_cells(records)
         # Shorter chains leave their trailing cells empty.
         width = max((len(r.labels) for r in records), default=5)
         header = "\t".join(("id", *_columns(width)))
@@ -393,9 +409,8 @@ def build_finetune_corpus(
     from . import prompts  # through the module, where a tracer wraps build_prompt
 
     for record in records:
-        chain = record.to_chain()
-        for hops in range(1, chain.n_hops + 1):
-            sub_chain = ReasoningInstance(hops=chain.hops[:hops], source_id=record.id)
+        for hops in range(1, record.n_hops + 1):
+            sub_chain = ReasoningInstance(record.labels[:2 * hops + 1], record.id)
             try:
                 example = render_instance(sub_chain, representation)
                 prompt = prompts.build_prompt(

@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
-from .kg import ReasoningInstance, Triplet, check_labels, validate_instance
+from .kg import ReasoningInstance, check_labels
 from .render import ENVELOPE_BODY_KEY, RepresentationTag, parse as parse_body
 
 _QUOTES = "\"'“”‘’"
@@ -96,7 +96,7 @@ def _judge_hops(
             break
     flat = None  # the sentence fallback's text, built for the first missing hop
     verdicts = []
-    for head, _, tail in gold.hops:
+    for head, tail in zip(gold.labels[:-2:2], gold.labels[2::2]):
         head = normalize(head)
         tail = normalize(tail)
         if (head, tail) in pairs:
@@ -132,9 +132,10 @@ class EvalRecord(namedtuple("EvalRecord", (
     __slots__ = ()
 
     def to_dict(self) -> dict:
+        labels = self.gold.labels
         return {
             "instance_id": self.instance_id,
-            "gold": [list(hop) for hop in self.gold.hops],
+            "gold": [list(labels[i:i + 3]) for i in range(0, len(labels) - 2, 2)],
             "completion": self.completion,
             "extracted_answer": self.extracted_answer,
             "final_correct": self.final_correct,
@@ -148,23 +149,22 @@ class EvalRecord(namedtuple("EvalRecord", (
         """The record ``to_dict`` wrote; raises ValueError on a gold hop that
         is not three non-blank label strings, on gold hops that do not
         bridge, and on a hop verdict count other than the hop count."""
-        hops = []
+        labels = []
         for i, hop in enumerate(d["gold"]):
             if not isinstance(hop, (list, tuple)) or len(hop) != 3:
                 raise ValueError(f"gold hop {i} must be three labels, got {hop!r}")
             check_labels(hop)
-            hops.append(Triplet(*hop))
-        gold = ReasoningInstance(hops=tuple(hops), source_id=d.get("gold_source_id"))
-        problems = validate_instance(gold)
-        if problems:
-            raise ValueError(f"gold {problems[0]}")
+            if labels and labels[-1] != hop[0]:
+                raise ValueError(f"gold hop {i - 1}: tail {labels[-1]!r} does not "
+                                 f"bridge to hop {i} head {hop[0]!r}")
+            labels += hop[1:] if labels else hop
         hop_correct = tuple(d["hop_correct"])
-        if len(hop_correct) != len(hops):
+        if len(hop_correct) != len(labels) // 2:
             raise ValueError(f"hop_correct has {len(hop_correct)} verdicts "
-                             f"for {len(hops)} gold hops")
+                             f"for {len(labels) // 2} gold hops")
         return cls(
             instance_id=d["instance_id"],
-            gold=gold,
+            gold=ReasoningInstance(labels, d.get("gold_source_id")),
             completion=d["completion"],
             extracted_answer=d["extracted_answer"],
             final_correct=d["final_correct"],

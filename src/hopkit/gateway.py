@@ -16,7 +16,7 @@ import time
 from collections import namedtuple
 from pathlib import Path
 
-from .kg import ReasoningInstance, Triplet, infer
+from .kg import ReasoningInstance, infer
 from .render import (RepresentationTag, render as render_instance,
                      wrap_answer_envelope)
 
@@ -94,32 +94,24 @@ def oracle_complete(
     path is missing from the graph.
     """
     core = _extract_query(prompt)
-    chain = None
-    if core is not None:
-        for relations, start in _candidate_paths(core):
-            if infer(kg, start, relations) is None:
-                continue
-            hops = []
-            current = start
+    for relations, start in () if core is None else _candidate_paths(core):
+        if infer(kg, start, relations) is not None:
+            labels = [start]
             for relation in relations:
-                tail = kg[current, relation]
-                hops.append(Triplet(current, relation, tail))
-                current = tail
-            chain = ReasoningInstance(hops=tuple(hops))
-            break
-    if chain is None:
-        return wrap_answer_envelope("", representation, UNKNOWN_ANSWER)
-    if corrupt is not None:
-        chain = corrupt.apply(chain, prompt)
-    return render_instance(chain, representation).envelope
+                labels += relation, kg[labels[-1], relation]
+            chain = ReasoningInstance(labels)
+            if corrupt is not None:
+                chain = corrupt.apply(chain, prompt)
+            return render_instance(chain, representation).envelope
+    return wrap_answer_envelope("", representation, UNKNOWN_ANSWER)
 
 
 class FaultSpec(namedtuple("FaultSpec", "hop_index probability seed")):
     """Seeded corruption of one hop, for exercising the evaluation harness.
 
     With probability ``probability`` (decided per prompt, independent of call
-    order) the tail of hop ``hop_index`` is replaced by a wrong entity; the
-    next hop's head is rewritten too so the chain stays well formed.
+    order) the tail of hop ``hop_index``, which is also the next hop's head,
+    is replaced by a wrong entity.
     """
 
     __slots__ = ()
@@ -135,15 +127,9 @@ class FaultSpec(namedtuple("FaultSpec", "hop_index probability seed")):
         rng = random.Random(f"{self.seed}:{prompt}")
         if rng.random() >= self.probability or self.hop_index >= chain.n_hops:
             return chain
-        hops = list(chain.hops)
-        bad = "NOT-" + hops[self.hop_index].tail
-        hops[self.hop_index] = Triplet(
-            hops[self.hop_index].head, hops[self.hop_index].relation, bad
-        )
-        if self.hop_index + 1 < len(hops):
-            nxt = hops[self.hop_index + 1]
-            hops[self.hop_index + 1] = Triplet(bad, nxt.relation, nxt.tail)
-        return ReasoningInstance(hops=tuple(hops), source_id=chain.source_id)
+        labels = list(chain.labels)
+        labels[2 * self.hop_index + 2] = "NOT-" + labels[2 * self.hop_index + 2]
+        return ReasoningInstance(labels, chain.source_id)
 
 
 class OracleBackend:

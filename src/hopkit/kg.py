@@ -1,12 +1,13 @@
 """Knowledge-graph core: triplets of label strings, reasoning chains, and
 the hop-by-hop inference oracle.
 
-Entities and relations are their labels, plain ``str``.  A knowledge graph
-is a ``dict`` mapping each ``(head, relation)`` key to exactly one tail.
-Real knowledge bases have multi-valued relations, but the datasets this
-toolkit targets are single-answer, and a functional store keeps inference
-deterministic.  Conflicting rows are rejected upstream during ingestion
-(see :mod:`hopkit.dataset`).
+Entities and relations are their labels, plain ``str``, and a chain is its
+flat label tuple.  A knowledge graph is a ``dict`` mapping each
+``(head, relation)`` key to exactly one tail.  Real knowledge bases have
+multi-valued relations, but the datasets this toolkit targets are
+single-answer, and a functional store keeps inference deterministic.
+Conflicting rows are rejected upstream during ingestion (see
+:mod:`hopkit.dataset`).
 """
 
 from __future__ import annotations
@@ -21,37 +22,38 @@ class Triplet(namedtuple("Triplet", "head relation tail")):
     __slots__ = ()
 
 
-class ReasoningInstance(namedtuple("ReasoningInstance", "hops source_id")):
-    """An n-hop chain of triplets where each hop's tail is the next hop's head.
-
-    ``hops`` must be non-empty; the datasets in this toolkit use n in
-    {1, 2, 3} but any n >= 1 is accepted.
-    """
+class ReasoningInstance(namedtuple("ReasoningInstance", "labels source_id")):
+    """An n-hop chain, n >= 1, as its entity/relation labels
+    ``(e1, r1, e2, ..., rn, e(n+1))``: hops bridge by construction."""
 
     __slots__ = ()
 
-    def __new__(cls, hops: tuple[Triplet, ...], source_id: str | None = None):
-        if not hops:
-            raise ValueError("a reasoning chain needs at least one hop")
-        return tuple.__new__(cls, (hops, source_id))
+    def __new__(cls, labels: tuple[str, ...], source_id: str | None = None):
+        if len(labels) < 3 or len(labels) % 2 == 0:
+            raise ValueError("expected e1, r1, e2 [, r2, e3, ...]")
+        return tuple.__new__(cls, (tuple(labels), source_id))
+
+    @property
+    def hops(self) -> tuple[Triplet, ...]:
+        return tuple(map(Triplet, self.labels[:-2:2], self.labels[1::2], self.labels[2::2]))
 
     @property
     def n_hops(self) -> int:
-        return len(self.hops)
+        return len(self.labels) // 2
 
     @property
     def start(self) -> str:
-        return self.hops[0].head
+        return self.labels[0]
 
     @property
     def answer(self) -> str:
         """Gold final entity of the chain."""
-        return self.hops[-1].tail
+        return self.labels[-1]
 
     @property
     def relations(self) -> list[str]:
         """Relations in traversal order (first hop first)."""
-        return [hop.relation for hop in self.hops]
+        return list(self.labels[1::2])
 
 
 def add_fact(kg: dict[tuple[str, str], str], t: Triplet) -> bool:
@@ -79,18 +81,6 @@ def infer(kg: dict[tuple[str, str], str], start: str, relations: list[str]) -> s
         if current is None:
             return None
     return current
-
-
-def validate_instance(chain: ReasoningInstance) -> list[str]:
-    """Return one description per violated invariant, empty when valid."""
-    problems = []
-    for i in range(len(chain.hops) - 1):
-        if chain.hops[i].tail != chain.hops[i + 1].head:
-            problems.append(
-                f"hop {i}: tail {chain.hops[i].tail!r} does not bridge to "
-                f"hop {i + 1} head {chain.hops[i + 1].head!r}"
-            )
-    return problems
 
 
 def first_bad_label(labels) -> int | None:
@@ -121,9 +111,6 @@ def make_chain(*labels: str, source_id: str | None = None) -> ReasoningInstance:
 
     ``make_chain("e1", "r1", "e2", "r2", "e3")`` gives a two-hop chain.
     """
-    if len(labels) < 3 or len(labels) % 2 == 0:
-        raise ValueError("expected e1, r1, e2 [, r2, e3, ...]")
+    chain = ReasoningInstance(labels, source_id)  # refuses a wrong count first
     check_labels(labels)
-    return ReasoningInstance(
-        hops=tuple(map(Triplet, labels[:-2:2], labels[1::2], labels[2::2])),
-        source_id=source_id)
+    return chain

@@ -18,7 +18,7 @@ from collections import deque, namedtuple
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _json_string
 
-from .kg import ReasoningInstance, validate_instance
+from .kg import ReasoningInstance
 
 
 class RepresentationTag(str, enum.Enum):
@@ -64,17 +64,10 @@ def _py_str(label: str) -> str:
     return "'" + label.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
-def _check_chain(chain: ReasoningInstance) -> None:
-    problems = validate_instance(chain)
-    if problems:
-        raise RenderError("; ".join(problems))
-
-
 def _check_code_safe(chain: ReasoningInstance) -> None:
-    for hop in chain.hops:
-        for label in hop:
-            if "\n" in label or "\r" in label:
-                raise RenderError(f"label {label!r} contains a line break")
+    for label in chain.labels:
+        if "\n" in label or "\r" in label:
+            raise RenderError(f"label {label!r} contains a line break")
 
 
 def composed_sentence(relations: list[str], start: str, final: str) -> str:
@@ -204,7 +197,8 @@ def _and_join(items: list[str]) -> str:
 
 def _render_python_dynamic(chain: ReasoningInstance) -> str:
     _check_code_safe(chain)
-    n = chain.n_hops
+    hops = chain.hops
+    n = len(hops)
     lines = [DYNAMIC_PREAMBLE]
     lines.append("# Example usage:")
     lines.append("# Create a knowledge base instance.")
@@ -213,7 +207,7 @@ def _render_python_dynamic(chain: ReasoningInstance) -> str:
 
     lines.append("# Step 2. Define entities and relationships")
     lines.append(f"e1 = {_py_str(chain.start)}")
-    for i, hop in enumerate(chain.hops, start=1):
+    for i, hop in enumerate(hops, start=1):
         lines.append(f"r{i} = {_py_str(hop.relation)}")
         lines.append(f"e{i + 1} = {_py_str(hop.tail)}")
     lines.append("")
@@ -225,7 +219,7 @@ def _render_python_dynamic(chain: ReasoningInstance) -> str:
 
     lines.append("# Step 3. Perform inference.")
     infer_lines: list[tuple[str, str]] = []
-    for i, (head, relation, tail) in enumerate(chain.hops, start=1):
+    for i, (head, relation, tail) in enumerate(hops, start=1):
         infer_lines.append(
             (
                 f"result{i} = kb.infer(e{i}, r{i})",
@@ -235,7 +229,7 @@ def _render_python_dynamic(chain: ReasoningInstance) -> str:
     if n >= 2:
         args = ", ".join(["e1"] + [f"r{i}" for i in range(1, n + 1)])
         path = ", ".join(
-            f"({head}, {relation}) -> {tail}" for head, relation, tail in chain.hops
+            f"({head}, {relation}) -> {tail}" for head, relation, tail in hops
         )
         infer_lines.append(
             (
@@ -250,7 +244,7 @@ def _render_python_dynamic(chain: ReasoningInstance) -> str:
 
     lines.append("# Output the result")
     print_lines: list[tuple[str, str]] = []
-    for i, (head, relation, tail) in enumerate(chain.hops, start=1):
+    for i, (head, relation, tail) in enumerate(hops, start=1):
         print_lines.append(
             (
                 f"print(result{i})",
@@ -290,8 +284,7 @@ def wrap_answer_envelope(body: str, tag: RepresentationTag, answer: str) -> str:
 
 
 def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:
-    """Render a valid chain into one representation, deterministically."""
-    _check_chain(chain)
+    """Render a chain into one representation, deterministically."""
     body = _RENDERERS[tag](chain)
     return RenderedExample(
         body=body,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 import hopkit
-from hopkit import ReasoningInstance, Triplet, make_chain
+from hopkit import ReasoningInstance, make_chain
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -45,11 +45,10 @@ def random_chain(rng: random.Random, n_hops: int | None = None) -> ReasoningInst
         n_hops = rng.choice([1, 2, 3])
     entities = [f"E{rng.randrange(10**6)}-{i}" for i in range(n_hops + 1)]
     relations = [f"rel{rng.randrange(100)}" for _ in range(n_hops)]
-    hops = tuple(
-        Triplet(entities[i], relations[i], entities[i + 1])
-        for i in range(n_hops)
-    )
-    return ReasoningInstance(hops=hops, source_id=f"chain-{rng.randrange(10**9)}")
+    labels = [entities[0]]
+    for relation, entity in zip(relations, entities[1:]):
+        labels += relation, entity
+    return ReasoningInstance(tuple(labels), f"chain-{rng.randrange(10**9)}")
 
 
 def chat_reply(text):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -11,10 +12,22 @@ from pathlib import Path
 import pytest
 
 import hopkit
-from hopkit import OracleBackend, add_fact, dataset, gateway, prompts
+from hopkit import OracleBackend, add_fact, dataset, gateway, ingest, prompts
 from hopkit.cli import main
 from hopkit.render import RepresentationTag
 from tests.conftest import chat_reply, hopkit_env
+
+
+def write_jsonl(path, rows):
+    """Rows of labels, one JSON object per line, with every character raw."""
+    columns = ["id", "e1", "r1", "e2", "r2", "e3"]
+    path.write_text("".join(json.dumps(dict(zip(columns, row)), ensure_ascii=False) + "\n"
+                            for row in rows), encoding="utf-8")
+
+
+def tsv_refusal(record_id, column):
+    return (f"error: record {record_id!r}: {column} holds a tab or a line break, "
+            "which a TSV cell cannot hold\n")
 
 
 def write_tsv(path, rows):
@@ -64,6 +77,30 @@ class TestPartition:
         test_bridges = {line.split("\t")[3] for line in test}
         assert not (train_bridges & test_bridges)
 
+    # With two partitions, record i lands in partition i % 2: 0 is train, 1 test.
+    @pytest.mark.parametrize("bad", [0, 1], ids=["in-train", "in-test"])
+    def test_a_cell_no_tsv_can_hold_replaces_no_output(self, tmp_path, capsys, bad):
+        rows = [[str(i), f"work{i}", "composer", f"bridge{i}", "spouse", f"p{i}"]
+                for i in range(4)]
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, rows)
+        out = tmp_path / "split"
+        args = ["partition", "--input", str(path), "--output", str(out),
+                "--partitions", "2", "--train-idx", "0", "--test-idx", "1"]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before) == 3
+        rows[bad][5] = "p\tq"
+        write_jsonl(path, rows)
+        for fresh in (False, True):
+            if fresh:
+                shutil.rmtree(out)
+            capsys.readouterr()
+            assert main(args + ["--force"]) == 1
+            assert capsys.readouterr().err == tsv_refusal(str(bad), "e3")
+            after = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert after == ({} if fresh else before)
+
 
 class TestStats:
     def test_table_and_json(self, input_tsv, tmp_path, capsys):
@@ -107,6 +144,25 @@ class TestCap:
         assert "kept 1 of 1" in captured.out
         assert out.read_text().splitlines()[1:] == ["1\ta\tr\tb\ts\tc"]
 
+    @pytest.mark.parametrize("column, value", [
+        ("id", "7\t8"), ("e1", "a\tb"), ("r1", "r\ns"), ("e3", "c\rd"), ("e2", "b\r\n"),
+    ])
+    def test_a_cell_no_tsv_can_hold_is_refused(self, tmp_path, capsys, column, value):
+        rows = [[str(i), f"work{i}", "composer", f"bridge{i}", "spouse", f"p{i}"]
+                for i in range(4)]
+        rows[3][["id", "e1", "r1", "e2", "r2", "e3"].index(column)] = value
+        rows[1][1] = "x y"
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, rows)
+        out = tmp_path / "out.tsv"
+        assert main(["cap", "--input", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == tsv_refusal(rows[3][0], column)
+        assert list(tmp_path.iterdir()) == [path]
+        # JSON lines hold any label
+        assert main(["cap", "--input", str(path), "--output", str(tmp_path / "o.jsonl")]) == 0
+        assert ingest(tmp_path / "o.jsonl", "json_lines").records == ingest(
+            path, "json_lines").records
+
 
 class TestExtend3:
     def test_adds_third_hop(self, input_tsv, tmp_path, capsys):
@@ -130,6 +186,21 @@ class TestExtend3:
                      "--whitelist", str(whitelist), "--output", str(tmp_path / "out.tsv")])
         assert code == 0
         assert "extended 2 of 20" in capsys.readouterr().out
+
+    def test_inputs_split_at_line_ends_only(self, tmp_path, capsys):
+        # U+2028, U+2029, NEL, form feed and vertical tab are label characters
+        answer, relation = "per\u2028son", "birth\x85place\x0cof\x0bone"
+        records, facts = tmp_path / "records.tsv", tmp_path / "facts.tsv"
+        write_tsv(records, [["1", "work", "composer", "bridge", "spouse", answer]])
+        facts.write_text(f"{answer}\t{relation}\tParis\u2029Texas\r\n", encoding="utf-8")
+        whitelist = tmp_path / "allowed.txt"
+        whitelist.write_text(f"{answer}\r\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["extend3", "--input", str(records), "--facts", str(facts),
+                     "--whitelist", str(whitelist), "--output", str(out)]) == 0
+        assert capsys.readouterr() == ("extended 1 of 1 records by one hop\n", "")
+        [record] = ingest(out, "json_lines").records
+        assert record.labels[4:] == (answer, relation, "Paris\u2029Texas")
 
     @pytest.mark.parametrize("row, message", [
         ("person0\tbirthplace", "expected head<TAB>relation<TAB>tail"),
@@ -306,15 +377,14 @@ def test_one_shot_evaluate_bytes_pinned(input_tsv, tmp_path, capsys, rep, style)
 def test_one_shot_prompts_do_each_piece_of_work_once(one_shot_tsv, tmp_path,
                                                      monkeypatch):
     """Each demonstration is rendered once, each (seed, eligible count) draw
-    is made once, and each record's chain is built once: counted, not timed."""
+    is made once, and no chain is built from a record: counted, not timed."""
     records = dataset.ingest(one_shot_tsv).records
-    chains = [r.to_chain() for r in records]
-    pool = prompts.DemonstrationPool(chains)
-    demonstrations = {pool.pick(chain, 5) for chain in chains}
-    assert len(demonstrations) < len(chains)
+    pool = prompts.DemonstrationPool(records)
+    demonstrations = {pool.pick(record, 5) for record in records}
+    assert len(demonstrations) < len(records)
 
-    rendered, made, draws, built = Counter(), [], [], Counter()
-    real_render, real_to_chain = prompts.render_instance, dataset.SourceRecord.to_chain
+    rendered, made, draws, built = Counter(), [], [], []
+    real_render, real_new = prompts.render_instance, hopkit.ReasoningInstance.__new__
 
     def render(chain, representation):
         rendered[chain] += 1
@@ -329,21 +399,21 @@ def test_one_shot_prompts_do_each_piece_of_work_once(one_shot_tsv, tmp_path,
             draws.append((made[-1], n))
             return super().randrange(n)
 
-    def to_chain(record):
-        built[record.id] += 1
-        return real_to_chain(record)
+    def new(cls, *args, **kwargs):  # a SourceRecord has its own __new__
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
 
     monkeypatch.setattr(prompts, "render_instance", render)
     monkeypatch.setattr(prompts.random, "Random", CountedRandom)
-    monkeypatch.setattr(dataset.SourceRecord, "to_chain", to_chain)
+    monkeypatch.setattr(hopkit.ReasoningInstance, "__new__", new)
     assert main(["generate", "--input", str(one_shot_tsv), "--output",
                  str(tmp_path / "p.jsonl"), "--kind", "prompts", "--mode", "one",
                  "--rep", "py-dynamic", "--seed", "5"]) == 0
     assert rendered == Counter(demonstrations)
     # one Random per (seed, eligible count), and fewer of those than records
-    assert len(made) == len(set(draws)) == len(draws) < len(chains)
+    assert len(made) == len(set(draws)) == len(draws) < len(records)
     assert made == [5] * len(made)
-    assert built == Counter(r.id for r in records)
+    assert built == []
 
 
 # SHA-256 of `generate --kind prompts --mode zero` and `--mode context --seed 5`
@@ -699,7 +769,7 @@ class TestEvaluate:
                                                  chat_server):
         kg = {}
         for record in dataset.ingest(input_tsv).records:
-            for hop in record.to_chain().hops:
+            for hop in record.hops:
                 add_fact(kg, hop)
         oracle = OracleBackend(kg, RepresentationTag.JSON)
 

@@ -69,6 +69,22 @@ class TestIngest:
         assert result.records[0].bridge == "b"
 
     @pytest.mark.parametrize("fmt", ["tsv", "json_lines"])
+    def test_rows_split_at_line_ends_only(self, tmp_path, fmt):
+        odd = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines splits at each
+        rows = [("1", "a" + odd, "r", "b", "s" + odd, "c"),
+                ("2", "d", "r", "e", "s", f"f{odd}g")]
+        if fmt == "tsv":
+            lines = ["id\te1\tr1\te2\tr2\te3"] + ["\t".join(row) for row in rows]
+        else:
+            lines = [json.dumps(dict(zip(["id", "e1", "r1", "e2", "r2", "e3"], row)),
+                                ensure_ascii=False) for row in rows]
+        path = tmp_path / "in"
+        path.write_text("\r\n".join([*lines, "bad"]) + "\n", encoding="utf-8")
+        result = ingest(path, fmt)
+        assert [(r.id, r.labels) for r in result.records] == [(r[0], r[1:]) for r in rows]
+        assert [lineno for lineno, _ in result.invalid_rows] == [len(lines) + 1]
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json_lines"])
     def test_byte_order_mark_is_not_part_of_the_first_row(self, tmp_path, fmt):
         records = [rec(1, "a", "r", "b", "s", "c"), rec(2, "d", "r", "e", "s", "f")]
         path = tmp_path / "in"
@@ -116,8 +132,8 @@ class TestIngest:
         path.write_text("id\te1\tr1\te2\tr2\te3\tr3\te4\tr4\te5\n"
                         "1\ta\tr\tb\ts\tc\tu\td\tv\te\n", encoding="utf-8")
         [record] = ingest(path, "tsv").records
-        assert record.n_hops == record.to_chain().n_hops == 4
-        assert record.to_chain().answer == "e"
+        assert record.n_hops == len(record.hops) == 4
+        assert record.answer == record.hops[-1].tail == "e"
 
     def test_columns_are_read_by_header_name(self, tmp_path):
         path = tmp_path / "in.tsv"
@@ -279,7 +295,7 @@ class TestExtend:
         records = [rec(1, "a", "r", "b", "s", "c", "t", "d")]
         [out] = extend_to_three_hops(records, [Triplet("d", "u", "e")], {"d"})
         assert out.labels == ("a", "r", "b", "s", "c", "t", "d", "u", "e")
-        assert out.to_chain().n_hops == 4
+        assert out.n_hops == 4
 
     def test_no_extension_omitted(self):
         records = [rec(1, "a", "r", "b", "s", "c")]
@@ -301,8 +317,7 @@ class TestExtend:
         facts = [Triplet(f"c{i}", "u", f"d{i}") for i in range(2)]
         whitelist = {"c0", "c1"}
         for record in extend_to_three_hops(records, facts, whitelist):
-            chain = record.to_chain()
-            assert chain.n_hops == 3
+            assert record.n_hops == 3
             assert record.labels[4] in {"c0", "c1"}
 
 

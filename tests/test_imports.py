@@ -15,10 +15,9 @@ from hopkit.render import RepresentationTag
 from tests.conftest import hopkit_env
 
 # Every public name ``hopkit/__init__.py`` imported when it loaded every
-# module eagerly.
+# module eagerly, less the hop bridge check, deleted with hop-tuple chains.
 EXPORTED = {
-    "kg": ["ReasoningInstance", "Triplet", "add_fact", "infer", "make_chain",
-           "validate_instance"],
+    "kg": ["ReasoningInstance", "Triplet", "add_fact", "infer", "make_chain"],
     "render": ["ParsedBody", "RenderedExample", "RepresentationTag", "parse",
                "render", "wrap_answer_envelope"],
     "prompts": ["DatasetStyle", "PromptBundle", "PromptMode", "build_prompt",

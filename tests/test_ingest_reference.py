@@ -242,7 +242,8 @@ def _outcome(read, path, format):
 def _ingest(path, format):
     result = ingest(path, format)
     assert all(type(r) is SourceRecord for r in result.records)
-    return result.records, result.invalid_rows, result.conflicting_rows
+    return ([(r.id, r.labels) for r in result.records], result.invalid_rows,
+            result.conflicting_rows)
 
 
 # Each kind of verdict the planted defects must reach at least once.

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from hopkit import Triplet, add_fact, infer, make_chain, validate_instance
-from hopkit.kg import ReasoningInstance
+from hopkit import Triplet, add_fact, infer, make_chain
 
 
 def test_add_fact_and_lookup():
@@ -37,15 +36,6 @@ def test_infer_one_and_two_hops():
     assert infer(kg, start, ["composer", "spouse"]) == "Didi Conn"
     assert infer(kg, start, ["spouse"]) is None
     assert infer(kg, "X", []) == "X"
-
-
-def test_validate_instance():
-    assert validate_instance(make_chain("a", "r", "b", "r2", "c")) == []
-    broken = ReasoningInstance(
-        hops=(Triplet("a", "r", "b"), Triplet("b", "r2", "c"), Triplet("x", "r3", "y"))
-    )
-    problems = validate_instance(broken)
-    assert len(problems) == 1 and "hop 1" in problems[0]
 
 
 def test_empty_labels_rejected():

@@ -8,10 +8,12 @@ import re
 import pytest
 
 from hopkit import (EvalRecord, FaultSpec, OracleBackend, OverlapStats,
-                    SourceRecord, SplitSpec, Triplet, ingest, judge, make_chain)
+                    SourceRecord, SplitSpec, Triplet, ingest, judge, make_chain, render)
 from hopkit.cli import main
+from hopkit.dataset import write_records
 from hopkit.kg import ReasoningInstance
 from hopkit.render import RepresentationTag
+from tests.conftest import random_chain
 
 
 def exactly(message):
@@ -75,7 +77,7 @@ class TestLabels:
             labels = random_labels(rng, rng.randint(2, 4))
             chain = make_chain(*labels, source_id=str(i))
             assert all_label_strings(chain.hops)
-            from_record = SourceRecord(str(i), tuple(labels)).to_chain()
+            from_record = SourceRecord(str(i), tuple(labels))
             assert from_record == chain and all_label_strings(from_record.hops)
             record = judge(str(i), chain, rng.choice([None, "x", chain.answer]),
                            rng.choice(list(RepresentationTag)))
@@ -174,7 +176,7 @@ class TestLabels:
             assert result.invalid_rows == [(lineno, f"record {bad_id}: empty field {column}")]
             assert [r.id for r in result.records] == [
                 row["id"] for row in rows if row["id"] != bad_id]
-            assert all(all_label_strings(r.to_chain().hops) for r in result.records)
+            assert all(all_label_strings(r.hops) for r in result.records)
 
     def test_extend3_refuses_a_blank_fact_label_naming_file_and_line(self, tmp_path,
                                                                      capsys):
@@ -204,9 +206,68 @@ class TestChains:
         assert a.hops[0] == Triplet("a", "r", "b")
         assert a != make_chain("a", "r", "b", "s", "c", source_id="2")
 
+    def test_hops_bridge_and_the_labels_rebuild_the_chain(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            chain = random_chain(rng, rng.randint(1, 5))
+            hops = chain.hops
+            assert len(hops) == chain.n_hops
+            assert all(hop.tail == after.head for hop, after in zip(hops, hops[1:]))
+            assert (hops[0].head, hops[-1].tail) == (chain.start, chain.answer)
+            assert [hop.relation for hop in hops] == chain.relations
+            assert make_chain(*chain.labels, source_id=chain.source_id) == chain
+
+    def test_a_fault_corrupts_the_chain_a_hop_rewrite_does(self):
+        def rewrite(chain, fault, prompt):
+            """The hops of ``fault.apply(chain, prompt)``, rewritten hop by hop."""
+            rng = random.Random(f"{fault.seed}:{prompt}")
+            hops = list(chain.hops)
+            if rng.random() >= fault.probability or fault.hop_index >= len(hops):
+                return tuple(hops)
+            head, relation, tail = hops[fault.hop_index]
+            bad = "NOT-" + tail
+            hops[fault.hop_index] = Triplet(head, relation, bad)
+            if fault.hop_index + 1 < len(hops):
+                _, relation, tail = hops[fault.hop_index + 1]
+                hops[fault.hop_index + 1] = Triplet(bad, relation, tail)
+            return tuple(hops)
+
+        rng = random.Random(24)
+        for i in range(400):
+            chain = random_chain(rng, rng.randint(1, 4))
+            fault = FaultSpec(rng.randrange(5), rng.choice([0.0, 0.5, 1.0]), rng.randrange(9))
+            corrupted = fault.apply(chain, f"prompt {i}")
+            assert corrupted.hops == rewrite(chain, fault, f"prompt {i}")
+            assert corrupted.source_id == chain.source_id
+
+    def test_a_judged_source_record_reads_back_equal(self):
+        rng = random.Random(25)
+        for i in range(200):
+            record = SourceRecord(f"r{i}", tuple(random_labels(rng, rng.randint(2, 4))))
+            tag = rng.choice(list(RepresentationTag))
+            completion = rng.choice([None, "x", record.answer, render(record, tag).envelope])
+            judged = judge(record.id, record, completion, tag)
+            logged = EvalRecord.from_dict(json.loads(json.dumps(judged.to_dict())))
+            assert logged == judged and logged.gold.source_id == record.id
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json_lines"])
+    def test_records_with_any_label_text_round_trip_through_a_file(self, tmp_path, fmt):
+        # quotes, non-BMP text, and the characters str.splitlines splits at
+        pieces = ['"', "'", "\U0001f600", "\u2028", "\x85", "\x0b", "\x0c", " ", "a"]
+        rng = random.Random(f"round-trip:{fmt}")
+        path = tmp_path / "records"
+        for case in range(40):
+            records = [SourceRecord(f"id{i}{rng.choice(pieces)}", tuple(
+                f"{'er'[k % 2]}{''.join(rng.choices(pieces, k=rng.randrange(6)))}{i}.{k}"
+                for k in range(2 * rng.randint(2, 4) + 1))) for i in range(rng.randint(1, 8))]
+            write_records(records, path, fmt)
+            result = ingest(path, fmt)
+            assert result.records == records and result.n_rejected == 0, case
+
     def test_an_empty_chain_is_refused(self):
-        with pytest.raises(ValueError, match=exactly("a reasoning chain needs at least one hop")):
-            ReasoningInstance(hops=())
+        for labels in [(), ("a",), ("a", "r"), ("a", "r", "b", "s")]:  # no whole hops
+            with pytest.raises(ValueError, match=exactly("expected e1, r1, e2 [, r2, e3, ...]")):
+                ReasoningInstance(labels)
 
 
 class TestConstructorChecks:
