@@ -3,7 +3,7 @@ evaluate -> report.
 
 Every command is deterministic given its inputs, flags, and seed (remote
 endpoint content aside), refuses to overwrite outputs without --force, and
-exits nonzero with a diagnostic on any pipeline error.
+exits 1 with one ``error: <message>`` line on any user error.
 """
 
 from __future__ import annotations
@@ -39,13 +39,9 @@ MODE_FLAGS = {
 STYLES = ["statement", "question"]
 
 
-class CliError(RuntimeError):
-    pass
-
-
 def _check_output(path: Path, force: bool) -> None:
     if path.exists() and not force:
-        raise CliError(f"{path} exists; pass --force to overwrite")
+        raise ValueError(f"{path} exists; pass --force to overwrite")
 
 
 def _load_records(path: str, format: str | None) -> list[dataset.SourceRecord]:
@@ -69,7 +65,7 @@ def _load_records(path: str, format: str | None) -> list[dataset.SourceRecord]:
             file=sys.stderr,
         )
     if not result.records:
-        raise CliError(f"no usable records in {path}")
+        raise ValueError(f"no usable records in {path}")
     return result.records
 
 
@@ -78,19 +74,19 @@ def _format_of(path: str) -> str:
 
 
 def cmd_partition(args) -> int:
+    out = Path(args.output)
+    train_path = out / "train.tsv"
+    test_path = out / "test.tsv"
+    map_path = out / "partition_map.json"
+    for path in (train_path, test_path, map_path):
+        _check_output(path, args.force)
     records = _load_records(args.input, args.format)
     spec = dataset.SplitSpec(
         num_partitions=args.partitions,
         train_partition_index=args.train_idx,
         test_partition_index=args.test_idx,
     )
-    out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    train_path = out / "train.tsv"
-    test_path = out / "test.tsv"
-    map_path = out / "partition_map.json"
-    for path in (train_path, test_path, map_path):
-        _check_output(path, args.force)
     train, test, partition_map = dataset.partition_by_bridge(records, spec)
     dataset.check_tsv_cells(train + test)  # before either file is replaced
     dataset.write_records(train, train_path)
@@ -134,11 +130,11 @@ def _load_facts(path: str) -> list[Triplet]:
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise CliError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
+            raise ValueError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
         try:
             check_labels(parts)
         except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: {exc}") from exc
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
         facts.append(Triplet(*parts))
     return facts
 
@@ -149,8 +145,7 @@ def cmd_extend3(args) -> int:
     records = _load_records(args.input, args.format)
     facts = _load_facts(args.facts)
     if args.whitelist:
-        whitelist = {line.strip() for line in dataset.read_lines(args.whitelist)
-                     if line.strip()}
+        whitelist = {line for line in dataset.read_lines(args.whitelist) if line.strip()}
     else:
         whitelist = {r.answer for r in records}
     extended = dataset.extend_to_three_hops(records, facts, whitelist)
@@ -172,11 +167,11 @@ def _prompt_for(record, mode, style, rep, demos, seed):
 def cmd_generate(args) -> int:
     from . import prompts
 
+    path = Path(args.output)
+    _check_output(path, args.force)
     records = _load_records(args.input, args.format)
     rep = RepresentationTag(REP_FLAGS[args.rep])
     style = prompts.DatasetStyle(args.style)
-    path = Path(args.output)
-    _check_output(path, args.force)
     if args.kind == "corpus":
         n = dataset.write_finetune_corpus(
             dataset.build_finetune_corpus(records, rep, style), path)
@@ -206,13 +201,13 @@ def _build_gateway(args, records, n_hops: int) -> Gateway:
     endpoint = config.pop("endpoint", None)
     if args.oracle or not endpoint:
         if not args.oracle:
-            raise CliError("pick a backend: --oracle or --endpoint")
+            raise ValueError("pick a backend: --oracle or --endpoint")
         fault = FaultSpec(
             hop_index=args.fault_hop, probability=args.fault_prob, seed=args.seed
         )
         if fault.probability and fault.hop_index >= n_hops:
-            raise CliError(f"fault hop {fault.hop_index} is past the last hop of "
-                           f"these {n_hops}-hop records")
+            raise ValueError(f"fault hop {fault.hop_index} is past the last hop of "
+                             f"these {n_hops}-hop records")
         kg = {}
         for record in records:
             for hop in record.hops:
@@ -220,7 +215,7 @@ def _build_gateway(args, records, n_hops: int) -> Gateway:
         backend = OracleBackend(kg, RepresentationTag(REP_FLAGS[args.rep]),
                                 corrupt=fault if fault.probability else None)
     elif not config.get("model"):
-        raise CliError("an endpoint needs a model: pass --model or set model in --config")
+        raise ValueError("an endpoint needs a model: pass --model or set model in --config")
     else:
         backend = OpenAIChatBackend(endpoint, **config)
     return Gateway(backend=backend, **runner)
@@ -262,27 +257,24 @@ def _check_manifest(path: Path, manifest: dict) -> None:
     try:
         logged = dict(json.loads(path.read_text(encoding="utf-8")))
     except (ValueError, TypeError) as exc:
-        raise CliError(f"{path}: not a run manifest: {exc}") from exc
+        raise ValueError(f"{path}: not a run manifest: {exc}") from exc
     differ = [f"{key} {logged.get(key)!r} -> {manifest.get(key)!r}"
               for key in {**manifest, **logged} if logged.get(key) != manifest.get(key)]
     if differ:
-        raise CliError(f"{path}: the log was written with other settings: "
-                       f"{', '.join(differ)}; resume with the same ones")
+        raise ValueError(f"{path}: the log was written with other settings: "
+                         f"{', '.join(differ)}; resume with the same ones")
 
 
 def cmd_evaluate(args) -> int:
-    from . import evaluate, gateway, prompts
+    from . import evaluate, prompts
 
     records = _load_records(args.input, args.format)
     rep = RepresentationTag(REP_FLAGS[args.rep])
     style = prompts.DatasetStyle(args.style)
     mode = prompts.PromptMode(MODE_FLAGS[args.mode])
     n_hops = evaluate.common_hop_count(records)  # the report needs one hop count
-    try:
-        gw = _build_gateway(args, records, n_hops)
-        gw.backend.check()  # fail before the first request on misconfiguration
-    except gateway.GatewayConfigError as exc:
-        raise CliError(str(exc)) from exc
+    gw = _build_gateway(args, records, n_hops)
+    gw.backend.check()  # fail before the first request on misconfiguration
     manifest = _manifest(args, gw)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -349,10 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def common(p):
         p.add_argument("--input", required=True, help="input records file")
-        if output:
-            p.add_argument("--output", required=True)
+        p.add_argument("--output", required=True)
         p.add_argument("--format", choices=["tsv", "json_lines"],
                        help="input format (default: by file extension)")
         p.add_argument("--force", action="store_true",
@@ -431,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     unfreeze = gc.get_freeze_count() == 0  # hand an in-process caller its objects back
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

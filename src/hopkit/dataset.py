@@ -26,10 +26,6 @@ if TYPE_CHECKING:
     from .prompts import DatasetStyle
 
 
-class IngestError(ValueError):
-    pass
-
-
 @functools.lru_cache(maxsize=None)
 def _columns(n_labels: int) -> tuple[str, ...]:
     """Column names of a label chain: ``e1 r1 e2 r2 e3 ...``."""
@@ -157,7 +153,7 @@ def _rows(path: Path, format: str):
         header = lines[0].split("\t")
         width = len(header)
         if width < 6 or width % 2 or set(header) != {"id", *_columns(width - 1)}:
-            raise IngestError(
+            raise ValueError(
                 f"TSV header must be id e1 r1 ... rn e(n+1) with n >= 2, got {header}"
             )
         id_at = header.index("id")
@@ -184,7 +180,7 @@ def _rows(path: Path, format: str):
                 continue
             yield lineno, obj.get("id"), tuple(map(obj.get, _columns(len(obj) + 1)))
     else:
-        raise IngestError(f"unknown format {format!r}")
+        raise ValueError(f"unknown format {format!r}")
 
 
 def ingest(path: str | Path, format: str = "tsv") -> IngestResult:
@@ -192,11 +188,11 @@ def ingest(path: str | Path, format: str = "tsv") -> IngestResult:
 
     Invalid rows and rows whose facts conflict with an earlier accepted row
     (same (head, relation) key, different tail) are counted and reported.
-    More than 50% invalid rows aborts with a diagnostic.
+    More than 50% invalid rows raises ValueError.
     """
     path = Path(path)
     if not path.exists():
-        raise IngestError(f"no such file: {path}")
+        raise ValueError(f"no such file: {path}")
     result = IngestResult()
     facts: dict[tuple[str, str], str] = {}
     seen_ids: set[str] = set()
@@ -231,7 +227,7 @@ def ingest(path: str | Path, format: str = "tsv") -> IngestResult:
             result.records.append(record)
     total = len(result.records) + result.n_rejected
     if len(result.invalid_rows) > total / 2:
-        raise IngestError(
+        raise ValueError(
             f"{len(result.invalid_rows)} of {total} rows invalid; "
             f"first problem at line {result.invalid_rows[0][0]}: {result.invalid_rows[0][1]}"
         )
@@ -281,7 +277,7 @@ def write_records(records: list[SourceRecord], path: str | Path, format: str = "
     elif format == "json_lines":
         write_lines(path, (json.dumps(r.to_dict()) for r in records))
     else:
-        raise IngestError(f"unknown format {format!r}")
+        raise ValueError(f"unknown format {format!r}")
 
 
 def _deal(

@@ -24,10 +24,6 @@ UNKNOWN_ANSWER = "UNKNOWN"
 REQUEST_TIMEOUT_S = 120.0
 
 
-class GatewayConfigError(RuntimeError):
-    """Endpoint misconfiguration; raised before any batch work starts."""
-
-
 class TransportError(RuntimeError):
     def __init__(self, message: str, retryable: bool = True):
         super().__init__(message)
@@ -203,10 +199,10 @@ class OpenAIChatBackend:
 
     def check(self) -> None:
         if self.url.scheme not in ("http", "https") or not self.url.hostname:
-            raise GatewayConfigError(
+            raise ValueError(
                 f"endpoint {self.endpoint!r} is not an http:// or https:// URL with a host")
         if not os.environ.get(self.token_env):
-            raise GatewayConfigError(
+            raise ValueError(
                 f"missing bearer token: set the {self.token_env} environment variable"
             )
 
@@ -392,13 +388,13 @@ def load_gateway_config(path: str | Path) -> dict:
     """
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(obj, dict):
-        raise GatewayConfigError(f"config file {path} must hold an object")
+        raise ValueError(f"config file {path} must hold an object")
     unknown = set(obj) - set(_CONFIG_TYPES)
     if unknown:
-        raise GatewayConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in obj.items():
         types, name, least = _CONFIG_TYPES[key]
         if (isinstance(value, bool) or not isinstance(value, types)
                 or least is not None and not value >= least):
-            raise GatewayConfigError(f"config key {key!r} must be {name}, got {value!r}")
+            raise ValueError(f"config key {key!r} must be {name}, got {value!r}")
     return obj

@@ -37,23 +37,19 @@ ENVELOPE_BODY_KEY = {
 }
 
 
-class RenderError(ValueError):
-    pass
-
-
 class RenderedExample(namedtuple("RenderedExample", "body answer envelope")):
     """A chain rendered in one representation, plus its answer envelope."""
 
     __slots__ = ()
 
 
-class ParsedBody(namedtuple("ParsedBody", "triplets diagnostic", defaults=(None,))):
+class ParsedBody(namedtuple("ParsedBody", "triplets")):
     """Facts recovered from a representation-formatted text.
 
     ``triplets`` holds one ``(head, relation, tail)`` tuple of label strings
-    per fact, in body order; a label may be blank.  It is empty and
-    ``diagnostic`` set when the body cannot be parsed; parsing never raises
-    on bad input.
+    per fact, in body order; a label may be blank.  It is empty when the body
+    cannot be parsed.  A one-field tuple rather than the bare tuple of facts,
+    because ``perfbench/spans.py`` reads ``parse(...).triplets``.
     """
 
     __slots__ = ()
@@ -67,7 +63,7 @@ def _py_str(label: str) -> str:
 def _check_code_safe(chain: ReasoningInstance) -> None:
     for label in chain.labels:
         if "\n" in label or "\r" in label:
-            raise RenderError(f"label {label!r} contains a line break")
+            raise ValueError(f"label {label!r} contains a line break")
 
 
 def composed_sentence(relations: list[str], start: str, final: str) -> str:
@@ -102,7 +98,7 @@ def _relation_map(chain: ReasoningInstance) -> dict[str, dict[str, str]]:
         inner = mapping.setdefault(relation, {})
         existing = inner.get(head)
         if existing is not None and existing != tail:
-            raise RenderError(
+            raise ValueError(
                 f"ambiguous fact: ({head!r}, {relation!r}) "
                 f"maps to both {existing!r} and {tail!r}"
             )
@@ -300,7 +296,7 @@ _SENTENCE_RE = re.compile(r"^The (.+?) of (.+?) is (.+?)\.?$")
 _SENTENCE_END_RE = re.compile(r"(?<=\.)\s+")
 
 
-def _parse_natural_language(body: str) -> ParsedBody:
+def _parse_natural_language(body: str) -> tuple[tuple[str, str, str], ...]:
     # Split pieces neither start nor end with whitespace: the body is
     # stripped, and each split eats a whole whitespace run.
     triplets = []
@@ -310,8 +306,6 @@ def _parse_natural_language(body: str) -> ParsedBody:
             rel, head, tail = m.groups()
             triplets.append((head, rel, tail))
             last = sentence
-    if not triplets:
-        return ParsedBody((), diagnostic="no hop sentences found")
     # The summary sentence re-states the whole chain; drop it when present.
     if len(triplets) >= 2:
         prefix = triplets[:-1]
@@ -319,15 +313,15 @@ def _parse_natural_language(body: str) -> ParsedBody:
             expected = composed_sentence([rel for _, rel, _ in prefix], prefix[0][0],
                                          triplets[-1][2])
             if last.rstrip(".") == expected.rstrip("."):
-                return ParsedBody(tuple(prefix))
-    return ParsedBody(tuple(triplets))
+                return tuple(prefix)
+    return tuple(triplets)
 
 
 def _triplets_from_relation_map(obj) -> tuple[tuple[str, str, str], ...]:
     """Every (head, relation, tail) of a relation-keyed map whose three
-    labels are strings."""
+    labels are strings; none for an object that is not a map."""
     if not isinstance(obj, dict):
-        raise ValueError("expected a relation-keyed object")
+        return ()
     return tuple(
         (head, rel, tail)
         for rel, inner in obj.items() if isinstance(rel, str) and isinstance(inner, dict)
@@ -335,11 +329,8 @@ def _triplets_from_relation_map(obj) -> tuple[tuple[str, str, str], ...]:
     )
 
 
-def _parse_json(body: str) -> ParsedBody:
-    try:
-        return ParsedBody(_triplets_from_relation_map(json.loads(body)))
-    except ValueError as exc:
-        return ParsedBody((), diagnostic=str(exc))
+def _parse_json(body: str) -> tuple[tuple[str, str, str], ...]:
+    return _triplets_from_relation_map(json.loads(body))
 
 
 # The fields that hold statement lists.  Every node that has several of
@@ -362,13 +353,9 @@ def _statements(tree: ast.Module) -> Iterator[ast.stmt]:
             yield node
 
 
-def _parse_python_static(body: str) -> ParsedBody:
-    try:
-        tree = ast.parse(body)
-    except SyntaxError as exc:
-        return ParsedBody((), diagnostic=f"syntax error: {exc}")
+def _parse_python_static(body: str) -> tuple[tuple[str, str, str], ...]:
     mapping = None
-    for node in _statements(tree):
+    for node in _statements(ast.parse(body)):
         if (
             isinstance(node, ast.Assign)
             and len(node.targets) == 1
@@ -379,9 +366,7 @@ def _parse_python_static(body: str) -> ParsedBody:
                 mapping = ast.literal_eval(node.value)
             except ValueError:
                 pass
-    if not isinstance(mapping, dict):
-        return ParsedBody((), diagnostic="no relationships literal found")
-    return ParsedBody(_triplets_from_relation_map(mapping))
+    return _triplets_from_relation_map(mapping)
 
 
 def _bindings_and_calls(nodes) -> tuple[dict[str, str], list[ast.Call]]:
@@ -408,7 +393,7 @@ def _bindings_and_calls(nodes) -> tuple[dict[str, str], list[ast.Call]]:
     return bindings, calls
 
 
-def _parse_python_dynamic(body: str) -> ParsedBody:
+def _parse_python_dynamic(body: str) -> tuple[tuple[str, str, str], ...]:
     # The preamble binds no string and calls no add_fact, and dropping its
     # top-level subtree keeps the walk order of every other node, so only
     # the text after it is parsed; when that text alone is a syntax error
@@ -422,10 +407,7 @@ def _parse_python_dynamic(body: str) -> ParsedBody:
             pass
     if tree is None:
         text = body
-        try:
-            tree = ast.parse(body)
-        except SyntaxError as exc:
-            return ParsedBody((), diagnostic=f"syntax error: {exc}")
+        tree = ast.parse(body)
     # Bindings are statements, and so are the calls of a rendered body.  When
     # the text spells "add_fact" once per statement-level call, no call hides
     # in an expression; ASCII text rules out identifiers that NFKC folds to
@@ -453,9 +435,7 @@ def _parse_python_dynamic(body: str) -> ParsedBody:
         head, rel, tail = (resolve(a) for a in call.args)
         if head is not None and rel is not None and tail is not None:
             triplets.append((head, rel, tail))
-    if not triplets:
-        return ParsedBody((), diagnostic="no add_fact calls found")
-    return ParsedBody(tuple(triplets))
+    return tuple(triplets)
 
 
 _PARSERS = {
@@ -472,10 +452,10 @@ def parse(tag: RepresentationTag, body: str) -> ParsedBody:
     label is kept.  The judge reads the facts as an unordered set of
     (head, tail) pairs, so no chain order is recovered.
 
-    Never raises on arbitrary text; failures come back as an empty triplet
-    list with a diagnostic.
+    Never raises on arbitrary text: a body that does not parse states no
+    facts.
     """
     try:
-        return _PARSERS[tag](body)
-    except Exception as exc:  # defensive: model output can be anything
-        return ParsedBody((), diagnostic=f"unexpected parse failure: {exc}")
+        return ParsedBody(_PARSERS[tag](body))
+    except Exception:  # model output can be anything
+        return ParsedBody(())

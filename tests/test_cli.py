@@ -202,6 +202,21 @@ class TestExtend3:
         [record] = ingest(out, "json_lines").records
         assert record.labels[4:] == (answer, relation, "Paris\u2029Texas")
 
+    def test_whitelist_lines_are_kept_verbatim(self, tmp_path, capsys):
+        records, facts = tmp_path / "records.tsv", tmp_path / "facts.tsv"
+        write_tsv(records, [["1", "work", "composer", "bridge", "spouse", "Paris "],
+                            ["2", "film", "director", "maker", "child", "person0"]])
+        facts.write_text("Paris \tmayor\tX\nperson0\tbirthplace\tY\n", encoding="utf-8")
+        whitelist = tmp_path / "allowed.txt"
+        # "\x1c" is whitespace to str.strip, yet a label character
+        whitelist.write_text("Paris \n\n \nperson0\x1c\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["extend3", "--input", str(records), "--facts", str(facts),
+                     "--whitelist", str(whitelist), "--output", str(out)]) == 0
+        assert capsys.readouterr() == ("extended 1 of 2 records by one hop\n", "")
+        [record] = ingest(out, "json_lines").records
+        assert (record.id, record.labels[4:]) == ("1", ("Paris ", "mayor", "X"))
+
     @pytest.mark.parametrize("row, message", [
         ("person0\tbirthplace", "expected head<TAB>relation<TAB>tail"),
         ("person0\t \tParis", "relation label must be non-empty"),
@@ -862,7 +877,11 @@ class TestErrors:
         ["cap", "--input", "{records}", "--output", "{out}"],
         ["extend3", "--input", "{records}", "--facts", "{facts}", "--output", "{out}"],
         ["report", "--input", "{log}", "--output", "{out}"],
-    ], ids=["stats", "cap", "extend3", "report"])
+        ["generate", "--input", "{records}", "--kind", "corpus", "--output", "{out}"],
+        ["generate", "--input", "{records}", "--kind", "prompts", "--output", "{out}"],
+        ["partition", "--input", "{records}", "--output", "{split}"],
+    ], ids=["stats", "cap", "extend3", "report", "generate-corpus", "generate-prompts",
+            "partition"])
     def test_existing_output_is_refused_before_any_work(self, input_tsv, tmp_path,
                                                         capsys, monkeypatch, command):
         facts = tmp_path / "facts.tsv"
@@ -870,8 +889,11 @@ class TestErrors:
         assert main(["evaluate", "--input", str(input_tsv), "--oracle",
                      "--output", str(tmp_path / "eval")]) == 0
         out = tmp_path / "existing"
+        if command[0] == "partition":  # the first output it checks
+            out = tmp_path / "split" / "train.tsv"
+            out.parent.mkdir()
         out.write_text("old\n", encoding="utf-8")
-        paths = {"records": input_tsv, "facts": facts, "out": out,
+        paths = {"records": input_tsv, "facts": facts, "out": out, "split": out.parent,
                  "log": tmp_path / "eval" / "eval_records.jsonl"}
         capsys.readouterr()
         reads = []
@@ -884,6 +906,36 @@ class TestErrors:
         assert captured.err == f"error: {out} exists; pass --force to overwrite\n"
         assert captured.out == ""
         assert out.read_text(encoding="utf-8") == "old\n"
+
+    @pytest.mark.parametrize("command, message", [
+        (["partition", "--input", "{invalid}", "--output", "{out}"],
+         "2 of 3 rows invalid; first problem at line 3: expected 6 fields, got 1"),
+        (["generate", "--input", "{broken}", "--output", "{out}", "--rep", "py-static"],
+         "record 0: label 'line\\nbreak' contains a line break"),
+        (["evaluate", "--input", "{records}", "--oracle", "--config", "{config}",
+          "--output", "{out}"],
+         "unknown config keys: ['bogus']"),
+        (["evaluate", "--input", "{records}", "--oracle", "--output", "{done}"],
+         "{done}/eval_records.jsonl exists; pass --force to overwrite"),
+    ], ids=["ingest-abort", "render-line-break", "config-key", "no-force"])
+    def test_a_user_error_is_one_error_line(self, input_tsv, tmp_path, capsys, command,
+                                            message):
+        invalid = tmp_path / "invalid.tsv"
+        invalid.write_text("id\te1\tr1\te2\tr2\te3\n1\ta\tr\tb\ts\tc\nbad\nworse\n",
+                           encoding="utf-8")
+        broken = tmp_path / "broken.jsonl"
+        write_jsonl(broken, [["0", "a", "r", "line\nbreak", "s", "c"]])
+        config = tmp_path / "gw.json"
+        config.write_text('{"bogus": 1}', encoding="utf-8")
+        done = tmp_path / "done"
+        done.mkdir()
+        (done / "eval_records.jsonl").write_text("old\n", encoding="utf-8")
+        paths = {"invalid": invalid, "broken": broken, "records": input_tsv,
+                 "config": config, "done": done, "out": tmp_path / "out"}
+        code = main([arg.format(**paths) for arg in command])
+        assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
+        assert code == 1
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["partition", "--input", str(tmp_path / "nope.tsv"),

@@ -2,6 +2,7 @@ import codecs
 import collections
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,7 @@ from hopkit import (SourceRecord, SplitSpec, Triplet,
                     build_finetune_corpus, cap_relation_pairs,
                     compute_overlap_stats, extend_to_three_hops, ingest,
                     partition_by_bridge)
-from hopkit.dataset import (IngestError, all_partitions, write_finetune_corpus,
-                            write_records)
+from hopkit.dataset import all_partitions, write_finetune_corpus, write_records
 from hopkit.prompts import DatasetStyle
 from hopkit.render import ENVELOPE_BODY_KEY, RepresentationTag, parse
 from tests.conftest import JSON_TEXT
@@ -98,13 +98,14 @@ class TestIngest:
         path.write_text(
             "id\te1\tr1\te2\tr2\te3\n1\ta\tr\tb\ts\tc\nbad\nworse\n", encoding="utf-8"
         )
-        with pytest.raises(IngestError):
+        with pytest.raises(ValueError, match="^2 of 3 rows invalid; first problem at line 3: "
+                                             "expected 6 fields, got 1$"):
             ingest(path, "tsv")
 
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "in.xml"
         path.write_text("x", encoding="utf-8")
-        with pytest.raises(IngestError):
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
             ingest(path, "xml")
 
     def test_roundtrip_write_read(self, tmp_path):
@@ -153,7 +154,8 @@ class TestIngest:
     def test_header_must_be_a_chain(self, tmp_path, header):
         path = tmp_path / "in.tsv"
         path.write_text(header + "\n", encoding="utf-8")
-        with pytest.raises(IngestError):
+        with pytest.raises(ValueError, match=re.escape(
+                "TSV header must be id e1 r1 ... rn e(n+1) with n >= 2, got ")):
             ingest(path, "tsv")
 
     def test_gap_in_chain_rejected(self, tmp_path):

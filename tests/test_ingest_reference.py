@@ -1,7 +1,7 @@
 """``dataset.ingest`` against a frozen copy of the dict-per-row reader it
 replaced, on seeded random TSV and JSON-lines files with planted defects.
 Both must accept the same records and reject the same rows, with the same
-line numbers, messages and order, and raise the same ``IngestError`` text.
+line numbers, messages and order, and raise the same ``ValueError`` text.
 """
 
 import json
@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from hopkit.dataset import IngestError, SourceRecord, ingest
+from hopkit.dataset import SourceRecord, ingest
 
 
 # ---- the reference: the dict-per-row reader, frozen ----------------------
@@ -48,7 +48,7 @@ def _iter_rows(path, format):
         header = lines[0].split("\t")
         columns = {"id", *_columns(len(header) - 1)}
         if len(header) < 6 or len(header) % 2 or set(header) != columns:
-            raise IngestError(
+            raise ValueError(
                 f"TSV header must be id e1 r1 ... rn e(n+1) with n >= 2, got {header}"
             )
         for lineno, line in enumerate(lines[1:], start=2):
@@ -73,7 +73,7 @@ def _iter_rows(path, format):
                 continue
             yield lineno, obj, None
     else:
-        raise IngestError(f"unknown format {format!r}")
+        raise ValueError(f"unknown format {format!r}")
 
 
 def reference_ingest(path, format):
@@ -111,7 +111,7 @@ def reference_ingest(path, format):
         seen_ids.add(id)
         records.append(record)
     if total and len(invalid_rows) > total / 2:
-        raise IngestError(
+        raise ValueError(
             f"{len(invalid_rows)} of {total} rows invalid; "
             f"first problem at line {invalid_rows[0][0]}: {invalid_rows[0][1]}"
         )
@@ -234,7 +234,7 @@ def _jsonl_text(rng, bad_share):
 def _outcome(read, path, format):
     try:
         records, invalid_rows, conflicting_rows = read(path, format)
-    except IngestError as exc:
+    except ValueError as exc:
         return "IngestError", str(exc)
     return [tuple(r) for r in records], invalid_rows, conflicting_rows
 

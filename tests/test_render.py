@@ -1,13 +1,13 @@
 import ast
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopkit import make_chain, parse, render, wrap_answer_envelope
-from hopkit.render import (DYNAMIC_PREAMBLE, ENVELOPE_BODY_KEY, RenderError,
-                           RepresentationTag)
+from hopkit.render import DYNAMIC_PREAMBLE, ENVELOPE_BODY_KEY, RepresentationTag
 from tests.conftest import JSON_TEXT, random_chain
 
 ALL_TAGS = list(RepresentationTag)
@@ -42,7 +42,8 @@ def test_json_merges_repeated_relation():
 def test_ambiguous_merge_rejected():
     # same relation and same head with different tails cannot be rendered
     chain = make_chain("a", "r", "a", "r", "b")
-    with pytest.raises(RenderError):
+    with pytest.raises(ValueError, match=re.escape(
+            "ambiguous fact: ('a', 'r') maps to both 'a' and 'b'")):
         render(chain, RepresentationTag.JSON)
 
 
@@ -115,7 +116,45 @@ def test_parse_garbage_never_raises():
     for tag in ALL_TAGS:
         parsed = parse(tag, "complete nonsense !!! {{{")
         assert parsed.triplets == ()
-        assert parsed.diagnostic is not None
+
+
+# Bodies that state no fact, each failing one way: bad JSON and JSON that is
+# no map, nesting past any parser's depth, Python syntax errors and a null
+# byte, a dynamic body whose class continues past the preamble so that
+# neither it nor its tail parses, and text with no fact sentence.
+NO_FACT_BODIES = [
+    '{"r": {"A": ', '["r", "A", "B"]', '"The r of A is B."', "42",
+    "[" * 100_000,
+    "relationships = {'r': {'A': 'B'}", "kb.add_fact('A', 'r', 'B')\0", "(" * 1_000,
+    DYNAMIC_PREAMBLE + "  x = 1\nkb.add_fact('A', 'r', 'B')",
+    "Nothing here is a fact.",
+]
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_a_body_that_does_not_parse_states_no_facts(tag):
+    for body in NO_FACT_BODIES:
+        assert parse(tag, body) == ((),), body[:80]
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_parse_never_raises_and_returns_label_triples(tag):
+    rng = random.Random(f"parse-fails-closed:{tag.value}")
+    pieces = ["\0", "{", "}", "[", "(", ")", "'", '"', ":", ",", "\n", "    ",
+              ". The ", " of ", " is ", "kb.add_fact(", "relationships = {"]
+    for _ in range(300):
+        if rng.random() < 0.3:
+            body = rng.choice(NO_FACT_BODIES)
+        else:
+            body = render(random_chain(rng), rng.choice(ALL_TAGS)).body
+        for _ in range(rng.randrange(4)):
+            at = rng.randrange(len(body) + 1)
+            body = body[:at] + rng.choice(pieces) + body[at + rng.randrange(3):]
+        parsed = parse(tag, body)
+        assert type(parsed.triplets) is tuple
+        for fact in parsed.triplets:
+            assert type(fact) is tuple and len(fact) == 3, fact
+            assert all(type(label) is str for label in fact), fact
 
 
 def test_quotes_in_labels_roundtrip():
@@ -418,7 +457,7 @@ def test_code_parsers_match_ast_walk_references(monkeypatch):
         return real_walk(node)
 
     rng = random.Random(2412)
-    fast = fallback = 0
+    fast = fallback = continued = 0
     for _ in range(1500):
         body = _nested_code_body(rng)
         expected_static = reference_parse_static(body)
@@ -431,7 +470,9 @@ def test_code_parsers_match_ast_walk_references(monkeypatch):
         monkeypatch.setattr(ast, "walk", real_walk)
         assert static.triplets == expected_static, body
         assert dynamic.triplets == expected_dynamic, body
-        assert not (dynamic.diagnostic or "").startswith("syntax error"), body
+        ast.parse(body)  # no generated body is a syntax error
+        # facts read only through the whole-body parse
+        continued += body.startswith(DYNAMIC_PREAMBLE + "    ") and bool(expected_dynamic)
         fast += not walks
         fallback += len(walks) == 1
-    assert fast > 50 and fallback > 50
+    assert fast > 50 and fallback > 50 and continued > 0
