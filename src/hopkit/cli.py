@@ -268,6 +268,17 @@ def _check_manifest(path: Path, manifest: dict) -> None:
 def cmd_evaluate(args) -> int:
     from . import evaluate, prompts
 
+    out = Path(args.output)
+    records_path = out / "eval_records.jsonl"
+    report_path = out / "report.txt"
+    machine_path = out / "report.jsonl"
+    manifest_path = out / "manifest.json"
+    # a run stopped before its first log write leaves only the manifest
+    resume = args.resume and (records_path.exists() or manifest_path.exists())
+    if not resume:
+        for path in (records_path, report_path, machine_path, manifest_path):
+            _check_output(path, args.force)
+
     records = _load_records(args.input, args.format)
     rep = RepresentationTag(REP_FLAGS[args.rep])
     style = prompts.DatasetStyle(args.style)
@@ -276,16 +287,10 @@ def cmd_evaluate(args) -> int:
     gw = _build_gateway(args, records, n_hops)
     gw.backend.check()  # fail before the first request on misconfiguration
     manifest = _manifest(args, gw)
-    out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    records_path = out / "eval_records.jsonl"
-    report_path = out / "report.txt"
-    machine_path = out / "report.jsonl"
-    manifest_path = out / "manifest.json"
 
     resumed: list[evaluate.EvalRecord] = []
-    # a run stopped before its first log write leaves only the manifest
-    if args.resume and (records_path.exists() or manifest_path.exists()):
+    if resume:
         _check_manifest(manifest_path, manifest)
         if records_path.exists():
             dropped = evaluate.repair_cut_tail(records_path)
@@ -293,11 +298,8 @@ def cmd_evaluate(args) -> int:
                 print(f"resume: dropped {dropped} bytes of a cut last line in "
                       f"{records_path}", file=sys.stderr)
             resumed = evaluate.read_eval_records(records_path)
-    else:
-        for path in (records_path, report_path, machine_path, manifest_path):
-            _check_output(path, args.force)
-        if records_path.exists():
-            records_path.unlink()
+    elif records_path.exists():
+        records_path.unlink()
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
     demos = prompts.DemonstrationPool(records) if mode is prompts.PromptMode.ONE_SHOT else None

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import ast
 import enum
+import functools
 import json
+import operator
 import re
 from collections import deque, namedtuple
 from collections.abc import Iterator
@@ -60,12 +62,6 @@ def _py_str(label: str) -> str:
     return "'" + label.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
-def _check_code_safe(chain: ReasoningInstance) -> None:
-    for label in chain.labels:
-        if "\n" in label or "\r" in label:
-            raise ValueError(f"label {label!r} contains a line break")
-
-
 def composed_sentence(relations: list[str], start: str, final: str) -> str:
     """The one-sentence summary of a chain from its labels, e.g.
     "The spouse of the composer of It Goes Like It Goes is Didi Conn."
@@ -111,7 +107,6 @@ def _render_json(chain: ReasoningInstance) -> str:
 
 
 def _render_python_static(chain: ReasoningInstance) -> str:
-    _check_code_safe(chain)
     mapping = _relation_map(chain)
     lines = ["# Step 1. Define relationships with explicit types", "relationships = {"]
     rel_items = list(mapping.items())
@@ -192,7 +187,6 @@ def _and_join(items: list[str]) -> str:
 
 
 def _render_python_dynamic(chain: ReasoningInstance) -> str:
-    _check_code_safe(chain)
     hops = chain.hops
     n = len(hops)
     lines = [DYNAMIC_PREAMBLE]
@@ -279,14 +273,67 @@ def wrap_answer_envelope(body: str, tag: RepresentationTag, answer: str) -> str:
             f'{_json_string(ENVELOPE_BODY_KEY[tag])}: {_json_string(body)}}}')
 
 
+# How a body spells a label: as is, in a Python string literal, in a JSON
+# string.  A template slot's kind is its index here.
+_ESCAPES = (str, _py_str, _json_string)
+# Label k of a template chain.  Each escaping spells its NUL, quotes and
+# backslash differently, so a slot's own bytes tell its kind.
+_placeholder = "\0{}'\"\\".format
+_SLOT_RE = re.compile("|".join(
+    "{}(\\d+){}".format(*map(re.escape, escape(_placeholder("#")).split("#")))
+    for escape in _ESCAPES))
+_TEMPLATE_CACHE_SIZE = 256  # (representation, shape) pairs; a dataset has few
+_CODE_TAGS = (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC)
+
+
+@functools.lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
+def _template(tag: RepresentationTag, shape: tuple[int, ...]):
+    """``(fmt, pick, escapes)``: a chain of ``shape`` renders in ``tag`` as
+    ``fmt % pick(its labels, then its labels as escapes[0] spells them, ...)``.
+    None when a chain of placeholders does not render (an ambiguous fact) or
+    a NUL is left outside the slots."""
+    try:
+        body = _RENDERERS[tag](ReasoningInstance(tuple(map(_placeholder, shape))))
+    except ValueError:
+        return None
+    pieces, slots, escapes, end = [], [], [str], 0
+    for m in _SLOT_RE.finditer(body):
+        escape = _ESCAPES[m.lastindex - 1]
+        if escape not in escapes:
+            escapes.append(escape)
+        pieces.append(body[end:m.start()])
+        slots.append(escapes.index(escape) * len(shape) + int(m[m.lastindex]))
+        end = m.end()
+    pieces.append(body[end:])
+    if any("\0" in piece or "\\u0000" in piece for piece in pieces):  # raw, or JSON-escaped
+        return None
+    fmt = "%s".join(piece.replace("%", "%%") for piece in pieces)
+    return fmt, operator.itemgetter(*slots), tuple(escapes[1:])
+
+
 def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:
-    """Render a chain into one representation, deterministically."""
-    body = _RENDERERS[tag](chain)
-    return RenderedExample(
-        body=body,
-        answer=chain.answer,
-        envelope=wrap_answer_envelope(body, tag, chain.answer),
-    )
+    """Render a chain into one representation, deterministically.
+
+    A chain's shape is which of its label positions hold equal labels, and
+    it decides all a renderer branches on.  So each (representation, shape)
+    is rendered once, on placeholder labels, into a template, and the body
+    of every chain of that shape is that template filled with its labels.
+    """
+    labels = chain.labels
+    if tag in _CODE_TAGS:
+        for label in labels:
+            if "\n" in label or "\r" in label:
+                raise ValueError(f"label {label!r} contains a line break")
+    template = _template(tag, tuple(map(labels.index, labels)))
+    if template is None:  # renders the real labels, so an error names them
+        body = _RENDERERS[tag](chain)
+    else:
+        fmt, pick, escapes = template
+        texts = labels
+        for escape in escapes:
+            texts += tuple(map(escape, labels))
+        body = fmt % pick(texts)
+    return RenderedExample(body, chain.answer, wrap_answer_envelope(body, tag, chain.answer))
 
 
 # ---------------------------------------------------------------------------

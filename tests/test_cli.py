@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib
 import json
 import random
 import re
@@ -392,7 +393,11 @@ def test_one_shot_evaluate_bytes_pinned(input_tsv, tmp_path, capsys, rep, style)
 def test_one_shot_prompts_do_each_piece_of_work_once(one_shot_tsv, tmp_path,
                                                      monkeypatch):
     """Each demonstration is rendered once, each (seed, eligible count) draw
-    is made once, and no chain is built from a record: counted, not timed."""
+    is made once, and no chain is built from a record: counted, not timed.
+    The only chains built are the placeholder chains render compiles its
+    templates from, at most one per shape."""
+    render_module = importlib.import_module("hopkit.render")
+    render_module._template.cache_clear()
     records = dataset.ingest(one_shot_tsv).records
     pool = prompts.DemonstrationPool(records)
     demonstrations = {pool.pick(record, 5) for record in records}
@@ -428,7 +433,13 @@ def test_one_shot_prompts_do_each_piece_of_work_once(one_shot_tsv, tmp_path,
     # one Random per (seed, eligible count), and fewer of those than records
     assert len(made) == len(set(draws)) == len(draws) < len(records)
     assert made == [5] * len(made)
-    assert built == []
+    chains = [labels for labels, *_ in built]
+    assert len(set(chains)) == len(chains)  # one representation, so one per shape
+    for labels in chains:
+        assert labels == tuple(render_module._placeholder(labels.index(label))
+                               for label in labels)
+    assert not {label for labels in chains for label in labels} & {
+        label for record in records for label in record.labels}
 
 
 # SHA-256 of `generate --kind prompts --mode zero` and `--mode context --seed 5`
@@ -491,6 +502,68 @@ def test_two_hop_corpus_bytes_pinned(input_tsv, tmp_path, rep, style):
                  "--kind", "corpus", "--rep", rep, "--style", style]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == TWO_HOP_CORPUS_SHA256[rep, style]
+
+
+@pytest.fixture
+def repeated_tsv(tmp_path):
+    """Two-hop rows whose labels repeat inside a chain: merged relations
+    (r1 = r2), cycles (e1 = e3), self-loops and a relation that is also an
+    entity, over labels holding quotes, backslashes, braces and ``%s``."""
+    rows = [
+        ["0", "Al'ice", "knows", "B\\ob", "knows", "C{x}"],
+        ["1", "D%s", "loves", "E'e", "hates", "D%s"],
+        ["2", "F{x}", "wed", "G\\'", "wed", "F{x}"],
+        ["3", "H", "r'1", "I%s{}", "r\\2", "J"],
+        ["4", "K\\", "knows", "L", "knows", "M'"],
+        ["5", "N", "par%s", "O\"", "par%s", "N"],
+        ["6", "V", "self", "V", "next", "W{0}"],
+        ["7", "X", "to", "Y\\\\", "same", "Y\\\\"],
+        ["8", "tie'", "tie'", "Z", "r", "Z%%"],
+        ["9", "P", "{r}", "Q", "{r}", "R"],
+    ]
+    path = tmp_path / "repeated.tsv"
+    write_tsv(path, rows)
+    return path
+
+
+# SHA-256 of the outputs on repeated_tsv, as written when every body was
+# rebuilt line by line from its chain: `generate --kind corpus`, `generate
+# --kind prompts --mode one --seed 5`, and eval_records.jsonl and report.jsonl
+# of `evaluate --oracle --fault-prob 0.5 --seed 5`.
+REPEATED_LABEL_SHA256 = {
+    ("corpus", "nl"): "e4b1de22d4b8e9aa68af1d0eace76485574a02ccbf59fe1097aa99d84f0df06b",
+    ("corpus", "json"): "c9354b795d16f5f5c071b49a12b7c14c3cefaa9073c2179630e091e73dcaa85d",
+    ("corpus", "py-static"): "dcf7ea6f9711ec9576b2bc5f01a2ec492912b9770b323921cd56fabd3060444a",
+    ("corpus", "py-dynamic"): "d640cc30094e95b467bc9f86636500fc28058f9d05d123cc4ca5119817dc8cd7",
+    ("prompts", "json"): "9486885cdb22057631c23fa37a3b46240b31bb69f7cf9dcdcc598b77cd84bde5",
+    ("prompts", "py-static"): "f17474bbe1d0702582ce8c0b484c6add14bedf0b80794e1a6fd40ed9f18accff",
+    ("evaluate", "nl"): ("a79d0b6d815ceab2aef2645f9fcaf2f2b982be50cfb4e2e80a4b59dba7d90956",
+                         "eb68578aa061df4c82bea82e431d76eac4842671945e546c3720e0352c4c95d3"),
+    ("evaluate", "json"): ("1dbd04868960a15faf7d63e73cbd7ffda9580fb97d130489a17403b3d471caf1",
+                           "f918fce6476a6a3fd3d2c18e639428995ca73452cf32c32c568b553b9d184304"),
+    ("evaluate", "py-static"): (
+        "41b6b80ad2c5de87a4a911f2e59b4d1cbbe4e6b3cd9c990e5cd0f65d9aa395d5",
+        "f918fce6476a6a3fd3d2c18e639428995ca73452cf32c32c568b553b9d184304"),
+    ("evaluate", "py-dynamic"): (
+        "8044af534f8a3b2ece0ea33ab5f159f087a4aa63364a0dbadf6f7fc2663ebb42",
+        "f918fce6476a6a3fd3d2c18e639428995ca73452cf32c32c568b553b9d184304"),
+}
+
+
+@pytest.mark.parametrize("command,rep", list(REPEATED_LABEL_SHA256))
+def test_repeated_label_bytes_pinned(repeated_tsv, tmp_path, command, rep):
+    out = tmp_path / "out"
+    args = ["--input", str(repeated_tsv), "--output", str(out), "--rep", rep]
+    if command == "evaluate":
+        assert main(["evaluate", *args, "--oracle", "--fault-prob", "0.5",
+                     "--seed", "5"]) == 0
+        digest = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                       for name in ("eval_records.jsonl", "report.jsonl"))
+    else:
+        mode = ["--mode", "one", "--seed", "5"] if command == "prompts" else []
+        assert main(["generate", *args, "--kind", command, *mode]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == REPEATED_LABEL_SHA256[command, rep]
 
 
 def resume_cut_log(input_tsv, tmp_path, cut_log):
@@ -879,9 +952,10 @@ class TestErrors:
         ["report", "--input", "{log}", "--output", "{out}"],
         ["generate", "--input", "{records}", "--kind", "corpus", "--output", "{out}"],
         ["generate", "--input", "{records}", "--kind", "prompts", "--output", "{out}"],
-        ["partition", "--input", "{records}", "--output", "{split}"],
+        ["partition", "--input", "{records}", "--output", "{outdir}"],
+        ["evaluate", "--input", "{records}", "--oracle", "--output", "{outdir}"],
     ], ids=["stats", "cap", "extend3", "report", "generate-corpus", "generate-prompts",
-            "partition"])
+            "partition", "evaluate"])
     def test_existing_output_is_refused_before_any_work(self, input_tsv, tmp_path,
                                                         capsys, monkeypatch, command):
         facts = tmp_path / "facts.tsv"
@@ -889,11 +963,12 @@ class TestErrors:
         assert main(["evaluate", "--input", str(input_tsv), "--oracle",
                      "--output", str(tmp_path / "eval")]) == 0
         out = tmp_path / "existing"
-        if command[0] == "partition":  # the first output it checks
-            out = tmp_path / "split" / "train.tsv"
+        first = {"partition": "train.tsv", "evaluate": "eval_records.jsonl"}
+        if command[0] in first:  # the first output a directory command checks
+            out = tmp_path / "outdir" / first[command[0]]
             out.parent.mkdir()
         out.write_text("old\n", encoding="utf-8")
-        paths = {"records": input_tsv, "facts": facts, "out": out, "split": out.parent,
+        paths = {"records": input_tsv, "facts": facts, "out": out, "outdir": out.parent,
                  "log": tmp_path / "eval" / "eval_records.jsonl"}
         capsys.readouterr()
         reads = []
@@ -917,7 +992,13 @@ class TestErrors:
          "unknown config keys: ['bogus']"),
         (["evaluate", "--input", "{records}", "--oracle", "--output", "{done}"],
          "{done}/eval_records.jsonl exists; pass --force to overwrite"),
-    ], ids=["ingest-abort", "render-line-break", "config-key", "no-force"])
+        (["evaluate", "--input", "{missing}", "--oracle", "--output", "{done}"],
+         "{done}/eval_records.jsonl exists; pass --force to overwrite"),
+        (["evaluate", "--input", "{records}", "--oracle", "--fault-hop", "9",
+          "--fault-prob", "0.5", "--output", "{done}"],
+         "{done}/eval_records.jsonl exists; pass --force to overwrite"),
+    ], ids=["ingest-abort", "render-line-break", "config-key", "no-force",
+            "no-force-missing-input", "no-force-bad-fault-hop"])
     def test_a_user_error_is_one_error_line(self, input_tsv, tmp_path, capsys, command,
                                             message):
         invalid = tmp_path / "invalid.tsv"
@@ -931,7 +1012,8 @@ class TestErrors:
         done.mkdir()
         (done / "eval_records.jsonl").write_text("old\n", encoding="utf-8")
         paths = {"invalid": invalid, "broken": broken, "records": input_tsv,
-                 "config": config, "done": done, "out": tmp_path / "out"}
+                 "missing": tmp_path / "missing.tsv", "config": config, "done": done,
+                 "out": tmp_path / "out"}
         code = main([arg.format(**paths) for arg in command])
         assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
         assert code == 1

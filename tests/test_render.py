@@ -1,16 +1,20 @@
 import ast
+import importlib
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopkit import make_chain, parse, render, wrap_answer_envelope
+from hopkit import ReasoningInstance, make_chain, parse, render, wrap_answer_envelope
 from hopkit.render import DYNAMIC_PREAMBLE, ENVELOPE_BODY_KEY, RepresentationTag
 from tests.conftest import JSON_TEXT, random_chain
 
 ALL_TAGS = list(RepresentationTag)
+CODE_TAGS = (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC)
+render_module = importlib.import_module("hopkit.render")
 
 
 def test_natural_language_example(example_chain):
@@ -177,6 +181,84 @@ def test_roundtrip_random_chains(tag):
         assert sorted(parsed.triplets) == sorted(chain.hops)
         if tag in (RepresentationTag.NATURAL_LANGUAGE, RepresentationTag.PYTHON_DYNAMIC):
             assert parsed.triplets == chain.hops  # in body order
+
+
+# Label pieces a template slot must carry through unchanged: quotes,
+# backslashes, braces, format specifiers, NULs, a placeholder's own text,
+# U+2028, line breaks, non-ASCII and blank text.
+LABEL_PIECES = ["a", "b", "'", '"', "\\", "{x}", "{0}", "}", "%s", "%", "%%", "\0",
+                render_module._placeholder(1), "\0" + "2'\"\\", "\\u0000", "\u2028",
+                "x\ny", "\r", "\u00e9", "\U0001f600", "", " "]
+
+
+def line_built(chain, tag):
+    """``render`` as it was before templates: the line-break check for the
+    code representations, then the renderer run on the chain's own labels."""
+    line_break = next((label for label in chain.labels if "\n" in label or "\r" in label),
+                      None)
+    if tag in CODE_TAGS and line_break is not None:
+        raise ValueError(f"label {line_break!r} contains a line break")
+    body = render_module._RENDERERS[tag](chain)
+    return body, wrap_answer_envelope(body, tag, chain.answer)
+
+
+def outcome(make, chain, tag):
+    try:
+        return make(chain, tag)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_templates_render_what_line_built_bodies_do():
+    """Seeded: chains of 1 to 5 hops over small label pools, so positions
+    repeat (merged relations, cycles, ambiguous facts), render to the same
+    body, envelope and error message as line-built bodies do."""
+    rng = random.Random(20)
+    chains = []
+    for _ in range(20_000):
+        pool = ["".join(rng.choices(LABEL_PIECES, k=rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 4))]
+        chains.append(ReasoningInstance(tuple(rng.choices(pool, k=2 * rng.randint(1, 5) + 1))))
+    # grouped by shape, so each shape compiles once per representation
+    chains.sort(key=lambda chain: tuple(map(chain.labels.index, chain.labels)))
+    counts = Counter()
+    for tag in ALL_TAGS:
+        for chain in chains:
+            expected = outcome(line_built, chain, tag)
+            example = outcome(render, chain, tag)
+            if isinstance(example, str):
+                assert example == expected, (chain, tag)
+                counts["ambiguous" if "ambiguous fact" in example else "line break"] += 1
+            else:
+                assert (example.body, example.envelope) == expected, (chain, tag)
+                assert example.answer == chain.answer
+                shape = tuple(map(chain.labels.index, chain.labels))
+                assert render_module._template(tag, shape) is not None  # filled
+                counts["rendered"] += 1
+    assert counts["rendered"] > 50_000 and min(counts.values()) > 5_000, counts
+
+
+def test_render_compiles_each_shape_once(monkeypatch):
+    """6,000 chains of one shape compile one template per representation
+    from one placeholder chain: counted, not timed."""
+    chains = [ReasoningInstance((f"a{i}", f"r{i}", f"b{i}", f"s{i}", f"c{i}"))
+              for i in range(6000)]
+    built, real_new = [], ReasoningInstance.__new__
+
+    def new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    render_module._template.cache_clear()
+    monkeypatch.setattr(ReasoningInstance, "__new__", new)
+    for tag in ALL_TAGS:
+        for chain in chains:
+            render(chain, tag)
+    shape = tuple(range(5))
+    assert render_module._template.cache_info().misses == len(ALL_TAGS)
+    assert built == [(tuple(map(render_module._placeholder, shape)),)] * len(ALL_TAGS)
+    for tag in ALL_TAGS:
+        assert render_module._template(tag, shape) is not None
 
 
 
