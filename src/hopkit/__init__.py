@@ -20,8 +20,7 @@ _LAZY = {name: module for module, names in (
     ("dataset", "OverlapStats SourceRecord SplitSpec build_finetune_corpus "
                 "cap_relation_pairs compute_overlap_stats extend_to_three_hops "
                 "ingest partition_by_bridge"),
-    ("gateway", "CompletionResult FaultSpec Gateway OpenAIChatBackend "
-                "OracleBackend oracle_complete"),
+    ("gateway", "CompletionResult FaultSpec Gateway OpenAIChatBackend OracleBackend"),
     ("evaluate", "ConditionRow EvalRecord MetricsReport compute_metrics "
                  "emit_report judge normalize_answer"),
 ) for name in names.split()}

@@ -109,7 +109,7 @@ def cmd_stats(args) -> int:
     stats = dataset.compute_overlap_stats(train, test)
     print(stats.to_table())
     if args.output:
-        Path(args.output).write_text(json.dumps(stats.to_dict(), indent=2) + "\n", encoding="utf-8")
+        Path(args.output).write_text(json.dumps(stats._asdict(), indent=2) + "\n", encoding="utf-8")
     return 0
 
 
@@ -199,9 +199,9 @@ def _build_gateway(args, records, n_hops: int) -> Gateway:
             config[key] = getattr(args, key)
     runner = {key: config.pop(key) for key in ("concurrency", "retries") if key in config}
     endpoint = config.pop("endpoint", None)
-    if args.oracle or not endpoint:
-        if not args.oracle:
-            raise ValueError("pick a backend: --oracle or --endpoint")
+    if args.oracle == bool(endpoint):
+        raise ValueError("pick a backend: --oracle or --endpoint")
+    if args.oracle:
         fault = FaultSpec(
             hop_index=args.fault_hop, probability=args.fault_prob, seed=args.seed
         )
@@ -224,9 +224,9 @@ def _build_gateway(args, records, n_hops: int) -> Gateway:
 def _manifest(args, gw: Gateway) -> dict:
     """The settings a resumed run must share with the run that wrote the log.
 
-    A setting that cannot change the output is null: the fault flags when no
-    fault is applied, and the seed when it picks neither a demonstration nor a
-    fault."""
+    A setting that cannot change the output is null: the model and decoding
+    settings on the oracle, the fault flags when no fault is applied, and the
+    seed when it picks neither a demonstration nor a fault."""
     import hashlib  # deferred: only evaluate hashes, and OpenSSL is slow to load
 
     from .gateway import OracleBackend
@@ -242,14 +242,16 @@ def _manifest(args, gw: Gateway) -> dict:
         "fault_hop": fault.hop_index if fault else None,
         "fault_prob": fault.probability if fault else None,
         "backend": "oracle" if oracle else backend.endpoint,
-        "model": None if oracle else backend.model,
+        **{key: None if oracle else getattr(backend, key)
+           for key in ("model", "temperature", "max_tokens")},
         "input_sha256": hashlib.sha256(Path(args.input).read_bytes()).hexdigest(),
     }
 
 
 def _check_manifest(path: Path, manifest: dict) -> None:
     """Refuse to resume a log written with other settings; warn when the log
-    has no manifest to compare with."""
+    has no manifest to compare with.  A key that one manifest lacks reads as
+    null, so an older manifest resumes only where this run's value is null."""
     if not path.exists():
         print(f"resume: no {path}, so the log's settings go unchecked; "
               "writing this run's", file=sys.stderr)
@@ -284,8 +286,7 @@ def cmd_evaluate(args) -> int:
     style = prompts.DatasetStyle(args.style)
     mode = prompts.PromptMode(MODE_FLAGS[args.mode])
     n_hops = evaluate.common_hop_count(records)  # the report needs one hop count
-    gw = _build_gateway(args, records, n_hops)
-    gw.backend.check()  # fail before the first request on misconfiguration
+    gw = _build_gateway(args, records, n_hops)  # refuses a misconfiguration
     manifest = _manifest(args, gw)
     out.mkdir(parents=True, exist_ok=True)
 

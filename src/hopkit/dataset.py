@@ -99,9 +99,6 @@ class OverlapStats(namedtuple("OverlapStats", (
 
     __slots__ = ()
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
     def to_table(self) -> str:
         rows = [
             ("Dataset Size", self.train_size, self.test_size, "-"),

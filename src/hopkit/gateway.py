@@ -37,10 +37,6 @@ class CompletionResult(namedtuple("CompletionResult",
 
     __slots__ = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.text is not None
-
 
 def _extract_query(prompt: str) -> str | None:
     """Pull the final query text out of a full prompt.
@@ -75,31 +71,6 @@ def _candidate_paths(core: str):
     tokens = core.split(" of ")
     for i in range(1, len(tokens)):
         yield tokens[i - 1::-1], " of ".join(tokens[i:])
-
-
-def oracle_complete(
-    prompt: str,
-    kg: dict[tuple[str, str], str],
-    representation: RepresentationTag = RepresentationTag.NATURAL_LANGUAGE,
-    corrupt: "FaultSpec | None" = None,
-) -> str:
-    """Answer a prompt by exact graph traversal.
-
-    Emits the answer envelope for the requested representation, or an
-    envelope with answer "UNKNOWN" when the prompt does not parse or the
-    path is missing from the graph.
-    """
-    core = _extract_query(prompt)
-    for relations, start in () if core is None else _candidate_paths(core):
-        if infer(kg, start, relations) is not None:
-            labels = [start]
-            for relation in relations:
-                labels += relation, kg[labels[-1], relation]
-            chain = ReasoningInstance(labels)
-            if corrupt is not None:
-                chain = corrupt.apply(chain, prompt)
-            return render_instance(chain, representation).envelope
-    return wrap_answer_envelope("", representation, UNKNOWN_ANSWER)
 
 
 class FaultSpec(namedtuple("FaultSpec", "hop_index probability seed")):
@@ -141,14 +112,24 @@ class OracleBackend:
         self.representation = representation
         self.corrupt = corrupt
 
-    def check(self) -> None:
-        pass
-
     def close(self) -> None:
         pass
 
-    def send(self, prompt: str) -> tuple[str, dict | None]:
-        return oracle_complete(prompt, self.kg, self.representation, self.corrupt), None
+    def send(self, prompt: str) -> tuple[str, None]:
+        """Answer a prompt by exact graph traversal: the answer envelope for
+        ``representation``, or one with answer "UNKNOWN" when the prompt does
+        not parse or its path is missing from the graph."""
+        core = _extract_query(prompt)
+        for relations, start in () if core is None else _candidate_paths(core):
+            if infer(self.kg, start, relations) is not None:
+                labels = [start]
+                for relation in relations:
+                    labels += relation, self.kg[labels[-1], relation]
+                chain = ReasoningInstance(labels)
+                if self.corrupt is not None:
+                    chain = self.corrupt.apply(chain, prompt)
+                return render_instance(chain, self.representation).envelope, None
+        return wrap_answer_envelope("", self.representation, UNKNOWN_ANSWER), None
 
 
 class OpenAIChatBackend:
@@ -158,7 +139,8 @@ class OpenAIChatBackend:
     ``close`` closes the idle ones.  The proxy is read from the environment once
     (``<scheme>_proxy``, else ``all_proxy``, unless ``no_proxy`` matches); an
     https endpoint is reached through its CONNECT tunnel.  TLS verifies against
-    the system's trust store."""
+    the system's trust store.  Building one refuses an endpoint that is not an
+    http(s) URL with a host, and a missing bearer token."""
 
     def __init__(
         self,
@@ -178,12 +160,17 @@ class OpenAIChatBackend:
         self.token_env = token_env
         self.temperature = temperature
         self.max_tokens = max_tokens
-        self.url = url = urlsplit(self.endpoint)
+        url = urlsplit(self.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(
+                f"endpoint {self.endpoint!r} is not an http:// or https:// URL with a host")
+        if not os.environ.get(token_env):
+            raise ValueError(f"missing bearer token: set the {token_env} environment variable")
         self.path = url.path + "/chat/completions"
         self.address, self.tunnel, self.proxy_auth = (url.hostname, url.port), None, {}
         proxies = urllib.request.getproxies()
         proxy = proxies.get(url.scheme) or proxies.get("all")
-        if proxy and not urllib.request.proxy_bypass(url.hostname or ""):
+        if proxy and not urllib.request.proxy_bypass(url.hostname):
             proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
             auth = {}
             if proxy.username is not None:
@@ -196,15 +183,6 @@ class OpenAIChatBackend:
                 self.path, self.proxy_auth = self.endpoint + "/chat/completions", auth
         self.context = ssl.create_default_context() if url.scheme == "https" else None
         self.idle, self.lock = [], threading.Lock()  # connections no send holds
-
-    def check(self) -> None:
-        if self.url.scheme not in ("http", "https") or not self.url.hostname:
-            raise ValueError(
-                f"endpoint {self.endpoint!r} is not an http:// or https:// URL with a host")
-        if not os.environ.get(self.token_env):
-            raise ValueError(
-                f"missing bearer token: set the {self.token_env} environment variable"
-            )
 
     def close(self) -> None:
         """Close every idle connection; a later send opens a new one."""
@@ -298,7 +276,6 @@ class Gateway:
                                     retries=attempts, error=str(exc))
 
     def complete_batch(self, prompts: list[str]) -> list[CompletionResult]:
-        self.backend.check()
         schedule = _Schedule(self, prompts)
         if isinstance(self.backend, OracleBackend) or not prompts:
             # in-process and CPU-bound (or empty): threads only add contention
@@ -386,7 +363,10 @@ def load_gateway_config(path: str | Path) -> dict:
     Recognized keys, their types and ranges are in ``_CONFIG_TYPES``; each
     key is named like the backend or ``Gateway`` parameter it sets.
     """
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bytes that are not UTF-8 too
+        raise ValueError(f"config file {path} is not JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"config file {path} must hold an object")
     unknown = set(obj) - set(_CONFIG_TYPES)

@@ -24,13 +24,15 @@ class Triplet(namedtuple("Triplet", "head relation tail")):
 
 class ReasoningInstance(namedtuple("ReasoningInstance", "labels source_id")):
     """An n-hop chain, n >= 1, as its entity/relation labels
-    ``(e1, r1, e2, ..., rn, e(n+1))``: hops bridge by construction."""
+    ``(e1, r1, e2, ..., rn, e(n+1))``: hops bridge by construction, and every
+    label is a non-blank string."""
 
     __slots__ = ()
 
     def __new__(cls, labels: tuple[str, ...], source_id: str | None = None):
         if len(labels) < 3 or len(labels) % 2 == 0:
             raise ValueError("expected e1, r1, e2 [, r2, e3, ...]")
+        check_labels(labels)
         return tuple.__new__(cls, (tuple(labels), source_id))
 
     @property
@@ -111,6 +113,4 @@ def make_chain(*labels: str, source_id: str | None = None) -> ReasoningInstance:
 
     ``make_chain("e1", "r1", "e2", "r2", "e3")`` gives a two-hop chain.
     """
-    chain = ReasoningInstance(labels, source_id)  # refuses a wrong count first
-    check_labels(labels)
-    return chain
+    return ReasoningInstance(labels, source_id)

@@ -131,6 +131,11 @@ class DemonstrationPool:
         self._shown: dict[tuple[int, DatasetStyle, RepresentationTag], str] = {}
 
     def _position(self, query: ReasoningInstance, seed: int) -> int:
+        """The pool position of a seeded uniform pick among the instances that
+        share neither the query's start entity nor its final answer.  Draws
+        exactly what ``random.Random(seed).choice(eligible)`` draws over the
+        eligible instances in pool order.  Raises ValueError when none is left.
+        """
         excluded = sorted({*self._by_start.get(query.start, ()),
                            *self._by_answer.get(query.answer, ())})
         n_eligible = len(self.pool) - len(excluded)
@@ -148,19 +153,11 @@ class DemonstrationPool:
             position += 1
         return position
 
-    def pick(self, query: ReasoningInstance, seed: int) -> ReasoningInstance:
-        """Seeded uniform pick among the instances that share neither the
-        query's start entity nor its final answer.  Draws exactly what
-        ``random.Random(seed).choice(eligible)`` draws over the eligible
-        instances in pool order.  Raises ValueError when none is left.
-        """
-        return self.pool[self._position(query, seed)]
-
     def prompt(self, query: ReasoningInstance, seed: int, style: DatasetStyle,
                representation: RepresentationTag) -> str:
         """The one-shot prompt ``build_prompt`` makes for ``query`` with the
-        demonstration ``pick`` draws.  Each demonstration is rendered once per
-        style and representation; an error names both records.
+        demonstration ``_position`` draws.  Each demonstration is rendered once
+        per style and representation; an error names both records.
         """
         key = (self._position(query, seed), style, representation)
         if key not in self._shown:

@@ -39,7 +39,7 @@ ENVELOPE_BODY_KEY = {
 }
 
 
-class RenderedExample(namedtuple("RenderedExample", "body answer envelope")):
+class RenderedExample(namedtuple("RenderedExample", "body envelope")):
     """A chain rendered in one representation, plus its answer envelope."""
 
     __slots__ = ()
@@ -333,7 +333,7 @@ def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:
         for escape in escapes:
             texts += tuple(map(escape, labels))
         body = fmt % pick(texts)
-    return RenderedExample(body, chain.answer, wrap_answer_envelope(body, tag, chain.answer))
+    return RenderedExample(body, wrap_answer_envelope(body, tag, chain.answer))
 
 
 # ---------------------------------------------------------------------------

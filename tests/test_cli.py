@@ -400,7 +400,7 @@ def test_one_shot_prompts_do_each_piece_of_work_once(one_shot_tsv, tmp_path,
     render_module._template.cache_clear()
     records = dataset.ingest(one_shot_tsv).records
     pool = prompts.DemonstrationPool(records)
-    demonstrations = {pool.pick(record, 5) for record in records}
+    demonstrations = {pool.pool[pool._position(record, 5)] for record in records}
     assert len(demonstrations) < len(records)
 
     rendered, made, draws, built = Counter(), [], [], []
@@ -698,7 +698,7 @@ class TestEvaluate:
         assert json.loads((out / "manifest.json").read_text()) == {
             "version": hopkit.__version__, "rep": "json", "mode": "zero",
             "style": "statement", "seed": 3, "fault_hop": 1, "fault_prob": 0.3,
-            "backend": "oracle", "model": None,
+            "backend": "oracle", "model": None, "temperature": None, "max_tokens": None,
             "input_sha256": hashlib.sha256(input_tsv.read_bytes()).hexdigest(),
         }
         for name in ("eval_records.jsonl", "report.txt", "report.jsonl"):
@@ -887,7 +887,77 @@ class TestEvaluate:
         code = main(["evaluate", "--input", str(input_tsv),
                      "--output", str(tmp_path / "eval")])
         assert code == 1
-        assert "backend" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: pick a backend: --oracle or --endpoint\n")
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_oracle_with_an_endpoint_is_refused(self, input_tsv, tmp_path, capsys,
+                                                endpoint_env, source):
+        config = tmp_path / "gw.json"
+        config.write_text('{"endpoint": "http://127.0.0.1:9", "model": "m"}',
+                          encoding="utf-8")
+        given = {"flag": ["--endpoint", "http://127.0.0.1:9", "--model", "m"],
+                 "config": ["--config", str(config)]}[source]
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--input", str(input_tsv), "--output", str(out),
+                     "--oracle", *given])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: pick a backend: --oracle or --endpoint\n")
+        assert not out.exists()
+
+    def test_a_manifest_without_decoding_keys_resumes_on_the_oracle(self, input_tsv,
+                                                                    tmp_path):
+        """A key an older manifest lacks reads as null, as the oracle's are."""
+        out = tmp_path / "eval"
+        args = ["evaluate", "--input", str(input_tsv), "--output", str(out), "--oracle"]
+        assert main(args) == 0
+        fresh = {p.name: p.read_bytes() for p in out.iterdir()}
+        log, manifest = out / "eval_records.jsonl", out / "manifest.json"
+        log.write_bytes(b"".join(fresh[log.name].splitlines(keepends=True)[:10]))
+        older = json.loads(fresh[manifest.name])
+        del older["temperature"], older["max_tokens"]
+        manifest.write_text(json.dumps(older), encoding="utf-8")
+        assert main([*args, "--resume"]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == fresh
+
+    def test_a_manifest_without_decoding_keys_is_refused_on_an_endpoint(
+            self, input_tsv, tmp_path, capsys, chat_server):
+        out = tmp_path / "eval"
+        args = ["evaluate", "--input", str(input_tsv), "--output", str(out),
+                "--endpoint", chat_server.url, "--model", "m"]
+        assert main(args) == 0
+        log, manifest = out / "eval_records.jsonl", out / "manifest.json"
+        older = json.loads(manifest.read_text(encoding="utf-8"))
+        del older["temperature"], older["max_tokens"]
+        manifest.write_text(json.dumps(older), encoding="utf-8")
+        before = log.read_bytes(), manifest.read_bytes()
+        capsys.readouterr()
+        assert main([*args, "--resume"]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {manifest}: the log was written with other settings: "
+            "temperature None -> 0.0, max_tokens None -> 512; resume with the same ones\n"))
+        assert (log.read_bytes(), manifest.read_bytes()) == before
+
+    def test_resume_on_an_endpoint_refuses_other_decoding_settings(
+            self, input_tsv, tmp_path, capsys, chat_server):
+        out = tmp_path / "eval"
+        args = ["evaluate", "--input", str(input_tsv), "--output", str(out),
+                "--endpoint", chat_server.url, "--model", "m"]
+        assert main(args) == 0
+        log, manifest = out / "eval_records.jsonl", out / "manifest.json"
+        recorded = json.loads(manifest.read_text(encoding="utf-8"))
+        assert (recorded["temperature"], recorded["max_tokens"]) == (0.0, 512)
+        log.write_bytes(b"".join(log.read_bytes().splitlines(keepends=True)[:10]))
+        before = log.read_bytes(), manifest.read_bytes()
+        config = tmp_path / "gw.json"
+        config.write_text('{"temperature": 0.9, "max_tokens": 16}', encoding="utf-8")
+        capsys.readouterr()
+        assert main([*args, "--config", str(config), "--resume"]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {manifest}: the log was written with other settings: "
+            "temperature 0.0 -> 0.9, max_tokens 512 -> 16; resume with the same ones\n"))
+        assert (log.read_bytes(), manifest.read_bytes()) == before
+        assert len(chat_server.payloads) == 20
 
     @pytest.mark.parametrize("rep", ["nl", "json", "py-static", "py-dynamic"])
     def test_four_hop_oracle_closure(self, tmp_path, rep):
@@ -990,6 +1060,9 @@ class TestErrors:
         (["evaluate", "--input", "{records}", "--oracle", "--config", "{config}",
           "--output", "{out}"],
          "unknown config keys: ['bogus']"),
+        (["evaluate", "--input", "{records}", "--oracle", "--config", "{truncated}",
+          "--output", "{out}"],
+         "config file {truncated} is not JSON: Expecting value: line 1 column 11 (char 10)"),
         (["evaluate", "--input", "{records}", "--oracle", "--output", "{done}"],
          "{done}/eval_records.jsonl exists; pass --force to overwrite"),
         (["evaluate", "--input", "{missing}", "--oracle", "--output", "{done}"],
@@ -997,8 +1070,8 @@ class TestErrors:
         (["evaluate", "--input", "{records}", "--oracle", "--fault-hop", "9",
           "--fault-prob", "0.5", "--output", "{done}"],
          "{done}/eval_records.jsonl exists; pass --force to overwrite"),
-    ], ids=["ingest-abort", "render-line-break", "config-key", "no-force",
-            "no-force-missing-input", "no-force-bad-fault-hop"])
+    ], ids=["ingest-abort", "render-line-break", "config-key", "config-not-json",
+            "no-force", "no-force-missing-input", "no-force-bad-fault-hop"])
     def test_a_user_error_is_one_error_line(self, input_tsv, tmp_path, capsys, command,
                                             message):
         invalid = tmp_path / "invalid.tsv"
@@ -1008,12 +1081,14 @@ class TestErrors:
         write_jsonl(broken, [["0", "a", "r", "line\nbreak", "s", "c"]])
         config = tmp_path / "gw.json"
         config.write_text('{"bogus": 1}', encoding="utf-8")
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text('{"model": ', encoding="utf-8")
         done = tmp_path / "done"
         done.mkdir()
         (done / "eval_records.jsonl").write_text("old\n", encoding="utf-8")
         paths = {"invalid": invalid, "broken": broken, "records": input_tsv,
                  "missing": tmp_path / "missing.tsv", "config": config, "done": done,
-                 "out": tmp_path / "out"}
+                 "truncated": truncated, "out": tmp_path / "out"}
         code = main([arg.format(**paths) for arg in command])
         assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
         assert code == 1

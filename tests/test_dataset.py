@@ -349,7 +349,7 @@ class TestOverlapStats:
         assert stats.relation_pairs_test == 6
         assert stats.relation_pair_overlap == 3
         assert stats.rows_covered_by_shared_pairs == 3
-        assert stats.to_dict()["train_size"] == 5
+        assert stats._asdict()["train_size"] == 5
         assert "Bridge Entities" in stats.to_table()
 
 

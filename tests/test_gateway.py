@@ -11,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hopkit import (FaultSpec, Gateway, OracleBackend,
-                    add_fact, build_prompt, make_chain, oracle_complete)
+from hopkit import FaultSpec, Gateway, OracleBackend, add_fact, build_prompt, make_chain
 from hopkit.gateway import OpenAIChatBackend, TransportError, load_gateway_config
 from hopkit.prompts import DatasetStyle, PromptMode
 from hopkit.render import RepresentationTag
@@ -25,6 +24,11 @@ def chain_to_graph(chain):
     for hop in chain.hops:
         add_fact(kg, hop)
     return kg
+
+
+def oracle_answer(prompt, kg):
+    """The oracle's answer envelope for ``prompt``."""
+    return OracleBackend(kg).send(prompt)[0]
 
 
 @pytest.fixture
@@ -51,24 +55,24 @@ class TestOracleComplete:
         prompt = build_prompt(
             example_chain, PromptMode.ZERO_SHOT, DatasetStyle.STATEMENT
         ).full_prompt
-        envelope = json.loads(oracle_complete(prompt, example_kg))
+        envelope = json.loads(oracle_answer(prompt, example_kg))
         assert envelope["Answer"] == "Didi Conn"
 
     def test_question_style(self, example_chain, example_kg):
         prompt = build_prompt(
             example_chain, PromptMode.ZERO_SHOT, DatasetStyle.QUESTION
         ).full_prompt
-        envelope = json.loads(oracle_complete(prompt, example_kg))
+        envelope = json.loads(oracle_answer(prompt, example_kg))
         assert envelope["Answer"] == "Didi Conn"
 
     def test_missing_chain_unknown(self, example_kg):
         other = make_chain("a", "unknown-rel", "b", "another", "c")
         prompt = build_prompt(other, PromptMode.ZERO_SHOT, DatasetStyle.STATEMENT).full_prompt
-        envelope = json.loads(oracle_complete(prompt, example_kg))
+        envelope = json.loads(oracle_answer(prompt, example_kg))
         assert envelope["Answer"] == "UNKNOWN"
 
     def test_unparseable_prompt_unknown(self, example_kg):
-        envelope = json.loads(oracle_complete("tell me a joke", example_kg))
+        envelope = json.loads(oracle_answer("tell me a joke", example_kg))
         assert envelope["Answer"] == "UNKNOWN"
 
     @pytest.mark.parametrize("core", ["r of  of x of A", " of x of A", "r of x of "])
@@ -76,20 +80,20 @@ class TestOracleComplete:
         # " of "-splits of these cores leave a blank relation or start entity,
         # which are never graph keys
         kg = chain_to_graph(make_chain("A", " of x", "B", "r", "C"))
-        envelope = json.loads(oracle_complete(f"statement: {core} is _ ,", kg))
+        envelope = json.loads(oracle_answer(f"statement: {core} is _ ,", kg))
         assert envelope["Answer"] == "UNKNOWN"
 
     def test_deterministic(self, example_chain, example_kg):
         prompt = build_prompt(
             example_chain, PromptMode.ZERO_SHOT, DatasetStyle.STATEMENT
         ).full_prompt
-        assert oracle_complete(prompt, example_kg) == oracle_complete(prompt, example_kg)
+        assert oracle_answer(prompt, example_kg) == oracle_answer(prompt, example_kg)
 
     def test_entity_label_containing_of(self, ):
         chain = make_chain("Lord of the Rings", "author", "Tolkien", "spouse", "Edith")
         kg = chain_to_graph(chain)
         prompt = build_prompt(chain, PromptMode.ZERO_SHOT, DatasetStyle.STATEMENT).full_prompt
-        envelope = json.loads(oracle_complete(prompt, kg))
+        envelope = json.loads(oracle_answer(prompt, kg))
         assert envelope["Answer"] == "Edith"
 
     def test_one_shot_prompt_uses_final_query(self, example_chain, example_kg):
@@ -97,7 +101,7 @@ class TestOracleComplete:
             example_chain, PromptMode.ONE_SHOT, DatasetStyle.STATEMENT,
             RepresentationTag.NATURAL_LANGUAGE, demonstration=example_chain,
         ).full_prompt
-        envelope = json.loads(oracle_complete(prompt, example_kg))
+        envelope = json.loads(oracle_answer(prompt, example_kg))
         assert envelope["Answer"] == "Didi Conn"
 
 
@@ -125,9 +129,6 @@ class FlakyBackend:
         self.calls = 0
         self.text = text
 
-    def check(self):
-        pass
-
     def send(self, prompt):
         self.calls += 1
         if self.calls <= self.failures:
@@ -139,13 +140,11 @@ class TestGateway:
     def test_retry_then_success(self):
         gw = Gateway(backend=FlakyBackend(2), backoff_base=0.0)
         result = gw.complete_batch(["p"])[0]
-        assert result.ok and result.retries == 2
-        assert result.text == "ok"
+        assert (result.text, result.retries) == ("ok", 2)
 
     def test_failure_beyond_cap_classified(self):
         gw = Gateway(backend=FlakyBackend(10), retries=2, backoff_base=0.0)
         result = gw.complete_batch(["p"])[0]
-        assert not result.ok
         assert result.text is None
 
     def test_batch_preserves_order_and_count(self, example_chain):
@@ -154,7 +153,7 @@ class TestGateway:
         prompts = ["junk-1", "junk-2", "junk-3"]
         results = gw.complete_batch(prompts)
         assert len(results) == 3
-        assert all(r.ok for r in results)
+        assert None not in [r.text for r in results]
 
     def test_oracle_batch_runs_serially_in_order(self, monkeypatch):
         chains = [make_chain(f"w{i}", "composer", f"p{i}", "spouse", f"s{i}")
@@ -173,8 +172,8 @@ class TestGateway:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         results = Gateway(backend=OracleBackend(kg)).complete_batch(prompts)
-        assert [r.text for r in results] == [oracle_complete(p, kg) for p in prompts]
-        assert all(r.ok for r in results)
+        assert [r.text for r in results] == [oracle_answer(p, kg) for p in prompts]
+        assert None not in [r.text for r in results]
         assert [c.answer in r.text for c, r in zip(chains, results)] == [True] * 12
         with pytest.raises(AssertionError, match="thread pool used"):
             Gateway(backend=FlakyBackend(0), backoff_base=0.0).complete_batch(["p"])
@@ -197,9 +196,6 @@ class RecordingBackend:
         self.delay = delay
         self.gather = gather
         self.barrier = threading.Barrier(gather, timeout=10) if gather else None
-
-    def check(self):
-        pass
 
     def send(self, prompt):
         with self.lock:
@@ -231,9 +227,6 @@ class RaisingBackend:
         self.calls = 0
         self.exc_type = exc_type
         self.at = at
-
-    def check(self):
-        pass
 
     def send(self, prompt):
         with self.lock:
@@ -279,7 +272,7 @@ class TestSchedule:
         threads_before = threading.active_count()
         gw = Gateway(backend=backend, concurrency=8, backoff_base=0.05)
         [result] = gw.complete_batch(["p"])
-        assert result.ok and result.retries == 1
+        assert result.text is not None and result.retries == 1
         assert backend.sent == ["p", "p"]
         assert len(backend.threads) == 1
         assert backend.most_threads <= threads_before + 1
@@ -312,9 +305,6 @@ from hopkit.gateway import Gateway
 sent = []
 
 class Slow:
-    def check(self):
-        pass
-
     def send(self, prompt):
         sent.append(prompt)
         time.sleep(0.002)
@@ -358,20 +348,19 @@ class TestOpenAIBackend:
         chat_server.reply = lambda prompt: (200, body)
         backend = chat_backend(chat_server.url + "/v1", "m")
         [result] = Gateway(backend=backend, backoff_base=0.0).complete_batch(["p"])
-        assert not result.ok and result.text is None
+        assert result.text is None
         assert result.error.startswith("malformed response")
         assert len(chat_server.payloads) == 1
 
     def test_missing_token_fails_fast(self, monkeypatch, chat_backend):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-        backend = chat_backend("http://localhost:9999/v1", "m")
         with pytest.raises(ValueError, match="^missing bearer token: set the OPENAI_API_KEY "
                                              "environment variable$"):
-            backend.check()
+            chat_backend("http://localhost:9999/v1", "m")
 
     def test_token_present_passes_check(self, monkeypatch, chat_backend):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
-        chat_backend("http://localhost:9999/v1", "m").check()
+        assert chat_backend("http://localhost:9999/v1", "m").model == "m"
 
     def test_connection_error_is_a_retried_transport_failure(self, endpoint_env,
                                                              monkeypatch, chat_backend):
@@ -383,7 +372,7 @@ class TestOpenAIBackend:
             monkeypatch.setattr(backend, "send", lambda p: sent.append(p) or send(p))
             gw = Gateway(backend=backend, retries=2, backoff_base=0.0)
             [result] = gw.complete_batch(["p"])
-        assert not result.ok
+        assert result.text is None
         assert "connection refused" in result.error.lower()
         assert sent == ["p"] * 3
 
@@ -428,7 +417,7 @@ class TestOpenAIBackend:
         gw = Gateway(backend=backend, backoff_base=0.0)
         for i in range(4):
             [result] = gw.complete_batch([f"p{i}"])
-            assert result.ok and result.retries == 0
+            assert result.text is not None and result.retries == 0
             assert chat_server.closed.acquire(timeout=10)
         assert len(chat_server.payloads) == 4
         assert chat_server.connections == 4
@@ -455,7 +444,7 @@ class TestOpenAIBackend:
                            f"http://u:p@127.0.0.1:{proxy_server.server_port}")
         backend = chat_backend("https://api.example.invalid/v1", "m")
         [result] = Gateway(backend=backend, retries=0).complete_batch(["p"])
-        assert not result.ok and "502" in result.error
+        assert result.text is None and "502" in result.error
         [(line, headers)] = proxy_server.received
         assert line.startswith("CONNECT api.example.invalid:443 HTTP/1.")
         assert headers["Proxy-Authorization"] == "Basic " + b64encode(b"u:p").decode()
@@ -529,6 +518,17 @@ class TestConfigFile:
         path = tmp_path / "gw.json"
         path.write_text(json.dumps({key: value}), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be ")):
+            load_gateway_config(path)
+
+    @pytest.mark.parametrize("data, reason", [
+        (b'{"model": ', "Expecting value: line 1 column 11 (char 10)"),
+        (b'{"model": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 11"),
+    ], ids=["truncated", "not-utf-8"])
+    def test_a_file_that_is_not_json_is_named(self, tmp_path, data, reason):
+        path = tmp_path / "gw.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"config file {path} is not JSON: {reason}")):
             load_gateway_config(path)
 
     def test_integer_temperature_accepted(self, tmp_path):

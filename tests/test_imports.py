@@ -15,7 +15,8 @@ from hopkit.render import RepresentationTag
 from tests.conftest import hopkit_env
 
 # Every public name ``hopkit/__init__.py`` imported when it loaded every
-# module eagerly, less the hop bridge check, deleted with hop-tuple chains.
+# module eagerly, less the hop bridge check, deleted with hop-tuple chains,
+# and the oracle's free function, folded into ``OracleBackend.send``.
 EXPORTED = {
     "kg": ["ReasoningInstance", "Triplet", "add_fact", "infer", "make_chain"],
     "render": ["ParsedBody", "RenderedExample", "RepresentationTag", "parse",
@@ -26,7 +27,7 @@ EXPORTED = {
                 "cap_relation_pairs", "compute_overlap_stats", "extend_to_three_hops",
                 "ingest", "partition_by_bridge"],
     "gateway": ["CompletionResult", "FaultSpec", "Gateway", "OpenAIChatBackend",
-                "OracleBackend", "oracle_complete"],
+                "OracleBackend"],
     "evaluate": ["ConditionRow", "EvalRecord", "MetricsReport", "compute_metrics",
                  "emit_report", "judge", "normalize_answer"],
 }

@@ -70,20 +70,25 @@ def test_query_label_counts(example_chain):
     assert "It Goes Like It Goes" in query
 
 
+def pick(demos, query, seed):
+    """The demonstration ``demos`` draws for ``query``."""
+    return demos.pool[demos._position(query, seed)]
+
+
 class TestPickDemonstration:
     def test_single_unrelated(self, example_chain):
         other = make_chain("x", "r", "y", "s", "z")
-        assert DemonstrationPool([other]).pick(example_chain, seed=0) == other
+        assert pick(DemonstrationPool([other]), example_chain, 0) == other
 
     def test_exhausted_pool_raises(self, example_chain):
         leaky_answer = make_chain("x", "r", "y", "s", "Didi Conn")
         for pool in ([example_chain], [example_chain, leaky_answer], []):
             with pytest.raises(ValueError, match="no demonstration"):
-                DemonstrationPool(pool).pick(example_chain, seed=0)
+                pick(DemonstrationPool(pool), example_chain, 0)
 
     def test_deterministic(self, example_chain):
         pool = [make_chain(f"x{i}", "r", f"y{i}", "s", f"z{i}") for i in range(20)]
-        picks = {DemonstrationPool(pool).pick(example_chain, seed=42) for _ in range(5)}
+        picks = {pick(DemonstrationPool(pool), example_chain, 42) for _ in range(5)}
         assert len(picks) == 1
 
     def test_excludes_leaky(self, example_chain):
@@ -91,9 +96,8 @@ class TestPickDemonstration:
         leaky_answer = make_chain("x", "r", "y", "s", "Didi Conn")
         clean = make_chain("x2", "r", "y2", "s", "z2")
         for seed in range(10):
-            assert DemonstrationPool([leaky_start, leaky_answer, clean]).pick(
-                example_chain, seed=seed
-            ) == clean
+            demos = DemonstrationPool([leaky_start, leaky_answer, clean])
+            assert pick(demos, example_chain, seed) == clean
 
     def test_pool_pick_is_the_linear_scan_pick(self):
         """The indexed pick returns the very instance a seeded choice over the
@@ -125,11 +129,11 @@ class TestPickDemonstration:
                             if c.start != query.start and c.answer != query.answer]
                 if eligible:
                     outcomes["picked"] += 1
-                    assert demos.pick(query, seed) is random.Random(seed).choice(eligible)
+                    assert pick(demos, query, seed) is random.Random(seed).choice(eligible)
                 else:
                     outcomes["exhausted"] += 1
                     with pytest.raises(ValueError) as exc:
-                        demos.pick(query, seed)
+                        pick(demos, query, seed)
                     assert str(exc.value) == (
                         "no demonstration in the pool avoids the query's start "
                         f"entity {query.start!r} and answer {query.answer!r}"

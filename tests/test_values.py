@@ -119,6 +119,19 @@ class TestLabels:
             with pytest.raises(ValueError, match=exactly(refusal(slot, bad))):
                 make_chain(*labels)
 
+    def test_every_chain_refuses_a_blank_or_non_string_label(self):
+        """``ReasoningInstance`` checks its labels too, so ``render`` never
+        sees a chain that ``make_chain`` would refuse."""
+        rng = random.Random(22)
+        for _ in range(200):
+            labels = random_labels(rng, rng.randint(1, 4))
+            slot = rng.randrange(len(labels))
+            labels[slot] = bad = rng.choice(BLANKS + NON_STRINGS)
+            with pytest.raises(ValueError, match=exactly(refusal(slot, bad))):
+                ReasoningInstance(tuple(labels))
+        with pytest.raises(ValueError, match=exactly("entity label must be a string, not 1")):
+            render(ReasoningInstance((1, "r", "b")), RepresentationTag.JSON)
+
     def test_from_dict_refuses_a_blank_or_non_string_gold_label(self):
         rng = random.Random(20)
         for i in range(200):
@@ -314,7 +327,7 @@ class TestConstructorChecks:
 
 def test_overlap_stats_dict_keeps_the_report_order():
     stats = OverlapStats(*range(9))
-    assert list(stats.to_dict().items()) == [
+    assert list(stats._asdict().items()) == [
         ("train_size", 0), ("test_size", 1), ("bridge_entities_train", 2),
         ("bridge_entities_test", 3), ("bridge_overlap", 4),
         ("relation_pairs_train", 5), ("relation_pairs_test", 6),
