@@ -45,18 +45,7 @@ def _check_output(path: Path, force: bool) -> None:
 
 
 def _load_records(path: str, format: str | None) -> list[dataset.SourceRecord]:
-    # Rows hold no reference cycles, so a collection during the load frees
-    # nothing and only walks the records read so far.  They live until the
-    # command ends, so they are frozen out of later collections; main
-    # unfreezes them.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        result = dataset.ingest(path, format=format or _format_of(path))
-        gc.freeze()
-    finally:
-        if enabled:
-            gc.enable()
+    result = dataset.ingest(path, format=format or _format_of(path))
     if result.n_rejected:
         print(
             f"ingest: {len(result.records)} records, "
@@ -202,6 +191,8 @@ def _build_gateway(args, records, n_hops: int) -> Gateway:
     if args.oracle == bool(endpoint):
         raise ValueError("pick a backend: --oracle or --endpoint")
     if args.oracle:
+        if config:  # only the endpoint's own settings are left in it
+            raise ValueError(f"the oracle takes no model settings: {', '.join(sorted(config))}")
         fault = FaultSpec(
             hop_index=args.fault_hop, probability=args.fault_prob, seed=args.seed
         )
@@ -310,10 +301,7 @@ def cmd_evaluate(args) -> int:
         print(f"resume: skipping {len(done_ids)} already-evaluated instances")
     prompt_texts = [_prompt_for(record, mode, style, rep, demos, args.seed)
                     for record in pending]
-    try:
-        results = gw.complete_batch(prompt_texts)
-    finally:
-        gw.backend.close()
+    results = gw.complete_batch(prompt_texts)
     judged = [evaluate.judge(record.id, record, result.text, rep)
               for record, result in zip(pending, results)]
     evaluate.write_eval_records(judged, records_path)
@@ -422,15 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    unfreeze = gc.get_freeze_count() == 0  # hand an in-process caller its objects back
+    # Records hold no reference cycles, so a collection would only walk them again.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if unfreeze:
-            gc.unfreeze()
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .render import (RepresentationTag, render as render_instance,
 
 UNKNOWN_ANSWER = "UNKNOWN"
 REQUEST_TIMEOUT_S = 120.0
+BACKOFF_BASE_S = 1.0  # a retry waits BACKOFF_BASE_S * 2**attempts seconds
 
 
 class TransportError(RuntimeError):
@@ -112,9 +113,6 @@ class OracleBackend:
         self.representation = representation
         self.corrupt = corrupt
 
-    def close(self) -> None:
-        pass
-
     def send(self, prompt: str) -> tuple[str, None]:
         """Answer a prompt by exact graph traversal: the answer envelope for
         ``representation``, or one with answer "UNKNOWN" when the prompt does
@@ -160,14 +158,18 @@ class OpenAIChatBackend:
         self.token_env = token_env
         self.temperature = temperature
         self.max_tokens = max_tokens
-        url = urlsplit(self.endpoint)
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise ValueError(
-                f"endpoint {self.endpoint!r} is not an http:// or https:// URL with a host")
+        try:  # urlsplit and .port raise ValueError on a bad bracket or port
+            url = urlsplit(self.endpoint)
+            port = url.port
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"endpoint {self.endpoint!r} is not an http:// or https:// "
+                             "URL with a host") from None
         if not os.environ.get(token_env):
             raise ValueError(f"missing bearer token: set the {token_env} environment variable")
         self.path = url.path + "/chat/completions"
-        self.address, self.tunnel, self.proxy_auth = (url.hostname, url.port), None, {}
+        self.address, self.tunnel, self.proxy_auth = (url.hostname, port), None, {}
         proxies = urllib.request.getproxies()
         proxy = proxies.get(url.scheme) or proxies.get("all")
         if proxy and not urllib.request.proxy_bypass(url.hostname):
@@ -178,7 +180,7 @@ class OpenAIChatBackend:
                 auth["Proxy-Authorization"] = f"Basic {b64encode(user.encode()).decode()}"
             self.address = (proxy.hostname, proxy.port or 80)
             if url.scheme == "https":
-                self.tunnel = (url.hostname, url.port, auth)
+                self.tunnel = (url.hostname, port, auth)
             else:  # a plain-HTTP proxy takes the absolute URI
                 self.path, self.proxy_auth = self.endpoint + "/chat/completions", auth
         self.context = ssl.create_default_context() if url.scheme == "https" else None
@@ -253,14 +255,14 @@ class Gateway:
     """Completion runner with retry and backoff: at most ``concurrency`` endpoint
     workers, none held by a record waiting out its backoff, or the oracle as one
     worker on the calling thread.  Results keep submission order; a raise or a
-    Ctrl-C stops every worker after its current send, and propagates."""
+    Ctrl-C stops every worker after its current send, and propagates.  An
+    endpoint batch closes the backend's connections once every worker is done."""
 
     def __init__(self, backend: OracleBackend | OpenAIChatBackend,
-                 concurrency: int = 4, retries: int = 3, backoff_base: float = 1.0):
+                 concurrency: int = 4, retries: int = 3):
         self.backend = backend
         self.concurrency = concurrency
         self.retries = retries
-        self.backoff_base = backoff_base
 
     def _attempt(self, prompt: str, attempts: int,
                  start: float) -> CompletionResult | float:
@@ -271,7 +273,7 @@ class Gateway:
                                     token_usage=usage, retries=attempts)
         except TransportError as exc:
             if exc.retryable and attempts < self.retries:
-                return self.backoff_base * (2 ** attempts)
+                return BACKOFF_BASE_S * 2 ** attempts
             return CompletionResult(text=None, latency=time.monotonic() - start,
                                     retries=attempts, error=str(exc))
 
@@ -285,12 +287,15 @@ class Gateway:
         from concurrent.futures import ThreadPoolExecutor
 
         workers = min(self.concurrency, len(prompts))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            try:
-                for future in [pool.submit(schedule.work) for _ in range(workers)]:
-                    future.result()
-            finally:  # a worker's raise or a Ctrl-C here must stop the others
-                schedule.stop()
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                try:
+                    for future in [pool.submit(schedule.work) for _ in range(workers)]:
+                        future.result()
+                finally:  # a worker's raise or a Ctrl-C here must stop the others
+                    schedule.stop()
+        finally:  # the pool has joined every worker: no send can return a connection
+            self.backend.close()
         return schedule.results
 
 

@@ -839,7 +839,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("endpoint", ["localhost:9", "127.0.0.1:9/v1",
                                           "ftp://127.0.0.1:9/v1", "http://",
-                                          "https:///v1"])
+                                          "https:///v1", "http://127.0.0.1:x",
+                                          "http://[::1", "http://127.0.0.1:70000"])
     def test_endpoint_without_an_http_url_fails_before_any_request(
             self, input_tsv, tmp_path, capsys, monkeypatch, endpoint):
         def no_request(*args, **kwargs):
@@ -850,7 +851,8 @@ class TestEvaluate:
         out = tmp_path / "eval"
         assert main(["evaluate", "--input", str(input_tsv), "--output", str(out),
                      "--endpoint", endpoint, "--model", "m"]) == 1
-        assert capsys.readouterr().err.startswith("error: endpoint ")
+        assert capsys.readouterr() == ("", f"error: endpoint {endpoint.rstrip('/')!r} is "
+                                           "not an http:// or https:// URL with a host\n")
         assert not out.exists()
 
     def test_endpoint_run_over_a_loopback_socket(self, input_tsv, tmp_path, capsys,
@@ -904,6 +906,33 @@ class TestEvaluate:
         assert code == 1
         assert capsys.readouterr() == ("", "error: pick a backend: --oracle or --endpoint\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_oracle_with_model_settings_is_refused(self, input_tsv, tmp_path, capsys,
+                                                   source):
+        config = tmp_path / "gw.json"
+        config.write_text('{"model": "gpt-x", "temperature": 0.5, "max_tokens": 9, '
+                          '"token_env": "KEY", "concurrency": 2, "retries": 1}',
+                          encoding="utf-8")
+        given, named = {
+            "flag": (["--model", "gpt-x"], "model"),
+            "config": (["--config", str(config)], "max_tokens, model, temperature, token_env"),
+        }[source]
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--input", str(input_tsv), "--output", str(out),
+                     "--oracle", *given])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: the oracle takes no model settings: {named}\n")
+        assert not out.exists()
+
+    def test_oracle_takes_the_runner_settings(self, input_tsv, tmp_path):
+        config = tmp_path / "gw.json"
+        config.write_text('{"concurrency": 2, "retries": 1}', encoding="utf-8")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--input", str(input_tsv), "--output", str(out),
+                     "--oracle", "--config", str(config)]) == 0
+        assert (out / "eval_records.jsonl").exists()
 
     def test_a_manifest_without_decoding_keys_resumes_on_the_oracle(self, input_tsv,
                                                                     tmp_path):
@@ -1120,8 +1149,8 @@ class TestErrors:
 
 
 class TestCollector:
-    """main leaves the cyclic collector as it found it, and pauses it only
-    while records load."""
+    """main pauses the cyclic collector for the whole command, and leaves it
+    as it found it."""
 
     @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
     def collector(self, request):
@@ -1144,41 +1173,59 @@ class TestCollector:
                 seen[_name] = gc.isenabled()
                 return _real(*args, **kwargs)
             monkeypatch.setattr(dataset, name, spy)
-        frozen = gc.get_freeze_count()
         code = main(["partition", "--input", str(source),
                      "--output", str(tmp_path / "split")])
         assert code == (0 if case == "ok" else 1), capsys.readouterr().err
         assert gc.isenabled() is collector
-        assert gc.get_freeze_count() == frozen
         assert seen["ingest"] is False
         if case == "ok":
-            assert seen["partition_by_bridge"] is collector
+            assert seen["partition_by_bridge"] is False
 
 
-# Counts the collector's full passes during one command, after the import.
-FULL_PASSES = """
+# Counts the collector's passes of each generation during one command, after
+# the import.
+PASSES = """
 import gc, sys
 from hopkit.cli import main
-full = []
-gc.callbacks.append(lambda phase, info: phase == "stop" and info["generation"] == 2
-                    and full.append(info))
+passes = [0, 0, 0]
+def count(phase, info):
+    if phase == "stop":
+        passes[info["generation"]] += 1
+gc.callbacks.append(count)
 code = main(sys.argv[1:])
-print(len(full))
+print(*passes)
 sys.exit(code)
 """
 
 
-def test_partition_of_a_large_file_makes_no_full_collection(tmp_path):
-    # With the collector on while records load, this file costs one full
-    # pass over every record; the assertion is a count, never a time.
-    n = 30_000
+def collector_passes(tmp_path, n, *command):
+    """The collector's passes per generation, youngest first, while ``hopkit
+    <command> --input <n two-hop rows>`` runs in a fresh interpreter."""
     rows = [[str(i), f"work {i}", f"made by {i % 7}", f"bridge {i % 997}",
              f"then {i % 5}", f"tail {i % 997}/{i % 5}"] for i in range(n)]
     path = tmp_path / "big.tsv"
     write_tsv(path, rows)
     out = subprocess.run(
-        [sys.executable, "-c", FULL_PASSES, "partition", "--input", str(path),
-         "--output", str(tmp_path / "split")],
+        [sys.executable, "-c", PASSES, *command, "--input", str(path)],
         env=hopkit_env(), capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "0"
+    return [int(count) for count in out.stdout.splitlines()[-1].split()]
+
+
+def test_partition_of_a_large_file_makes_no_full_collection(tmp_path):
+    # With the collector on while records load, this file costs one full
+    # pass over every record; the assertion is a count, never a time.
+    passes = collector_passes(tmp_path, 30_000, "partition", "--output",
+                              str(tmp_path / "split"))
+    assert passes[2] == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--oracle", "--rep", "py-dynamic"],
+    ["generate", "--kind", "corpus", "--rep", "py-static"],
+], ids=["oracle-evaluate", "corpus"])
+def test_a_command_makes_no_collection_at_all(tmp_path, command):
+    # With the collector on while it runs, each of these makes a few young
+    # passes; the assertion is a count, never a time.
+    assert collector_passes(tmp_path, 400, *command, "--output",
+                            str(tmp_path / "out")) == [0, 0, 0]

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from hopkit import FaultSpec, Gateway, OracleBackend, add_fact, build_prompt, make_chain
+from hopkit import (FaultSpec, Gateway, OracleBackend, add_fact, build_prompt, gateway,
+                    make_chain)
 from hopkit.gateway import OpenAIChatBackend, TransportError, load_gateway_config
 from hopkit.prompts import DatasetStyle, PromptMode
 from hopkit.render import RepresentationTag
@@ -34,20 +35,6 @@ def oracle_answer(prompt, kg):
 @pytest.fixture
 def example_kg(example_chain):
     return chain_to_graph(example_chain)
-
-
-@pytest.fixture
-def chat_backend():
-    """Builds ``OpenAIChatBackend``s, and closes each at teardown."""
-    built = []
-
-    def build(*args, **kwargs):
-        built.append(OpenAIChatBackend(*args, **kwargs))
-        return built[-1]
-
-    yield build
-    for backend in built:
-        backend.close()
 
 
 class TestOracleComplete:
@@ -122,12 +109,15 @@ class TestFaultSpec:
 
 
 class FlakyBackend:
-    """Fails with retryable errors n times, then succeeds."""
+    """Fails with retryable errors n times, then succeeds; counts its closes."""
 
     def __init__(self, failures, text="ok"):
         self.failures = failures
-        self.calls = 0
+        self.calls = self.closes = 0
         self.text = text
+
+    def close(self):
+        self.closes += 1
 
     def send(self, prompt):
         self.calls += 1
@@ -137,13 +127,16 @@ class FlakyBackend:
 
 
 class TestGateway:
-    def test_retry_then_success(self):
-        gw = Gateway(backend=FlakyBackend(2), backoff_base=0.0)
-        result = gw.complete_batch(["p"])[0]
+    def test_retry_then_success(self, monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
+        backend = FlakyBackend(2)
+        result = Gateway(backend=backend).complete_batch(["p"])[0]
         assert (result.text, result.retries) == ("ok", 2)
+        assert backend.closes == 1
 
-    def test_failure_beyond_cap_classified(self):
-        gw = Gateway(backend=FlakyBackend(10), retries=2, backoff_base=0.0)
+    def test_failure_beyond_cap_classified(self, monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
+        gw = Gateway(backend=FlakyBackend(10), retries=2)
         result = gw.complete_batch(["p"])[0]
         assert result.text is None
 
@@ -156,6 +149,7 @@ class TestGateway:
         assert None not in [r.text for r in results]
 
     def test_oracle_batch_runs_serially_in_order(self, monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
         chains = [make_chain(f"w{i}", "composer", f"p{i}", "spouse", f"s{i}")
                   for i in range(12)]
         kg = {}
@@ -176,14 +170,32 @@ class TestGateway:
         assert None not in [r.text for r in results]
         assert [c.answer in r.text for c, r in zip(chains, results)] == [True] * 12
         with pytest.raises(AssertionError, match="thread pool used"):
-            Gateway(backend=FlakyBackend(0), backoff_base=0.0).complete_batch(["p"])
+            Gateway(backend=FlakyBackend(0)).complete_batch(["p"])
+
+    def test_only_an_endpoint_batch_that_sends_closes_its_backend(self, example_kg):
+        class ClosableOracle(OracleBackend):
+            closes = 0
+
+            def close(self):
+                self.closes += 1
+
+        oracle = ClosableOracle(example_kg)
+        Gateway(backend=oracle).complete_batch(["junk-1", "junk-2"])
+        assert oracle.closes == 0
+        endpoint = FlakyBackend(0)
+        gw = Gateway(backend=endpoint)
+        gw.complete_batch([])
+        assert endpoint.closes == 0
+        for batch in (1, 2):  # each batch closes what it opened
+            gw.complete_batch(["p", "q"])
+            assert endpoint.closes == batch
 
 
 class RecordingBackend:
     """Thread-safe fake endpoint: records every send in order, the threads
     alive during sends and the sends in flight.  Each prompt in ``fail_once``
     gets one retryable error first; the first ``gather`` sends wait for each
-    other before answering.
+    other before answering.  Counts its closes.
     """
 
     def __init__(self, fail_once=(), delay=0.0, gather=0):
@@ -196,6 +208,10 @@ class RecordingBackend:
         self.delay = delay
         self.gather = gather
         self.barrier = threading.Barrier(gather, timeout=10) if gather else None
+        self.closes = 0
+
+    def close(self):
+        self.closes += 1
 
     def send(self, prompt):
         with self.lock:
@@ -220,13 +236,17 @@ class RecordingBackend:
 
 
 class RaisingBackend:
-    """Answers at once, except that send number ``at`` raises ``exc_type``."""
+    """Answers at once, except that send number ``at`` raises ``exc_type``;
+    counts its closes."""
 
     def __init__(self, exc_type, at):
         self.lock = threading.Lock()
-        self.calls = 0
+        self.calls = self.closes = 0
         self.exc_type = exc_type
         self.at = at
+
+    def close(self):
+        self.closes += 1
 
     def send(self, prompt):
         with self.lock:
@@ -239,38 +259,42 @@ class RaisingBackend:
 
 
 class TestSchedule:
-    def test_backing_off_record_frees_its_slot(self):
+    def test_backing_off_record_frees_its_slot(self, monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.2)
         prompts = [f"p{i}" for i in range(6)]
         backend = RecordingBackend(fail_once={"p0"})
-        gw = Gateway(backend=backend, concurrency=1, backoff_base=0.2)
+        gw = Gateway(backend=backend, concurrency=1)
         results = gw.complete_batch(prompts)
         assert backend.sent == prompts + ["p0"]
         assert [r.text for r in results] == [f"ok {p}" for p in prompts]
         assert [r.retries for r in results] == [1, 0, 0, 0, 0, 0]
         assert results[0].latency >= 0.2
 
-    def test_a_due_retry_goes_before_fresh_prompts(self):
+    def test_a_due_retry_goes_before_fresh_prompts(self, monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
         prompts = [f"p{i}" for i in range(4)]
         backend = RecordingBackend(fail_once={"p1"})
-        gw = Gateway(backend=backend, concurrency=1, backoff_base=0.0)
+        gw = Gateway(backend=backend, concurrency=1)
         results = gw.complete_batch(prompts)
         assert backend.sent == ["p0", "p1", "p1", "p2", "p3"]
         assert [r.retries for r in results] == [0, 1, 0, 0]
 
-    def test_sends_in_flight_never_exceed_concurrency(self):
+    def test_sends_in_flight_never_exceed_concurrency(self, monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.01)
         prompts = [f"p{i}" for i in range(40)]
         backend = RecordingBackend(fail_once=prompts[::7], delay=0.002, gather=3)
-        gw = Gateway(backend=backend, concurrency=3, backoff_base=0.01)
+        gw = Gateway(backend=backend, concurrency=3)
         results = gw.complete_batch(prompts)
         assert backend.most_in_flight == 3
         assert len(backend.sent) == 40 + len(prompts[::7])
         assert [r.text for r in results] == [f"ok {p}" for p in prompts]
         assert [r.retries for r in results] == [int(i % 7 == 0) for i in range(40)]
 
-    def test_one_prompt_is_sent_from_one_thread(self):
+    def test_one_prompt_is_sent_from_one_thread(self, monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.05)
         backend = RecordingBackend(fail_once={"p"})
         threads_before = threading.active_count()
-        gw = Gateway(backend=backend, concurrency=8, backoff_base=0.05)
+        gw = Gateway(backend=backend, concurrency=8)
         [result] = gw.complete_batch(["p"])
         assert result.text is not None and result.retries == 1
         assert backend.sent == ["p", "p"]
@@ -278,9 +302,10 @@ class TestSchedule:
         assert backend.most_threads <= threads_before + 1
 
     @pytest.mark.parametrize("exc_type", [KeyboardInterrupt, ValueError])
-    def test_a_raising_send_stops_the_batch(self, exc_type):
+    def test_a_raising_send_stops_the_batch(self, exc_type, monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
         backend = RaisingBackend(exc_type, at=10)
-        gw = Gateway(backend=backend, concurrency=4, backoff_base=0.0)
+        gw = Gateway(backend=backend, concurrency=4)
         raised = []
 
         def run():
@@ -296,15 +321,19 @@ class TestSchedule:
         [exc] = raised
         assert type(exc) is exc_type and str(exc) == "send 10"
         assert 10 <= backend.calls <= 10 + 4
+        assert backend.closes == 1
 
     def test_ctrl_c_in_the_caller_stops_every_send(self):
         script = """
 import os, signal, threading, time
 from hopkit.gateway import Gateway
 
-sent = []
+sent, closes = [], []
 
 class Slow:
+    def close(self):
+        closes.append(len(sent))
+
     def send(self, prompt):
         sent.append(prompt)
         time.sleep(0.002)
@@ -317,20 +346,20 @@ try:
 except KeyboardInterrupt:
     at_raise = len(sent)
     time.sleep(0.3)
-    print(at_raise, len(sent))
+    print(at_raise, len(sent), *closes)
 """
         out = subprocess.run([sys.executable, "-c", script], env=hopkit_env(),
                              capture_output=True, text=True, check=True, timeout=60)
-        at_raise, at_end = map(int, out.stdout.split())
+        at_raise, at_end, closed_at = map(int, out.stdout.split())
         assert 0 < at_raise < 2000
         assert at_end == at_raise
+        assert closed_at == at_raise  # closed once, after the last send
 
 
 class TestOpenAIBackend:
-    def test_request_carries_the_model_and_greedy_decoding(self, chat_server,
-                                                           chat_backend):
+    def test_request_carries_the_model_and_greedy_decoding(self, chat_server):
         chat_server.reply = lambda prompt: (200, chat_reply("x"))
-        backend = chat_backend(chat_server.url + "/v1", "m1")
+        backend = OpenAIChatBackend(chat_server.url + "/v1", "m1")
         assert Gateway(backend=backend).complete_batch(["p"])[0].text == "x"
         [payload] = chat_server.payloads
         assert payload["model"] == "m1"
@@ -344,91 +373,126 @@ class TestOpenAIBackend:
         {"choices": [{"message": {"content": None}}]},
     ])
     def test_malformed_reply_is_a_final_transport_failure(self, chat_server, body,
-                                                          chat_backend):
+                                                          monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
         chat_server.reply = lambda prompt: (200, body)
-        backend = chat_backend(chat_server.url + "/v1", "m")
-        [result] = Gateway(backend=backend, backoff_base=0.0).complete_batch(["p"])
+        backend = OpenAIChatBackend(chat_server.url + "/v1", "m")
+        [result] = Gateway(backend=backend).complete_batch(["p"])
         assert result.text is None
         assert result.error.startswith("malformed response")
         assert len(chat_server.payloads) == 1
 
-    def test_missing_token_fails_fast(self, monkeypatch, chat_backend):
+    def test_missing_token_fails_fast(self, monkeypatch):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
         with pytest.raises(ValueError, match="^missing bearer token: set the OPENAI_API_KEY "
                                              "environment variable$"):
-            chat_backend("http://localhost:9999/v1", "m")
+            OpenAIChatBackend("http://localhost:9999/v1", "m")
 
-    def test_token_present_passes_check(self, monkeypatch, chat_backend):
+    def test_token_present_passes_check(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
-        assert chat_backend("http://localhost:9999/v1", "m").model == "m"
+        assert OpenAIChatBackend("http://localhost:9999/v1", "m").model == "m"
 
     def test_connection_error_is_a_retried_transport_failure(self, endpoint_env,
-                                                             monkeypatch, chat_backend):
+                                                             monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
         with socket.socket() as unheard:  # bound but not listening: refuses
             unheard.bind(("127.0.0.1", 0))
             url = f"http://127.0.0.1:{unheard.getsockname()[1]}/v1"
-            backend = chat_backend(url, "m")
+            backend = OpenAIChatBackend(url, "m")
             sent, send = [], backend.send
             monkeypatch.setattr(backend, "send", lambda p: sent.append(p) or send(p))
-            gw = Gateway(backend=backend, retries=2, backoff_base=0.0)
+            gw = Gateway(backend=backend, retries=2)
             [result] = gw.complete_batch(["p"])
         assert result.text is None
         assert "connection refused" in result.error.lower()
         assert sent == ["p"] * 3
 
-    def test_a_429_is_retried_on_the_same_connection(self, chat_server, chat_backend):
+    def test_a_429_is_retried_on_the_same_connection(self, chat_server, monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
         replies = iter([(429, {}), (200, chat_reply("x"))])
         chat_server.reply = lambda prompt: next(replies)
-        backend = chat_backend(chat_server.url, "m")
-        [result] = Gateway(backend=backend, backoff_base=0.0).complete_batch(["p"])
+        backend = OpenAIChatBackend(chat_server.url, "m")
+        [result] = Gateway(backend=backend).complete_batch(["p"])
         assert (result.text, result.retries) == ("x", 1)
         assert len(chat_server.payloads) == 2
         assert chat_server.connections == 1
 
-    def test_a_connection_that_raised_is_never_reused(self, chat_server, chat_backend):
+    def test_a_connection_that_raised_is_never_reused(self, chat_server, monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
         replies = iter([(None, b"NOT HTTP\r\n"), (200, chat_reply("x"))])
         chat_server.reply = lambda prompt: next(replies)
-        backend = chat_backend(chat_server.url, "m")
-        gw = Gateway(backend=backend, retries=1, backoff_base=0.0)
+        backend = OpenAIChatBackend(chat_server.url, "m")
+        gw = Gateway(backend=backend, retries=1)
         [result] = gw.complete_batch(["p"])
         assert (result.text, result.retries) == ("x", 1)
         assert chat_server.connections == 2
 
-    def test_a_400_is_final(self, chat_server, chat_backend):
+    def test_a_400_is_final(self, chat_server, monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
         chat_server.reply = lambda prompt: (400, {"error": {"message": "bad"}})
-        backend = chat_backend(chat_server.url, "m")
-        [result] = Gateway(backend=backend, backoff_base=0.0).complete_batch(["p"])
+        backend = OpenAIChatBackend(chat_server.url, "m")
+        [result] = Gateway(backend=backend).complete_batch(["p"])
         assert (result.text, result.error, result.retries) == (None, "HTTP 400", 0)
         assert len(chat_server.payloads) == 1
 
-    def test_connections_never_outnumber_concurrency(self, chat_server, chat_backend):
+    def test_connections_never_outnumber_concurrency(self, chat_server):
         chat_server.reply = lambda prompt: (200, chat_reply(f"ok {prompt}"))
         prompts = [f"p{i}" for i in range(40)]
-        backend = chat_backend(chat_server.url, "m")
+        backend = OpenAIChatBackend(chat_server.url, "m")
         results = Gateway(backend=backend, concurrency=3).complete_batch(prompts)
         assert [r.text for r in results] == [f"ok {p}" for p in prompts]
         assert len(chat_server.payloads) == 40
         assert 1 <= chat_server.connections <= 3
 
-    def test_a_connection_the_server_closed_costs_no_retry(self, chat_server,
-                                                           chat_backend):
+    def test_a_connection_the_server_closed_costs_no_retry(self, chat_server, monkeypatch):
+        # One worker, one batch: each prompt after the first is sent once the
+        # server has closed the connection the last send left idle.
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
         chat_server.close_after_reply = True
-        backend = chat_backend(chat_server.url, "m")
-        gw = Gateway(backend=backend, backoff_base=0.0)
-        for i in range(4):
-            [result] = gw.complete_batch([f"p{i}"])
-            assert result.text is not None and result.retries == 0
-            assert chat_server.closed.acquire(timeout=10)
-        assert len(chat_server.payloads) == 4
+        backend = OpenAIChatBackend(chat_server.url, "m")
+        sent, send = [], backend.send
+
+        def send_once_closed(prompt):
+            if sent and prompt not in sent:  # a retry goes at once
+                assert chat_server.closed.acquire(timeout=10)
+            sent.append(prompt)
+            return send(prompt)
+
+        monkeypatch.setattr(backend, "send", send_once_closed)
+        results = Gateway(backend=backend, concurrency=1).complete_batch(
+            [f"p{i}" for i in range(4)])
+        assert [(r.text, r.retries) for r in results] == [("ok", 0)] * 4
+        assert sent == [f"p{i}" for i in range(4)]
         assert chat_server.connections == 4
 
+    def test_ctrl_c_mid_batch_leaves_no_connection_open(self, chat_server):
+        # The backend is closed once the interrupted workers have returned
+        # their connections, so none is left idle.
+        chat_server.reply = lambda prompt: time.sleep(0.02) or (200, chat_reply("ok"))
+        script = """
+import os, signal, sys, threading
+from hopkit.gateway import Gateway, OpenAIChatBackend
+
+backend = OpenAIChatBackend(sys.argv[1], "m")
+threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT)).start()
+try:
+    Gateway(backend=backend, concurrency=4).complete_batch([str(i) for i in range(2000)])
+except KeyboardInterrupt:
+    print(len(backend.idle))
+"""
+        out = subprocess.run([sys.executable, "-c", script, chat_server.url],
+                             env=hopkit_env(), capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout.split() == ["0"]
+        assert 0 < len(chat_server.payloads) < 2000
+
     def test_http_proxy_takes_the_absolute_uri_unless_no_proxy_matches(
-            self, chat_server, proxy_server, monkeypatch, chat_backend):
+            self, chat_server, proxy_server, monkeypatch):
         monkeypatch.setenv("http_proxy", f"u%40x:p%3A@127.0.0.1:{proxy_server.server_port}")
         for no_proxy in (None, "example.org, 127.0.0.1"):
             if no_proxy:
                 monkeypatch.setenv("no_proxy", no_proxy)
-            backend = chat_backend(chat_server.url + "/v1", "m")
+            backend = OpenAIChatBackend(chat_server.url + "/v1", "m")
             assert Gateway(backend=backend).complete_batch(["p"])[0].text == "ok"
         [(line, headers)] = proxy_server.received
         assert line == f"POST {chat_server.url}/v1/chat/completions HTTP/1.1"
@@ -438,11 +502,10 @@ class TestOpenAIBackend:
         assert line == "POST /v1/chat/completions HTTP/1.1"
         assert "Proxy-Authorization" not in headers
 
-    def test_https_proxy_opens_a_connect_tunnel(self, proxy_server, monkeypatch,
-                                                chat_backend):
+    def test_https_proxy_opens_a_connect_tunnel(self, proxy_server, monkeypatch):
         monkeypatch.setenv("https_proxy",
                            f"http://u:p@127.0.0.1:{proxy_server.server_port}")
-        backend = chat_backend("https://api.example.invalid/v1", "m")
+        backend = OpenAIChatBackend("https://api.example.invalid/v1", "m")
         [result] = Gateway(backend=backend, retries=0).complete_batch(["p"])
         assert result.text is None and "502" in result.error
         [(line, headers)] = proxy_server.received
