@@ -203,7 +203,7 @@ def ingest(path: str | Path, format: str = "tsv") -> IngestResult:
             labels = labels[:-1]
         try:
             record = SourceRecord(id, labels)
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             result.invalid_rows.append((lineno, str(exc)))
             continue
         if id in seen_ids:

@@ -21,6 +21,7 @@ from .render import ENVELOPE_BODY_KEY, RepresentationTag, parse as parse_body
 
 _QUOTES = "\"'“”‘’"
 _JSON_DECODER = json.JSONDecoder()  # keeps no state between decodes
+_TRAILING_IS = re.compile(r"\bis\s+(.+)$")  # X of a last sentence "... is X"
 
 
 def normalize_answer(text: str) -> str:
@@ -45,13 +46,12 @@ def _find_envelopes(completion: str) -> list[dict]:
         if start < 0:
             return found
         try:
-            obj, end = _JSON_DECODER.raw_decode(completion[start:])
+            obj, pos = _JSON_DECODER.raw_decode(completion, start)
         except (json.JSONDecodeError, RecursionError):  # deep nesting is malformed too
             pos = start + 1
             continue
         if isinstance(obj, dict):
             found.append(obj)
-        pos = start + end
 
 
 def _extract_answer(completion: str, envelopes: list[dict]) -> str | None:
@@ -63,12 +63,12 @@ def _extract_answer(completion: str, envelopes: list[dict]) -> str | None:
         answer = obj.get("Answer")
         if isinstance(answer, str) and answer.strip():
             return answer
-    sentences = [s for s in re.split(r"(?<=[.?!])\s+", completion.strip()) if s.strip()]
-    if sentences:
-        last = sentences[-1].rstrip(".?!").strip()
-        m = re.search(r"\bis\s+(.+)$", last)
-        if m and m.group(1).strip("_ ").strip():
-            return m.group(1).strip()
+    last = re.split(r"(?<=[.?!])\s+", completion.strip())[-1].rstrip(".?!").strip()
+    # X holds no line break: "is" matches in the last line, or just before its whitespace
+    line = last.rfind("\n") + 1
+    m = _TRAILING_IS.search(last, max(len(last[:line].rstrip()) - 2, 0))
+    if m and m.group(1).strip("_ ").strip():
+        return m.group(1).strip()
     return None
 
 
@@ -103,7 +103,7 @@ def _judge_hops(
             verdicts.append(True)
             continue
         if flat is None:
-            flat = re.sub(r"\s+", " ", unicodedata.normalize("NFKC", completion)).lower()
+            flat = " ".join(unicodedata.normalize("NFKC", completion).split()).lower()
         verdicts.append(_states(flat, f"{head} is {tail}"))
     return tuple(verdicts)
 

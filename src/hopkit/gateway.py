@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import threading
 import time
 from collections import namedtuple
@@ -45,22 +46,13 @@ def _extract_query(prompt: str) -> str | None:
     One-shot prompts contain the demonstration's query too, so only the last
     statement/question marker counts.
     """
-    markers = [
-        ("statement: ", " is _"),
-        ("question: What is ", " ?"),
-    ]
-    best = None
-    for marker, terminator in markers:
+    found = []  # (marker position, query text) of each marker with a terminator
+    for marker, terminator in (("statement: ", " is _"), ("question: What is ", " ?")):
         pos = prompt.rfind(marker)
-        if pos < 0:
-            continue
-        start = pos + len(marker)
-        end = prompt.find(terminator, start)
-        if end < 0:
-            continue
-        if best is None or pos > best[0]:
-            best = (pos, prompt[start:end])
-    return best[1] if best else None
+        end = prompt.find(terminator, pos + len(marker))
+        if pos >= 0 and end >= 0:
+            found.append((pos, prompt[pos + len(marker):end]))
+    return max(found)[1] if found else None
 
 
 def _candidate_paths(core: str):
@@ -130,6 +122,21 @@ class OracleBackend:
         return wrap_answer_envelope("", self.representation, UNKNOWN_ANSWER), None
 
 
+def _split_url(url: str, schemes: tuple[str, ...], what: str):
+    """``urlsplit(url)`` and its port; a ValueError naming ``what``, less any
+    password, unless ``url`` has one of ``schemes``, a host and a valid port."""
+    from urllib.parse import urlsplit
+
+    try:  # urlsplit and .port raise ValueError on a bad bracket or port
+        parts = urlsplit(url)
+        if parts.scheme in schemes and parts.hostname:
+            return parts, parts.port
+    except ValueError:
+        pass
+    raise ValueError(f"{what} {re.sub('//[^/]*@', '//', url)!r} is not an "
+                     f"{' or '.join(s + '://' for s in schemes)} URL with a host")
+
+
 class OpenAIChatBackend:
     """Minimal client for any OpenAI-compatible /chat/completions endpoint, over
     pooled stdlib keep-alive connections: no more are open than sends in flight
@@ -138,7 +145,8 @@ class OpenAIChatBackend:
     (``<scheme>_proxy``, else ``all_proxy``, unless ``no_proxy`` matches); an
     https endpoint is reached through its CONNECT tunnel.  TLS verifies against
     the system's trust store.  Building one refuses an endpoint that is not an
-    http(s) URL with a host, and a missing bearer token."""
+    http(s) URL with a host or has a query or fragment, a missing bearer token,
+    and a proxy in use that is not an http:// URL with a host."""
 
     def __init__(
         self,
@@ -151,38 +159,36 @@ class OpenAIChatBackend:
         import ssl  # deferred, like http.client: only endpoint runs pay for them
         import urllib.request
         from base64 import b64encode
-        from urllib.parse import unquote, urlsplit
+        from urllib.parse import unquote
 
         self.endpoint = endpoint.rstrip("/")
         self.model = model
-        self.token_env = token_env
         self.temperature = temperature
         self.max_tokens = max_tokens
-        try:  # urlsplit and .port raise ValueError on a bad bracket or port
-            url = urlsplit(self.endpoint)
-            port = url.port
-            if url.scheme not in ("http", "https") or not url.hostname:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"endpoint {self.endpoint!r} is not an http:// or https:// "
-                             "URL with a host") from None
-        if not os.environ.get(token_env):
+        url, port = _split_url(self.endpoint, ("http", "https"), "endpoint")
+        if "?" in self.endpoint or "#" in self.endpoint:  # even an empty one
+            raise ValueError(f"endpoint {self.endpoint!r} must not have a query or fragment")
+        token = os.environ.get(token_env)
+        if not token:
             raise ValueError(f"missing bearer token: set the {token_env} environment variable")
+        self.headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
         self.path = url.path + "/chat/completions"
-        self.address, self.tunnel, self.proxy_auth = (url.hostname, port), None, {}
+        self.address, self.tunnel = (url.hostname, port), None
         proxies = urllib.request.getproxies()
         proxy = proxies.get(url.scheme) or proxies.get("all")
         if proxy and not urllib.request.proxy_bypass(url.hostname):
-            proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            proxy, proxy_port = _split_url(proxy if "://" in proxy else "http://" + proxy,
+                                           ("http",), "proxy")
             auth = {}
             if proxy.username is not None:
                 user = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
                 auth["Proxy-Authorization"] = f"Basic {b64encode(user.encode()).decode()}"
-            self.address = (proxy.hostname, proxy.port or 80)
+            self.address = (proxy.hostname, proxy_port or 80)
             if url.scheme == "https":
                 self.tunnel = (url.hostname, port, auth)
             else:  # a plain-HTTP proxy takes the absolute URI
-                self.path, self.proxy_auth = self.endpoint + "/chat/completions", auth
+                self.path = self.endpoint + "/chat/completions"
+                self.headers.update(auth)
         self.context = ssl.create_default_context() if url.scheme == "https" else None
         self.idle, self.lock = [], threading.Lock()  # connections no send holds
 
@@ -223,11 +229,9 @@ class OpenAIChatBackend:
             "temperature": self.temperature,
             "max_tokens": self.max_tokens,
         }).encode("utf-8")
-        headers = {"Authorization": f"Bearer {os.environ.get(self.token_env, '')}",
-                   "Content-Type": "application/json", **self.proxy_auth}
         conn = self._connection()
         try:
-            conn.request("POST", self.path, payload, headers)
+            conn.request("POST", self.path, payload, self.headers)
             with conn.getresponse() as response:
                 status, data = response.status, response.read()
         except (OSError, http.client.HTTPException) as exc:

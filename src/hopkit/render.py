@@ -180,12 +180,6 @@ class KnowledgeBase:
 '''
 
 
-def _and_join(items: list[str]) -> str:
-    if len(items) == 1:
-        return items[0]
-    return ", ".join(items[:-1]) + " and " + items[-1]
-
-
 def _render_python_dynamic(chain: ReasoningInstance) -> str:
     hops = chain.hops
     n = len(hops)
@@ -242,12 +236,12 @@ def _render_python_dynamic(chain: ReasoningInstance) -> str:
             )
         )
     if n >= 2:
-        rels = _and_join(chain.relations)
+        *firsts, last = chain.relations
         print_lines.append(
             (
                 f"print(result{n + 1})",
                 f"# Output: {chain.answer} is related to "
-                f"{chain.start} through {rels}",
+                f"{chain.start} through {', '.join(firsts)} and {last}",
             )
         )
     pwidth = max(len(code) for code, _ in print_lines) + 2

@@ -705,6 +705,15 @@ class TestEvaluate:
             (out / name).unlink()
         assert main(args) == 1  # the manifest is an output like the others
 
+    def test_force_starts_a_fresh_log(self, input_tsv, tmp_path):
+        out = tmp_path / "eval"
+        args = ["evaluate", "--input", str(input_tsv), "--output", str(out), "--oracle"]
+        assert main(args) == 0
+        fresh = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main([*args, "--force"]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == fresh
+        assert len(fresh["eval_records.jsonl"].splitlines()) == 20
+
     def test_resume_refuses_other_settings(self, input_tsv, tmp_path, capsys):
         out = tmp_path / "eval"
         args = ["evaluate", "--input", str(input_tsv), "--output", str(out), "--oracle"]
@@ -853,6 +862,41 @@ class TestEvaluate:
                      "--endpoint", endpoint, "--model", "m"]) == 1
         assert capsys.readouterr() == ("", f"error: endpoint {endpoint.rstrip('/')!r} is "
                                            "not an http:// or https:// URL with a host\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("proxy, endpoint, message", [
+        ("http://127.0.0.1:x", "http://127.0.0.1:9",
+         "proxy 'http://127.0.0.1:x' is not an http:// URL with a host"),
+        ("socks5://127.0.0.1:1080", "http://127.0.0.1:9",
+         "proxy 'socks5://127.0.0.1:1080' is not an http:// URL with a host"),
+        ("http://:3128", "http://127.0.0.1:9",
+         "proxy 'http://:3128' is not an http:// URL with a host"),
+        ("https://127.0.0.1:3128", "http://127.0.0.1:9",
+         "proxy 'https://127.0.0.1:3128' is not an http:// URL with a host"),
+        ("u:secret@127.0.0.1:70000", "http://127.0.0.1:9",  # the password is not shown
+         "proxy 'http://127.0.0.1:70000' is not an http:// URL with a host"),
+        (None, "http://h/v1?api-version=1",
+         "endpoint 'http://h/v1?api-version=1' must not have a query or fragment"),
+        (None, "http://h/v1#part",
+         "endpoint 'http://h/v1#part' must not have a query or fragment"),
+        (None, "https://h/v1?",
+         "endpoint 'https://h/v1?' must not have a query or fragment"),
+    ], ids=["proxy-port", "proxy-socks", "proxy-no-host", "proxy-https",
+            "proxy-credentials", "endpoint-query", "endpoint-fragment",
+            "endpoint-empty-query"])
+    def test_a_proxy_or_endpoint_it_cannot_use_fails_before_any_request(
+            self, input_tsv, tmp_path, capsys, monkeypatch, endpoint_env, proxy,
+            endpoint, message):
+        def no_request(*args, **kwargs):
+            raise AssertionError("a request was made")
+
+        if proxy:
+            monkeypatch.setenv("http_proxy", proxy)
+        monkeypatch.setattr(gateway.OpenAIChatBackend, "send", no_request)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--input", str(input_tsv), "--output", str(out),
+                     "--endpoint", endpoint, "--model", "m"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
     def test_endpoint_run_over_a_loopback_socket(self, input_tsv, tmp_path, capsys,
@@ -1099,8 +1143,19 @@ class TestErrors:
         (["evaluate", "--input", "{records}", "--oracle", "--fault-hop", "9",
           "--fault-prob", "0.5", "--output", "{done}"],
          "{done}/eval_records.jsonl exists; pass --force to overwrite"),
+        (["partition", "--input", "{header_only}", "--output", "{out}"],
+         "no usable records in {header_only}"),
+        (["evaluate", "--input", "{records}", "--oracle", "--config", "{listed}",
+          "--output", "{out}"],
+         "config file {listed} must hold an object"),
+        (["cap", "--input", "{records}", "--cap", "0", "--output", "{out}"],
+         "cap must be >= 1"),
+        (["evaluate", "--input", "{records}", "--oracle", "--resume", "--output", "{done}"],
+         "{done}/manifest.json: not a run manifest: Expecting value: line 1 column 1 "
+         "(char 0)"),
     ], ids=["ingest-abort", "render-line-break", "config-key", "config-not-json",
-            "no-force", "no-force-missing-input", "no-force-bad-fault-hop"])
+            "no-force", "no-force-missing-input", "no-force-bad-fault-hop",
+            "no-usable-records", "config-not-object", "cap-zero", "resume-bad-manifest"])
     def test_a_user_error_is_one_error_line(self, input_tsv, tmp_path, capsys, command,
                                             message):
         invalid = tmp_path / "invalid.tsv"
@@ -1112,12 +1167,18 @@ class TestErrors:
         config.write_text('{"bogus": 1}', encoding="utf-8")
         truncated = tmp_path / "truncated.json"
         truncated.write_text('{"model": ', encoding="utf-8")
+        header_only = tmp_path / "header_only.tsv"
+        header_only.write_text("id\te1\tr1\te2\tr2\te3\n", encoding="utf-8")
+        listed = tmp_path / "listed.json"
+        listed.write_text("[]", encoding="utf-8")
         done = tmp_path / "done"
         done.mkdir()
         (done / "eval_records.jsonl").write_text("old\n", encoding="utf-8")
+        (done / "manifest.json").write_text("not json\n", encoding="utf-8")
         paths = {"invalid": invalid, "broken": broken, "records": input_tsv,
                  "missing": tmp_path / "missing.tsv", "config": config, "done": done,
-                 "truncated": truncated, "out": tmp_path / "out"}
+                 "truncated": truncated, "header_only": header_only, "listed": listed,
+                 "out": tmp_path / "out"}
         code = main([arg.format(**paths) for arg in command])
         assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
         assert code == 1

@@ -1,6 +1,8 @@
 import codecs
 import collections
+import copy
 import json
+import pickle
 import random
 import re
 
@@ -107,6 +109,8 @@ class TestIngest:
         path.write_text("x", encoding="utf-8")
         with pytest.raises(ValueError, match="^unknown format 'xml'$"):
             ingest(path, "xml")
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+            write_records([rec(1, "a", "r", "b", "s", "c")], path, format="xml")
 
     def test_roundtrip_write_read(self, tmp_path):
         records = [rec(1, "a", "r", "b", "s", "c"), rec(2, "d", "r", "e", "s", "f")]
@@ -183,6 +187,13 @@ class TestIngest:
     def test_record_rejects_bad_id(self, bad_id):
         with pytest.raises(ValueError, match="id"):
             SourceRecord(bad_id, ("a", "r", "b", "s", "c"))
+
+    def test_record_survives_copy_and_pickle(self):
+        record = rec(7, "a", "r", "b", "s", "c", "u", "d")
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is SourceRecord
+            assert (twin, twin.id, twin.labels) == (record, "7", record.labels)
 
 
 # write_records output as of the fixed-field record format, byte for byte.

@@ -69,6 +69,48 @@ class TestExtractAnswer:
     def test_blank_placeholder_not_an_answer(self):
         assert extracted("spouse of composer of X is _") is None
 
+    @staticmethod
+    def _whole_sentence_fallback(completion):
+        """The answer fallback searching the whole last sentence: the
+        reference that the bounded search must match."""
+        sentences = [s for s in re.split(r"(?<=[.?!])\s+", completion.strip()) if s.strip()]
+        if sentences:
+            last = sentences[-1].rstrip(".?!").strip()
+            m = re.search(r"\bis\s+(.+)$", last)
+            if m and m.group(1).strip("_ ").strip():
+                return m.group(1).strip()
+        return None
+
+    def test_fallback_agrees_with_the_whole_sentence_search(self):
+        rng = random.Random(20261019)
+        pieces = ["is", "is ", " is ", "his", "isx", "is\n", "\nis", "\n", " \n ", " ",
+                  "\t", "\r", "\x85", "\u3000", ".", "?", "!", "_", "a", "é", "1"]
+        outcomes = collections.Counter()
+        for _ in range(30000):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+            expected = self._whole_sentence_fallback(text)
+            assert evaluate._extract_answer(text, []) == expected, text
+            outcomes[expected is None, "\n" in text.strip()] += 1
+        # an answer and none, each with and without a line break inside
+        assert len(outcomes) == 4
+
+    def test_fallback_searches_the_last_line_only(self, monkeypatch):
+        # An "is" before the last line can match only where whitespace alone
+        # parts it from that line, so nothing before it is searched.
+        searched = []
+        trailing_is = evaluate._TRAILING_IS
+
+        class Recording:
+            def search(self, text, pos):
+                searched.append(len(text) - pos)
+                return trailing_is.search(text, pos)
+
+        monkeypatch.setattr(evaluate, "_TRAILING_IS", Recording())
+        for n in (10, 1000, 32000):
+            assert extracted("is " * n + "\nx") == "x"
+            assert extracted("is " * n + "x\ny") is None
+        assert searched == [len("is \nx"), len(" x\ny")] * 3
+
 
 class TestJudgeHops:
     def test_natural_language_sentence(self, example_chain):
@@ -111,6 +153,14 @@ class TestJudgeHops:
     def test_fallback_matches_whole_entities(self, completion, verdict):
         chain = make_chain("Paris", "country", "France")
         assert hop_verdicts(completion, chain) == (verdict,)
+
+    @pytest.mark.parametrize("completion, labels", [
+        ("  is Paris", ("!", "r", "Paris")), ("Paris is \n", ("Paris", "r", "...")),
+    ])
+    def test_edge_whitespace_stands_in_for_no_label(self, completion, labels):
+        # A label of punctuation alone normalizes to "", so its claim starts
+        # or ends with the space; the fallback text has no space at its edges.
+        assert hop_verdicts(completion, make_chain(*labels)) == (False,)
 
     @staticmethod
     def _regex_states(flat, head, tail):
@@ -396,6 +446,10 @@ class TestReports:
     def test_empty_report_dashes(self):
         text = emit_report(compute_metrics([]), "text_table")
         assert "-" in text
+
+    def test_unknown_format(self):
+        with pytest.raises(ValueError, match="^unknown report format 'xml'$"):
+            emit_report(compute_metrics([]), "xml")
 
     def test_condition_labels(self):
         assert ConditionRow((1, 2), 0, 0).label == "1st & 2nd hop correct"

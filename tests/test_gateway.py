@@ -1,5 +1,7 @@
+import collections
 import concurrent.futures
 import json
+import random
 import re
 import socket
 import subprocess
@@ -59,8 +61,12 @@ class TestOracleComplete:
         assert envelope["Answer"] == "UNKNOWN"
 
     def test_unparseable_prompt_unknown(self, example_kg):
-        envelope = json.loads(oracle_answer("tell me a joke", example_kg))
-        assert envelope["Answer"] == "UNKNOWN"
+        for prompt in ["tell me a joke",
+                       # a marker without its terminator, " is _" or " ?"
+                       "statement: spouse of composer of It Goes Like It Goes.",
+                       "question: What is spouse of composer of It Goes Like It Goes?"]:
+            envelope = json.loads(oracle_answer(prompt, example_kg))
+            assert envelope["Answer"] == "UNKNOWN", prompt
 
     @pytest.mark.parametrize("core", ["r of  of x of A", " of x of A", "r of x of "])
     def test_a_query_with_a_blank_reading_is_unknown(self, core):
@@ -90,6 +96,37 @@ class TestOracleComplete:
         ).full_prompt
         envelope = json.loads(oracle_answer(prompt, example_kg))
         assert envelope["Answer"] == "Didi Conn"
+
+
+def reference_extract_query(prompt):
+    """The oracle's query reading, step by step: the reference that
+    ``gateway._extract_query`` must match."""
+    markers = [("statement: ", " is _"), ("question: What is ", " ?")]
+    best = None
+    for marker, terminator in markers:
+        pos = prompt.rfind(marker)
+        if pos < 0:
+            continue
+        start = pos + len(marker)
+        end = prompt.find(terminator, start)
+        if end < 0:
+            continue
+        if best is None or pos > best[0]:
+            best = (pos, prompt[start:end])
+    return best[1] if best else None
+
+
+def test_the_query_reading_matches_the_reference():
+    rng = random.Random(20261019)
+    pieces = ["statement: ", "question: What is ", " is _", " ?", " is ", "What is ",
+              "statement:", " of ", "a", " ", "\n", "?", "_"]
+    outcomes = collections.Counter()
+    for _ in range(20000):
+        prompt = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
+        expected = reference_extract_query(prompt)
+        assert gateway._extract_query(prompt) == expected, prompt
+        outcomes[expected is None] += 1
+    assert set(outcomes) == {True, False}
 
 
 class TestFaultSpec:
@@ -511,6 +548,23 @@ except KeyboardInterrupt:
         [(line, headers)] = proxy_server.received
         assert line.startswith("CONNECT api.example.invalid:443 HTTP/1.")
         assert headers["Proxy-Authorization"] == "Basic " + b64encode(b"u:p").decode()
+
+    def test_headers_are_built_once(self, chat_server, monkeypatch):
+        backend = OpenAIChatBackend(chat_server.url, "m")
+        monkeypatch.delenv("OPENAI_API_KEY")  # a send reads no variable
+        assert Gateway(backend=backend).complete_batch(["p"])[0].text == "ok"
+        [(line, headers)] = chat_server.received
+        assert headers["Authorization"] == "Bearer sk-test"
+        assert headers["Content-Type"] == "application/json"
+
+    def test_a_proxy_it_does_not_use_is_not_checked(self, endpoint_env, monkeypatch):
+        monkeypatch.setenv("https_proxy", "socks5://127.0.0.1:1080")  # not for http
+        backend = OpenAIChatBackend("http://example.invalid/v1", "m")
+        assert backend.address == ("example.invalid", None)
+        monkeypatch.setenv("http_proxy", "socks5://127.0.0.1:1080")
+        monkeypatch.setenv("no_proxy", "example.invalid")  # bypassed
+        backend = OpenAIChatBackend("http://api.example.invalid/v1", "m")
+        assert backend.address == ("api.example.invalid", None)
 
     def test_importing_the_cli_leaves_the_http_client_unimported(self):
         assert loaded_by_importing_the_cli(

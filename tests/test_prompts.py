@@ -50,6 +50,11 @@ def test_one_shot_requires_demonstration(example_chain):
                      RepresentationTag.NATURAL_LANGUAGE)
 
 
+def test_unknown_mode(example_chain):
+    with pytest.raises(ValueError, match="^unknown mode 'few_shot'$"):
+        build_prompt(example_chain, "few_shot", DatasetStyle.STATEMENT)
+
+
 def test_with_context_prefix(example_chain):
     context = ("The composer of It Goes Like It Goes is David Shire. "
                "The spouse of David Shire is Didi Conn.")
