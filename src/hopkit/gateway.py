@@ -133,8 +133,13 @@ def _split_url(url: str, schemes: tuple[str, ...], what: str):
             return parts, parts.port
     except ValueError:
         pass
-    raise ValueError(f"{what} {re.sub('//[^/]*@', '//', url)!r} is not an "
+    raise ValueError(f"{what} {_masked(url)!r} is not an "
                      f"{' or '.join(s + '://' for s in schemes)} URL with a host")
+
+
+def _masked(url: str) -> str:
+    """``url`` less its user name and password."""
+    return re.sub("//[^/]*@", "//", url)
 
 
 class OpenAIChatBackend:
@@ -145,8 +150,8 @@ class OpenAIChatBackend:
     (``<scheme>_proxy``, else ``all_proxy``, unless ``no_proxy`` matches); an
     https endpoint is reached through its CONNECT tunnel.  TLS verifies against
     the system's trust store.  Building one refuses an endpoint that is not an
-    http(s) URL with a host or has a query or fragment, a missing bearer token,
-    and a proxy in use that is not an http:// URL with a host."""
+    http(s) URL with a host or has a user name, a query or a fragment, a missing
+    bearer token, and a proxy in use that is not an http:// URL with a host."""
 
     def __init__(
         self,
@@ -166,6 +171,9 @@ class OpenAIChatBackend:
         self.temperature = temperature
         self.max_tokens = max_tokens
         url, port = _split_url(self.endpoint, ("http", "https"), "endpoint")
+        if url.username is not None:  # a proxy would see it in the request target
+            raise ValueError(f"endpoint {_masked(self.endpoint)!r} must not have "
+                             "a user name or password")
         if "?" in self.endpoint or "#" in self.endpoint:  # even an empty one
             raise ValueError(f"endpoint {self.endpoint!r} must not have a query or fragment")
         token = os.environ.get(token_env)
@@ -282,11 +290,46 @@ class Gateway:
                                     retries=attempts, error=str(exc))
 
     def complete_batch(self, prompts: list[str]) -> list[CompletionResult]:
-        schedule = _Schedule(self, prompts)
+        results: list = [None] * len(prompts)
+        fresh = iter(range(len(prompts)))  # prompts never sent
+        retry: list = []  # heap of (due, index, attempts, first start)
+        lock, stop = threading.Lock(), threading.Event()
+
+        def work():
+            """One worker: the earliest due retry, else the next fresh prompt,
+            else a wait for the earliest retry; it ends once nothing is queued.
+            Only endpoints retry, so heapq loads lazily."""
+            try:
+                while not stop.is_set():
+                    with lock:
+                        now = time.monotonic()
+                        if retry and retry[0][0] <= now:
+                            import heapq
+                            index, attempts, start = heapq.heappop(retry)[1:]
+                        else:
+                            index, attempts, start = next(fresh, None), 0, now
+                            due = retry[0][0] if retry else None
+                    if index is None:
+                        if due is None:
+                            return
+                        stop.wait(due - now)
+                        continue
+                    outcome = self._attempt(prompts[index], attempts, start)
+                    if isinstance(outcome, CompletionResult):
+                        results[index] = outcome  # this worker's index alone
+                        continue
+                    with lock:
+                        import heapq
+                        heapq.heappush(retry, (time.monotonic() + outcome,
+                                               index, attempts + 1, start))
+            except BaseException:  # a raise or a Ctrl-C stops every worker
+                stop.set()
+                raise
+
         if isinstance(self.backend, OracleBackend) or not prompts:
             # in-process and CPU-bound (or empty): threads only add contention
-            schedule.work()
-            return schedule.results
+            work()
+            return results
         # deferred: in-process runs never load the pool or logging
         from concurrent.futures import ThreadPoolExecutor
 
@@ -294,64 +337,13 @@ class Gateway:
         try:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 try:
-                    for future in [pool.submit(schedule.work) for _ in range(workers)]:
+                    for future in [pool.submit(work) for _ in range(workers)]:
                         future.result()
-                finally:  # a worker's raise or a Ctrl-C here must stop the others
-                    schedule.stop()
+                finally:  # a Ctrl-C here must stop the workers too
+                    stop.set()
         finally:  # the pool has joined every worker: no send can return a connection
             self.backend.close()
-        return schedule.results
-
-
-class _Schedule:
-    """One batch's fresh prompts and heap of retries by due time, shared by its
-    workers under one condition.  Only endpoints retry, so heapq loads lazily."""
-
-    def __init__(self, gateway: Gateway, prompts: list[str]):
-        self.gateway, self.prompts = gateway, prompts
-        self.results: list = [None] * len(prompts)
-        self.left = len(prompts)  # prompts without a final result
-        self.fresh = 0            # the next prompt never sent
-        self.retry: list = []     # heap of (due, index, attempts, first start)
-        self.stopped = False
-        self.cond = threading.Condition()
-
-    def stop(self) -> None:
-        with self.cond:
-            self.stopped = True
-            self.cond.notify_all()
-
-    def _take(self) -> tuple | None:
-        """The earliest due retry, else the next fresh prompt, else a wait;
-        None once the batch is done or stopped."""
-        with self.cond:
-            while self.left and not self.stopped:
-                now = time.monotonic()
-                if self.retry and self.retry[0][0] <= now:
-                    import heapq
-                    return heapq.heappop(self.retry)[1:]
-                if self.fresh < len(self.prompts):
-                    self.fresh += 1
-                    return self.fresh - 1, 0, now
-                self.cond.wait(self.retry[0][0] - now if self.retry else None)
-            return None
-
-    def work(self) -> None:
-        """One worker; its exit, for whatever reason, stops the batch."""
-        try:
-            for index, attempts, start in iter(self._take, None):
-                outcome = self.gateway._attempt(self.prompts[index], attempts, start)
-                with self.cond:
-                    if isinstance(outcome, CompletionResult):
-                        self.results[index] = outcome
-                        self.left -= 1
-                    else:
-                        import heapq
-                        heapq.heappush(self.retry, (time.monotonic() + outcome,
-                                                    index, attempts + 1, start))
-                    self.cond.notify_all()
-        finally:
-            self.stop()
+        return results
 
 
 # key: (accepted types, description, least value or None)

@@ -333,20 +333,27 @@ def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_SENTENCE_RE = re.compile(r"^The (.+?) of (.+?) is (.+?)\.?$")
 _SENTENCE_END_RE = re.compile(r"(?<=\.)\s+")
 
 
 def _parse_natural_language(body: str) -> tuple[tuple[str, str, str], ...]:
     # Split pieces neither start nor end with whitespace: the body is
-    # stripped, and each split eats a whole whitespace run.
+    # stripped, and each split eats a whole whitespace run.  A hop sentence
+    # is one line "The <rel> of <head> is <tail>", less one final "." when
+    # the tail is longer; the first " of " and the first " is " after it
+    # split it, each label at least one character (the tail is, as no
+    # piece ends in a space): two scans, however many of each it holds.
     triplets = []
     for sentence in _SENTENCE_END_RE.split(body.strip()):
-        m = _SENTENCE_RE.match(sentence)
-        if m:
-            rel, head, tail = m.groups()
-            triplets.append((head, rel, tail))
-            last = sentence
+        if sentence.startswith("The ") and "\n" not in sentence:
+            of = sentence.find(" of ", 5)
+            is_ = sentence.find(" is ", of + 5)
+            if 0 < of < is_:
+                tail = sentence[is_ + 4:]
+                if len(tail) > 1 and tail[-1] == ".":
+                    tail = tail[:-1]
+                triplets.append((sentence[of + 4:is_], sentence[4:of], tail))
+                last = sentence
     # The summary sentence re-states the whole chain; drop it when present.
     if len(triplets) >= 2:
         prefix = triplets[:-1]

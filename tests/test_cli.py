@@ -881,9 +881,14 @@ class TestEvaluate:
          "endpoint 'http://h/v1#part' must not have a query or fragment"),
         (None, "https://h/v1?",
          "endpoint 'https://h/v1?' must not have a query or fragment"),
+        (None, "http://user:pw@127.0.0.1:9/v1",  # credentials hopkit would drop
+         "endpoint 'http://127.0.0.1:9/v1' must not have a user name or password"),
+        ("http://127.0.0.1:3128", "http://user:pw@127.0.0.1:9/v1?x",  # or send a proxy
+         "endpoint 'http://127.0.0.1:9/v1?x' must not have a user name or password"),
     ], ids=["proxy-port", "proxy-socks", "proxy-no-host", "proxy-https",
             "proxy-credentials", "endpoint-query", "endpoint-fragment",
-            "endpoint-empty-query"])
+            "endpoint-empty-query", "endpoint-credentials",
+            "endpoint-credentials-through-a-proxy"])
     def test_a_proxy_or_endpoint_it_cannot_use_fails_before_any_request(
             self, input_tsv, tmp_path, capsys, monkeypatch, endpoint_env, proxy,
             endpoint, message):

@@ -392,6 +392,63 @@ except KeyboardInterrupt:
         assert at_end == at_raise
         assert closed_at == at_raise  # closed once, after the last send
 
+    def test_a_raise_ends_a_worker_waiting_out_a_backoff(self, monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 30.0)
+        backend = ScriptedBackend({"a": [(0, TransportError("HTTP 429"))],
+                                   "b": [(0.2, ValueError("b"))]})
+        began = time.monotonic()
+        with pytest.raises(ValueError, match="^b$"):
+            Gateway(backend=backend, concurrency=2).complete_batch(["a", "b"])
+        assert time.monotonic() - began < 1.0
+        assert backend.sent == ["a", "b"]
+
+    def test_many_workers_lose_no_prompt_or_retry(self, monkeypatch):
+        # More workers than cores, switching threads as often as they can.
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.001)
+        prompts = [f"p{i}" for i in range(400)]
+        backend = RecordingBackend(fail_once=prompts[::3])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = Gateway(backend=backend, concurrency=8).complete_batch(prompts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(backend.sent) == sorted(prompts + prompts[::3])
+        assert [(r.text, r.retries) for r in results] == [
+            (f"ok {p}", int(i % 3 == 0)) for i, p in enumerate(prompts)]
+
+    def test_a_retry_queued_after_a_worker_ended_is_sent(self, monkeypatch):
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
+        backend = ScriptedBackend({"a": [(0, None)],
+                                   "b": [(0.2, TransportError("HTTP 503")), (0, None)]})
+        results = Gateway(backend=backend, concurrency=2).complete_batch(["a", "b"])
+        assert [(r.text, r.retries) for r in results] == [("ok a", 0), ("ok b", 1)]
+        assert backend.sent == ["a", "b", "b"]
+
+
+class ScriptedBackend:
+    """Each send of a prompt plays the next step of its script: sleep for
+    ``delay`` seconds, then raise ``error``, or answer when it is None.  The
+    first two sends wait for each other, so two workers hold them."""
+
+    def __init__(self, scripts):
+        self.scripts = scripts
+        self.sent = []
+        self.barrier = threading.Barrier(2, timeout=10)
+
+    def close(self):
+        pass
+
+    def send(self, prompt):
+        self.sent.append(prompt)
+        if len(self.sent) <= 2:
+            self.barrier.wait()
+        delay, error = self.scripts[prompt].pop(0)
+        time.sleep(delay)
+        if error is not None:
+            raise error
+        return f"ok {prompt}", None
+
 
 class TestOpenAIBackend:
     def test_request_carries_the_model_and_greedy_decoding(self, chat_server):

@@ -33,7 +33,7 @@ EXPORTED = {
 }
 
 # Runs each command line of argv, separated by "--", through cli.main in
-# one fresh interpreter, then prints the hopkit modules it loaded.
+# one fresh interpreter, then prints every module it loaded.
 RUN_COMMANDS = """
 import sys
 from hopkit import cli
@@ -42,17 +42,20 @@ while argv:
     end = argv.index("--") if "--" in argv else len(argv)
     assert cli.main(argv[:end]) == 0
     argv = argv[end + 1:]
-print(*sorted(m for m in sys.modules if m.startswith("hopkit")))
+print(*sorted(sys.modules))
 """
 
 
-def loaded_by(tmp_path, *commands):
+def loaded_by(tmp_path, *commands, package="hopkit"):
+    """The modules of ``package`` (every module when it is None) that the
+    commands load."""
     argv = [arg for command in commands for arg in [*command, "--"]]
     out = subprocess.run([sys.executable, "-c", RUN_COMMANDS, *argv[:-1]],
                          cwd=tmp_path, env=hopkit_env(), capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    return set(out.stdout.splitlines()[-1].split())
+    loaded = set(out.stdout.splitlines()[-1].split())
+    return {m for m in loaded if package is None or m.split(".")[0] == package}
 
 
 @pytest.fixture
@@ -81,6 +84,16 @@ def test_the_corpus_loads_prompts_but_no_gateway_or_judging_code(tmp_path, recor
                                   "--output", "corpus.jsonl", "--rep", "py-static"])
     assert "hopkit.prompts" in loaded
     assert not loaded & {"hopkit.evaluate", "hopkit.gateway"}
+
+
+def test_an_oracle_run_loads_no_pool_retry_heap_or_http_code(tmp_path, records):
+    # The oracle answers on the calling thread and never retries, so its
+    # set-up, which ends at the first send, pays for none of these.
+    loaded = loaded_by(tmp_path, ["evaluate", "--input", records, "--output", "eval",
+                                  "--oracle", "--fault-prob", "0.3"], package=None)
+    assert "hopkit.gateway" in loaded
+    assert not loaded & {"heapq", "queue", "concurrent.futures", "logging",
+                         "http.client", "ssl", "select", "urllib.request"}
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTED))

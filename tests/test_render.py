@@ -111,6 +111,78 @@ def test_parse_natural_language_with_summary_sentence():
     )
 
 
+# The natural-language parse as it was with a backtracking pattern, the
+# reference for which sentences are hops and how they split.
+REFERENCE_SENTENCE_RE = re.compile(r"^The (.+?) of (.+?) is (.+?)\.?$")
+
+
+def reference_parse_natural_language(body):
+    triplets = []
+    for sentence in render_module._SENTENCE_END_RE.split(body.strip()):
+        m = REFERENCE_SENTENCE_RE.match(sentence)
+        if m:
+            rel, head, tail = m.groups()
+            triplets.append((head, rel, tail))
+            last = sentence
+    if len(triplets) >= 2:
+        prefix = triplets[:-1]
+        if all(prefix[i][2] == prefix[i + 1][0] for i in range(len(prefix) - 1)):
+            expected = render_module.composed_sentence(
+                [rel for _, rel, _ in prefix], prefix[0][0], triplets[-1][2])
+            if last.rstrip(".") == expected.rstrip("."):
+                return tuple(prefix)
+    return tuple(triplets)
+
+
+def test_natural_language_parse_matches_the_reference():
+    # Labels dense in " of ", " is " and ". ", rendered, and half of the
+    # bodies with one more piece (a line break among them) put in anywhere.
+    pieces = ["The ", " of ", " is ", ".", ". ", " ", "x", "y"]
+    rng = random.Random(24)
+
+    def label():  # never blank
+        parts = rng.choices(pieces, k=rng.randrange(3)) + [rng.choice("xy")]
+        rng.shuffle(parts)
+        return "".join(parts)
+
+    outcomes = Counter()
+    for _ in range(5000):
+        chain = make_chain(*(label() for _ in range(rng.choice((3, 5, 7)))))
+        body = render(chain, RepresentationTag.NATURAL_LANGUAGE).body
+        if rng.random() < 0.5:
+            at = rng.randrange(len(body) + 1)
+            body = body[:at] + rng.choice(pieces + ["\n", ".\n"]) + body[at:]
+        expected = reference_parse_natural_language(body)
+        assert render_module._parse_natural_language(body) == expected, body
+        outcomes[len(expected), expected == chain.hops] += 1
+    # no hop read, and chains of one, two and three hops read back whole
+    assert {(0, False), (1, True), (2, True), (3, True)} <= set(outcomes)
+
+
+def test_natural_language_parse_scans_each_sentence_twice_at_most(monkeypatch):
+    # A sentence is searched for " of " and then for " is " after it: no
+    # more than its length in characters, however many of each it holds.
+    scans = []
+
+    class Sentence(str):
+        def find(self, sub, start):
+            found = str.find(self, sub, start)
+            scans.append((found if found >= 0 else len(self)) - start)
+            return found
+
+    class Splitting:
+        def split(self, body):
+            return [Sentence(s) for s in split_sentences(body)]
+
+    split_sentences = render_module._SENTENCE_END_RE.split
+    monkeypatch.setattr(render_module, "_SENTENCE_END_RE", Splitting())
+    for n in (10, 1000, 8000):
+        for sentence in ("The " + "x of " * n, "The " + "x of x is " * n + "x."):
+            scans.clear()
+            render_module._parse_natural_language(sentence)
+            assert len(scans) == 2 and sum(scans) <= len(sentence), sentence[:40]
+
+
 def test_parse_empty_json():
     parsed = parse(RepresentationTag.JSON, "{}")
     assert parsed.triplets == ()
