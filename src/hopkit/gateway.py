@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import re
 import threading
 import time
 from collections import namedtuple
@@ -138,20 +137,32 @@ def _split_url(url: str, schemes: tuple[str, ...], what: str):
 
 
 def _masked(url: str) -> str:
-    """``url`` less its user name and password."""
-    return re.sub("//[^/]*@", "//", url)
+    """``url`` less everything from "//" to its last "@": a user name and a
+    password, whatever characters they hold."""
+    scheme, slashes, rest = url.partition("//")
+    return scheme + slashes + rest.rpartition("@")[2]
 
 
 class OpenAIChatBackend:
-    """Minimal client for any OpenAI-compatible /chat/completions endpoint, over
-    pooled stdlib keep-alive connections: no more are open than sends in flight
-    (at most the gateway's ``concurrency``), one that raised is never reused, and
-    ``close`` closes the idle ones.  The proxy is read from the environment once
-    (``<scheme>_proxy``, else ``all_proxy``, unless ``no_proxy`` matches); an
-    https endpoint is reached through its CONNECT tunnel.  TLS verifies against
-    the system's trust store.  Building one refuses an endpoint that is not an
-    http(s) URL with a host or has a user name, a query or a fragment, a missing
-    bearer token, and a proxy in use that is not an http:// URL with a host."""
+    """Minimal client for any OpenAI-compatible /chat/completions endpoint.
+
+    It speaks HTTP/1.1 itself over pooled keep-alive sockets, no more open
+    than sends in flight (at most the gateway's ``concurrency``); ``close``
+    closes the idle ones.  A send is one write: the request head, encoded
+    once when the backend is built and asking for identity encoding, then
+    the JSON payload.  A reply may have 100 header lines of 64 KiB; 1xx
+    replies are skipped; its body is framed by chunked coding, else
+    Content-Length, else the server's close, and a 204 has none.  A socket
+    is reused only after an HTTP/1.1 reply framed exactly, without
+    "Connection: close"; one that raised never is.  No redirects, no
+    HTTP/2.  The proxy is read from the environment once (``<scheme>_proxy``,
+    else ``all_proxy``, unless ``no_proxy`` matches): a plain-HTTP proxy
+    takes the absolute URI, an https endpoint is reached through a CONNECT
+    tunnel.  TLS verifies against the system's trust store.  Building one
+    refuses what cannot go on the wire: an endpoint that is not a printable
+    ASCII http(s) URL with a host and no spaces, or has a user name, a query
+    or a fragment; a bearer token that is missing or not printable ASCII;
+    and a proxy in use that is not an http:// URL with a host."""
 
     def __init__(
         self,
@@ -161,10 +172,12 @@ class OpenAIChatBackend:
         temperature: float = 0.0,
         max_tokens: int = 512,
     ):
-        import ssl  # deferred, like http.client: only endpoint runs pay for them
+        import ssl  # deferred: only endpoint runs pay for them
         import urllib.request
         from base64 import b64encode
         from urllib.parse import unquote
+
+        from . import http1
 
         self.endpoint = endpoint.rstrip("/")
         self.model = model
@@ -176,12 +189,18 @@ class OpenAIChatBackend:
                              "a user name or password")
         if "?" in self.endpoint or "#" in self.endpoint:  # even an empty one
             raise ValueError(f"endpoint {self.endpoint!r} must not have a query or fragment")
+        if not (self.endpoint.isascii() and self.endpoint.isprintable()) or " " in self.endpoint:
+            raise ValueError(f"endpoint {_masked(self.endpoint)!r} must be printable ASCII "
+                             "with no spaces")
         token = os.environ.get(token_env)
         if not token:
             raise ValueError(f"missing bearer token: set the {token_env} environment variable")
-        self.headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
-        self.path = url.path + "/chat/completions"
-        self.address, self.tunnel = (url.hostname, port), None
+        if not (token.isascii() and token.isprintable()):  # it would end the header
+            raise ValueError(f"the bearer token in {token_env} must be printable ASCII")
+        headers = {"Host": url.netloc, "Accept-Encoding": "identity",
+                   "Authorization": f"Bearer {token}", "Content-Type": "application/json"}
+        path = url.path + "/chat/completions"
+        self.address, self.connect = (url.hostname, port), None
         proxies = urllib.request.getproxies()
         proxy = proxies.get(url.scheme) or proxies.get("all")
         if proxy and not urllib.request.proxy_bypass(url.hostname):
@@ -193,11 +212,15 @@ class OpenAIChatBackend:
                 auth["Proxy-Authorization"] = f"Basic {b64encode(user.encode()).decode()}"
             self.address = (proxy.hostname, proxy_port or 80)
             if url.scheme == "https":
-                self.tunnel = (url.hostname, port, auth)
+                target = url.netloc if port is not None else url.netloc.rstrip(":") + ":443"
+                self.connect = http1.encode_head(f"CONNECT {target}",
+                                                 {"Host": target, **auth}) + b"\r\n"
             else:  # a plain-HTTP proxy takes the absolute URI
-                self.path = self.endpoint + "/chat/completions"
-                self.headers.update(auth)
+                path = self.endpoint + "/chat/completions"
+                headers.update(auth)
+        self.head = http1.encode_head(f"POST {path}", headers) + b"Content-Length: "
         self.context = ssl.create_default_context() if url.scheme == "https" else None
+        self.hostname = url.hostname
         self.idle, self.lock = [], threading.Lock()  # connections no send holds
 
     def close(self) -> None:
@@ -205,31 +228,45 @@ class OpenAIChatBackend:
         with self.lock:
             idle, self.idle = self.idle, []
         for conn in idle:
-            conn.close()
+            conn.sock.close()
 
     def _connection(self):
         """An idle connection, else a new one.  An idle connection that reads
         as ready holds the server's close (or bytes no request asked for), so
-        it is dropped before use, as urllib3 does, and never costs a retry."""
-        import http.client
+        it is dropped before use, as urllib3 does, and never costs a retry;
+        so is one that ``select`` cannot check."""
         import select
+        import socket
+
+        from . import http1
 
         with self.lock:
             while self.idle:
                 conn = self.idle.pop()
-                if conn.sock and not select.select([conn.sock], [], [], 0)[0]:
-                    return conn
-                conn.close()
-        if self.context is None:
-            return http.client.HTTPConnection(*self.address, timeout=REQUEST_TIMEOUT_S)
-        conn = http.client.HTTPSConnection(*self.address, timeout=REQUEST_TIMEOUT_S,
-                                           context=self.context)
-        if self.tunnel:
-            conn.set_tunnel(*self.tunnel)
-        return conn
+                try:  # a descriptor past select's FD_SETSIZE raises ValueError
+                    if not select.select([conn.sock], [], [], 0)[0]:
+                        return conn
+                except ValueError:
+                    pass
+                conn.sock.close()
+        host, port = self.address
+        sock = socket.create_connection(
+            (host, port or (80 if self.context is None else 443)), REQUEST_TIMEOUT_S)
+        try:
+            if self.connect is not None:
+                sock.sendall(self.connect)
+                status = http1.read_head(http1.Connection(sock))[1]
+                if status // 100 != 2:
+                    raise OSError(f"the proxy refused the CONNECT tunnel: HTTP {status}")
+            if self.context is not None:
+                sock = self.context.wrap_socket(sock, server_hostname=self.hostname)
+        except BaseException:
+            sock.close()
+            raise
+        return http1.Connection(sock)
 
     def send(self, prompt: str) -> tuple[str, dict | None]:
-        import http.client
+        from . import http1
 
         payload = json.dumps({
             "model": self.model,
@@ -237,16 +274,20 @@ class OpenAIChatBackend:
             "temperature": self.temperature,
             "max_tokens": self.max_tokens,
         }).encode("utf-8")
-        conn = self._connection()
+        conn = None
         try:
-            conn.request("POST", self.path, payload, self.headers)
-            with conn.getresponse() as response:
-                status, data = response.status, response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            conn.close()
+            conn = self._connection()
+            conn.sock.sendall(b"%b%d\r\n\r\n%b" % (self.head, len(payload), payload))
+            status, data, reusable = http1.read_reply(conn)
+        except (OSError, ValueError) as exc:
+            if conn is not None:
+                conn.sock.close()
             raise TransportError(str(exc)) from exc
-        with self.lock:
-            self.idle.append(conn)
+        if reusable:
+            with self.lock:
+                self.idle.append(conn)
+        else:
+            conn.sock.close()
         if status == 429 or status >= 500:
             raise TransportError(f"HTTP {status}")
         if status != 200:

@@ -64,8 +64,9 @@ class ChatServer(ThreadingHTTPServer):
     every request line with its headers and every payload, and counts the
     connections it accepts.  With ``close_after_reply`` it closes each
     connection after one reply, without saying so in a header, and releases
-    ``closed`` once the socket is shut.  A CONNECT is recorded and refused
-    with a 502, so the server also stands in for a proxy.
+    ``closed`` once the socket is shut.  A CONNECT is recorded, answered
+    with ``connect_reply`` (a 502 unless set) and its connection closed, so
+    the server also stands in for a proxy.
     """
 
     daemon_threads = True
@@ -79,6 +80,7 @@ class ChatServer(ThreadingHTTPServer):
         self.close_after_reply = False
         self.closed = threading.Semaphore(0)
         self.reply = lambda prompt: (200, chat_reply("ok"))
+        self.connect_reply = (502, {})
 
     @property
     def url(self):
@@ -110,7 +112,8 @@ class ChatHandler(BaseHTTPRequestHandler):
     def do_CONNECT(self):
         with self.server.lock:
             self.server.received.append((self.requestline, dict(self.headers)))
-        self._respond(502, {})
+        self._respond(*self.server.connect_reply)
+        self.close_connection = True
 
     def _respond(self, status, body):
         if status is None:

@@ -93,7 +93,7 @@ def test_an_oracle_run_loads_no_pool_retry_heap_or_http_code(tmp_path, records):
                                   "--oracle", "--fault-prob", "0.3"], package=None)
     assert "hopkit.gateway" in loaded
     assert not loaded & {"heapq", "queue", "concurrent.futures", "logging",
-                         "http.client", "ssl", "select", "urllib.request"}
+                         "http.client", "ssl", "select", "urllib.request", "hopkit.http1"}
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTED))
