@@ -44,8 +44,8 @@ def _check_output(path: Path, force: bool) -> None:
         raise ValueError(f"{path} exists; pass --force to overwrite")
 
 
-def _load_records(path: str, format: str | None) -> list[dataset.SourceRecord]:
-    result = dataset.ingest(path, format=format or _format_of(path))
+def _load_records(path: str) -> list[dataset.SourceRecord]:
+    result = dataset.ingest(path, format=_format_of(path))
     if result.n_rejected:
         print(
             f"ingest: {len(result.records)} records, "
@@ -69,7 +69,7 @@ def cmd_partition(args) -> int:
     map_path = out / "partition_map.json"
     for path in (train_path, test_path, map_path):
         _check_output(path, args.force)
-    records = _load_records(args.input, args.format)
+    records = _load_records(args.input)
     spec = dataset.SplitSpec(
         num_partitions=args.partitions,
         train_partition_index=args.train_idx,
@@ -93,8 +93,8 @@ def cmd_partition(args) -> int:
 def cmd_stats(args) -> int:
     if args.output:
         _check_output(Path(args.output), args.force)
-    train = _load_records(args.train, args.format)
-    test = _load_records(args.test, args.format)
+    train = _load_records(args.train)
+    test = _load_records(args.test)
     stats = dataset.compute_overlap_stats(train, test)
     print(stats.to_table())
     if args.output:
@@ -105,7 +105,7 @@ def cmd_stats(args) -> int:
 def cmd_cap(args) -> int:
     path = Path(args.output)
     _check_output(path, args.force)
-    records = _load_records(args.input, args.format)
+    records = _load_records(args.input)
     capped = dataset.cap_relation_pairs(records, cap=args.cap, seed=args.seed)
     dataset.write_records(capped, path, format=_format_of(args.output))
     print(f"kept {len(capped)} of {len(records)} records (cap {args.cap})")
@@ -131,7 +131,7 @@ def _load_facts(path: str) -> list[Triplet]:
 def cmd_extend3(args) -> int:
     path = Path(args.output)
     _check_output(path, args.force)
-    records = _load_records(args.input, args.format)
+    records = _load_records(args.input)
     facts = _load_facts(args.facts)
     if args.whitelist:
         whitelist = {line for line in dataset.read_lines(args.whitelist) if line.strip()}
@@ -158,7 +158,7 @@ def cmd_generate(args) -> int:
 
     path = Path(args.output)
     _check_output(path, args.force)
-    records = _load_records(args.input, args.format)
+    records = _load_records(args.input)
     rep = RepresentationTag(REP_FLAGS[args.rep])
     style = prompts.DatasetStyle(args.style)
     if args.kind == "corpus":
@@ -176,7 +176,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _build_gateway(args, records, n_hops: int) -> Gateway:
+def _build_gateway(args, records, n_hops: int, rep: RepresentationTag) -> Gateway:
     """The gateway for the flags and the --config file; a setting neither
     names keeps the default of the class that reads it."""
     from .gateway import (FaultSpec, Gateway, OpenAIChatBackend, OracleBackend,
@@ -203,8 +203,7 @@ def _build_gateway(args, records, n_hops: int) -> Gateway:
         for record in records:
             for hop in record.hops:
                 add_fact(kg, hop)
-        backend = OracleBackend(kg, RepresentationTag(REP_FLAGS[args.rep]),
-                                corrupt=fault if fault.probability else None)
+        backend = OracleBackend(kg, rep, corrupt=fault if fault.probability else None)
     elif not config.get("model"):
         raise ValueError("an endpoint needs a model: pass --model or set model in --config")
     else:
@@ -220,11 +219,8 @@ def _manifest(args, gw: Gateway) -> dict:
     seed when it picks neither a demonstration nor a fault."""
     import hashlib  # deferred: only evaluate hashes, and OpenSSL is slow to load
 
-    from .gateway import OracleBackend
-
     backend = gw.backend
-    oracle = isinstance(backend, OracleBackend)
-    fault = backend.corrupt if oracle else None
+    fault = backend.corrupt if args.oracle else None
     seeded = fault is not None or args.mode == "one"
     return {
         "version": __version__,
@@ -232,21 +228,17 @@ def _manifest(args, gw: Gateway) -> dict:
         "seed": args.seed if seeded else None,
         "fault_hop": fault.hop_index if fault else None,
         "fault_prob": fault.probability if fault else None,
-        "backend": "oracle" if oracle else backend.endpoint,
-        **{key: None if oracle else getattr(backend, key)
+        "backend": "oracle" if args.oracle else backend.endpoint,
+        **{key: None if args.oracle else getattr(backend, key)
            for key in ("model", "temperature", "max_tokens")},
         "input_sha256": hashlib.sha256(Path(args.input).read_bytes()).hexdigest(),
     }
 
 
 def _check_manifest(path: Path, manifest: dict) -> None:
-    """Refuse to resume a log written with other settings; warn when the log
-    has no manifest to compare with.  A key that one manifest lacks reads as
-    null, so an older manifest resumes only where this run's value is null."""
-    if not path.exists():
-        print(f"resume: no {path}, so the log's settings go unchecked; "
-              "writing this run's", file=sys.stderr)
-        return
+    """Refuse to resume a log written with other settings.  A key that one
+    manifest lacks reads as null, so an older manifest resumes only where
+    this run's value is null."""
     try:
         logged = dict(json.loads(path.read_text(encoding="utf-8")))
     except (ValueError, TypeError) as exc:
@@ -271,13 +263,16 @@ def cmd_evaluate(args) -> int:
     if not resume:
         for path in (records_path, report_path, machine_path, manifest_path):
             _check_output(path, args.force)
+    elif not manifest_path.exists():
+        raise ValueError(f"cannot resume {records_path}: no {manifest_path} records its "
+                         "settings; pass --force without --resume to start over")
 
-    records = _load_records(args.input, args.format)
+    records = _load_records(args.input)
     rep = RepresentationTag(REP_FLAGS[args.rep])
     style = prompts.DatasetStyle(args.style)
     mode = prompts.PromptMode(MODE_FLAGS[args.mode])
     n_hops = evaluate.common_hop_count(records)  # the report needs one hop count
-    gw = _build_gateway(args, records, n_hops)  # refuses a misconfiguration
+    gw = _build_gateway(args, records, n_hops, rep)  # refuses a misconfiguration
     manifest = _manifest(args, gw)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -306,9 +301,10 @@ def cmd_evaluate(args) -> int:
               for record, result in zip(pending, results)]
     evaluate.write_eval_records(judged, records_path)
     report = evaluate.compute_metrics(resumed + judged)
-    report_path.write_text(evaluate.emit_report(report, "text_table"), encoding="utf-8")
+    table = evaluate.emit_report(report, "text_table")
+    report_path.write_text(table, encoding="utf-8")
     machine_path.write_text(evaluate.emit_report(report, "machine"), encoding="utf-8")
-    print(evaluate.emit_report(report, "text_table"))
+    print(table)
     return 0
 
 
@@ -335,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--input", required=True, help="input records file")
         p.add_argument("--output", required=True)
-        p.add_argument("--format", choices=["tsv", "json_lines"],
-                       help="input format (default: by file extension)")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
 
@@ -351,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--output")
-    p.add_argument("--format", choices=["tsv", "json_lines"])
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_stats)
 

@@ -22,6 +22,8 @@ from .render import ENVELOPE_BODY_KEY, RepresentationTag, parse as parse_body
 _QUOTES = "\"'“”‘’"
 _JSON_DECODER = json.JSONDecoder()  # keeps no state between decodes
 _TRAILING_IS = re.compile(r"\bis\s+(.+)$")  # X of a last sentence "... is X"
+_CLAUSE_OPENERS = "\"“(["  # what may stand just before a stated hop
+_CLAUSE_END = re.compile(r'["”)\]]?(?:[\s.,;:!?]|\Z)')  # and what may follow it
 
 
 def normalize_answer(text: str) -> str:
@@ -82,8 +84,8 @@ def _judge_hops(
     """Per-hop verdicts: hop i is correct when the first envelope body (or
     else the whole completion) that states a fact with a non-blank head and
     tail holds one whose normalized head and tail match gold hop i, or
-    (fallback) the completion states "<head> is <tail>" with neither entity
-    part of a longer word.  A fact with a blank head or tail is dropped.
+    (fallback) the completion states "<head> is <tail>" as a clause of its
+    own.  A fact with a blank head or tail is dropped.
     """
     key = ENVELOPE_BODY_KEY[representation]
     bodies = [obj[key] for obj in envelopes
@@ -109,15 +111,16 @@ def _judge_hops(
 
 
 def _states(flat: str, claim: str) -> bool:
-    """Whether ``claim`` occurs in ``flat`` with a non-word character (or
-    the text's edge) on either side, as ``(?<!\\w)claim(?!\\w)`` matches:
-    a word character is alphanumeric or ``_``.
+    """Whether ``claim`` occurs in ``flat`` as a clause of its own: after the
+    text's start, whitespace or an opening quote or bracket, and before the
+    text's end, whitespace or sentence punctuation, with one closing quote
+    or bracket allowed first.  A hyphen, slash or apostrophe (a straight
+    ``'`` included) never bounds a claim.
     """
     at = flat.find(claim)
     while at >= 0:
-        end = at + len(claim)
-        before, after = flat[at - 1:at], flat[end:end + 1]
-        if not (before.isalnum() or before == "_" or after.isalnum() or after == "_"):
+        if ((at == 0 or flat[at - 1] in _CLAUSE_OPENERS or flat[at - 1].isspace())
+                and _CLAUSE_END.match(flat, at + len(claim))):
             return True
         at = flat.find(claim, at + 1)
     return False

@@ -20,7 +20,7 @@ from hopkit import (EvalRecord, SourceRecord, SplitSpec,
                     compute_metrics, compute_overlap_stats,
                     extend_to_three_hops, infer, make_chain,
                     partition_by_bridge, render)
-from hopkit.cli import main
+from hopkit.cli import REP_FLAGS, main
 from hopkit.dataset import all_partitions
 from hopkit.prompts import DatasetStyle, PromptMode
 from hopkit.render import RepresentationTag, parse
@@ -189,11 +189,17 @@ def test_criterion_4_partition_properties():
     assert stats.bridge_overlap == 0
 
 
-def write_eval_dataset(path, n):
-    lines = ["\t".join(["id", "e1", "r1", "e2", "r2", "e3"])]
+def eval_labels(i, n_hops):
+    """The labels of record i: work{i} -> bridge{i} -> person{i} -> place{i}."""
+    return [f"work{i}", "composer", f"bridge{i}", "spouse", f"person{i}",
+            "birthplace", f"place{i}"][:2 * n_hops + 1]
+
+
+def write_eval_dataset(path, n, n_hops=2):
+    header = ["id", "e1", "r1", "e2", "r2", "e3", "r3", "e4"][:2 * n_hops + 2]
+    lines = ["\t".join(header)]
     for i in range(n):
-        lines.append("\t".join([str(i), f"work{i}", "composer", f"bridge{i}",
-                                "spouse", f"person{i}"]))
+        lines.append("\t".join([str(i), *eval_labels(i, n_hops)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -211,36 +217,50 @@ def test_criterion_5_oracle_closure(tmp_path, capsys):
     for row in report[1:]:
         assert row["final_accuracy"] == 1.0
 
+    # Faulting hop k, in every representation and at every k, makes hops k
+    # and k + 1 of exactly the replicated faulted records False, leaves the
+    # other hops True, and keeps the final answer unless k is the last hop.
     seed = 123
-    fault_out = tmp_path / "fault"
-    assert main(["evaluate", "--input", str(source), "--output", str(fault_out),
-                 "--oracle", "--fault-hop", "1", "--fault-prob", "0.3",
-                 "--seed", str(seed)]) == 0
-    records = [json.loads(l)
-               for l in (fault_out / "eval_records.jsonl").read_text().splitlines()]
-    assert len(records) == 500
-
-    # replicate the per-prompt corruption decisions independently
-    corrupted_ids = set()
-    for i in range(500):
-        chain = make_chain(f"work{i}", "composer", f"bridge{i}", "spouse", f"person{i}")
-        prompt = build_prompt(chain, PromptMode.ZERO_SHOT, DatasetStyle.STATEMENT).full_prompt
-        if random.Random(f"{seed}:{prompt}").random() < 0.3:
-            corrupted_ids.add(str(i))
-    assert 0 < len(corrupted_ids) < 500
-
-    all_hops_correct = {r["instance_id"] for r in records if all(r["hop_correct"])}
-    assert all_hops_correct == {str(i) for i in range(500)} - corrupted_ids
-    fault_report = [json.loads(l)
-                    for l in (fault_out / "report.jsonl").read_text().splitlines()]
-    final_row = fault_report[-1]
-    assert final_row["final_correct"] == sum(
-        1 for r in records if all(r["hop_correct"]) and r["final_correct"]
-    )
-    assert final_row["final_incorrect"] == sum(
-        1 for r in records if all(r["hop_correct"]) and not r["final_correct"]
-    )
-    assert final_row["final_accuracy"] == 1.0  # uncorrupted oracle answers stay exact
+    for n_hops in (2, 3):
+        source = tmp_path / f"records{n_hops}.tsv"
+        write_eval_dataset(source, 500, n_hops)
+        chains = [make_chain(*eval_labels(i, n_hops)) for i in range(500)]
+        for flag, tag in REP_FLAGS.items():
+            # replicate the per-prompt corruption decisions independently
+            corrupted_ids = set()
+            for i, chain in enumerate(chains):
+                prompt = build_prompt(chain, PromptMode.ZERO_SHOT, DatasetStyle.STATEMENT,
+                                      RepresentationTag(tag)).full_prompt
+                if random.Random(f"{seed}:{prompt}").random() < 0.3:
+                    corrupted_ids.add(str(i))
+            assert 0 < len(corrupted_ids) < 500
+            for hop in range(n_hops):
+                fault_out = tmp_path / f"fault{n_hops}-{flag}-{hop}"
+                assert main(["evaluate", "--input", str(source), "--output",
+                             str(fault_out), "--oracle", "--rep", flag,
+                             "--fault-hop", str(hop), "--fault-prob", "0.3",
+                             "--seed", str(seed)]) == 0
+                records = [json.loads(l) for l in
+                           (fault_out / "eval_records.jsonl").read_text().splitlines()]
+                assert len(records) == 500
+                for r in records:
+                    faulted = r["instance_id"] in corrupted_ids
+                    assert r["hop_correct"] == [
+                        not (faulted and k in (hop, hop + 1)) for k in range(n_hops)
+                    ], (flag, hop, r["instance_id"])
+                    assert r["final_correct"] is not (faulted and hop == n_hops - 1)
+                fault_report = [json.loads(l) for l in
+                                (fault_out / "report.jsonl").read_text().splitlines()]
+                assert fault_report[0]["final_correct_count"] == sum(
+                    r["final_correct"] for r in records)
+                for row in fault_report[1:]:
+                    matching = [r for r in records
+                                if all(r["hop_correct"][h - 1] for h in row["condition"])]
+                    assert row["final_correct"] == sum(r["final_correct"] for r in matching)
+                    assert row["final_incorrect"] == sum(
+                        not r["final_correct"] for r in matching)
+                # uncorrupted oracle answers stay exact
+                assert fault_report[-1]["final_accuracy"] == 1.0
     capsys.readouterr()
 
 

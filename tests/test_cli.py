@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import importlib
@@ -14,7 +15,7 @@ import pytest
 
 import hopkit
 from hopkit import OracleBackend, add_fact, dataset, gateway, ingest, prompts
-from hopkit.cli import main
+from hopkit.cli import build_parser, main
 from hopkit.render import RepresentationTag
 from tests.conftest import chat_reply, hopkit_env
 
@@ -576,6 +577,7 @@ def resume_cut_log(input_tsv, tmp_path, cut_log):
     fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
     assert main([*args, "--output", str(fresh)]) == 0
     resumed.mkdir()
+    shutil.copy(fresh / "manifest.json", resumed / "manifest.json")
     log = (fresh / "eval_records.jsonl").read_bytes()
     cut = cut_log(log)
     (resumed / "eval_records.jsonl").write_bytes(cut)
@@ -747,18 +749,27 @@ class TestEvaluate:
         assert main(one_shot) == 0
         assert main([*one_shot, "--resume", "--seed", "9"]) == 1  # picks demonstrations
 
-    def test_resume_without_a_manifest_warns_and_writes_it(self, input_tsv, tmp_path,
-                                                            capsys):
+    def test_resume_without_a_manifest_is_refused(self, input_tsv, tmp_path, capsys,
+                                                  monkeypatch):
         out = tmp_path / "eval"
         args = ["evaluate", "--input", str(input_tsv), "--output", str(out), "--oracle"]
-        assert main(args) == 0
-        manifest = out / "manifest.json"
-        written = manifest.read_bytes()
+        assert main([*args, "--rep", "nl"]) == 0
+        log, manifest = out / "eval_records.jsonl", out / "manifest.json"
+        cut = b"".join(log.read_bytes().splitlines(keepends=True)[:10])
+        log.write_bytes(cut)
         manifest.unlink()
         capsys.readouterr()
-        assert main([*args, "--resume"]) == 0
-        assert f"resume: no {manifest}" in capsys.readouterr().err
-        assert manifest.read_bytes() == written
+        reads = []
+        monkeypatch.setattr(dataset, "ingest", lambda *a, **k: reads.append(a))
+        # settings unlike the log's cannot be checked against it, so none resume
+        assert main([*args, "--rep", "py-static", "--fault-prob", "1.0",
+                     "--fault-hop", "0", "--resume"]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: cannot resume {log}: no {manifest} records its settings; "
+            "pass --force without --resume to start over\n"))
+        assert reads == []  # refused before the input is read
+        assert log.read_bytes() == cut
+        assert not manifest.exists()
 
     def test_resume_after_a_run_stopped_before_its_log(self, input_tsv, tmp_path,
                                                        monkeypatch):
@@ -1087,6 +1098,74 @@ class TestEvaluate:
               "--oracle", "--fault-hop", "1", "--fault-prob", "1.0"])
         report = json.loads((out / "report.jsonl").read_text().splitlines()[0])
         assert report["final_correct_count"] == 0
+
+
+def subcommand_parsers():
+    """Each command's parser, by name."""
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def settable_flags(parser):
+    return {flag for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings}
+
+
+def test_the_file_name_decides_the_format(tmp_path, capsys):
+    assert all("--format" not in settable_flags(p) for p in subcommand_parsers().values())
+    records = tmp_path / "records.json"  # JSON lines, by its name
+    write_jsonl(records, [[str(i), f"w{i}", "r", f"b{i}", "s", f"c{i}"] for i in range(3)])
+    out = tmp_path / "capped.txt"  # TSV, as any name not a JSON one
+    assert main(["cap", "--input", str(records), "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[0] == "id\te1\tr1\te2\tr2\te3"
+    with pytest.raises(SystemExit):
+        main(["cap", "--input", str(records), "--output", str(out), "--force",
+              "--format", "tsv"])
+    assert "unrecognized arguments: --format tsv" in capsys.readouterr().err
+
+
+# Every setting of ``evaluate``, flag or config key, either is recorded in
+# the run manifest, under the key named here, or cannot change the outputs,
+# for the reason given.  A new setting fails the test below until it is put
+# in one of the two.
+RECORDED_SETTINGS = {
+    "--input": "input_sha256",
+    "--seed": "seed",
+    "--rep": "rep",
+    "--style": "style",
+    "--mode": "mode",
+    "--oracle": "backend",
+    "--endpoint": "backend",
+    "--model": "model",
+    "--fault-hop": "fault_hop",
+    "--fault-prob": "fault_prob",
+    "endpoint": "backend",
+    "model": "model",
+    "temperature": "temperature",
+    "max_tokens": "max_tokens",
+}
+OUTPUT_NEUTRAL_SETTINGS = {
+    "--output": "names the directory the outputs go to, not what they hold",
+    "--force": "only lets a fresh run replace an earlier run's outputs",
+    "--resume": "continues the log that the manifest describes",
+    "--config": "a file of the config keys, each of which is classified itself",
+    "concurrency": "bounds the requests in flight; results keep submission order",
+    "retries": "how often a failed request is sent again, not how a reply is judged",
+    "token_env": "names the variable that holds the bearer token",
+}
+
+
+def test_every_evaluate_setting_is_recorded_or_output_neutral(input_tsv, tmp_path):
+    settings = settable_flags(subcommand_parsers()["evaluate"]) | set(gateway._CONFIG_TYPES)
+    assert settings == RECORDED_SETTINGS.keys() | OUTPUT_NEUTRAL_SETTINGS.keys()
+    assert not RECORDED_SETTINGS.keys() & OUTPUT_NEUTRAL_SETTINGS.keys()
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--input", str(input_tsv), "--output", str(out),
+                 "--oracle"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest.keys() == {"version", *RECORDED_SETTINGS.values()}
 
 
 class TestReport:

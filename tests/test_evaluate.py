@@ -162,50 +162,111 @@ class TestJudgeHops:
         # or ends with the space; the fallback text has no space at its edges.
         assert hop_verdicts(completion, make_chain(*labels)) == (False,)
 
+    @pytest.mark.parametrize("completion, verdict", [
+        ("New York is USA-adjacent.", False),
+        ("New York is USA's biggest city.", False),
+        ("New York is USA/Canada.", False),
+        ("The pre-New York is USA.", False),
+        ("'New York is USA'", False),           # a straight ' is an apostrophe
+        ("New York is USA.", True),
+        ("(New York is USA)", True),
+        ("New York is USA and more.", True),
+        ('He said "New York is USA".', True),
+        ("“New York is USA”", True),
+    ])
+    def test_a_hop_is_stated_only_as_a_clause(self, completion, verdict):
+        chain = make_chain("New York", "country", "USA")
+        assert hop_verdicts(completion, chain) == (verdict,)
+
     @staticmethod
     def _regex_states(flat, head, tail):
-        """The sentence fallback as a word-boundary regex."""
-        pattern = rf"(?<!\w){re.escape(head)} is {re.escape(tail)}(?!\w)"
+        """The sentence fallback as a clause-boundary regex."""
+        pattern = (rf'(?:^|(?<=[\s"“(\[])){re.escape(head)} is {re.escape(tail)}'
+                   rf'(?=["”)\]]?(?:[\s.,;:!?]|\Z))')
         return re.search(pattern, flat) is not None
+
+    @staticmethod
+    def _word_bounded_states(flat, claim):
+        """The sentence fallback before the clause rule: any non-word
+        character (or the text's edge) bounded a claim."""
+        at = flat.find(claim)
+        while at >= 0:
+            end = at + len(claim)
+            before, after = flat[at - 1:at], flat[end:end + 1]
+            if not (before.isalnum() or before == "_" or after.isalnum() or after == "_"):
+                return True
+            at = flat.find(claim, at + 1)
+        return False
 
     @pytest.mark.parametrize("flat, expected", [
         ("a is b", True),                       # both text edges
         ("_a is b", False), ("a is b_", False),
         ("٣a is b", False), ("a is b²", False),  # a Unicode decimal and digit
         ("½a is b", False), ("a is bⅫ", False),  # Unicode numerics
-        ("\u0301a is b", True),                 # a combining mark is not \w
+        ("\u0301a is b", False),                # a combining mark is no boundary
         ("xa is b, a is b", True),              # the second occurrence counts
         ("ba is b is b", False),
+        ("-a is b", False), ("a is b-c", False), ("a is b/c", False),
+        ("a is b's", False), ("'a is b'", False),
+        ('"a is b"', True), ("[a is b];", True), ("“a is b”!", True),
+        ("a is b\u3000c", True),                # any whitespace
+        ("(a is b))", False),                   # one closing bracket at most
+        ("a is b.)", True),
     ])
     def test_fallback_scan_edges(self, flat, expected):
         assert evaluate._states(flat, "a is b") is expected
         assert self._regex_states(flat, "a", "b") is expected
 
     def test_fallback_scan_overlaps(self):
-        # The only whole-word occurrence overlaps a rejected one.
+        # The only whole-clause occurrence overlaps a rejected one.
         assert evaluate._states("xa is a is a", "a is a")
         assert self._regex_states("xa is a is a", "a", "a")
 
+    PIECES = ["a", "b", "_", " ", ".", "-", "is", " is ", "1", "٣", "²", "½", "Ⅻ", "é",
+              "\u0301", "ß", "\u3000", '"', "'", "(", ")", "[", "]", "“", "”", "/", ",",
+              "?"]
+
+    def _random_case(self, rng):
+        """A seeded (flat, head, tail) with zero to three copies of the claim."""
+        entity_pieces = [p for p in self.PIECES if "is" not in p]
+        head, tail = ("".join(rng.choice(entity_pieces) for _ in range(rng.randint(0, 2)))
+                      for _ in "ht")
+        parts = [rng.choice(self.PIECES) for _ in range(rng.randint(0, 6))]
+        for _ in range(rng.randint(0, 3)):
+            parts.insert(rng.randint(0, len(parts)), f"{head} is {tail}")
+        return "".join(parts), head, tail
+
     def test_fallback_scan_agrees_with_the_regex(self):
         rng = random.Random(20261018)
-        pieces = ["a", "b", "_", " ", ".", "-", "is", " is ", "1", "٣", "²", "½",
-                  "Ⅻ", "é", "\u0301", "ß", "\u3000"]
-        entity_pieces = [p for p in pieces if "is" not in p]
         outcomes = collections.Counter()
         for _ in range(20000):
-            head, tail = ("".join(rng.choice(entity_pieces) for _ in range(rng.randint(0, 2)))
-                          for _ in "ht")
+            flat, head, tail = self._random_case(rng)
             claim = f"{head} is {tail}"
-            parts = [rng.choice(pieces) for _ in range(rng.randint(0, 6))]
-            for _ in range(rng.randint(0, 3)):
-                parts.insert(rng.randint(0, len(parts)), claim)
-            flat = "".join(parts)
             expected = self._regex_states(flat, head, tail)
             assert evaluate._states(flat, claim) is expected, (flat, head, tail)
             outcomes[expected, claim in flat] += 1
-        # every kind of case is reached: no occurrence, only partial-word
-        # occurrences, and a whole-word one
+        # every kind of case is reached: no occurrence, only occurrences that
+        # are no clause, and a clause
         assert set(outcomes) == {(False, False), (False, True), (True, True)}
+
+    def test_the_clause_rule_never_turns_a_false_verdict_true(self, monkeypatch):
+        rng = random.Random(20261020)
+        outcomes = collections.Counter()
+        for _ in range(20000):
+            flat, head, tail = self._random_case(rng)
+            claim = f"{head} is {tail}"
+            verdicts = evaluate._states(flat, claim), self._word_bounded_states(flat, claim)
+            assert verdicts != (True, False), (flat, head, tail)
+            outcomes[verdicts] += 1
+        assert set(outcomes) == {(False, False), (False, True), (True, True)}
+        # and no hop of a completion in the frozen fixture below turns True
+        rng = random.Random(20241210)
+        cases = [_perturbed_completion(rng, index) for index in range(2000)]
+        clause = [judge("i", *case) for case in cases]
+        monkeypatch.setattr(evaluate, "_states", self._word_bounded_states)
+        for new, old in zip(clause, (judge("i", *case) for case in cases)):
+            assert new._replace(hop_correct=()) == old._replace(hop_correct=())
+            assert all(o or not n for n, o in zip(new.hop_correct, old.hop_correct))
 
     def test_word_characters_are_alphanumerics_and_underscore(self):
         word = re.compile(r"\w").match
@@ -477,7 +538,7 @@ class TestReports:
 
 # SHA-256 of the verdict tuples of the frozen fixture below.  It pins every
 # verdict: a rewrite of the judge or the parsers must leave it unchanged.
-FROZEN_VERDICTS_SHA256 = "67335a426ce453f35e61555643afbf61256a5672f4869d4c02eb5c5a94b8feab"
+FROZEN_VERDICTS_SHA256 = "593090739e75f185df919bf00a93289b4261093d56ed7ffc49ed601676015e5c"
 EXTRA_CODE = [
     "kb.infer(e1, r1)",
     "result0 = kb.infer('Nowhere', r1)",

@@ -341,6 +341,25 @@ def test_render_compiles_each_shape_once(monkeypatch):
 
 
 
+def test_a_label_spelled_outside_every_slot_renders_line_built(monkeypatch):
+    """A renderer that spells a label in no slot's way (here reversed)
+    leaves a NUL of its placeholder outside every slot: no template, so
+    the body is built from the real labels."""
+    tag = RepresentationTag.NATURAL_LANGUAGE
+
+    def reversed_labels(chain):
+        return " / ".join(label[::-1] for label in chain.labels)
+
+    chain = make_chain("Paris", "capital of", "France")
+    monkeypatch.setitem(render_module._RENDERERS, tag, reversed_labels)
+    render_module._template.cache_clear()
+    try:
+        assert render_module._template(tag, (0, 1, 2)) is None
+        assert render(chain, tag).body == "siraP / fo latipac / ecnarF"
+    finally:
+        render_module._template.cache_clear()
+
+
 def test_parse_static_returns_every_literal_fact():
     # e1/r1/r2 trace a self-loop; every fact of the literal must still come back
     body = ("relationships = {'r': {'A': 'A'}, 's': {'B': 'C'}}\n"
