@@ -23,12 +23,14 @@ from .render import (RepresentationTag, render as render_instance,
 UNKNOWN_ANSWER = "UNKNOWN"
 REQUEST_TIMEOUT_S = 120.0
 BACKOFF_BASE_S = 1.0  # a retry waits BACKOFF_BASE_S * 2**attempts seconds
+RETRY_AFTER_MAX_S = 60.0  # or a 429 or 503's Retry-After seconds, up to this many
 
 
 class TransportError(RuntimeError):
-    def __init__(self, message: str, retryable: bool = True):
+    def __init__(self, message: str, retryable: bool = True,
+                 retry_after: float | None = None):
         super().__init__(message)
-        self.retryable = retryable
+        self.retryable, self.retry_after = retryable, retry_after
 
 
 class CompletionResult(namedtuple("CompletionResult",
@@ -155,14 +157,15 @@ class OpenAIChatBackend:
     Content-Length, else the server's close, and a 204 has none.  A socket
     is reused only after an HTTP/1.1 reply framed exactly, without
     "Connection: close"; one that raised never is.  No redirects, no
-    HTTP/2.  The proxy is read from the environment once (``<scheme>_proxy``,
-    else ``all_proxy``, unless ``no_proxy`` matches): a plain-HTTP proxy
-    takes the absolute URI, an https endpoint is reached through a CONNECT
-    tunnel.  TLS verifies against the system's trust store.  Building one
-    refuses what cannot go on the wire: an endpoint that is not a printable
-    ASCII http(s) URL with a host and no spaces, or has a user name, a query
-    or a fragment; a bearer token that is missing or not printable ASCII;
-    and a proxy in use that is not an http:// URL with a host."""
+    HTTP/2.  The proxy is read once, from the environment only
+    (``<scheme>_proxy``, else ``all_proxy``, in any case, unless
+    ``no_proxy`` matches): a plain-HTTP proxy takes the absolute URI, an
+    https endpoint is reached through a CONNECT tunnel.  TLS verifies
+    against the system's trust store.  Building one refuses what cannot go
+    on the wire: an endpoint that is not a printable ASCII http(s) URL with
+    a host and no spaces, or has a user name, a query or a fragment; a
+    bearer token that is missing or not printable ASCII; and a proxy in use
+    that is not an http:// URL with a host."""
 
     def __init__(
         self,
@@ -172,12 +175,7 @@ class OpenAIChatBackend:
         temperature: float = 0.0,
         max_tokens: int = 512,
     ):
-        import ssl  # deferred: only endpoint runs pay for them
-        import urllib.request
-        from base64 import b64encode
-        from urllib.parse import unquote
-
-        from . import http1
+        from . import http1  # deferred: only endpoint runs compile it
 
         self.endpoint = endpoint.rstrip("/")
         self.model = model
@@ -201,13 +199,20 @@ class OpenAIChatBackend:
                    "Authorization": f"Bearer {token}", "Content-Type": "application/json"}
         path = url.path + "/chat/completions"
         self.address, self.connect = (url.hostname, port), None
-        proxies = urllib.request.getproxies()
-        proxy = proxies.get(url.scheme) or proxies.get("all")
-        if proxy and not urllib.request.proxy_bypass(url.hostname):
+        proxy, names = None, (url.scheme + "_proxy", "all_proxy")
+        if any(value and name.lower() in names for name, value in os.environ.items()):
+            import urllib.request  # it loads http.client, email and ssl: proxy runs only
+            proxies = urllib.request.getproxies()
+            proxy = proxies.get(url.scheme) or proxies.get("all")
+            if proxy and urllib.request.proxy_bypass(url.hostname):
+                proxy = None
+        if proxy:
             proxy, proxy_port = _split_url(proxy if "://" in proxy else "http://" + proxy,
                                            ("http",), "proxy")
             auth = {}
             if proxy.username is not None:
+                from base64 import b64encode
+                from urllib.parse import unquote
                 user = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
                 auth["Proxy-Authorization"] = f"Basic {b64encode(user.encode()).decode()}"
             self.address = (proxy.hostname, proxy_port or 80)
@@ -219,8 +224,10 @@ class OpenAIChatBackend:
                 path = self.endpoint + "/chat/completions"
                 headers.update(auth)
         self.head = http1.encode_head(f"POST {path}", headers) + b"Content-Length: "
-        self.context = ssl.create_default_context() if url.scheme == "https" else None
-        self.hostname = url.hostname
+        self.context, self.hostname = None, url.hostname
+        if url.scheme == "https":  # a plain-HTTP run never loads ssl
+            import ssl
+            self.context = ssl.create_default_context()
         self.idle, self.lock = [], threading.Lock()  # connections no send holds
 
     def close(self) -> None:
@@ -278,7 +285,7 @@ class OpenAIChatBackend:
         try:
             conn = self._connection()
             conn.sock.sendall(b"%b%d\r\n\r\n%b" % (self.head, len(payload), payload))
-            status, data, reusable = http1.read_reply(conn)
+            status, data, reusable, retry_after = http1.read_reply(conn)
         except (OSError, ValueError) as exc:
             if conn is not None:
                 conn.sock.close()
@@ -288,8 +295,10 @@ class OpenAIChatBackend:
                 self.idle.append(conn)
         else:
             conn.sock.close()
-        if status == 429 or status >= 500:
-            raise TransportError(f"HTTP {status}")
+        if status == 429 or status >= 500:  # a Retry-After date gets the backoff
+            wait = retry_after if status in (429, 503) and retry_after else b""
+            raise TransportError(f"HTTP {status}", retry_after=min(
+                float(wait), RETRY_AFTER_MAX_S) if wait.isdigit() else None)
         if status != 200:
             raise TransportError(f"HTTP {status}", retryable=False)
         try:
@@ -326,6 +335,8 @@ class Gateway:
                                     token_usage=usage, retries=attempts)
         except TransportError as exc:
             if exc.retryable and attempts < self.retries:
+                if exc.retry_after is not None:  # the server's wait, not the backoff
+                    return exc.retry_after
                 return BACKOFF_BASE_S * 2 ** attempts
             return CompletionResult(text=None, latency=time.monotonic() - start,
                                     retries=attempts, error=str(exc))
@@ -334,7 +345,8 @@ class Gateway:
         results: list = [None] * len(prompts)
         fresh = iter(range(len(prompts)))  # prompts never sent
         retry: list = []  # heap of (due, index, attempts, first start)
-        lock, stop = threading.Lock(), threading.Event()
+        lock, stop, ended = threading.Lock(), threading.Event(), threading.Semaphore(0)
+        raised: list = []  # what the workers raised, the first first
 
         def work():
             """One worker: the earliest due retry, else the next fresh prompt,
@@ -363,27 +375,31 @@ class Gateway:
                         import heapq
                         heapq.heappush(retry, (time.monotonic() + outcome,
                                                index, attempts + 1, start))
-            except BaseException:  # a raise or a Ctrl-C stops every worker
+            except BaseException as exc:  # a raise or a Ctrl-C stops every worker
                 stop.set()
-                raise
+                raised.append(exc)
+            finally:
+                ended.release()
 
         if isinstance(self.backend, OracleBackend) or not prompts:
             # in-process and CPU-bound (or empty): threads only add contention
             work()
-            return results
-        # deferred: in-process runs never load the pool or logging
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = min(self.concurrency, len(prompts))
-        try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                try:
-                    for future in [pool.submit(work) for _ in range(workers)]:
-                        future.result()
-                finally:  # a Ctrl-C here must stop the workers too
-                    stop.set()
-        finally:  # the pool has joined every worker: no send can return a connection
-            self.backend.close()
+        else:  # non-daemon: a send in flight hands its connection back before the close
+            threads = [threading.Thread(target=work, daemon=False)
+                       for _ in range(min(self.concurrency, len(prompts)))]
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:  # not join: in CPython 3.10 and 3.11, a join
+                    ended.acquire()  # a Ctrl-C cuts short marks its live thread ended
+            finally:  # a Ctrl-C here must stop the workers too
+                stop.set()
+                for thread in threads:
+                    if thread.is_alive():  # not one a Ctrl-C kept from starting
+                        thread.join()
+                self.backend.close()  # every worker is done: no send returns a connection
+        if raised:
+            raise raised[0]
         return results
 
 

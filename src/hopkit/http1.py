@@ -88,13 +88,14 @@ def read_chunked(conn: Connection) -> bytes:
             raise ValueError("a chunk is longer than its size")
 
 
-def read_reply(conn: Connection) -> tuple[int, bytes, bool]:
-    """The status and body of the next final reply, and whether ``conn`` may
-    carry another request.  The body is framed as RFC 9112 §6.3 says: a 204
-    or 304 has none, chunked coding wins over Content-Length, and without
-    either the body ends when the server closes.  Only an HTTP/1.1 reply
-    framed by exactly one of them, without "Connection: close" and with no
-    byte received past its end, leaves ``conn`` reusable."""
+def read_reply(conn: Connection) -> tuple[int, bytes, bool, bytes | None]:
+    """The status and body of the next final reply, whether ``conn`` may
+    carry another request, and its Retry-After field, if any.  The body is
+    framed as RFC 9112 §6.3 says: a 204 or 304 has none, chunked coding wins
+    over Content-Length, and without either the body ends when the server
+    closes.  Only an HTTP/1.1 reply framed by exactly one of them, without
+    "Connection: close" and with no byte received past its end, leaves
+    ``conn`` reusable."""
     version, status, fields = read_head(conn)
     coding, length = fields.get(b"transfer-encoding"), fields.get(b"content-length")
     exact = coding is None or length is None
@@ -114,7 +115,8 @@ def read_reply(conn: Connection) -> tuple[int, bytes, bool]:
         body, exact = conn.read(None), False
     tokens = fields.get(b"connection", b"").lower().split(b",")
     close = b"close" in [token.strip() for token in tokens]
-    return status, body, exact and version == b"HTTP/1.1" and not close and not conn.buffer
+    reusable = exact and version == b"HTTP/1.1" and not close and not conn.buffer
+    return status, body, reusable, fields.get(b"retry-after")
 
 
 def encode_head(request: str, fields: dict[str, str]) -> bytes:

@@ -1,5 +1,4 @@
 import collections
-import concurrent.futures
 import json
 import os
 import random
@@ -199,16 +198,16 @@ class TestGateway:
             for c in chains
         ] + ["junk"]
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool used")
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
         results = Gateway(backend=OracleBackend(kg)).complete_batch(prompts)
         assert [r.text for r in results] == [oracle_answer(p, kg) for p in prompts]
         assert None not in [r.text for r in results]
         assert [c.answer in r.text for c, r in zip(chains, results)] == [True] * 12
-        with pytest.raises(AssertionError, match="thread pool used"):
-            Gateway(backend=FlakyBackend(0)).complete_batch(["p"])
+        assert started == []
+        Gateway(backend=FlakyBackend(0), concurrency=4).complete_batch(["p", "q", "r"])
+        assert len(started) == 3 and not any(thread.daemon for thread in started)
 
     def test_only_an_endpoint_batch_that_sends_closes_its_backend(self, example_kg):
         class ClosableOracle(OracleBackend):
@@ -361,23 +360,58 @@ class TestSchedule:
         assert 10 <= backend.calls <= 10 + 4
         assert backend.closes == 1
 
+    def test_a_worker_raise_reaches_the_caller_after_every_join_and_the_close(self):
+        class SlowRaising:
+            lock, calls, in_flight, closed_with = threading.Lock(), 0, 0, []
+
+            def close(self):
+                self.closed_with.append(self.in_flight)
+
+            def send(self, prompt):
+                with self.lock:
+                    self.calls += 1
+                    self.in_flight += 1
+                    call = self.calls
+                try:  # send 1 frees its worker for send 5 while 2-4 are in flight
+                    if call == 5:
+                        raise ValueError("send 5")
+                    time.sleep(0 if call == 1 else 0.05)
+                    return "ok", None
+                finally:
+                    with self.lock:
+                        self.in_flight -= 1
+
+        backend, threads_before = SlowRaising(), threading.active_count()
+        with pytest.raises(ValueError, match="^send 5$"):
+            Gateway(backend=backend, concurrency=4).complete_batch(
+                [f"p{i}" for i in range(40)])
+        assert threading.active_count() == threads_before
+        assert backend.closed_with == [0] and backend.in_flight == 0
+        assert 5 <= backend.calls <= 5 + 3
+
     def test_ctrl_c_in_the_caller_stops_every_send(self):
+        # The 100th send interrupts the calling thread, however slow the host.
         script = """
-import os, signal, threading, time
+import signal, threading, time
 from hopkit.gateway import Gateway
 
-sent, closes = [], []
+started, sent, closes, lock = [], [], [], threading.Lock()
+caller = threading.main_thread().ident
 
 class Slow:
     def close(self):
         closes.append(len(sent))
 
     def send(self, prompt):
-        sent.append(prompt)
+        with lock:
+            started.append(prompt)
+            interrupt = len(started) == 100
+        if interrupt:
+            signal.pthread_kill(caller, signal.SIGINT)
         time.sleep(0.002)
+        sent.append(prompt)  # only once the send is done
         return "ok", None
 
-threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT)).start()
 try:
     Gateway(backend=Slow(), concurrency=4).complete_batch(
         [str(i) for i in range(2000)])
@@ -511,6 +545,34 @@ class TestOpenAIBackend:
         assert (result.text, result.retries) == ("x", 1)
         assert len(chat_server.payloads) == 2
         assert chat_server.connections == 1
+
+    @pytest.mark.parametrize("status, retry_after, delay", [
+        (429, "7", 7.0),
+        (503, "0", 0.0),
+        (503, "007", 7.0),
+        (429, "86400", gateway.RETRY_AFTER_MAX_S),
+        (429, "9" * 5000, gateway.RETRY_AFTER_MAX_S),  # past int()'s digit limit
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 4.0),  # a date gets the backoff
+        (503, "1.5", 4.0),
+        (429, "-1", 4.0),
+        (429, "", 4.0),
+        (429, None, 4.0),
+        (500, "7", 4.0),  # only a 429 or a 503 names its wait
+        (502, "7", 4.0),
+    ])
+    def test_retry_after_replaces_the_backoff(self, chat_server, status, retry_after,
+                                              delay):
+        fields = [] if retry_after is None else [f"Retry-After: {retry_after}"]
+        chat_server.reply = lambda prompt: (None, raw_reply(
+            b"", *fields, "Content-Length: 0", status_line=f"HTTP/1.1 {status} X"))
+        backend = OpenAIChatBackend(chat_server.url, "m")
+        gw = Gateway(backend=backend, retries=3)
+        try:  # the third retry waits BACKOFF_BASE_S * 2**2 seconds
+            assert gw._attempt("p", 2, time.monotonic()) == delay
+            final = gw._attempt("p", 3, time.monotonic())  # no retry is left
+            assert (final.text, final.error) == (None, f"HTTP {status}")
+        finally:
+            backend.close()
 
     def test_a_connection_that_raised_is_never_reused(self, chat_server, monkeypatch):
         monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)

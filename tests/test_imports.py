@@ -96,6 +96,45 @@ def test_an_oracle_run_loads_no_pool_retry_heap_or_http_code(tmp_path, records):
                          "http.client", "ssl", "select", "urllib.request", "hopkit.http1"}
 
 
+def endpoint_run(tmp_path, records, url):
+    """The modules an ``evaluate`` of ``records`` against ``url`` loads."""
+    return loaded_by(tmp_path, ["evaluate", "--input", records, "--output", "eval",
+                                "--endpoint", url, "--model", "m"], package=None)
+
+
+def test_a_plain_http_run_loads_no_tls_proxy_or_pool_code(tmp_path, records,
+                                                          chat_server, monkeypatch):
+    # no_proxy alone names no proxy, so the proxy lookup is never made
+    monkeypatch.setenv("no_proxy", "example.org")
+    loaded = endpoint_run(tmp_path, records, chat_server.url + "/v1")
+    assert {"hopkit.http1", "socket", "threading"} <= loaded
+    assert not loaded & {"ssl", "urllib.request", "http.client", "email.parser",
+                         "concurrent.futures", "logging"}
+    assert len(chat_server.payloads) == 20
+
+
+@pytest.mark.parametrize("variable", ["http_proxy", "HTTP_PROXY", "all_proxy"])
+def test_a_proxy_variable_still_sends_through_the_proxy(tmp_path, records, chat_server,
+                                                        proxy_server, monkeypatch,
+                                                        variable):
+    monkeypatch.setenv(variable, proxy_server.url)
+    loaded = endpoint_run(tmp_path, records, chat_server.url + "/v1")
+    assert "urllib.request" in loaded and "ssl" in loaded  # urllib.request loads ssl
+    assert [line for line, _ in proxy_server.received] == [
+        f"POST {chat_server.url}/v1/chat/completions HTTP/1.1"] * 20
+    assert chat_server.received == []  # the proxy stand-in answers itself
+
+
+def test_an_https_backend_still_verifies_its_server(endpoint_env):
+    import ssl
+
+    from hopkit.gateway import OpenAIChatBackend
+
+    context = OpenAIChatBackend("https://api.example.invalid/v1", "m").context
+    assert context.verify_mode == ssl.CERT_REQUIRED and context.check_hostname
+    assert OpenAIChatBackend("http://api.example.invalid/v1", "m").context is None
+
+
 @pytest.mark.parametrize("module", sorted(EXPORTED))
 def test_every_name_the_package_exported_still_resolves(module):
     owner = importlib.import_module(f"hopkit.{module}")
