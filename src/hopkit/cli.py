@@ -179,8 +179,7 @@ def cmd_generate(args) -> int:
 def _build_gateway(args, records, n_hops: int, rep: RepresentationTag) -> Gateway:
     """The gateway for the flags and the --config file; a setting neither
     names keeps the default of the class that reads it."""
-    from .gateway import (FaultSpec, Gateway, OpenAIChatBackend, OracleBackend,
-                          load_gateway_config)
+    from .gateway import FaultSpec, Gateway, OracleBackend, load_gateway_config
 
     config = load_gateway_config(args.config) if args.config else {}
     for key in ("endpoint", "model"):
@@ -207,6 +206,8 @@ def _build_gateway(args, records, n_hops: int, rep: RepresentationTag) -> Gatewa
     elif not config.get("model"):
         raise ValueError("an endpoint needs a model: pass --model or set model in --config")
     else:
+        from .http1 import OpenAIChatBackend  # only an endpoint run compiles the client
+
         backend = OpenAIChatBackend(endpoint, **config)
     return Gateway(backend=backend, **runner)
 
@@ -293,7 +294,8 @@ def cmd_evaluate(args) -> int:
     done_ids = {r.instance_id for r in resumed}
     pending = [r for r in records if r.id not in done_ids]
     if done_ids:
-        print(f"resume: skipping {len(done_ids)} already-evaluated instances")
+        print(f"resume: skipping {len(done_ids)} already-evaluated instances",
+              file=sys.stderr)
     prompt_texts = [_prompt_for(record, mode, style, rep, demos, args.seed)
                     for record in pending]
     results = gw.complete_batch(prompt_texts)

@@ -14,6 +14,7 @@ import re
 import unicodedata
 from collections import namedtuple
 from collections.abc import Callable, Iterable
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .kg import ReasoningInstance, check_labels
@@ -335,10 +336,41 @@ def emit_report(report: MetricsReport, format: str = "text_table") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_scalar(value) -> str:
+    """A string, None or a bool as ``json.dumps`` spells it; a TypeError for
+    any other value."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return _json_string(value)
+
+
+def _record_line(record: EvalRecord) -> str:
+    """``json.dumps(record.to_dict())`` and a newline, joined from the encoded
+    strings when every field has a type ``judge`` gives it."""
+    instance_id, gold, completion, answer, final_correct, hop_correct, failure = record
+    try:
+        labels = list(map(_json_string, gold.labels))
+        hops = ", ".join(f"[{labels[i]}, {labels[i + 1]}, {labels[i + 2]}]"
+                         for i in range(0, len(labels) - 2, 2))
+        return (f'{{"instance_id": {_json_scalar(instance_id)}, "gold": [{hops}], '
+                f'"completion": {_json_scalar(completion)}, '
+                f'"extracted_answer": {_json_scalar(answer)}, '
+                f'"final_correct": {_json_scalar(final_correct)}, '
+                f'"hop_correct": [{", ".join(map(_json_scalar, hop_correct))}], '
+                f'"failure_class": {_json_scalar(failure)}, '
+                f'"gold_source_id": {_json_scalar(gold.source_id)}}}\n')
+    except TypeError:  # a value of another type: json.dumps spells it
+        return json.dumps(record.to_dict()) + "\n"
+
+
 def write_eval_records(records: list[EvalRecord], path) -> None:
     """Append one JSON line per record to the record log at ``path``."""
     with Path(path).open("a", encoding="utf-8") as fh:
-        fh.write("".join(json.dumps(r.to_dict()) + "\n" for r in records))
+        fh.write("".join(map(_record_line, records)))
 
 
 def read_eval_records(path) -> list[EvalRecord]:

@@ -1,7 +1,9 @@
 """Completion gateway: one interface over OpenAI-compatible chat endpoints
 and a built-in graph-traversal oracle used as a deterministic test double.
 
-Decoding defaults to greedy (temperature 0) so batch runs are reproducible.
+The endpoint client is ``http1.OpenAIChatBackend``, loaded only when that
+name is first read.  Decoding defaults to greedy (temperature 0) so batch
+runs are reproducible.
 Every prompt yields one CompletionResult, in order: transport failures are
 returned, never raised, and a retry waiting out its backoff holds no worker.
 """
@@ -9,7 +11,7 @@ returned, never raised, and a retry waiting out its backoff holds no worker.
 from __future__ import annotations
 
 import json
-import os
+import math
 import random
 import threading
 import time
@@ -21,9 +23,8 @@ from .render import (RepresentationTag, render as render_instance,
                      wrap_answer_envelope)
 
 UNKNOWN_ANSWER = "UNKNOWN"
-REQUEST_TIMEOUT_S = 120.0
-BACKOFF_BASE_S = 1.0  # a retry waits BACKOFF_BASE_S * 2**attempts seconds
-RETRY_AFTER_MAX_S = 60.0  # or a 429 or 503's Retry-After seconds, up to this many
+BACKOFF_BASE_S = 1.0  # a retry waits BACKOFF_BASE_S * 2**attempts seconds, or the
+# seconds a 429 or 503's Retry-After names, up to http1.RETRY_AFTER_MAX_S
 
 
 class TransportError(RuntimeError):
@@ -123,194 +124,13 @@ class OracleBackend:
         return wrap_answer_envelope("", self.representation, UNKNOWN_ANSWER), None
 
 
-def _split_url(url: str, schemes: tuple[str, ...], what: str):
-    """``urlsplit(url)`` and its port; a ValueError naming ``what``, less any
-    password, unless ``url`` has one of ``schemes``, a host and a valid port."""
-    from urllib.parse import urlsplit
-
-    try:  # urlsplit and .port raise ValueError on a bad bracket or port
-        parts = urlsplit(url)
-        if parts.scheme in schemes and parts.hostname:
-            return parts, parts.port
-    except ValueError:
-        pass
-    raise ValueError(f"{what} {_masked(url)!r} is not an "
-                     f"{' or '.join(s + '://' for s in schemes)} URL with a host")
-
-
-def _masked(url: str) -> str:
-    """``url`` less everything from "//" to its last "@": a user name and a
-    password, whatever characters they hold."""
-    scheme, slashes, rest = url.partition("//")
-    return scheme + slashes + rest.rpartition("@")[2]
-
-
-class OpenAIChatBackend:
-    """Minimal client for any OpenAI-compatible /chat/completions endpoint.
-
-    It speaks HTTP/1.1 itself over pooled keep-alive sockets, no more open
-    than sends in flight (at most the gateway's ``concurrency``); ``close``
-    closes the idle ones.  A send is one write: the request head, encoded
-    once when the backend is built and asking for identity encoding, then
-    the JSON payload.  A reply may have 100 header lines of 64 KiB; 1xx
-    replies are skipped; its body is framed by chunked coding, else
-    Content-Length, else the server's close, and a 204 has none.  A socket
-    is reused only after an HTTP/1.1 reply framed exactly, without
-    "Connection: close"; one that raised never is.  No redirects, no
-    HTTP/2.  The proxy is read once, from the environment only
-    (``<scheme>_proxy``, else ``all_proxy``, in any case, unless
-    ``no_proxy`` matches): a plain-HTTP proxy takes the absolute URI, an
-    https endpoint is reached through a CONNECT tunnel.  TLS verifies
-    against the system's trust store.  Building one refuses what cannot go
-    on the wire: an endpoint that is not a printable ASCII http(s) URL with
-    a host and no spaces, or has a user name, a query or a fragment; a
-    bearer token that is missing or not printable ASCII; and a proxy in use
-    that is not an http:// URL with a host."""
-
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        token_env: str = "OPENAI_API_KEY",
-        temperature: float = 0.0,
-        max_tokens: int = 512,
-    ):
-        from . import http1  # deferred: only endpoint runs compile it
-
-        self.endpoint = endpoint.rstrip("/")
-        self.model = model
-        self.temperature = temperature
-        self.max_tokens = max_tokens
-        url, port = _split_url(self.endpoint, ("http", "https"), "endpoint")
-        if url.username is not None:  # a proxy would see it in the request target
-            raise ValueError(f"endpoint {_masked(self.endpoint)!r} must not have "
-                             "a user name or password")
-        if "?" in self.endpoint or "#" in self.endpoint:  # even an empty one
-            raise ValueError(f"endpoint {self.endpoint!r} must not have a query or fragment")
-        if not (self.endpoint.isascii() and self.endpoint.isprintable()) or " " in self.endpoint:
-            raise ValueError(f"endpoint {_masked(self.endpoint)!r} must be printable ASCII "
-                             "with no spaces")
-        token = os.environ.get(token_env)
-        if not token:
-            raise ValueError(f"missing bearer token: set the {token_env} environment variable")
-        if not (token.isascii() and token.isprintable()):  # it would end the header
-            raise ValueError(f"the bearer token in {token_env} must be printable ASCII")
-        headers = {"Host": url.netloc, "Accept-Encoding": "identity",
-                   "Authorization": f"Bearer {token}", "Content-Type": "application/json"}
-        path = url.path + "/chat/completions"
-        self.address, self.connect = (url.hostname, port), None
-        proxy, names = None, (url.scheme + "_proxy", "all_proxy")
-        if any(value and name.lower() in names for name, value in os.environ.items()):
-            import urllib.request  # it loads http.client, email and ssl: proxy runs only
-            proxies = urllib.request.getproxies()
-            proxy = proxies.get(url.scheme) or proxies.get("all")
-            if proxy and urllib.request.proxy_bypass(url.hostname):
-                proxy = None
-        if proxy:
-            proxy, proxy_port = _split_url(proxy if "://" in proxy else "http://" + proxy,
-                                           ("http",), "proxy")
-            auth = {}
-            if proxy.username is not None:
-                from base64 import b64encode
-                from urllib.parse import unquote
-                user = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
-                auth["Proxy-Authorization"] = f"Basic {b64encode(user.encode()).decode()}"
-            self.address = (proxy.hostname, proxy_port or 80)
-            if url.scheme == "https":
-                target = url.netloc if port is not None else url.netloc.rstrip(":") + ":443"
-                self.connect = http1.encode_head(f"CONNECT {target}",
-                                                 {"Host": target, **auth}) + b"\r\n"
-            else:  # a plain-HTTP proxy takes the absolute URI
-                path = self.endpoint + "/chat/completions"
-                headers.update(auth)
-        self.head = http1.encode_head(f"POST {path}", headers) + b"Content-Length: "
-        self.context, self.hostname = None, url.hostname
-        if url.scheme == "https":  # a plain-HTTP run never loads ssl
-            import ssl
-            self.context = ssl.create_default_context()
-        self.idle, self.lock = [], threading.Lock()  # connections no send holds
-
-    def close(self) -> None:
-        """Close every idle connection; a later send opens a new one."""
-        with self.lock:
-            idle, self.idle = self.idle, []
-        for conn in idle:
-            conn.sock.close()
-
-    def _connection(self):
-        """An idle connection, else a new one.  An idle connection that reads
-        as ready holds the server's close (or bytes no request asked for), so
-        it is dropped before use, as urllib3 does, and never costs a retry;
-        so is one that ``select`` cannot check."""
-        import select
-        import socket
-
-        from . import http1
-
-        with self.lock:
-            while self.idle:
-                conn = self.idle.pop()
-                try:  # a descriptor past select's FD_SETSIZE raises ValueError
-                    if not select.select([conn.sock], [], [], 0)[0]:
-                        return conn
-                except ValueError:
-                    pass
-                conn.sock.close()
-        host, port = self.address
-        sock = socket.create_connection(
-            (host, port or (80 if self.context is None else 443)), REQUEST_TIMEOUT_S)
-        try:
-            if self.connect is not None:
-                sock.sendall(self.connect)
-                status = http1.read_head(http1.Connection(sock))[1]
-                if status // 100 != 2:
-                    raise OSError(f"the proxy refused the CONNECT tunnel: HTTP {status}")
-            if self.context is not None:
-                sock = self.context.wrap_socket(sock, server_hostname=self.hostname)
-        except BaseException:
-            sock.close()
-            raise
-        return http1.Connection(sock)
-
-    def send(self, prompt: str) -> tuple[str, dict | None]:
-        from . import http1
-
-        payload = json.dumps({
-            "model": self.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-        }).encode("utf-8")
-        conn = None
-        try:
-            conn = self._connection()
-            conn.sock.sendall(b"%b%d\r\n\r\n%b" % (self.head, len(payload), payload))
-            status, data, reusable, retry_after = http1.read_reply(conn)
-        except (OSError, ValueError) as exc:
-            if conn is not None:
-                conn.sock.close()
-            raise TransportError(str(exc)) from exc
-        if reusable:
-            with self.lock:
-                self.idle.append(conn)
-        else:
-            conn.sock.close()
-        if status == 429 or status >= 500:  # a Retry-After date gets the backoff
-            wait = retry_after if status in (429, 503) and retry_after else b""
-            raise TransportError(f"HTTP {status}", retry_after=min(
-                float(wait), RETRY_AFTER_MAX_S) if wait.isdigit() else None)
-        if status != 200:
-            raise TransportError(f"HTTP {status}", retryable=False)
-        try:
-            body = json.loads(data)
-            text = body["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed response: {exc}", retryable=False) from exc
-        if not isinstance(text, str):
-            raise TransportError(
-                f"malformed response: content is {text!r}", retryable=False
-            )
-        return text, body.get("usage")
+def __getattr__(name: str):
+    """``OpenAIChatBackend``, from ``http1``: only a run that looks it up,
+    an endpoint run, compiles the HTTP client (PEP 562)."""
+    if name == "OpenAIChatBackend":
+        from .http1 import OpenAIChatBackend
+        return OpenAIChatBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Gateway:
@@ -408,7 +228,7 @@ _CONFIG_TYPES = {
     "endpoint": (str, "a string", None),
     "model": (str, "a string", None),
     "token_env": (str, "a string", None),
-    "temperature": ((int, float), "a number >= 0", 0),
+    "temperature": ((int, float), "a finite number >= 0", 0),
     "max_tokens": (int, "an integer >= 1", 1),
     "concurrency": (int, "an integer >= 1", 1),
     "retries": (int, "an integer >= 0", 0),
@@ -433,6 +253,6 @@ def load_gateway_config(path: str | Path) -> dict:
     for key, value in obj.items():
         types, name, least = _CONFIG_TYPES[key]
         if (isinstance(value, bool) or not isinstance(value, types)
-                or least is not None and not value >= least):
+                or least is not None and not least <= value < math.inf):
             raise ValueError(f"config key {key!r} must be {name}, got {value!r}")
     return obj

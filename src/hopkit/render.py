@@ -10,7 +10,6 @@ code uses 4-space indentation and ``\\n`` line endings; the golden files under
 
 from __future__ import annotations
 
-import ast
 import enum
 import functools
 import json
@@ -392,6 +391,8 @@ def _statements(tree: ast.Module) -> Iterator[ast.stmt]:
     expression.  Except handlers and match cases are stepped through so each
     statement keeps its walk depth, which fixes its place in the order.
     """
+    import ast
+
     queue = deque(tree.body)
     while queue:
         node = queue.popleft()
@@ -402,6 +403,8 @@ def _statements(tree: ast.Module) -> Iterator[ast.stmt]:
 
 
 def _parse_python_static(body: str) -> tuple[tuple[str, str, str], ...]:
+    import ast  # here, not at the top: only the code representations parse code
+
     mapping = None
     for node in _statements(ast.parse(body)):
         if (
@@ -421,6 +424,8 @@ def _bindings_and_calls(nodes) -> tuple[dict[str, str], list[ast.Call]]:
     """The string bindings (later ones win) and the ``add_fact`` calls among
     ``nodes``, in order.
     """
+    import ast
+
     bindings: dict[str, str] = {}
     calls = []
     for node in nodes:
@@ -442,6 +447,8 @@ def _bindings_and_calls(nodes) -> tuple[dict[str, str], list[ast.Call]]:
 
 
 def _parse_python_dynamic(body: str) -> tuple[tuple[str, str, str], ...]:
+    import ast  # here, not at the top: only the code representations parse code
+
     # The preamble binds no string and calls no add_fact, and dropping its
     # top-level subtree keeps the walk order of every other node, so only
     # the text after it is parsed; when that text alone is a syntax error

@@ -627,7 +627,8 @@ class TestEvaluate:
         code = main(["evaluate", "--input", str(input_tsv), "--output", str(out),
                      "--oracle", "--resume"])
         assert code == 0
-        assert "skipping 20" in capsys.readouterr().out
+        # the report alone goes to stdout
+        assert "skipping 20" in capsys.readouterr().err
         # the record log did not grow
         assert len((out / "eval_records.jsonl").read_text().splitlines()) == 20
 
@@ -824,15 +825,20 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("config", [
         {"concurrency": "4"}, {"temperature": "hot"}, {"retries": "3"},
+        # not JSON on the wire: every request would fail
+        {"temperature": float("inf")}, pytest.param('{"temperature": 1e400}', id="temperature-1e400"),
     ])
     def test_wrongly_typed_config_is_an_error(self, input_tsv, tmp_path, capsys,
                                               config):
         path = tmp_path / "gw.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
+        path.write_text(config if isinstance(config, str) else json.dumps(config),
+                        encoding="utf-8")
         code = main(["evaluate", "--input", str(input_tsv), "--output",
                      str(tmp_path / "eval"), "--oracle", "--config", str(path)])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key ") and err.count("\n") == 1
+        assert not (tmp_path / "eval").exists()
 
     def test_a_gateway_config_error_is_an_error_line(self, input_tsv, tmp_path, capsys,
                                                      monkeypatch):
@@ -860,7 +866,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("endpoint", ["localhost:9", "127.0.0.1:9/v1",
                                           "ftp://127.0.0.1:9/v1", "http://",
                                           "https:///v1", "http://127.0.0.1:x",
-                                          "http://[::1", "http://127.0.0.1:70000"])
+                                          "http://[::1", "http://127.0.0.1:70000",
+                                          "http://127.0.0.1:0/v1"])
     def test_endpoint_without_an_http_url_fails_before_any_request(
             self, input_tsv, tmp_path, capsys, monkeypatch, endpoint):
         def no_request(*args, **kwargs):
@@ -896,10 +903,12 @@ class TestEvaluate:
          "endpoint 'http://127.0.0.1:9/v1' must not have a user name or password"),
         ("http://127.0.0.1:3128", "http://user:pw@127.0.0.1:9/v1?x",  # or send a proxy
          "endpoint 'http://127.0.0.1:9/v1?x' must not have a user name or password"),
+        ("http://127.0.0.1:0", "http://127.0.0.1:9",  # not a connection to port 80
+         "proxy 'http://127.0.0.1:0' is not an http:// URL with a host"),
     ], ids=["proxy-port", "proxy-socks", "proxy-no-host", "proxy-https",
             "proxy-credentials", "endpoint-query", "endpoint-fragment",
             "endpoint-empty-query", "endpoint-credentials",
-            "endpoint-credentials-through-a-proxy"])
+            "endpoint-credentials-through-a-proxy", "proxy-port-0"])
     def test_a_proxy_or_endpoint_it_cannot_use_fails_before_any_request(
             self, input_tsv, tmp_path, capsys, monkeypatch, endpoint_env, proxy,
             endpoint, message):

@@ -7,14 +7,15 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopkit import (EvalRecord, FaultSpec, compute_metrics, emit_report, judge,
-                    make_chain, normalize_answer, render)
+from hopkit import (EvalRecord, FaultSpec, ReasoningInstance, compute_metrics,
+                    emit_report, judge, make_chain, normalize_answer, render)
 from hopkit import evaluate, kg
 from hopkit.evaluate import ConditionRow, read_eval_records, write_eval_records
 from hopkit.render import (DYNAMIC_PREAMBLE, ENVELOPE_BODY_KEY, RepresentationTag,
                            wrap_answer_envelope)
-from tests.conftest import random_chain
+from tests.conftest import JSON_TEXT, random_chain
 
 NL = RepresentationTag.NATURAL_LANGUAGE
 ALL_TAGS = list(RepresentationTag)
@@ -499,6 +500,52 @@ class TestComputeMetrics:
         assert row.final_incorrect == sum(1 for r in both if not r.final_correct)
 
 
+OPTIONAL_TEXT = st.none() | JSON_TEXT
+
+
+@st.composite
+def eval_records(draw):
+    """Records as judge gives them: a 2- or 3-hop gold chain whose labels
+    and texts JSON must escape, a None answer or source id, and transport
+    failures."""
+    n_hops = draw(st.sampled_from([2, 3]))
+    labels = draw(st.lists(JSON_TEXT.filter(str.strip), min_size=2 * n_hops + 1,
+                           max_size=2 * n_hops + 1))
+    gold = ReasoningInstance(labels, draw(OPTIONAL_TEXT))
+    if draw(st.booleans()):
+        return judge(draw(JSON_TEXT), gold, None, NL)
+    return EvalRecord(
+        instance_id=draw(JSON_TEXT), gold=gold, completion=draw(JSON_TEXT),
+        extracted_answer=draw(OPTIONAL_TEXT), final_correct=draw(st.booleans()),
+        hop_correct=tuple(draw(st.lists(st.booleans(), min_size=n_hops,
+                                        max_size=n_hops))),
+        failure_class=draw(st.sampled_from([None, "unparseable"])))
+
+
+ODD_VALUE = st.one_of(st.integers(), st.floats(), st.lists(JSON_TEXT, max_size=2),
+                      st.dictionaries(JSON_TEXT, st.booleans(), max_size=2))
+
+
+def with_an_odd_value(record):
+    """``record`` with one field, one hop verdict or one gold label of a type
+    judge never gives."""
+    fields = ["instance_id", "completion", "extracted_answer", "final_correct",
+              "failure_class"]
+
+    def put(where, value):
+        if where in fields:
+            return record._replace(**{where: value})
+        if where == "hop_correct":
+            return record._replace(hop_correct=(value, *record.hop_correct[1:]))
+        gold = record.gold  # ReasoningInstance._replace skips its label check
+        if where == "source_id":
+            return record._replace(gold=gold._replace(source_id=value))
+        return record._replace(gold=gold._replace(labels=(value, *gold.labels[1:])))
+
+    return st.builds(put, st.sampled_from([*fields, "hop_correct", "source_id",
+                                           "label"]), ODD_VALUE)
+
+
 class TestReports:
     def test_text_table_columns(self):
         text = emit_report(compute_metrics(synth_records(5, 5)), "text_table")
@@ -525,6 +572,15 @@ class TestReports:
         write_eval_records(records[:1], path)
         write_eval_records(records[1:], path)  # appends
         assert read_eval_records(path) == records
+
+    @settings(max_examples=100, database=None, derandomize=True)
+    @given(records=st.lists(max_size=3, elements=st.one_of(
+        eval_records(), eval_records().flatmap(with_an_odd_value))))
+    def test_written_lines_are_those_of_json_dumps(self, records, tmp_path_factory):
+        path = tmp_path_factory.mktemp("log") / "records.jsonl"
+        write_eval_records(records, path)
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(r.to_dict()) + "\n" for r in records)
 
     @pytest.mark.parametrize("bad", ['{"instance_id": ', "[1]", '{"gold": []}'])
     def test_bad_log_line_names_file_and_line(self, tmp_path, example_chain, bad):

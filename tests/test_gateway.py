@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from hopkit import (FaultSpec, Gateway, OracleBackend, add_fact, build_prompt, gateway,
-                    make_chain)
+                    http1, make_chain)
 from hopkit.gateway import OpenAIChatBackend, TransportError, load_gateway_config
 from hopkit.prompts import DatasetStyle, PromptMode
 from hopkit.render import RepresentationTag
@@ -550,8 +550,8 @@ class TestOpenAIBackend:
         (429, "7", 7.0),
         (503, "0", 0.0),
         (503, "007", 7.0),
-        (429, "86400", gateway.RETRY_AFTER_MAX_S),
-        (429, "9" * 5000, gateway.RETRY_AFTER_MAX_S),  # past int()'s digit limit
+        (429, "86400", http1.RETRY_AFTER_MAX_S),
+        (429, "9" * 5000, http1.RETRY_AFTER_MAX_S),  # past int()'s digit limit
         (429, "Wed, 21 Oct 2015 07:28:00 GMT", 4.0),  # a date gets the backoff
         (503, "1.5", 4.0),
         (429, "-1", 4.0),
@@ -807,7 +807,7 @@ class TestFraming:
     @pytest.fixture(autouse=True)
     def short_timeout(self, monkeypatch):
         # a reply misread as unfinished fails in seconds, not minutes
-        monkeypatch.setattr(gateway, "REQUEST_TIMEOUT_S", 5.0)
+        monkeypatch.setattr(http1, "REQUEST_TIMEOUT_S", 5.0)
 
     def test_a_chunked_body_drops_its_extensions_and_trailer(self, chat_server):
         body = chat_body("ok")
@@ -902,7 +902,7 @@ class TestFraming:
         doubled or has its head edited at random.  The batch must end, and
         each prompt must get its own reply's text or a transport error."""
         monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.0)
-        monkeypatch.setattr(gateway, "REQUEST_TIMEOUT_S", 0.1)  # a cut reply's wait
+        monkeypatch.setattr(http1, "REQUEST_TIMEOUT_S", 0.1)  # a cut reply's wait
         rng = random.Random(20261020)
         extra = [b"Connection: close", b"Transfer-Encoding: chunked", b"Content-Length: 5",
                  b"Content-Length: 99999", b"no colon", b"HTTP/1.1 100 Continue", b""]
@@ -983,7 +983,7 @@ def test_no_batch_goes_through_http_client(chat_server, proxy_server, monkeypatc
     ("http://h/v1", "http://h/v1"),
 ])
 def test_masking_drops_everything_up_to_the_last_at(url, shown):
-    assert gateway._masked(url) == shown
+    assert http1._masked(url) == shown
 
 
 @pytest.mark.parametrize("mark", "/?#@")
@@ -996,6 +996,22 @@ def test_a_password_never_shows_in_a_refusal(endpoint_env, monkeypatch, mark):
         OpenAIChatBackend("http://127.0.0.1:9/v1", "m")
     assert str(raised.value) == ("proxy 'http://127.0.0.1:70000' is not an http:// URL "
                                  "with a host")
+
+
+@pytest.mark.parametrize("proxy, endpoint, refusal", [
+    (None, "http://127.0.0.1:0/v1",
+     "endpoint 'http://127.0.0.1:0/v1' is not an http:// or https:// URL with a host"),
+    ("http://127.0.0.1:0", "http://127.0.0.1:9/v1",
+     "proxy 'http://127.0.0.1:0' is not an http:// URL with a host"),
+], ids=["endpoint", "proxy"])
+def test_port_0_is_refused_not_read_as_the_default(endpoint_env, monkeypatch, proxy,
+                                                   endpoint, refusal):
+    # a connection to port 0 would go to port 80
+    if proxy:
+        monkeypatch.setenv("http_proxy", proxy)
+    with pytest.raises(ValueError) as raised:
+        OpenAIChatBackend(endpoint, "m")
+    assert str(raised.value) == refusal
 
 
 def test_importing_the_cli_leaves_dataclasses_inspect_and_hashlib_unimported():
@@ -1054,7 +1070,8 @@ class TestConfigFile:
         ("retries", "3"), ("max_tokens", None), ("temperature", "hot"),
         ("temperature", False), ("endpoint", 5), ("model", ["m"]),
         ("token_env", {}), ("temperature", -0.1), ("max_tokens", 0),
-        ("concurrency", 0), ("retries", -1),
+        ("concurrency", 0), ("retries", -1), ("temperature", float("inf")),
+        ("temperature", float("nan")),
     ])
     def test_wrong_value_type_rejected(self, tmp_path, key, value):
         path = tmp_path / "gw.json"

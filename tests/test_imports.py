@@ -1,6 +1,7 @@
 """What each command loads: the package imports its modules on first use, so
 a dataset command never compiles or runs the prompt, gateway or judging
-code."""
+code, an oracle run never compiles the HTTP client, and only the code
+representations load ``ast``."""
 
 import importlib
 import subprocess
@@ -68,15 +69,41 @@ def records(tmp_path):
     return "records.tsv"
 
 
+DATASET_COMMANDS = [
+    ["partition", "--input", "records.tsv", "--output", "split"],
+    ["stats", "--train", "split/train.tsv", "--test", "split/test.tsv"],
+    ["cap", "--input", "records.tsv", "--output", "capped.tsv", "--cap", "3"],
+    ["extend3", "--input", "records.tsv", "--facts", "facts.tsv", "--output", "three.tsv"],
+]
+
+
 def test_dataset_commands_load_no_prompt_gateway_or_judging_code(tmp_path, records):
-    loaded = loaded_by(
-        tmp_path,
-        ["partition", "--input", records, "--output", "split"],
-        ["stats", "--train", "split/train.tsv", "--test", "split/test.tsv"],
-        ["cap", "--input", records, "--output", "capped.tsv", "--cap", "3"],
-        ["extend3", "--input", records, "--facts", "facts.tsv", "--output", "three.tsv"])
+    loaded = loaded_by(tmp_path, *DATASET_COMMANDS)
     assert loaded == {"hopkit", "hopkit.cli", "hopkit.dataset", "hopkit.kg",
                       "hopkit.render"}
+
+
+@pytest.mark.parametrize("rep", ["nl", "json"])
+def test_only_code_bodies_load_ast_and_no_oracle_run_the_http_client(tmp_path, records,
+                                                                     rep):
+    loaded = loaded_by(tmp_path, *DATASET_COMMANDS,
+                       ["evaluate", "--input", records, "--output", "eval", "--oracle",
+                        "--rep", rep, "--fault-prob", "0.3"], package=None)
+    assert {"hopkit.dataset", "hopkit.evaluate", "hopkit.gateway"} <= loaded
+    assert not loaded & {"ast", "hopkit.http1"}
+    code = loaded_by(tmp_path, ["evaluate", "--input", records, "--output", "code",
+                                "--oracle", "--rep", "py-static"], package=None)
+    assert "ast" in code and "hopkit.http1" not in code
+
+
+def test_the_client_has_one_class_under_every_name():
+    import hopkit.gateway
+    import hopkit.http1
+
+    assert (hopkit.gateway.OpenAIChatBackend is hopkit.http1.OpenAIChatBackend
+            is hopkit.OpenAIChatBackend)
+    with pytest.raises(AttributeError, match="has no attribute 'REQUEST_TIMEOUT_S'"):
+        hopkit.gateway.REQUEST_TIMEOUT_S  # the client reads it from http1
 
 
 def test_the_corpus_loads_prompts_but_no_gateway_or_judging_code(tmp_path, records):
