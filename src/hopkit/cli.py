@@ -45,7 +45,7 @@ def _check_output(path: Path, force: bool) -> None:
 
 
 def _load_records(path: str) -> list[dataset.SourceRecord]:
-    result = dataset.ingest(path, format=_format_of(path))
+    result = dataset.ingest(path)
     if result.n_rejected:
         print(
             f"ingest: {len(result.records)} records, "
@@ -56,10 +56,6 @@ def _load_records(path: str) -> list[dataset.SourceRecord]:
     if not result.records:
         raise ValueError(f"no usable records in {path}")
     return result.records
-
-
-def _format_of(path: str) -> str:
-    return "json_lines" if path.endswith((".jsonl", ".ndjson", ".json")) else "tsv"
 
 
 def cmd_partition(args) -> int:
@@ -107,7 +103,7 @@ def cmd_cap(args) -> int:
     _check_output(path, args.force)
     records = _load_records(args.input)
     capped = dataset.cap_relation_pairs(records, cap=args.cap, seed=args.seed)
-    dataset.write_records(capped, path, format=_format_of(args.output))
+    dataset.write_records(capped, path)
     print(f"kept {len(capped)} of {len(records)} records (cap {args.cap})")
     return 0
 
@@ -138,16 +134,16 @@ def cmd_extend3(args) -> int:
     else:
         whitelist = {r.answer for r in records}
     extended = dataset.extend_to_three_hops(records, facts, whitelist)
-    dataset.write_records(extended, path, format=_format_of(args.output))
+    dataset.write_records(extended, path)
     print(f"extended {len(extended)} of {len(records)} records by one hop")
     return 0
 
 
-def _prompt_for(record, mode, style, rep, demos, seed):
+def _prompt_for(record, mode, style, rep, demos):
     """The prompt for ``record``; ``demos`` is the pool of a one-shot run,
     else None."""
     if demos is not None:
-        return demos.prompt(record, seed, style, rep)
+        return demos.prompt(record)
     from . import prompts
 
     return prompts.build_prompt(record, mode=mode, style=style, representation=rep).full_prompt
@@ -167,10 +163,10 @@ def cmd_generate(args) -> int:
         print(f"wrote {n} training pairs to {path}")
         return 0
     mode = prompts.PromptMode(MODE_FLAGS[args.mode])
-    demos = prompts.DemonstrationPool(records) if mode is prompts.PromptMode.ONE_SHOT else None
+    demos = (prompts.DemonstrationPool(records, args.seed, style, rep)
+             if mode is prompts.PromptMode.ONE_SHOT else None)
     n = dataset.write_lines(path, (
-        json.dumps({"id": record.id,
-                    "prompt": _prompt_for(record, mode, style, rep, demos, args.seed)})
+        json.dumps({"id": record.id, "prompt": _prompt_for(record, mode, style, rep, demos)})
         for record in records))
     print(f"wrote {n} prompts to {path}")
     return 0
@@ -290,14 +286,14 @@ def cmd_evaluate(args) -> int:
         records_path.unlink()
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
-    demos = prompts.DemonstrationPool(records) if mode is prompts.PromptMode.ONE_SHOT else None
+    demos = (prompts.DemonstrationPool(records, args.seed, style, rep)
+             if mode is prompts.PromptMode.ONE_SHOT else None)
     done_ids = {r.instance_id for r in resumed}
     pending = [r for r in records if r.id not in done_ids]
     if done_ids:
         print(f"resume: skipping {len(done_ids)} already-evaluated instances",
               file=sys.stderr)
-    prompt_texts = [_prompt_for(record, mode, style, rep, demos, args.seed)
-                    for record in pending]
+    prompt_texts = [_prompt_for(record, mode, style, rep, demos) for record in pending]
     results = gw.complete_batch(prompt_texts)
     judged = [evaluate.judge(record.id, record, result.text, rep)
               for record, result in zip(pending, results)]
@@ -403,12 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Records hold no reference cycles, so a collection would only walk them again.
+    # Records hold no reference cycles, so a collection would only walk them again;
+    # paused before parsing too, so no pass hangs on what the imports allocated.
     enabled = gc.isenabled()
     gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

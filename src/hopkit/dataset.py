@@ -25,6 +25,8 @@ from .render import RepresentationTag, render as render_instance
 if TYPE_CHECKING:
     from .prompts import DatasetStyle
 
+JSON_LINES_SUFFIXES = (".jsonl", ".ndjson", ".json")  # a record file so named holds JSON lines
+
 
 @functools.lru_cache(maxsize=None)
 def _columns(n_labels: int) -> tuple[str, ...]:
@@ -138,13 +140,13 @@ def read_lines(path: str | Path) -> list[str]:
     return lines
 
 
-def _rows(path: Path, format: str):
+def _rows(path: Path):
     """Yield ``(lineno, id, labels)`` for each non-blank row, or
     ``(lineno, problem, None)`` for a row with no fields to read.  TSV
     columns are matched by header name, in any order.
     """
     lines = read_lines(path)
-    if format == "tsv":
+    if not str(path).endswith(JSON_LINES_SUFFIXES):
         if not lines:
             return
         header = lines[0].split("\t")
@@ -163,7 +165,7 @@ def _rows(path: Path, format: str):
                 yield lineno, f"expected {width} fields, got {len(values)}", None
                 continue
             yield lineno, values[id_at], pick_labels(values)
-    elif format == "json_lines":
+    else:
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
@@ -176,12 +178,10 @@ def _rows(path: Path, format: str):
                 yield lineno, "row is not an object", None
                 continue
             yield lineno, obj.get("id"), tuple(map(obj.get, _columns(len(obj) + 1)))
-    else:
-        raise ValueError(f"unknown format {format!r}")
 
 
-def ingest(path: str | Path, format: str = "tsv") -> IngestResult:
-    """Read source records from a TSV or line-delimited JSON file.
+def ingest(path: str | Path) -> IngestResult:
+    """Read source records from a JSON lines or TSV file, as its name says.
 
     Invalid rows and rows whose facts conflict with an earlier accepted row
     (same (head, relation) key, different tail) are counted and reported.
@@ -193,7 +193,7 @@ def ingest(path: str | Path, format: str = "tsv") -> IngestResult:
     result = IngestResult()
     facts: dict[tuple[str, str], str] = {}
     seen_ids: set[str] = set()
-    for lineno, id, labels in _rows(path, format):
+    for lineno, id, labels in _rows(path):
         if labels is None:  # a row without fields: ``id`` is its problem
             result.invalid_rows.append((lineno, id))
             continue
@@ -262,8 +262,9 @@ def check_tsv_cells(records: list[SourceRecord]) -> None:
                                      "line break, which a TSV cell cannot hold")
 
 
-def write_records(records: list[SourceRecord], path: str | Path, format: str = "tsv") -> None:
-    if format == "tsv":
+def write_records(records: list[SourceRecord], path: str | Path) -> None:
+    """Write ``records`` as JSON lines or TSV, as the name of ``path`` says."""
+    if not str(path).endswith(JSON_LINES_SUFFIXES):
         check_tsv_cells(records)
         # Shorter chains leave their trailing cells empty.
         width = max((len(r.labels) for r in records), default=5)
@@ -271,10 +272,8 @@ def write_records(records: list[SourceRecord], path: str | Path, format: str = "
         write_lines(path, itertools.chain((header,), (
             "\t".join((r.id, *r.labels)) + "\t" * (width - len(r.labels))
             for r in records)))
-    elif format == "json_lines":
-        write_lines(path, (json.dumps(r.to_dict()) for r in records))
     else:
-        raise ValueError(f"unknown format {format!r}")
+        write_lines(path, (json.dumps(r.to_dict()) for r in records))
 
 
 def _deal(

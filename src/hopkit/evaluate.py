@@ -150,9 +150,15 @@ class EvalRecord(namedtuple("EvalRecord", (
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalRecord":
-        """The record ``to_dict`` wrote; raises ValueError on a gold hop that
-        is not three non-blank label strings, on gold hops that do not
-        bridge, and on a hop verdict count other than the hop count."""
+        """The record ``to_dict`` wrote; raises ValueError on an instance id
+        that is not a non-blank string, on a verdict that is not a bool, on a
+        gold hop that is not three non-blank label strings, on gold hops that
+        do not bridge, and on a hop verdict count other than the hop count."""
+        instance_id, final_correct = d["instance_id"], d["final_correct"]
+        if not isinstance(instance_id, str) or not instance_id.strip():
+            raise ValueError(f"instance_id must be a non-blank string, got {instance_id!r}")
+        if type(final_correct) is not bool:
+            raise ValueError(f"final_correct must be a bool, got {final_correct!r}")
         labels = []
         for i, hop in enumerate(d["gold"]):
             if not isinstance(hop, (list, tuple)) or len(hop) != 3:
@@ -163,15 +169,17 @@ class EvalRecord(namedtuple("EvalRecord", (
                                  f"bridge to hop {i} head {hop[0]!r}")
             labels += hop[1:] if labels else hop
         hop_correct = tuple(d["hop_correct"])
+        if not all(type(verdict) is bool for verdict in hop_correct):
+            raise ValueError(f"hop_correct must hold bools, got {d['hop_correct']!r}")
         if len(hop_correct) != len(labels) // 2:
             raise ValueError(f"hop_correct has {len(hop_correct)} verdicts "
                              f"for {len(labels) // 2} gold hops")
         return cls(
-            instance_id=d["instance_id"],
+            instance_id=instance_id,
             gold=ReasoningInstance(labels, d.get("gold_source_id")),
             completion=d["completion"],
             extracted_answer=d["extracted_answer"],
-            final_correct=d["final_correct"],
+            final_correct=final_correct,
             hop_correct=hop_correct,
             failure_class=d.get("failure_class"),
         )

@@ -23,8 +23,8 @@ from .render import (RepresentationTag, render as render_instance,
                      wrap_answer_envelope)
 
 UNKNOWN_ANSWER = "UNKNOWN"
-BACKOFF_BASE_S = 1.0  # a retry waits BACKOFF_BASE_S * 2**attempts seconds, or the
-# seconds a 429 or 503's Retry-After names, up to http1.RETRY_AFTER_MAX_S
+BACKOFF_BASE_S = 1.0  # seconds before the first retry, doubled for each later one
+RETRY_WAIT_MAX_S = 60.0  # the longest wait before a retry, the backoff's or Retry-After's
 
 
 class TransportError(RuntimeError):
@@ -142,22 +142,27 @@ class Gateway:
 
     def __init__(self, backend: OracleBackend | OpenAIChatBackend,
                  concurrency: int = 4, retries: int = 3):
+        if concurrency < 1:
+            raise ValueError(f"gateway concurrency must be >= 1, not {concurrency}")
+        if retries < 0:
+            raise ValueError(f"gateway retries must be >= 0, not {retries}")
         self.backend = backend
         self.concurrency = concurrency
         self.retries = retries
 
     def _attempt(self, prompt: str, attempts: int,
                  start: float) -> CompletionResult | float:
-        """One send: the final result, or the seconds to back off before the next."""
+        """One send: the final result, or the seconds to wait before the next:
+        the Retry-After of a 429 or 503, else the backoff, at most RETRY_WAIT_MAX_S."""
         try:
             text, usage = self.backend.send(prompt)
             return CompletionResult(text=text, latency=time.monotonic() - start,
                                     token_usage=usage, retries=attempts)
         except TransportError as exc:
             if exc.retryable and attempts < self.retries:
-                if exc.retry_after is not None:  # the server's wait, not the backoff
-                    return exc.retry_after
-                return BACKOFF_BASE_S * 2 ** attempts
+                if exc.retry_after is None:  # a float holds 2.0 ** 1023 at most
+                    return min(BACKOFF_BASE_S * 2.0 ** min(attempts, 1023), RETRY_WAIT_MAX_S)
+                return min(exc.retry_after, RETRY_WAIT_MAX_S)
             return CompletionResult(text=None, latency=time.monotonic() - start,
                                     retries=attempts, error=str(exc))
 

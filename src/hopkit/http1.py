@@ -19,7 +19,6 @@ from .gateway import TransportError
 
 MAX_LINE, MAX_FIELDS = 65536, 100  # a reply head's longest line and most fields
 REQUEST_TIMEOUT_S = 120.0
-RETRY_AFTER_MAX_S = 60.0  # the longest Retry-After wait a 429 or 503 gets
 
 
 class Connection:
@@ -301,8 +300,8 @@ class OpenAIChatBackend:
             conn.sock.close()
         if status == 429 or status >= 500:  # a Retry-After date gets the backoff
             wait = retry_after if status in (429, 503) and retry_after else b""
-            raise TransportError(f"HTTP {status}", retry_after=min(
-                float(wait), RETRY_AFTER_MAX_S) if wait.isdigit() else None)
+            raise TransportError(f"HTTP {status}",
+                                 retry_after=float(wait) if wait.isdigit() else None)
         if status != 200:
             raise TransportError(f"HTTP {status}", retryable=False)
         try:

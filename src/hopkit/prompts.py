@@ -113,13 +113,15 @@ def build_prompt(
 
 
 class DemonstrationPool:
-    """One-shot demonstration candidates, indexed by start entity and by
-    answer, so a pick steps over only the candidates that would leak the
-    query instead of scanning the whole pool.
+    """One-shot demonstration candidates, drawn with one command's seed and
+    shown in its style and representation, indexed by start entity and by
+    answer so a pick steps over only the candidates that would leak the query.
     """
 
-    def __init__(self, pool: list[ReasoningInstance]):
+    def __init__(self, pool: list[ReasoningInstance], seed: int, style: DatasetStyle,
+                 representation: RepresentationTag):
         self.pool = pool
+        self.seed, self.style, self.representation = seed, style, representation
         # entity -> ascending pool positions
         self._by_start: dict[str, list[int]] = defaultdict(list)
         self._by_answer: dict[str, list[int]] = defaultdict(list)
@@ -127,10 +129,10 @@ class DemonstrationPool:
             self._by_start[candidate.start].append(position)
             self._by_answer[candidate.answer].append(position)
         # Keyed by what a draw and a rendering depend on, never by the excluded set.
-        self._draws: dict[tuple[int, int], int] = {}
-        self._shown: dict[tuple[int, DatasetStyle, RepresentationTag], str] = {}
+        self._draws: dict[int, int] = {}  # eligible count -> drawn index
+        self._shown: dict[int, str] = {}  # pool position -> demonstration lines
 
-    def _position(self, query: ReasoningInstance, seed: int) -> int:
+    def _position(self, query: ReasoningInstance) -> int:
         """The pool position of a seeded uniform pick among the instances that
         share neither the query's start entity nor its final answer.  Draws
         exactly what ``random.Random(seed).choice(eligible)`` draws over the
@@ -144,28 +146,28 @@ class DemonstrationPool:
                 "no demonstration in the pool avoids the query's start entity "
                 f"{query.start!r} and answer {query.answer!r}"
             )
-        position = self._draws.get((seed, n_eligible))
+        position = self._draws.get(n_eligible)
         if position is None:
-            position = self._draws[seed, n_eligible] = random.Random(seed).randrange(n_eligible)
+            position = self._draws[n_eligible] = random.Random(self.seed).randrange(n_eligible)
         for skipped in excluded:
             if skipped > position:
                 break
             position += 1
         return position
 
-    def prompt(self, query: ReasoningInstance, seed: int, style: DatasetStyle,
-               representation: RepresentationTag) -> str:
+    def prompt(self, query: ReasoningInstance) -> str:
         """The one-shot prompt ``build_prompt`` makes for ``query`` with the
-        demonstration ``_position`` draws.  Each demonstration is rendered once
-        per style and representation; an error names both records.
+        demonstration ``_position`` draws.  Each demonstration is rendered
+        once; an error names both records.
         """
-        key = (self._position(query, seed), style, representation)
-        if key not in self._shown:
-            demonstration = self.pool[key[0]]
+        position = self._position(query)
+        if position not in self._shown:
+            demonstration = self.pool[position]
             try:
-                self._shown[key] = _demonstration_lines(demonstration, style, representation)
+                self._shown[position] = _demonstration_lines(demonstration, self.style,
+                                                             self.representation)
             except ValueError as exc:
                 raise ValueError(f"record {query.source_id}: demonstration record "
                                  f"{demonstration.source_id}: {exc}") from exc
-        zero_shot = build_prompt(query, PromptMode.ZERO_SHOT, style, representation)
-        return self._shown[key] + zero_shot.full_prompt
+        zero_shot = build_prompt(query, PromptMode.ZERO_SHOT, self.style, self.representation)
+        return self._shown[position] + zero_shot.full_prompt

@@ -18,6 +18,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 JSON_TEXT = st.text(st.one_of(
     st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\u00e9\U0001f600'), st.characters()))
 
+# The suffix that makes a record file hold each format: its name alone decides.
+RECORD_SUFFIX = {"tsv": ".tsv", "json_lines": ".jsonl"}
+
 
 def hopkit_env():
     """The environment, with this checkout's hopkit first on PYTHONPATH."""

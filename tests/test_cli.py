@@ -162,8 +162,7 @@ class TestCap:
         assert list(tmp_path.iterdir()) == [path]
         # JSON lines hold any label
         assert main(["cap", "--input", str(path), "--output", str(tmp_path / "o.jsonl")]) == 0
-        assert ingest(tmp_path / "o.jsonl", "json_lines").records == ingest(
-            path, "json_lines").records
+        assert ingest(tmp_path / "o.jsonl").records == ingest(path).records
 
 
 class TestExtend3:
@@ -201,7 +200,7 @@ class TestExtend3:
         assert main(["extend3", "--input", str(records), "--facts", str(facts),
                      "--whitelist", str(whitelist), "--output", str(out)]) == 0
         assert capsys.readouterr() == ("extended 1 of 1 records by one hop\n", "")
-        [record] = ingest(out, "json_lines").records
+        [record] = ingest(out).records
         assert record.labels[4:] == (answer, relation, "Paris\u2029Texas")
 
     def test_whitelist_lines_are_kept_verbatim(self, tmp_path, capsys):
@@ -216,7 +215,7 @@ class TestExtend3:
         assert main(["extend3", "--input", str(records), "--facts", str(facts),
                      "--whitelist", str(whitelist), "--output", str(out)]) == 0
         assert capsys.readouterr() == ("extended 1 of 2 records by one hop\n", "")
-        [record] = ingest(out, "json_lines").records
+        [record] = ingest(out).records
         assert (record.id, record.labels[4:]) == ("1", ("Paris ", "mayor", "X"))
 
     @pytest.mark.parametrize("row, message", [
@@ -393,15 +392,16 @@ def test_one_shot_evaluate_bytes_pinned(input_tsv, tmp_path, capsys, rep, style)
 
 def test_one_shot_prompts_do_each_piece_of_work_once(one_shot_tsv, tmp_path,
                                                      monkeypatch):
-    """Each demonstration is rendered once, each (seed, eligible count) draw
+    """Each demonstration is rendered once, the draw for each eligible count
     is made once, and no chain is built from a record: counted, not timed.
     The only chains built are the placeholder chains render compiles its
     templates from, at most one per shape."""
     render_module = importlib.import_module("hopkit.render")
     render_module._template.cache_clear()
     records = dataset.ingest(one_shot_tsv).records
-    pool = prompts.DemonstrationPool(records)
-    demonstrations = {pool.pool[pool._position(record, 5)] for record in records}
+    pool = prompts.DemonstrationPool(records, 5, prompts.DatasetStyle.STATEMENT,
+                                     RepresentationTag.PYTHON_DYNAMIC)
+    demonstrations = {pool.pool[pool._position(record)] for record in records}
     assert len(demonstrations) < len(records)
 
     rendered, made, draws, built = Counter(), [], [], []
@@ -431,7 +431,7 @@ def test_one_shot_prompts_do_each_piece_of_work_once(one_shot_tsv, tmp_path,
                  str(tmp_path / "p.jsonl"), "--kind", "prompts", "--mode", "one",
                  "--rep", "py-dynamic", "--seed", "5"]) == 0
     assert rendered == Counter(demonstrations)
-    # one Random per (seed, eligible count), and fewer of those than records
+    # one Random per eligible count, and fewer of those than records
     assert len(made) == len(set(draws)) == len(draws) < len(records)
     assert made == [5] * len(made)
     chains = [labels for labels, *_ in built]
@@ -689,6 +689,34 @@ class TestEvaluate:
         def cut_log(log):
             lines = log.decode("utf-8").splitlines(keepends=True)
             return ("".join(lines[:7]) + with_gold(lines[7], gold)).encode("utf-8")
+
+        tail = resume_cut_log(input_tsv, tmp_path, cut_log).rsplit(b"\n", 1)[-1]
+        assert f"dropped {len(tail)} bytes of a cut last line" in capsys.readouterr().err
+
+    def test_resume_refuses_a_logged_id_that_is_not_a_string(self, input_tsv, tmp_path,
+                                                             capsys):
+        # read as a number, the id would match no record, which would be judged again
+        out = tmp_path / "eval"
+        args = ["evaluate", "--input", str(input_tsv), "--output", str(out), "--oracle"]
+        assert main(args) == 0
+        log = out / "eval_records.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        logged = json.loads(lines[0])
+        lines[0] = json.dumps({**logged, "instance_id": int(logged["instance_id"])}) + "\n"
+        log.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*args, "--resume"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {log}:1: instance_id must be a non-blank string, "
+            f"got {int(logged['instance_id'])}\n")
+        assert log.read_text(encoding="utf-8") == "".join(lines)
+
+    def test_resume_drops_a_cut_last_line_with_verdicts_that_are_not_bools(
+            self, input_tsv, tmp_path, capsys):
+        def cut_log(log):
+            lines = log.decode("utf-8").splitlines(keepends=True)
+            bad = {**json.loads(lines[7]), "final_correct": "no", "hop_correct": "ab"}
+            return ("".join(lines[:7]) + json.dumps(bad)).encode("utf-8")
 
         tail = resume_cut_log(input_tsv, tmp_path, cut_log).rsplit(b"\n", 1)[-1]
         assert f"dropped {len(tail)} bytes of a cut last line" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import codecs
 import collections
 import copy
+import enum
 import json
 import pickle
 import random
@@ -13,10 +14,10 @@ from hopkit import (SourceRecord, SplitSpec, Triplet,
                     build_finetune_corpus, cap_relation_pairs,
                     compute_overlap_stats, extend_to_three_hops, ingest,
                     partition_by_bridge)
-from hopkit.dataset import all_partitions, write_finetune_corpus, write_records
+from hopkit.dataset import _pair_line, all_partitions, write_finetune_corpus, write_records
 from hopkit.prompts import DatasetStyle
 from hopkit.render import ENVELOPE_BODY_KEY, RepresentationTag, parse
-from tests.conftest import JSON_TEXT
+from tests.conftest import JSON_TEXT, RECORD_SUFFIX
 
 
 def rec(i, *labels):
@@ -37,7 +38,7 @@ class TestIngest:
             ["2", "d", "r", "e", "s", "f"],
             ["3", "g", "r", "h", "s", "i"],
         ])
-        result = ingest(path, "tsv")
+        result = ingest(path)
         assert len(result.records) == 3 and result.n_rejected == 0
 
     def test_missing_field_rejected_with_row_number(self, tmp_path):
@@ -49,7 +50,7 @@ class TestIngest:
             "3\tg\tr\th\ts\ti\n",
             encoding="utf-8",
         )
-        result = ingest(path, "tsv")
+        result = ingest(path)
         assert [r.id for r in result.records] == ["1", "3"]
         assert result.invalid_rows[0][0] == 3
 
@@ -59,7 +60,7 @@ class TestIngest:
             ["1", "a", "r", "b", "s", "c"],
             ["2", "a", "r", "DIFFERENT", "s", "c2"],
         ])
-        result = ingest(path, "tsv")
+        result = ingest(path)
         assert len(result.records) == 1
         assert len(result.conflicting_rows) == 1
 
@@ -67,7 +68,7 @@ class TestIngest:
         path = tmp_path / "in.jsonl"
         rows = [{"id": "1", "e1": "a", "r1": "r", "e2": "b", "r2": "s", "e3": "c"}]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-        result = ingest(path, "json_lines")
+        result = ingest(path)
         assert result.records[0].bridge == "b"
 
     @pytest.mark.parametrize("fmt", ["tsv", "json_lines"])
@@ -80,19 +81,19 @@ class TestIngest:
         else:
             lines = [json.dumps(dict(zip(["id", "e1", "r1", "e2", "r2", "e3"], row)),
                                 ensure_ascii=False) for row in rows]
-        path = tmp_path / "in"
+        path = tmp_path / f"in{RECORD_SUFFIX[fmt]}"
         path.write_text("\r\n".join([*lines, "bad"]) + "\n", encoding="utf-8")
-        result = ingest(path, fmt)
+        result = ingest(path)
         assert [(r.id, r.labels) for r in result.records] == [(r[0], r[1:]) for r in rows]
         assert [lineno for lineno, _ in result.invalid_rows] == [len(lines) + 1]
 
     @pytest.mark.parametrize("fmt", ["tsv", "json_lines"])
     def test_byte_order_mark_is_not_part_of_the_first_row(self, tmp_path, fmt):
         records = [rec(1, "a", "r", "b", "s", "c"), rec(2, "d", "r", "e", "s", "f")]
-        path = tmp_path / "in"
-        write_records(records, path, format=fmt)
+        path = tmp_path / f"in{RECORD_SUFFIX[fmt]}"
+        write_records(records, path)
         path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
-        result = ingest(path, fmt)
+        result = ingest(path)
         assert result.records == records and result.n_rejected == 0
 
     def test_mostly_invalid_aborts(self, tmp_path):
@@ -102,22 +103,14 @@ class TestIngest:
         )
         with pytest.raises(ValueError, match="^2 of 3 rows invalid; first problem at line 3: "
                                              "expected 6 fields, got 1$"):
-            ingest(path, "tsv")
-
-    def test_unknown_format(self, tmp_path):
-        path = tmp_path / "in.xml"
-        path.write_text("x", encoding="utf-8")
-        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
-            ingest(path, "xml")
-        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
-            write_records([rec(1, "a", "r", "b", "s", "c")], path, format="xml")
+            ingest(path)
 
     def test_roundtrip_write_read(self, tmp_path):
         records = [rec(1, "a", "r", "b", "s", "c"), rec(2, "d", "r", "e", "s", "f")]
-        for fmt, name in (("tsv", "out.tsv"), ("json_lines", "out.jsonl")):
+        for name in ("out.tsv", "out.jsonl"):
             path = tmp_path / name
-            write_records(records, path, format=fmt)
-            assert ingest(path, fmt).records == records
+            write_records(records, path)
+            assert ingest(path).records == records
 
     @pytest.mark.parametrize("fmt", ["tsv", "json_lines"])
     @pytest.mark.parametrize("hops", ["two", "three", "mixed"])
@@ -127,16 +120,16 @@ class TestIngest:
         three = rec(2, "a", "r", "b", "s", "c", "u", "d")
         records = {"two": [two], "three": [three],
                    "mixed": [two, three, rec(3, "x", "r", "y", "s", "z")]}[hops]
-        path = tmp_path / "out"
-        write_records(records, path, format=fmt)
+        path = tmp_path / f"out{RECORD_SUFFIX[fmt]}"
+        write_records(records, path)
         assert path.read_bytes() == WRITTEN[hops, fmt]
-        assert ingest(path, fmt).records == records
+        assert ingest(path).records == records
 
     def test_four_hop_header(self, tmp_path):
         path = tmp_path / "in.tsv"
         path.write_text("id\te1\tr1\te2\tr2\te3\tr3\te4\tr4\te5\n"
                         "1\ta\tr\tb\ts\tc\tu\td\tv\te\n", encoding="utf-8")
-        [record] = ingest(path, "tsv").records
+        [record] = ingest(path).records
         assert record.n_hops == len(record.hops) == 4
         assert record.answer == record.hops[-1].tail == "e"
 
@@ -145,7 +138,7 @@ class TestIngest:
         path.write_text("e1\tid\tr1\te2\tr2\te3\n"
                         "a\t1\tr\tb\ts\tc\n"
                         "d\t2\tr\te\ts\t\n", encoding="utf-8")
-        result = ingest(path, "tsv")
+        result = ingest(path)
         assert result.records == [rec(1, "a", "r", "b", "s", "c")]
         assert result.invalid_rows == [(3, "record 2: missing fields: e3")]
 
@@ -160,7 +153,7 @@ class TestIngest:
         path.write_text(header + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(
                 "TSV header must be id e1 r1 ... rn e(n+1) with n >= 2, got ")):
-            ingest(path, "tsv")
+            ingest(path)
 
     def test_gap_in_chain_rejected(self, tmp_path):
         path = tmp_path / "in.jsonl"
@@ -168,7 +161,7 @@ class TestIngest:
                 {"id": "2", "e1": "d", "r1": "r", "e2": "e", "r2": "s", "e3": "f",
                  "e4": "g"}]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-        result = ingest(path, "json_lines")
+        result = ingest(path)
         assert [r.id for r in result.records] == ["1"]
         assert result.invalid_rows == [(2, "record 2: empty field r3")]
 
@@ -178,7 +171,7 @@ class TestIngest:
         rows = [{"id": "1", "e1": "a", "r1": "r", "e2": "b", "r2": "s", "e3": "c"},
                 {"id": bad_id, "e1": "d", "r1": "r", "e2": "e", "r2": "s", "e3": "f"}]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-        result = ingest(path, "json_lines")
+        result = ingest(path)
         assert [r.id for r in result.records] == ["1"]
         [(lineno, reason)] = result.invalid_rows
         assert lineno == 2 and "id" in reason
@@ -364,6 +357,7 @@ class TestOverlapStats:
         assert "Bridge Entities" in stats.to_table()
 
 
+PAIR_KEYS = ["prompt", "response", "hops", "representation"]
 ANY_VALUE = st.one_of(JSON_TEXT, st.integers(), st.booleans(), st.none(), st.floats(),
                      st.lists(JSON_TEXT, max_size=3))
 
@@ -371,7 +365,17 @@ ANY_VALUE = st.one_of(JSON_TEXT, st.integers(), st.booleans(), st.none(), st.flo
 def training_pair(hops=st.integers(), representation=JSON_TEXT):
     """Dicts with the keys of a training pair, in its order."""
     return st.tuples(JSON_TEXT, JSON_TEXT, hops, representation).map(
-        lambda values: dict(zip(["prompt", "response", "hops", "representation"], values)))
+        lambda values: dict(zip(PAIR_KEYS, values)))
+
+
+class Hops(enum.IntEnum):
+    TWO = 2
+
+
+def reordered(pair, keys, extra):
+    """``pair`` with its keys in the order of ``keys``, and an extra key last
+    if ``extra``."""
+    return {**{key: pair[key] for key in keys}, **({"extra": pair["prompt"]} if extra else {})}
 
 
 class TestFinetuneCorpus:
@@ -419,6 +423,15 @@ class TestFinetuneCorpus:
         path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
         assert write_finetune_corpus(pairs, path) == len(pairs)
         assert path.read_text(encoding="utf-8").splitlines() == list(map(json.dumps, pairs))
+
+    @settings(max_examples=300, database=None, derandomize=True)
+    @given(pair=st.one_of(
+        training_pair(hops=st.one_of(st.integers(), st.booleans(), st.sampled_from(Hops),
+                                     st.floats())),
+        st.tuples(training_pair(), st.permutations(PAIR_KEYS), st.booleans()).map(
+            lambda drawn: reordered(*drawn))))
+    def test_a_pair_line_is_json_dumps(self, pair):
+        assert _pair_line(pair) == json.dumps(pair)
 
     @pytest.mark.parametrize("tag", list(RepresentationTag))
     def test_responses_roundtrip(self, tag):

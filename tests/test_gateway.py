@@ -177,6 +177,31 @@ class TestGateway:
         result = gw.complete_batch(["p"])[0]
         assert result.text is None
 
+    @pytest.mark.parametrize("retry_after", [None, 3.0, 60.0, 86400.0, float("inf")],
+                             ids=["backoff", "3s", "60s", "a-day", "inf"])
+    def test_a_retry_waits_at_most_the_cap(self, retry_after):
+        class Busy:
+            def send(self, prompt):
+                raise TransportError("HTTP 429", retry_after=retry_after)
+
+        gw = Gateway(backend=Busy(), retries=10_001)
+        waits = [gw._attempt("p", attempts, time.monotonic())
+                 for attempts in (0, 5, 6, 20, 1_100, 10_000)]
+        if retry_after is None:  # the backoff doubles from 1 s until it passes 60 s
+            assert waits == [1.0, 32.0, 60.0, 60.0, 60.0, 60.0]
+        else:
+            assert waits == [min(retry_after, 60.0)] * 6
+        assert gateway.RETRY_WAIT_MAX_S == 60.0
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"concurrency": 0}, "gateway concurrency must be >= 1, not 0"),
+        ({"concurrency": -2}, "gateway concurrency must be >= 1, not -2"),
+        ({"retries": -1}, "gateway retries must be >= 0, not -1"),
+    ])
+    def test_a_gateway_refuses_no_workers_or_negative_retries(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Gateway(backend=FlakyBackend(0), **kwargs)
+
     def test_batch_preserves_order_and_count(self, example_chain):
         kg = chain_to_graph(example_chain)
         gw = Gateway(backend=OracleBackend(kg))
@@ -550,8 +575,8 @@ class TestOpenAIBackend:
         (429, "7", 7.0),
         (503, "0", 0.0),
         (503, "007", 7.0),
-        (429, "86400", http1.RETRY_AFTER_MAX_S),
-        (429, "9" * 5000, http1.RETRY_AFTER_MAX_S),  # past int()'s digit limit
+        (429, "86400", gateway.RETRY_WAIT_MAX_S),
+        (429, "9" * 5000, gateway.RETRY_WAIT_MAX_S),  # past int()'s digit limit
         (429, "Wed, 21 Oct 2015 07:28:00 GMT", 4.0),  # a date gets the backoff
         (503, "1.5", 4.0),
         (429, "-1", 4.0),
@@ -571,6 +596,18 @@ class TestOpenAIBackend:
             assert gw._attempt("p", 2, time.monotonic()) == delay
             final = gw._attempt("p", 3, time.monotonic())  # no retry is left
             assert (final.text, final.error) == (None, f"HTTP {status}")
+        finally:
+            backend.close()
+
+    def test_the_client_reports_the_retry_after_it_read_uncapped(self, chat_server):
+        chat_server.reply = lambda prompt: (None, raw_reply(
+            b"", "Retry-After: 86400", "Content-Length: 0",
+            status_line="HTTP/1.1 503 X"))
+        backend = OpenAIChatBackend(chat_server.url, "m")
+        try:  # the gateway, not the client, caps the wait
+            with pytest.raises(TransportError) as raised:
+                backend.send("p")
+            assert raised.value.retry_after == 86400.0
         finally:
             backend.close()
 

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from hopkit.dataset import SourceRecord, ingest
+from tests.conftest import RECORD_SUFFIX
 
 
 # ---- the reference: the dict-per-row reader, frozen ----------------------
@@ -231,16 +232,16 @@ def _jsonl_text(rng, bad_share):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _outcome(read, path, format):
+def _outcome(read):
     try:
-        records, invalid_rows, conflicting_rows = read(path, format)
+        records, invalid_rows, conflicting_rows = read()
     except ValueError as exc:
         return "IngestError", str(exc)
     return [tuple(r) for r in records], invalid_rows, conflicting_rows
 
 
-def _ingest(path, format):
-    result = ingest(path, format)
+def _ingest(path):
+    result = ingest(path)
     assert all(type(r) is SourceRecord for r in result.records)
     return ([(r.id, r.labels) for r in result.records], result.invalid_rows,
             result.conflicting_rows)
@@ -272,20 +273,20 @@ def _verdicts(outcome):
 @pytest.mark.parametrize("format, make", [("tsv", _tsv_text), ("json_lines", _jsonl_text)])
 def test_ingest_matches_the_reference_reader(tmp_path, format, make):
     rng = random.Random(f"ingest-reference:{format}")
-    path = tmp_path / "in"
+    path = tmp_path / f"in{RECORD_SUFFIX[format]}"
     seen = set()
     for case in range(300):
         # Most files are mostly valid; some are past the 50% invalid bound.
         text = make(rng, rng.choice([0.15, 0.3, 0.8]))
         path.write_text(text, encoding="utf-8")
-        expected = _outcome(reference_ingest, path, format)
-        assert _outcome(_ingest, path, format) == expected, (case, text)
+        expected = _outcome(lambda: reference_ingest(path, format))
+        assert _outcome(lambda: _ingest(path)) == expected, (case, text)
         seen |= _verdicts(expected)
     assert seen >= set(VERDICTS[format])
 
 
-@pytest.mark.parametrize("format", ["tsv", "json_lines", "xml"])
+@pytest.mark.parametrize("format", ["tsv", "json_lines"])
 def test_ingest_matches_the_reference_reader_on_an_empty_file(tmp_path, format):
-    path = tmp_path / "empty"
+    path = tmp_path / f"empty{RECORD_SUFFIX[format]}"
     path.write_text("", encoding="utf-8")
-    assert _outcome(_ingest, path, format) == _outcome(reference_ingest, path, format)
+    assert _outcome(lambda: _ingest(path)) == _outcome(lambda: reference_ingest(path, format))

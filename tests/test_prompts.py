@@ -75,25 +75,31 @@ def test_query_label_counts(example_chain):
     assert "It Goes Like It Goes" in query
 
 
-def pick(demos, query, seed):
+def pool_of(chains, seed=0):
+    """A one-shot pool of ``chains`` that draws with ``seed``."""
+    return DemonstrationPool(chains, seed, DatasetStyle.STATEMENT,
+                             RepresentationTag.NATURAL_LANGUAGE)
+
+
+def pick(demos, query):
     """The demonstration ``demos`` draws for ``query``."""
-    return demos.pool[demos._position(query, seed)]
+    return demos.pool[demos._position(query)]
 
 
 class TestPickDemonstration:
     def test_single_unrelated(self, example_chain):
         other = make_chain("x", "r", "y", "s", "z")
-        assert pick(DemonstrationPool([other]), example_chain, 0) == other
+        assert pick(pool_of([other]), example_chain) == other
 
     def test_exhausted_pool_raises(self, example_chain):
         leaky_answer = make_chain("x", "r", "y", "s", "Didi Conn")
         for pool in ([example_chain], [example_chain, leaky_answer], []):
             with pytest.raises(ValueError, match="no demonstration"):
-                pick(DemonstrationPool(pool), example_chain, 0)
+                pick(pool_of(pool), example_chain)
 
     def test_deterministic(self, example_chain):
         pool = [make_chain(f"x{i}", "r", f"y{i}", "s", f"z{i}") for i in range(20)]
-        picks = {pick(DemonstrationPool(pool), example_chain, 42) for _ in range(5)}
+        picks = {pick(pool_of(pool, 42), example_chain) for _ in range(5)}
         assert len(picks) == 1
 
     def test_excludes_leaky(self, example_chain):
@@ -101,8 +107,8 @@ class TestPickDemonstration:
         leaky_answer = make_chain("x", "r", "y", "s", "Didi Conn")
         clean = make_chain("x2", "r", "y2", "s", "z2")
         for seed in range(10):
-            demos = DemonstrationPool([leaky_start, leaky_answer, clean])
-            assert pick(demos, example_chain, seed) == clean
+            demos = pool_of([leaky_start, leaky_answer, clean], seed)
+            assert pick(demos, example_chain) == clean
 
     def test_pool_pick_is_the_linear_scan_pick(self):
         """The indexed pick returns the very instance a seeded choice over the
@@ -127,18 +133,18 @@ class TestPickDemonstration:
             outsiders = [make_chain(rng.choice([*starts, "s-new"]), "r", "q",
                                     "t", rng.choice([*answers, "a-new"]))
                          for _ in range(3)]
-            demos = DemonstrationPool(pool)
+            seed = rng.randrange(2**32)
+            demos = pool_of(pool, seed)
             for query in [*pool, *outsiders]:
-                seed = rng.randrange(2**32)
                 eligible = [c for c in pool
                             if c.start != query.start and c.answer != query.answer]
                 if eligible:
                     outcomes["picked"] += 1
-                    assert pick(demos, query, seed) is random.Random(seed).choice(eligible)
+                    assert pick(demos, query) is random.Random(seed).choice(eligible)
                 else:
                     outcomes["exhausted"] += 1
                     with pytest.raises(ValueError) as exc:
-                        pick(demos, query, seed)
+                        pick(demos, query)
                     assert str(exc.value) == (
                         "no demonstration in the pool avoids the query's start "
                         f"entity {query.start!r} and answer {query.answer!r}"

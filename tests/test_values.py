@@ -13,7 +13,7 @@ from hopkit.cli import main
 from hopkit.dataset import write_records
 from hopkit.kg import ReasoningInstance
 from hopkit.render import RepresentationTag
-from tests.conftest import random_chain
+from tests.conftest import RECORD_SUFFIX, random_chain
 
 
 def exactly(message):
@@ -163,6 +163,25 @@ class TestLabels:
         with pytest.raises(ValueError, match=exactly(message)):
             EvalRecord.from_dict(logged)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("instance_id", 7, "instance_id must be a non-blank string, got 7"),
+        ("instance_id", None, "instance_id must be a non-blank string, got None"),
+        ("instance_id", " ", "instance_id must be a non-blank string, got ' '"),
+        ("final_correct", "no", "final_correct must be a bool, got 'no'"),
+        ("final_correct", 1, "final_correct must be a bool, got 1"),
+        ("final_correct", None, "final_correct must be a bool, got None"),
+        ("hop_correct", "ab", "hop_correct must hold bools, got 'ab'"),
+        ("hop_correct", [True, 1], "hop_correct must hold bools, got [True, 1]"),
+        ("hop_correct", [None, False], "hop_correct must hold bools, got [None, False]"),
+    ], ids=["int-id", "null-id", "blank-id", "string-verdict", "int-verdict",
+            "null-verdict", "string-hop-verdicts", "int-hop-verdict", "null-hop-verdict"])
+    def test_from_dict_refuses_a_field_of_the_wrong_type(self, field, value, message):
+        logged = judge("1", make_chain("a", "r", "b", "s", "c"), "x",
+                       RepresentationTag.JSON).to_dict()
+        logged[field] = value
+        with pytest.raises(ValueError, match=exactly(message)):
+            EvalRecord.from_dict(logged)
+
     @pytest.mark.parametrize("fmt", ["tsv", "json_lines"])
     def test_ingest_refuses_a_blank_or_non_string_label(self, tmp_path, fmt):
         rng = random.Random(21)
@@ -176,14 +195,14 @@ class TestLabels:
             bad_row = rng.randrange(4)
             column = rng.choice(columns)
             rows[bad_row][column] = rng.choice(bad_values)
-            path = tmp_path / f"records{case}"
+            path = tmp_path / f"records{case}{RECORD_SUFFIX[fmt]}"
             if fmt == "tsv":
                 lines = ["\t".join(["id", *columns])]
                 lines += ["\t".join(row.values()) for row in rows]
             else:
                 lines = [json.dumps(row) for row in rows]
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            result = ingest(path, fmt)
+            result = ingest(path)
             lineno = bad_row + (2 if fmt == "tsv" else 1)
             bad_id = rows[bad_row]["id"]
             assert result.invalid_rows == [(lineno, f"record {bad_id}: empty field {column}")]
@@ -268,13 +287,13 @@ class TestChains:
         # quotes, non-BMP text, and the characters str.splitlines splits at
         pieces = ['"', "'", "\U0001f600", "\u2028", "\x85", "\x0b", "\x0c", " ", "a"]
         rng = random.Random(f"round-trip:{fmt}")
-        path = tmp_path / "records"
+        path = tmp_path / f"records{RECORD_SUFFIX[fmt]}"
         for case in range(40):
             records = [SourceRecord(f"id{i}{rng.choice(pieces)}", tuple(
                 f"{'er'[k % 2]}{''.join(rng.choices(pieces, k=rng.randrange(6)))}{i}.{k}"
                 for k in range(2 * rng.randint(2, 4) + 1))) for i in range(rng.randint(1, 8))]
-            write_records(records, path, fmt)
-            result = ingest(path, fmt)
+            write_records(records, path)
+            result = ingest(path)
             assert result.records == records and result.n_rejected == 0, case
 
     def test_an_empty_chain_is_refused(self):
