@@ -152,6 +152,9 @@ def _prompt_for(record, mode, style, rep, demos):
 def cmd_generate(args) -> int:
     from . import prompts
 
+    if args.kind == "corpus" and args.mode != "zero":
+        raise ValueError(f"--mode {args.mode} does not apply to --kind corpus, "
+                         "whose prompts are zero-shot")
     path = Path(args.output)
     _check_output(path, args.force)
     records = _load_records(args.input)

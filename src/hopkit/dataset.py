@@ -15,11 +15,11 @@ import operator
 import random
 from collections import defaultdict, namedtuple
 from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .kg import ReasoningInstance, Triplet, first_bad_label
+# corpus renders through render_instance, where a tracer counts the calls
 from .render import RepresentationTag, render as render_instance
 
 if TYPE_CHECKING:
@@ -392,48 +392,20 @@ def build_finetune_corpus(
     records: list[SourceRecord],
     representation: RepresentationTag,
     style: DatasetStyle,
-) -> Iterator[dict]:
-    """Yield training pairs as dicts keyed ``prompt``, ``response``, ``hops``
-    and ``representation``: per record, one pair for each prefix of its
-    chain, the first hop alone up to the full chain.  Responses are answer
+) -> Iterator[str]:
+    """Yield training pairs as JSON lines, each what ``json.dumps`` writes
+    for a dict keyed ``prompt``, ``response``, ``hops`` and
+    ``representation``: per record, one pair for each prefix of its chain,
+    the first hop alone up to the full chain.  Responses are answer
     envelopes whose body is the prefix rendered in ``representation``.
+    The lines are filled from per-shape templates (see ``corpus``).
     """
-    from . import prompts  # through the module, where a tracer wraps build_prompt
+    from . import corpus  # here, not at the top: only the corpus command compiles it
 
-    for record in records:
-        for hops in range(1, record.n_hops + 1):
-            sub_chain = ReasoningInstance(record.labels[:2 * hops + 1], record.id)
-            try:
-                example = render_instance(sub_chain, representation)
-                prompt = prompts.build_prompt(
-                    sub_chain, mode=prompts.PromptMode.ZERO_SHOT, style=style,
-                    representation=representation,
-                ).full_prompt
-            except ValueError as exc:
-                raise ValueError(f"record {record.id}: {exc}") from exc
-            yield {"prompt": prompt, "response": example.envelope, "hops": hops,
-                   "representation": representation.value}
+    return corpus.lines(records, representation, style)
 
 
-_PAIR_KEYS = ["prompt", "response", "hops", "representation"]
-
-
-def _pair_line(pair: dict) -> str:
-    """``json.dumps(pair)``, joined from its encoded strings when ``pair``
-    is a training pair as build_finetune_corpus yields it."""
-    if list(pair) == _PAIR_KEYS:
-        prompt, response, hops, representation = pair.values()
-        if type(hops) is int:
-            try:
-                return (f'{{"prompt": {_json_string(prompt)}, '
-                        f'"response": {_json_string(response)}, "hops": {hops}, '
-                        f'"representation": {_json_string(representation)}}}')
-            except TypeError:  # a value that is not a string
-                pass
-    return json.dumps(pair)
-
-
-def write_finetune_corpus(corpus: Iterable[dict], path: str | Path) -> int:
-    """Write one JSON line per training pair as ``corpus`` yields it; returns
-    the number of pairs."""
-    return write_lines(path, map(_pair_line, corpus))
+def write_finetune_corpus(lines: Iterable[str], path: str | Path) -> int:
+    """Write the JSON lines ``build_finetune_corpus`` yields, as it yields
+    them; returns the number of pairs."""
+    return write_lines(path, lines)

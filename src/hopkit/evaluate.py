@@ -152,6 +152,7 @@ class EvalRecord(namedtuple("EvalRecord", (
     def from_dict(cls, d: dict) -> "EvalRecord":
         """The record ``to_dict`` wrote; raises ValueError on an instance id
         that is not a non-blank string, on a verdict that is not a bool, on a
+        failure class other than None, "transport" and "unparseable", on a
         gold hop that is not three non-blank label strings, on gold hops that
         do not bridge, and on a hop verdict count other than the hop count."""
         instance_id, final_correct = d["instance_id"], d["final_correct"]
@@ -168,6 +169,10 @@ class EvalRecord(namedtuple("EvalRecord", (
                 raise ValueError(f"gold hop {i - 1}: tail {labels[-1]!r} does not "
                                  f"bridge to hop {i} head {hop[0]!r}")
             labels += hop[1:] if labels else hop
+        failure_class = d.get("failure_class")
+        if failure_class not in (None, "transport", "unparseable"):
+            raise ValueError(f"failure_class must be null, 'transport' or 'unparseable', "
+                             f"got {failure_class!r}")
         hop_correct = tuple(d["hop_correct"])
         if not all(type(verdict) is bool for verdict in hop_correct):
             raise ValueError(f"hop_correct must hold bools, got {d['hop_correct']!r}")
@@ -181,7 +186,7 @@ class EvalRecord(namedtuple("EvalRecord", (
             extracted_answer=d["extracted_answer"],
             final_correct=final_correct,
             hop_correct=hop_correct,
-            failure_class=d.get("failure_class"),
+            failure_class=failure_class,
         )
 
 

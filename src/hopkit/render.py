@@ -272,11 +272,27 @@ _ESCAPES = (str, _py_str, _json_string)
 # Label k of a template chain.  Each escaping spells its NUL, quotes and
 # backslash differently, so a slot's own bytes tell its kind.
 _placeholder = "\0{}'\"\\".format
-_SLOT_RE = re.compile("|".join(
-    "{}(\\d+){}".format(*map(re.escape, escape(_placeholder("#")).split("#")))
-    for escape in _ESCAPES))
 _TEMPLATE_CACHE_SIZE = 256  # (representation, shape) pairs; a dataset has few
 _CODE_TAGS = (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC)
+
+
+def _slotted(text: str, escapes):
+    """``(fmt, slots)``: ``text``, made from a chain of placeholder labels,
+    is ``fmt`` with its i-th ``%s`` filled by label k as ``escapes[e]``
+    spells it, where ``slots[i]`` is ``(e, k)``.  None when a NUL is left
+    outside the slots."""
+    slot_re = re.compile("|".join(  # compiled on first use, then from re's cache
+        "{}(\\d+){}".format(*map(re.escape, escape(_placeholder("#")).split("#")))
+        for escape in escapes))
+    pieces, slots, end = [], [], 0
+    for m in slot_re.finditer(text):
+        pieces.append(text[end:m.start()])
+        slots.append((m.lastindex - 1, int(m[m.lastindex])))
+        end = m.end()
+    pieces.append(text[end:])
+    if any("\0" in piece or "\\u0000" in piece for piece in pieces):  # raw, or JSON-escaped
+        return None
+    return "%s".join(piece.replace("%", "%%") for piece in pieces), slots
 
 
 @functools.lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
@@ -289,19 +305,13 @@ def _template(tag: RepresentationTag, shape: tuple[int, ...]):
         body = _RENDERERS[tag](ReasoningInstance(tuple(map(_placeholder, shape))))
     except ValueError:
         return None
-    pieces, slots, escapes, end = [], [], [str], 0
-    for m in _SLOT_RE.finditer(body):
-        escape = _ESCAPES[m.lastindex - 1]
-        if escape not in escapes:
-            escapes.append(escape)
-        pieces.append(body[end:m.start()])
-        slots.append(escapes.index(escape) * len(shape) + int(m[m.lastindex]))
-        end = m.end()
-    pieces.append(body[end:])
-    if any("\0" in piece or "\\u0000" in piece for piece in pieces):  # raw, or JSON-escaped
+    found = _slotted(body, _ESCAPES)
+    if found is None:
         return None
-    fmt = "%s".join(piece.replace("%", "%%") for piece in pieces)
-    return fmt, operator.itemgetter(*slots), tuple(escapes[1:])
+    fmt, slots = found
+    kinds = sorted({0, *(kind for kind, _ in slots)})  # the labels as they are first
+    pick = operator.itemgetter(*(kinds.index(kind) * len(shape) + k for kind, k in slots))
+    return fmt, pick, tuple(_ESCAPES[kind] for kind in kinds[1:])
 
 
 def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:

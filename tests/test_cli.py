@@ -270,6 +270,17 @@ class TestGenerate:
         assert "error: no demonstration" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]  # no partial output is left
 
+    @pytest.mark.parametrize("mode", ["one", "context"])
+    def test_corpus_refuses_a_prompt_mode_it_does_not_use(self, input_tsv, tmp_path,
+                                                          capsys, mode):
+        out = tmp_path / "corpus.jsonl"
+        code = main(["generate", "--input", str(input_tsv), "--output", str(out),
+                     "--kind", "corpus", "--mode", mode])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: --mode {mode} does not apply to "
+                                           "--kind corpus, whose prompts are zero-shot\n")
+        assert not out.exists()
+
     def test_corpus_that_fails_to_render_leaves_the_old_output(self, tmp_path, capsys):
         path = tmp_path / "rows.jsonl"
         rows = [{"id": str(i), "e1": f"a{i}", "r1": "r", "e2": f"b{i}", "r2": "s",
@@ -441,6 +452,39 @@ def test_one_shot_prompts_do_each_piece_of_work_once(one_shot_tsv, tmp_path,
                                for label in labels)
     assert not {label for labels in chains for label in labels} & {
         label for record in records for label in record.labels}
+
+
+@pytest.mark.parametrize("n_records", [1, 30])
+def test_the_corpus_renders_and_prompts_once_per_template(tmp_path, monkeypatch,
+                                                          n_records):
+    """Two-hop records with no label repeated inside a chain have two
+    prefix shapes, so each representation and style builds two line
+    templates, each rendered and prompted once, whatever the record count:
+    counted, not timed."""
+    path = tmp_path / "records.tsv"
+    write_tsv(path, [[str(i), f"a{i}", f"r{i}", f"b{i}", f"s{i}", f"c{i}"]
+                     for i in range(n_records)])
+    calls = Counter()
+    real_render, real_build = dataset.render_instance, prompts.build_prompt
+
+    def render(chain, representation):
+        calls["render", chain.n_hops] += 1
+        return real_render(chain, representation)
+
+    def build(chain, *args, **kwargs):
+        calls["prompt", chain.n_hops] += 1
+        return real_build(chain, *args, **kwargs)
+
+    monkeypatch.setattr(dataset, "render_instance", render)
+    monkeypatch.setattr(prompts, "build_prompt", build)
+    for rep in ["nl", "json", "py-static", "py-dynamic"]:
+        for style in ["statement", "question"]:
+            calls.clear()
+            assert main(["generate", "--input", str(path), "--output",
+                         str(tmp_path / f"{rep}-{style}.jsonl"), "--kind", "corpus",
+                         "--rep", rep, "--style", style]) == 0
+            assert calls == {("render", 1): 1, ("render", 2): 1,
+                             ("prompt", 1): 1, ("prompt", 2): 1}
 
 
 # SHA-256 of `generate --kind prompts --mode zero` and `--mode context --seed 5`
@@ -716,6 +760,33 @@ class TestEvaluate:
         def cut_log(log):
             lines = log.decode("utf-8").splitlines(keepends=True)
             bad = {**json.loads(lines[7]), "final_correct": "no", "hop_correct": "ab"}
+            return ("".join(lines[:7]) + json.dumps(bad)).encode("utf-8")
+
+        tail = resume_cut_log(input_tsv, tmp_path, cut_log).rsplit(b"\n", 1)[-1]
+        assert f"dropped {len(tail)} bytes of a cut last line" in capsys.readouterr().err
+
+    def test_resume_refuses_a_logged_failure_class_it_does_not_know(self, input_tsv,
+                                                                    tmp_path, capsys):
+        # read back, "Transport" would count as a usable, incorrect answer
+        out = tmp_path / "eval"
+        args = ["evaluate", "--input", str(input_tsv), "--output", str(out), "--oracle"]
+        assert main(args) == 0
+        log = out / "eval_records.jsonl"
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = json.dumps({**json.loads(lines[2]), "failure_class": "Transport"}) + "\n"
+        log.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*args, "--resume"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {log}:3: failure_class must be null, 'transport' or 'unparseable', "
+            "got 'Transport'\n")
+        assert log.read_text(encoding="utf-8") == "".join(lines)
+
+    def test_resume_drops_a_cut_last_line_with_an_unknown_failure_class(
+            self, input_tsv, tmp_path, capsys):
+        def cut_log(log):
+            lines = log.decode("utf-8").splitlines(keepends=True)
+            bad = {**json.loads(lines[7]), "failure_class": "Transport"}
             return ("".join(lines[:7]) + json.dumps(bad)).encode("utf-8")
 
         tail = resume_cut_log(input_tsv, tmp_path, cut_log).rsplit(b"\n", 1)[-1]

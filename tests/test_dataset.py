@@ -1,7 +1,7 @@
 import codecs
 import collections
+import contextlib
 import copy
-import enum
 import json
 import pickle
 import random
@@ -14,9 +14,11 @@ from hopkit import (SourceRecord, SplitSpec, Triplet,
                     build_finetune_corpus, cap_relation_pairs,
                     compute_overlap_stats, extend_to_three_hops, ingest,
                     partition_by_bridge)
-from hopkit.dataset import _pair_line, all_partitions, write_finetune_corpus, write_records
-from hopkit.prompts import DatasetStyle
-from hopkit.render import ENVELOPE_BODY_KEY, RepresentationTag, parse
+from hopkit.corpus import pair_line
+from hopkit.dataset import all_partitions, write_finetune_corpus, write_records
+from hopkit.kg import ReasoningInstance
+from hopkit.prompts import DatasetStyle, PromptMode, build_prompt
+from hopkit.render import ENVELOPE_BODY_KEY, RepresentationTag, parse, render
 from tests.conftest import JSON_TEXT, RECORD_SUFFIX
 
 
@@ -358,39 +360,62 @@ class TestOverlapStats:
 
 
 PAIR_KEYS = ["prompt", "response", "hops", "representation"]
-ANY_VALUE = st.one_of(JSON_TEXT, st.integers(), st.booleans(), st.none(), st.floats(),
-                     st.lists(JSON_TEXT, max_size=3))
+
+# Label pieces a corpus line must carry through, half of them plain: quotes,
+# backslashes, format specifiers, NUL, control characters, DEL, U+2028, a
+# lone surrogate, non-BMP text and line breaks.
+PLAIN_PIECES = ["a", "b c", "Zed", "{0}", "x-y", "("]
+ODD_PIECES = ['"', "'", "\\", "%", "%s", "%%", "\0", "\x1f", "\t", "\x7f", "\u2028", "\ud800",
+              "\U0001f600", "\u00e9", "\n", "\r", "\\u0000"]
+LABEL = st.lists(st.one_of(st.sampled_from(PLAIN_PIECES), st.sampled_from(ODD_PIECES)),
+                 min_size=1, max_size=3).map("".join).filter(str.strip)
 
 
-def training_pair(hops=st.integers(), representation=JSON_TEXT):
-    """Dicts with the keys of a training pair, in its order."""
-    return st.tuples(JSON_TEXT, JSON_TEXT, hops, representation).map(
-        lambda values: dict(zip(PAIR_KEYS, values)))
+@st.composite
+def corpus_chains(draw, source_id):
+    """A chain of 1 to 3 hops over a pool of at most three labels, so
+    labels repeat (merged relations, cycles, ambiguous facts)."""
+    pool = draw(st.lists(LABEL, min_size=1, max_size=3, unique=True))
+    n_labels = 2 * draw(st.integers(1, 3)) + 1
+    return ReasoningInstance(tuple(draw(st.lists(st.sampled_from(pool), min_size=n_labels,
+                                                 max_size=n_labels))), source_id)
 
 
-class Hops(enum.IntEnum):
-    TWO = 2
+def reference_line(chain, tag, style):
+    """The training pair of ``chain`` as it was built before templates:
+    rendered, prompted and ``json.dumps``-ed."""
+    response = render(chain, tag).envelope
+    prompt = build_prompt(chain, PromptMode.ZERO_SHOT, style, tag).full_prompt
+    return json.dumps({"prompt": prompt, "response": response, "hops": chain.n_hops,
+                       "representation": tag.value})
 
 
-def reordered(pair, keys, extra):
-    """``pair`` with its keys in the order of ``keys``, and an extra key last
-    if ``extra``."""
-    return {**{key: pair[key] for key in keys}, **({"extra": pair["prompt"]} if extra else {})}
+def reference_lines(chains, tag, style):
+    """The reference lines of every prefix of ``chains``, and the error text
+    of the first prefix that does not render, or None."""
+    lines = []
+    for chain in chains:
+        for end in range(3, len(chain.labels) + 1, 2):
+            try:
+                lines.append(reference_line(ReasoningInstance(chain.labels[:end]), tag, style))
+            except ValueError as exc:
+                return lines, f"record {chain.source_id}: {exc}"
+    return lines, None
 
 
 class TestFinetuneCorpus:
     def test_two_records_per_row(self):
         records = [rec(1, "a", "r", "b", "s", "c")]
-        corpus = list(build_finetune_corpus(
+        corpus = list(map(json.loads, build_finetune_corpus(
             records, RepresentationTag.NATURAL_LANGUAGE, DatasetStyle.STATEMENT
-        ))
+        )))
         assert [c["hops"] for c in corpus] == [1, 2]
 
     def test_three_hop_record_yields_a_pair_per_prefix(self):
         records = [rec(1, "a", "r", "b", "s", "c", "t", "d")]
-        corpus = list(build_finetune_corpus(
+        corpus = list(map(json.loads, build_finetune_corpus(
             records, RepresentationTag.JSON, DatasetStyle.STATEMENT
-        ))
+        )))
         assert [c["hops"] for c in corpus] == [1, 2, 3]
         assert [json.loads(c["response"])["Answer"] for c in corpus] == ["b", "c", "d"]
         assert [c["prompt"] for c in corpus] == [
@@ -405,38 +430,67 @@ class TestFinetuneCorpus:
     def test_dynamic_response_contains_template(self):
         records = [rec(1, "It Goes Like It Goes", "composer", "David Shire",
                        "spouse", "Didi Conn")]
-        corpus = list(build_finetune_corpus(
+        corpus = list(map(json.loads, build_finetune_corpus(
             records, RepresentationTag.PYTHON_DYNAMIC, DatasetStyle.STATEMENT
-        ))
+        )))
         body = json.loads(corpus[1]["response"])["Python code snippet"]
         assert "kb.add_fact(e1, r1, e2)" in body
         assert "class KnowledgeBase" in body
 
     @settings(max_examples=100, database=None, derandomize=True)
-    @given(pairs=st.lists(max_size=4, elements=st.one_of(
-        training_pair(), training_pair(hops=ANY_VALUE),
-        training_pair(representation=ANY_VALUE),
-        st.dictionaries(  # keys missing, reordered or extra
-            st.sampled_from(["prompt", "response", "hops", "representation", "extra"]),
-            ANY_VALUE))))
+    @given(pairs=st.lists(max_size=4, elements=st.tuples(JSON_TEXT, JSON_TEXT, st.integers(),
+                                                         JSON_TEXT)))
     def test_written_lines_are_those_of_json_dumps(self, pairs, tmp_path_factory):
+        lines = [json.dumps(dict(zip(PAIR_KEYS, pair))) for pair in pairs]
         path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
-        assert write_finetune_corpus(pairs, path) == len(pairs)
-        assert path.read_text(encoding="utf-8").splitlines() == list(map(json.dumps, pairs))
+        assert write_finetune_corpus(iter(lines), path) == len(lines)
+        assert path.read_text(encoding="utf-8").splitlines() == lines
 
-    @settings(max_examples=300, database=None, derandomize=True)
-    @given(pair=st.one_of(
-        training_pair(hops=st.one_of(st.integers(), st.booleans(), st.sampled_from(Hops),
-                                     st.floats())),
-        st.tuples(training_pair(), st.permutations(PAIR_KEYS), st.booleans()).map(
-            lambda drawn: reordered(*drawn))))
-    def test_a_pair_line_is_json_dumps(self, pair):
-        assert _pair_line(pair) == json.dumps(pair)
+    @settings(max_examples=200, database=None, derandomize=True, deadline=None)
+    @given(chain=corpus_chains(None), tag=st.sampled_from(list(RepresentationTag)),
+           style=st.sampled_from(list(DatasetStyle)))
+    def test_a_pair_line_is_json_dumps(self, chain, tag, style):
+        """``corpus.pair_line``, which templates are built from, is
+        ``json.dumps`` of the rendered and prompted pair."""
+        try:
+            expected = reference_line(chain, tag, style)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                pair_line(chain, tag, style)
+        else:
+            assert pair_line(chain, tag, style) == expected
+
+    @settings(max_examples=400, database=None, derandomize=True, deadline=None)
+    @given(chains=st.integers(1, 3).flatmap(
+               lambda n: st.tuples(*(corpus_chains(f"r{i}") for i in range(n)))),
+           tag=st.sampled_from(list(RepresentationTag)),
+           style=st.sampled_from(list(DatasetStyle)))
+    def test_template_lines_are_the_reference_lines(self, chains, tag, style, tmp_path_factory):
+        """Seeded: chains of 1 to 3 hops, plain or not, in every
+        representation and style, yield the reference lines byte for byte.
+        A record the reference refuses raises its error after the same
+        lines, and the output file is left as it was."""
+        expected, error = reference_lines(chains, tag, style)
+        lines, corpus = [], build_finetune_corpus(list(chains), tag, style)
+        with pytest.raises(ValueError) if error else contextlib.nullcontext() as refused:
+            lines.extend(corpus)
+        assert lines == expected
+        path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+        path.write_text("old\n", encoding="utf-8")
+        if error:
+            assert str(refused.value) == error
+            with pytest.raises(ValueError):
+                write_finetune_corpus(build_finetune_corpus(list(chains), tag, style), path)
+            assert sorted(path.parent.iterdir()) == [path]
+            assert path.read_text(encoding="utf-8") == "old\n"
+        else:
+            write_finetune_corpus(build_finetune_corpus(list(chains), tag, style), path)
+            assert path.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in expected)
 
     @pytest.mark.parametrize("tag", list(RepresentationTag))
     def test_responses_roundtrip(self, tag):
         records = [rec(i, f"h{i}", "r", f"b{i}", "s", f"t{i}") for i in range(5)]
-        corpus = list(build_finetune_corpus(records, tag, DatasetStyle.QUESTION))
+        corpus = list(map(json.loads, build_finetune_corpus(records, tag, DatasetStyle.QUESTION)))
         assert len(corpus) == 2 * len(records)
         for item in corpus:
             envelope = json.loads(item["response"])

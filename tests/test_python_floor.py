@@ -35,7 +35,7 @@ def regex_literals(tree):
 
 def test_the_package_parses_with_the_declared_floor():
     floor = declared_floor()
-    assert len(SOURCES) == 9
+    assert len(SOURCES) == 10
     for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
 

@@ -173,8 +173,17 @@ class TestLabels:
         ("hop_correct", "ab", "hop_correct must hold bools, got 'ab'"),
         ("hop_correct", [True, 1], "hop_correct must hold bools, got [True, 1]"),
         ("hop_correct", [None, False], "hop_correct must hold bools, got [None, False]"),
+        ("failure_class", "Transport", "failure_class must be null, 'transport' or "
+                                       "'unparseable', got 'Transport'"),
+        ("failure_class", "", "failure_class must be null, 'transport' or "
+                              "'unparseable', got ''"),
+        ("failure_class", False, "failure_class must be null, 'transport' or "
+                                 "'unparseable', got False"),
+        ("failure_class", ["transport"], "failure_class must be null, 'transport' or "
+                                         "'unparseable', got ['transport']"),
     ], ids=["int-id", "null-id", "blank-id", "string-verdict", "int-verdict",
-            "null-verdict", "string-hop-verdicts", "int-hop-verdict", "null-hop-verdict"])
+            "null-verdict", "string-hop-verdicts", "int-hop-verdict", "null-hop-verdict",
+            "capitalized-class", "blank-class", "bool-class", "list-class"])
     def test_from_dict_refuses_a_field_of_the_wrong_type(self, field, value, message):
         logged = judge("1", make_chain("a", "r", "b", "s", "c"), "x",
                        RepresentationTag.JSON).to_dict()
