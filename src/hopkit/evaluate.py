@@ -151,13 +151,21 @@ class EvalRecord(namedtuple("EvalRecord", (
     @classmethod
     def from_dict(cls, d: dict) -> "EvalRecord":
         """The record ``to_dict`` wrote; raises ValueError on an instance id
-        that is not a non-blank string, on a verdict that is not a bool, on a
-        failure class other than None, "transport" and "unparseable", on a
-        gold hop that is not three non-blank label strings, on gold hops that
-        do not bridge, and on a hop verdict count other than the hop count."""
+        that is not a non-blank string, on a completion that is not a string,
+        on an extracted answer that is neither a string nor None, on a verdict
+        that is not a bool, on a failure class other than None, "transport"
+        and "unparseable", on a gold hop that is not three non-blank label
+        strings, on gold hops that do not bridge, and on a hop verdict count
+        other than the hop count."""
         instance_id, final_correct = d["instance_id"], d["final_correct"]
+        completion, extracted_answer = d["completion"], d["extracted_answer"]
         if not isinstance(instance_id, str) or not instance_id.strip():
             raise ValueError(f"instance_id must be a non-blank string, got {instance_id!r}")
+        if not isinstance(completion, str):
+            raise ValueError(f"completion must be a string, got {completion!r}")
+        if extracted_answer is not None and not isinstance(extracted_answer, str):
+            raise ValueError(f"extracted_answer must be a string or null, "
+                             f"got {extracted_answer!r}")
         if type(final_correct) is not bool:
             raise ValueError(f"final_correct must be a bool, got {final_correct!r}")
         labels = []
@@ -182,8 +190,8 @@ class EvalRecord(namedtuple("EvalRecord", (
         return cls(
             instance_id=instance_id,
             gold=ReasoningInstance(labels, d.get("gold_source_id")),
-            completion=d["completion"],
-            extracted_answer=d["extracted_answer"],
+            completion=completion,
+            extracted_answer=extracted_answer,
             final_correct=final_correct,
             hop_correct=hop_correct,
             failure_class=failure_class,

@@ -266,52 +266,64 @@ def wrap_answer_envelope(body: str, tag: RepresentationTag, answer: str) -> str:
             f'{_json_string(ENVELOPE_BODY_KEY[tag])}: {_json_string(body)}}}')
 
 
-# How a body spells a label: as is, in a Python string literal, in a JSON
-# string.  A template slot's kind is its index here.
-_ESCAPES = (str, _py_str, _json_string)
-# Label k of a template chain.  Each escaping spells its NUL, quotes and
-# backslash differently, so a slot's own bytes tell its kind.
+# How a body spells a label, less the quotes it keeps: as it is, in a Python
+# string literal, in a JSON string.  Each spells a plain label as it is.
+SPELLINGS = (str, lambda label: _py_str(label)[1:-1], lambda text: _json_string(text)[1:-1])
+# Label k of a template chain.  Each spelling spells its NUL, quotes and
+# backslash differently, so a slot's own bytes tell its spelling.
 _placeholder = "\0{}'\"\\".format
 _TEMPLATE_CACHE_SIZE = 256  # (representation, shape) pairs; a dataset has few
-_CODE_TAGS = (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC)
+CODE_TAGS = (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC)
 
 
-def _slotted(text: str, escapes):
-    """``(fmt, slots)``: ``text``, made from a chain of placeholder labels,
-    is ``fmt`` with its i-th ``%s`` filled by label k as ``escapes[e]``
-    spells it, where ``slots[i]`` is ``(e, k)``.  None when a NUL is left
-    outside the slots."""
-    slot_re = re.compile("|".join(  # compiled on first use, then from re's cache
-        "{}(\\d+){}".format(*map(re.escape, escape(_placeholder("#")).split("#")))
-        for escape in escapes))
-    pieces, slots, end = [], [], 0
-    for m in slot_re.finditer(text):
-        pieces.append(text[end:m.start()])
-        slots.append((m.lastindex - 1, int(m[m.lastindex])))
-        end = m.end()
-    pieces.append(text[end:])
-    if any("\0" in piece or "\\u0000" in piece for piece in pieces):  # raw, or JSON-escaped
+def spell(labels, spellings):
+    """None when every label is plain (printable ASCII without ``"``, ``'``
+    or ``\\``), which every spelling spells as it is; else each label as
+    each of ``spellings`` spells it, label by label."""
+    text = "".join(labels)
+    if text.isascii() and text.isprintable() and not (
+            '"' in text or "'" in text or "\\" in text):
         return None
-    return "%s".join(piece.replace("%", "%%") for piece in pieces), slots
+    return tuple(spelling(label) for label in labels for spelling in spellings)
+
+
+def build_template(make, shape, spellings):
+    """``(fmt, pick, spelled_pick)``, which ``fill`` fills: the text ``make``
+    gives a chain of ``shape``, found by making it once from a chain of
+    placeholders.  ``spelled_pick`` is None when every slot holds its label
+    as it is.  None when that raises (an ambiguous fact) or leaves a NUL
+    outside the slots."""
+    try:
+        text = make(ReasoningInstance(tuple(map(_placeholder, shape))))
+    except ValueError:
+        return None
+    slot_re = re.compile("|".join(  # compiled on first use, then from re's cache
+        "{}(\\d+){}".format(*map(re.escape, spelling(_placeholder("#")).split("#")))
+        for spelling in spellings))
+    slots = []  # (spelling, label) per %s
+
+    def slot(m):
+        slots.append((m.lastindex - 1, int(m[m.lastindex])))
+        return "%s"
+
+    fmt = slot_re.sub(slot, text.replace("%", "%%"))  # no placeholder holds a %
+    if "\0" in fmt or "\\u0000" in fmt:  # raw, or JSON-escaped
+        return None
+    return (fmt, operator.itemgetter(*(k for _, k in slots)),
+            None if all(spellings[e] is str for e, _ in slots) else
+            operator.itemgetter(*(k * len(spellings) + e for e, k in slots)))
+
+
+def fill(template, labels, spelled):
+    """The text of a chain with ``labels``, which ``spell`` gave ``spelled``."""
+    fmt, pick, spelled_pick = template
+    return fmt % (pick(labels) if spelled is None else spelled_pick(spelled))
 
 
 @functools.lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
 def _template(tag: RepresentationTag, shape: tuple[int, ...]):
-    """``(fmt, pick, escapes)``: a chain of ``shape`` renders in ``tag`` as
-    ``fmt % pick(its labels, then its labels as escapes[0] spells them, ...)``.
-    None when a chain of placeholders does not render (an ambiguous fact) or
-    a NUL is left outside the slots."""
-    try:
-        body = _RENDERERS[tag](ReasoningInstance(tuple(map(_placeholder, shape))))
-    except ValueError:
-        return None
-    found = _slotted(body, _ESCAPES)
-    if found is None:
-        return None
-    fmt, slots = found
-    kinds = sorted({0, *(kind for kind, _ in slots)})  # the labels as they are first
-    pick = operator.itemgetter(*(kinds.index(kind) * len(shape) + k for kind, k in slots))
-    return fmt, pick, tuple(_ESCAPES[kind] for kind in kinds[1:])
+    """The body template of a chain of ``shape`` in ``tag``."""
+    return build_template(_RENDERERS[tag], shape, SPELLINGS)
 
 
 def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:
@@ -323,19 +335,17 @@ def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:
     of every chain of that shape is that template filled with its labels.
     """
     labels = chain.labels
-    if tag in _CODE_TAGS:
+    if tag in CODE_TAGS:
         for label in labels:
             if "\n" in label or "\r" in label:
                 raise ValueError(f"label {label!r} contains a line break")
     template = _template(tag, tuple(map(labels.index, labels)))
     if template is None:  # renders the real labels, so an error names them
         body = _RENDERERS[tag](chain)
+    elif template[2] is None:  # every slot holds its label as it is
+        body = fill(template, labels, None)
     else:
-        fmt, pick, escapes = template
-        texts = labels
-        for escape in escapes:
-            texts += tuple(map(escape, labels))
-        body = fmt % pick(texts)
+        body = fill(template, labels, spell(labels, SPELLINGS))
     return RenderedExample(body, wrap_answer_envelope(body, tag, chain.answer))
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import strategies as st
 
 import hopkit
-from hopkit import ReasoningInstance, make_chain
+from hopkit import ReasoningInstance, make_chain, wrap_answer_envelope
+from hopkit.render import RepresentationTag
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+render_module = importlib.import_module("hopkit.render")  # hopkit.render is the function
 
 # Text that JSON must escape: quotes, backslashes, control characters,
 # non-ASCII and non-BMP code points, and a lone surrogate.
@@ -52,6 +55,19 @@ def random_chain(rng: random.Random, n_hops: int | None = None) -> ReasoningInst
     for relation, entity in zip(relations, entities[1:]):
         labels += relation, entity
     return ReasoningInstance(tuple(labels), f"chain-{rng.randrange(10**9)}")
+
+
+def line_built(chain, tag):
+    """``render`` as it was before templates: the line-break check for the
+    code representations, then the renderer run on the chain's own labels,
+    and the answer envelope around its body."""
+    line_break = next((label for label in chain.labels if "\n" in label or "\r" in label),
+                      None)
+    if tag in (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC) and (
+            line_break is not None):
+        raise ValueError(f"label {line_break!r} contains a line break")
+    body = render_module._RENDERERS[tag](chain)
+    return body, wrap_answer_envelope(body, tag, chain.answer)
 
 
 def chat_reply(text):

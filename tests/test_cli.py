@@ -792,6 +792,17 @@ class TestEvaluate:
         tail = resume_cut_log(input_tsv, tmp_path, cut_log).rsplit(b"\n", 1)[-1]
         assert f"dropped {len(tail)} bytes of a cut last line" in capsys.readouterr().err
 
+    def test_resume_drops_a_cut_last_line_with_a_completion_that_is_not_a_string(
+            self, input_tsv, tmp_path, capsys):
+        # read back, this record would count as a correct answer
+        def cut_log(log):
+            lines = log.decode("utf-8").splitlines(keepends=True)
+            bad = {**json.loads(lines[7]), "completion": 5, "extracted_answer": ["c"]}
+            return ("".join(lines[:7]) + json.dumps(bad)).encode("utf-8")
+
+        tail = resume_cut_log(input_tsv, tmp_path, cut_log).rsplit(b"\n", 1)[-1]
+        assert f"dropped {len(tail)} bytes of a cut last line" in capsys.readouterr().err
+
     def test_fresh_run_writes_its_manifest(self, input_tsv, tmp_path):
         out = tmp_path / "eval"
         args = ["evaluate", "--input", str(input_tsv), "--output", str(out),

@@ -18,8 +18,8 @@ from hopkit.corpus import pair_line
 from hopkit.dataset import all_partitions, write_finetune_corpus, write_records
 from hopkit.kg import ReasoningInstance
 from hopkit.prompts import DatasetStyle, PromptMode, build_prompt
-from hopkit.render import ENVELOPE_BODY_KEY, RepresentationTag, parse, render
-from tests.conftest import JSON_TEXT, RECORD_SUFFIX
+from hopkit.render import ENVELOPE_BODY_KEY, RepresentationTag, parse
+from tests.conftest import JSON_TEXT, RECORD_SUFFIX, line_built
 
 
 def rec(i, *labels):
@@ -382,9 +382,10 @@ def corpus_chains(draw, source_id):
 
 
 def reference_line(chain, tag, style):
-    """The training pair of ``chain`` as it was built before templates:
-    rendered, prompted and ``json.dumps``-ed."""
-    response = render(chain, tag).envelope
+    """The training pair of ``chain`` as it was built before templates,
+    through no template: rendered line by line, prompted and
+    ``json.dumps``-ed."""
+    _, response = line_built(chain, tag)
     prompt = build_prompt(chain, PromptMode.ZERO_SHOT, style, tag).full_prompt
     return json.dumps({"prompt": prompt, "response": response, "hops": chain.n_hops,
                        "representation": tag.value})

@@ -320,6 +320,20 @@ class RaisingBackend:
         return "ok", None
 
 
+def interrupted_child(script, *args):
+    """The stdout of ``script``, run with ``args`` in a fresh interpreter.
+    The script sends a SIGINT into its own batch, and prints "returned" and
+    its completed sends when the batch returns without a KeyboardInterrupt:
+    the test then fails saying so, with the child's output."""
+    out = subprocess.run([sys.executable, "-c", script, *args], env=hopkit_env(),
+                         capture_output=True, text=True, timeout=60)
+    shown = f"stdout {out.stdout!r}, stderr {out.stderr[-2000:]!r}"
+    assert out.returncode == 0, f"the child exited {out.returncode}: {shown}"
+    assert not out.stdout.startswith("returned"), (
+        f"the batch returned without a KeyboardInterrupt: {shown}")
+    return out.stdout
+
+
 class TestSchedule:
     def test_backing_off_record_frees_its_slot(self, monkeypatch):
         monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.2)
@@ -444,10 +458,10 @@ except KeyboardInterrupt:
     at_raise = len(sent)
     time.sleep(0.3)
     print(at_raise, len(sent), *closes)
+else:
+    print("returned", len(sent))
 """
-        out = subprocess.run([sys.executable, "-c", script], env=hopkit_env(),
-                             capture_output=True, text=True, check=True, timeout=60)
-        at_raise, at_end, closed_at = map(int, out.stdout.split())
+        at_raise, at_end, closed_at = map(int, interrupted_child(script).split())
         assert 0 < at_raise < 2000
         assert at_end == at_raise
         assert closed_at == at_raise  # closed once, after the last send
@@ -670,14 +684,14 @@ from hopkit.gateway import Gateway, OpenAIChatBackend
 backend = OpenAIChatBackend(sys.argv[1], "m")
 threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT)).start()
 try:
-    Gateway(backend=backend, concurrency=4).complete_batch([str(i) for i in range(2000)])
+    results = Gateway(backend=backend, concurrency=4).complete_batch(
+        [str(i) for i in range(2000)])
 except KeyboardInterrupt:
     print(len(backend.idle))
+else:
+    print("returned", sum(result.text is not None for result in results))
 """
-        out = subprocess.run([sys.executable, "-c", script, chat_server.url],
-                             env=hopkit_env(), capture_output=True, text=True,
-                             check=True, timeout=60)
-        assert out.stdout.split() == ["0"]
+        assert interrupted_child(script, chat_server.url).split() == ["0"]
         assert 0 < len(chat_server.payloads) < 2000
 
     def test_http_proxy_takes_the_absolute_uri_unless_no_proxy_matches(

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopkit import ReasoningInstance, make_chain, parse, render, wrap_answer_envelope
 from hopkit.render import DYNAMIC_PREAMBLE, ENVELOPE_BODY_KEY, RepresentationTag
-from tests.conftest import JSON_TEXT, random_chain
+from tests.conftest import JSON_TEXT, line_built, random_chain
 
 ALL_TAGS = list(RepresentationTag)
 CODE_TAGS = (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC)
@@ -261,17 +261,6 @@ def test_roundtrip_random_chains(tag):
 LABEL_PIECES = ["a", "b", "'", '"', "\\", "{x}", "{0}", "}", "%s", "%", "%%", "\0",
                 render_module._placeholder(1), "\0" + "2'\"\\", "\\u0000", "\u2028",
                 "x\ny", "\r", "\u00e9", "\U0001f600", "", " "]
-
-
-def line_built(chain, tag):
-    """``render`` as it was before templates: the line-break check for the
-    code representations, then the renderer run on the chain's own labels."""
-    line_break = next((label for label in chain.labels if "\n" in label or "\r" in label),
-                      None)
-    if tag in CODE_TAGS and line_break is not None:
-        raise ValueError(f"label {line_break!r} contains a line break")
-    body = render_module._RENDERERS[tag](chain)
-    return body, wrap_answer_envelope(body, tag, chain.answer)
 
 
 def outcome(make, chain, tag):

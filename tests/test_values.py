@@ -181,9 +181,14 @@ class TestLabels:
                                  "'unparseable', got False"),
         ("failure_class", ["transport"], "failure_class must be null, 'transport' or "
                                          "'unparseable', got ['transport']"),
+        ("completion", 5, "completion must be a string, got 5"),
+        ("completion", None, "completion must be a string, got None"),
+        ("extracted_answer", ["c"], "extracted_answer must be a string or null, got ['c']"),
+        ("extracted_answer", 0, "extracted_answer must be a string or null, got 0"),
     ], ids=["int-id", "null-id", "blank-id", "string-verdict", "int-verdict",
             "null-verdict", "string-hop-verdicts", "int-hop-verdict", "null-hop-verdict",
-            "capitalized-class", "blank-class", "bool-class", "list-class"])
+            "capitalized-class", "blank-class", "bool-class", "list-class",
+            "int-completion", "null-completion", "list-answer", "int-answer"])
     def test_from_dict_refuses_a_field_of_the_wrong_type(self, field, value, message):
         logged = judge("1", make_chain("a", "r", "b", "s", "c"), "x",
                        RepresentationTag.JSON).to_dict()
