@@ -56,9 +56,9 @@ class ParsedBody(namedtuple("ParsedBody", "triplets")):
     __slots__ = ()
 
 
-def _py_str(label: str) -> str:
-    """Single-quoted Python string literal for a label."""
-    return "'" + label.replace("\\", "\\\\").replace("'", "\\'") + "'"
+def _in_py_str(label: str) -> str:
+    """A label inside a single-quoted Python string literal, less the quotes."""
+    return label.replace("\\", "\\\\").replace("'", "\\'")
 
 
 def composed_sentence(relations: list[str], start: str, final: str) -> str:
@@ -110,12 +110,12 @@ def _render_python_static(chain: ReasoningInstance) -> str:
     lines = ["# Step 1. Define relationships with explicit types", "relationships = {"]
     rel_items = list(mapping.items())
     for i, (rel, inner) in enumerate(rel_items):
-        lines.append(f"    {_py_str(rel)}: {{")
+        lines.append(f"    '{_in_py_str(rel)}': {{")
         entries = list(inner.items())
         for j, (head, tail) in enumerate(entries):
             comma = "," if j < len(entries) - 1 else ""
             lines.append(
-                f"        {_py_str(head)}: {_py_str(tail)}{comma}"
+                f"        '{_in_py_str(head)}': '{_in_py_str(tail)}'{comma}"
                 f"  # {head} is related to {tail} via relationship {rel}"
             )
         lines.append("    }" + ("," if i < len(rel_items) - 1 else ""))
@@ -123,9 +123,9 @@ def _render_python_static(chain: ReasoningInstance) -> str:
     lines.append("")
 
     lines.append("# Define entities and relationships")
-    lines.append(f"e1 = {_py_str(chain.start)}")
+    lines.append(f"e1 = '{_in_py_str(chain.start)}'")
     for i, rel in enumerate(chain.relations, start=1):
-        lines.append(f"r{i} = {_py_str(rel)}")
+        lines.append(f"r{i} = '{_in_py_str(rel)}'")
     lines.append("")
 
     for i in range(1, chain.n_hops + 1):
@@ -189,10 +189,10 @@ def _render_python_dynamic(chain: ReasoningInstance) -> str:
     lines.append("")
 
     lines.append("# Step 2. Define entities and relationships")
-    lines.append(f"e1 = {_py_str(chain.start)}")
+    lines.append(f"e1 = '{_in_py_str(chain.start)}'")
     for i, hop in enumerate(hops, start=1):
-        lines.append(f"r{i} = {_py_str(hop.relation)}")
-        lines.append(f"e{i + 1} = {_py_str(hop.tail)}")
+        lines.append(f"r{i} = '{_in_py_str(hop.relation)}'")
+        lines.append(f"e{i + 1} = '{_in_py_str(hop.tail)}'")
     lines.append("")
 
     lines.append("# Add entities and relationships to the knowledge base.")
@@ -266,33 +266,28 @@ def wrap_answer_envelope(body: str, tag: RepresentationTag, answer: str) -> str:
             f'{_json_string(ENVELOPE_BODY_KEY[tag])}: {_json_string(body)}}}')
 
 
+def in_json(text: str) -> str:
+    """``text`` inside a JSON string, less the quotes."""
+    return _json_string(text)[1:-1]
+
+
 # How a body spells a label, less the quotes it keeps: as it is, in a Python
-# string literal, in a JSON string.  Each spells a plain label as it is.
-SPELLINGS = (str, lambda label: _py_str(label)[1:-1], lambda text: _json_string(text)[1:-1])
+# string literal, in a JSON string.  Each spells a plain label (printable
+# ASCII without ``"``, ``'`` or ``\\``) as it is.
+SPELLINGS = (str, _in_py_str, in_json)
 # Label k of a template chain.  Each spelling spells its NUL, quotes and
 # backslash differently, so a slot's own bytes tell its spelling.
 _placeholder = "\0{}'\"\\".format
 _TEMPLATE_CACHE_SIZE = 256  # (representation, shape) pairs; a dataset has few
-CODE_TAGS = (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC)
-
-
-def spell(labels, spellings):
-    """None when every label is plain (printable ASCII without ``"``, ``'``
-    or ``\\``), which every spelling spells as it is; else each label as
-    each of ``spellings`` spells it, label by label."""
-    text = "".join(labels)
-    if text.isascii() and text.isprintable() and not (
-            '"' in text or "'" in text or "\\" in text):
-        return None
-    return tuple(spelling(label) for label in labels for spelling in spellings)
+_CODE_TAGS = (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC)
 
 
 def build_template(make, shape, spellings):
-    """``(fmt, pick, spelled_pick)``, which ``fill`` fills: the text ``make``
-    gives a chain of ``shape``, found by making it once from a chain of
-    placeholders.  ``spelled_pick`` is None when every slot holds its label
-    as it is.  None when that raises (an ambiguous fact) or leaves a NUL
-    outside the slots."""
+    """``(fmt, pick, used)``: the text ``make`` gives a chain of ``shape`` is
+    ``fmt % pick(spell(its labels, template))``, found by making it once from
+    a chain of placeholders.  ``used`` holds the spellings of ``spellings``
+    other than ``str`` that its slots use.  None when ``make`` raises (an
+    ambiguous fact) or leaves a NUL outside the slots."""
     try:
         text = make(ReasoningInstance(tuple(map(_placeholder, shape))))
     except ValueError:
@@ -300,24 +295,34 @@ def build_template(make, shape, spellings):
     slot_re = re.compile("|".join(  # compiled on first use, then from re's cache
         "{}(\\d+){}".format(*map(re.escape, spelling(_placeholder("#")).split("#")))
         for spelling in spellings))
-    slots = []  # (spelling, label) per %s
-
-    def slot(m):
-        slots.append((m.lastindex - 1, int(m[m.lastindex])))
-        return "%s"
-
-    fmt = slot_re.sub(slot, text.replace("%", "%%"))  # no placeholder holds a %
+    text = text.replace("%", "%%")  # no placeholder holds a %
+    slots = [(spellings[m.lastindex - 1], int(m[m.lastindex])) for m in slot_re.finditer(text)]
+    fmt = slot_re.sub("%s", text)
     if "\0" in fmt or "\\u0000" in fmt:  # raw, or JSON-escaped
         return None
-    return (fmt, operator.itemgetter(*(k for _, k in slots)),
-            None if all(spellings[e] is str for e, _ in slots) else
-            operator.itemgetter(*(k * len(spellings) + e for e, k in slots)))
+    used = list(dict.fromkeys(spelling for spelling, _ in slots if spelling is not str))
+    return fmt, operator.itemgetter(*(
+        k if spelling is str else (1 + used.index(spelling)) * len(shape) + k
+        for spelling, k in slots)), tuple(used)
 
 
-def fill(template, labels, spelled):
-    """The text of a chain with ``labels``, which ``spell`` gave ``spelled``."""
-    fmt, pick, spelled_pick = template
-    return fmt % (pick(labels) if spelled is None else spelled_pick(spelled))
+def spell(labels, template):
+    """What ``template``'s pick reads for a chain with ``labels``: the
+    labels, then the labels as each of its used spellings spells them.
+    Every spelling spells a plain label as it is, so plain labels are not
+    spelled.  None when a label holds a line break: that chain takes the
+    line-built path, where code refuses it."""
+    used = template[2]
+    text = "".join(labels)
+    if text.isascii() and text.isprintable() and not (
+            '"' in text or "'" in text or "\\" in text):
+        return labels * (1 + len(used))
+    if "\n" in text or "\r" in text:
+        return None
+    texts = labels
+    for spelling in used:
+        texts += tuple(map(spelling, labels))
+    return texts
 
 
 @functools.lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
@@ -332,20 +337,21 @@ def render(chain: ReasoningInstance, tag: RepresentationTag) -> RenderedExample:
     A chain's shape is which of its label positions hold equal labels, and
     it decides all a renderer branches on.  So each (representation, shape)
     is rendered once, on placeholder labels, into a template, and the body
-    of every chain of that shape is that template filled with its labels.
+    of every chain of that shape is that template filled with its labels,
+    save a chain with a line break in a label, which renders line-built.
     """
     labels = chain.labels
-    if tag in CODE_TAGS:
-        for label in labels:
-            if "\n" in label or "\r" in label:
-                raise ValueError(f"label {label!r} contains a line break")
     template = _template(tag, tuple(map(labels.index, labels)))
-    if template is None:  # renders the real labels, so an error names them
+    texts = None if template is None else spell(labels, template)
+    if texts is None:  # renders the real labels, so an error names them
+        if tag in _CODE_TAGS:
+            for label in labels:
+                if "\n" in label or "\r" in label:
+                    raise ValueError(f"label {label!r} contains a line break")
         body = _RENDERERS[tag](chain)
-    elif template[2] is None:  # every slot holds its label as it is
-        body = fill(template, labels, None)
     else:
-        body = fill(template, labels, spell(labels, SPELLINGS))
+        fmt, pick, _ = template
+        body = fmt % pick(texts)
     return RenderedExample(body, wrap_answer_envelope(body, tag, chain.answer))
 
 

@@ -19,7 +19,7 @@ from hopkit.dataset import all_partitions, write_finetune_corpus, write_records
 from hopkit.kg import ReasoningInstance
 from hopkit.prompts import DatasetStyle, PromptMode, build_prompt
 from hopkit.render import ENVELOPE_BODY_KEY, RepresentationTag, parse
-from tests.conftest import JSON_TEXT, RECORD_SUFFIX, line_built
+from tests.conftest import JSON_TEXT, RECORD_SUFFIX, line_built, render_module
 
 
 def rec(i, *labels):
@@ -487,6 +487,28 @@ class TestFinetuneCorpus:
         else:
             write_finetune_corpus(build_finetune_corpus(list(chains), tag, style), path)
             assert path.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in expected)
+
+    def test_prefixes_that_spell_labels_differently_take_pair_line(self, monkeypatch):
+        """A renderer whose one-hop body spells labels in JSON strings and
+        whose two-hop body spells them in Python string literals leaves no
+        one spelling of a record that fills both prefixes' lines: each line
+        is still the reference line."""
+        tag = RepresentationTag.NATURAL_LANGUAGE
+
+        def quoted(chain):
+            spelling = json.dumps if chain.n_hops == 1 else (
+                lambda label: f"'{render_module._in_py_str(label)}'")
+            return " ".join(map(spelling, chain.labels))
+
+        chain = ReasoningInstance(("O'Brien \"Jr\"", "r", "caf\u00e9", "s", "c\\d"), "0")
+        monkeypatch.setitem(render_module._RENDERERS, tag, quoted)
+        render_module._template.cache_clear()
+        try:
+            expected, error = reference_lines([chain], tag, DatasetStyle.STATEMENT)
+            assert error is None and len(expected) == 2
+            assert list(build_finetune_corpus([chain], tag, DatasetStyle.STATEMENT)) == expected
+        finally:
+            render_module._template.cache_clear()
 
     @pytest.mark.parametrize("tag", list(RepresentationTag))
     def test_responses_roundtrip(self, tag):
