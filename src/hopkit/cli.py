@@ -37,6 +37,10 @@ MODE_FLAGS = {
     "context": "with_context",
 }
 STYLES = ["statement", "question"]
+# The keys a --config file may hold, each named like the OpenAIChatBackend or
+# Gateway parameter it sets; the class that reads a value checks it.
+CONFIG_KEYS = ("endpoint", "model", "token_env", "temperature", "max_tokens",
+               "concurrency", "retries")
 
 
 def _check_output(path: Path, force: bool) -> None:
@@ -175,13 +179,32 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _read_config(path: str) -> dict:
+    """The object in the JSON file at ``path``, holding none but CONFIG_KEYS."""
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bytes that are not UTF-8 too
+        raise ValueError(f"config file {path} is not JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {path} must hold an object")
+    unknown = set(config) - set(CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return config
+
+
 def _build_gateway(args, records, n_hops: int, rep: RepresentationTag) -> Gateway:
     """The gateway for the flags and the --config file; a setting neither
-    names keeps the default of the class that reads it."""
-    from .gateway import FaultSpec, Gateway, OracleBackend, load_gateway_config
+    names keeps the default of the class that reads it, and that class checks
+    the value it is given."""
+    from .gateway import FaultSpec, Gateway, OracleBackend
 
-    config = load_gateway_config(args.config) if args.config else {}
+    config = _read_config(args.config) if args.config else {}
+    # The cli reads these two itself, and a flag replaces the file's value: the
+    # file's is checked first, to be a string as a flag's is.
     for key in ("endpoint", "model"):
+        if not isinstance(config.get(key, ""), str):
+            raise ValueError(f"config key {key!r} must be a string, got {config[key]!r}")
         if getattr(args, key):
             config[key] = getattr(args, key)
     runner = {key: config.pop(key) for key in ("concurrency", "retries") if key in config}
@@ -202,12 +225,10 @@ def _build_gateway(args, records, n_hops: int, rep: RepresentationTag) -> Gatewa
             for hop in record.hops:
                 add_fact(kg, hop)
         backend = OracleBackend(kg, rep, corrupt=fault if fault.probability else None)
-    elif not config.get("model"):
-        raise ValueError("an endpoint needs a model: pass --model or set model in --config")
     else:
         from .http1 import OpenAIChatBackend  # only an endpoint run compiles the client
 
-        backend = OpenAIChatBackend(endpoint, **config)
+        backend = OpenAIChatBackend(endpoint, config.pop("model", None), **config)
     return Gateway(backend=backend, **runner)
 
 

@@ -184,7 +184,8 @@ def ingest(path: str | Path) -> IngestResult:
     """Read source records from a JSON lines or TSV file, as its name says.
 
     Invalid rows and rows whose facts conflict with an earlier accepted row
-    (same (head, relation) key, different tail) are counted and reported.
+    or with an earlier hop of their own (same (head, relation) key, different
+    tail) are counted and reported.
     More than 50% invalid rows raises ValueError.
     """
     path = Path(path)
@@ -209,17 +210,19 @@ def ingest(path: str | Path) -> IngestResult:
         if id in seen_ids:
             result.invalid_rows.append((lineno, f"duplicate id {id!r}"))
             continue
-        hops = range(0, len(labels) - 2, 2)
-        for i in hops:
-            existing = facts.get((labels[i], labels[i + 1]))
-            if existing is not None and existing != labels[i + 2]:
+        # One lookup a hop, which also adds the fact; on a conflict with an earlier
+        # row or hop, the row's new facts, the dict's last ones, are taken back.
+        size = len(facts)
+        for i in range(0, len(labels) - 2, 2):
+            existing = facts.setdefault((labels[i], labels[i + 1]), labels[i + 2])
+            if existing != labels[i + 2]:
                 head, rel, tail = labels[i:i + 3]
                 conflict = f"({head!r}, {rel!r}) already maps to {existing!r}, not {tail!r}"
                 result.conflicting_rows.append((lineno, conflict))
+                while len(facts) > size:
+                    facts.popitem()
                 break
         else:
-            for i in hops:
-                facts[labels[i], labels[i + 1]] = labels[i + 2]
             seen_ids.add(id)
             result.records.append(record)
     total = len(result.records) + result.n_rejected

@@ -10,13 +10,10 @@ returned, never raised, and a retry waiting out its backoff holds no worker.
 
 from __future__ import annotations
 
-import json
-import math
 import random
 import threading
 import time
 from collections import namedtuple
-from pathlib import Path
 
 from .kg import ReasoningInstance, infer
 from .render import (RepresentationTag, render as render_instance,
@@ -142,10 +139,9 @@ class Gateway:
 
     def __init__(self, backend: OracleBackend | OpenAIChatBackend,
                  concurrency: int = 4, retries: int = 3):
-        if concurrency < 1:
-            raise ValueError(f"gateway concurrency must be >= 1, not {concurrency}")
-        if retries < 0:
-            raise ValueError(f"gateway retries must be >= 0, not {retries}")
+        for name, value, least in (("concurrency", concurrency, 1), ("retries", retries, 0)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"gateway {name} must be an integer >= {least}, not {value!r}")
         self.backend = backend
         self.concurrency = concurrency
         self.retries = retries
@@ -227,37 +223,3 @@ class Gateway:
             raise raised[0]
         return results
 
-
-# key: (accepted types, description, least value or None)
-_CONFIG_TYPES = {
-    "endpoint": (str, "a string", None),
-    "model": (str, "a string", None),
-    "token_env": (str, "a string", None),
-    "temperature": ((int, float), "a finite number >= 0", 0),
-    "max_tokens": (int, "an integer >= 1", 1),
-    "concurrency": (int, "an integer >= 1", 1),
-    "retries": (int, "an integer >= 0", 0),
-}
-
-
-def load_gateway_config(path: str | Path) -> dict:
-    """Read endpoint/model/decoding settings from a JSON config file.
-
-    Recognized keys, their types and ranges are in ``_CONFIG_TYPES``; each
-    key is named like the backend or ``Gateway`` parameter it sets.
-    """
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bytes that are not UTF-8 too
-        raise ValueError(f"config file {path} is not JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError(f"config file {path} must hold an object")
-    unknown = set(obj) - set(_CONFIG_TYPES)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in obj.items():
-        types, name, least = _CONFIG_TYPES[key]
-        if (isinstance(value, bool) or not isinstance(value, types)
-                or least is not None and not least <= value < math.inf):
-            raise ValueError(f"config key {key!r} must be {name}, got {value!r}")
-    return obj

@@ -175,10 +175,12 @@ class OpenAIChatBackend:
     ``no_proxy`` matches): a plain-HTTP proxy takes the absolute URI, an
     https endpoint is reached through a CONNECT tunnel.  TLS verifies
     against the system's trust store.  Building one refuses what cannot go
-    on the wire: an endpoint that is not a printable ASCII http(s) URL with
-    a host and no spaces, or has a user name, a query or a fragment; a
-    bearer token that is missing or not printable ASCII; and a proxy in use
-    that is not an http:// URL with a host."""
+    on the wire: a setting of another type (a bool is no number), an empty
+    model, a temperature below 0 or not finite, ``max_tokens`` below 1; an
+    endpoint that is not a printable ASCII http(s) URL with a host and no
+    spaces, or has a user name, a query or a fragment; a bearer token that
+    is missing or not printable ASCII; and a proxy in use that is not an
+    http:// URL with a host."""
 
     def __init__(
         self,
@@ -188,6 +190,16 @@ class OpenAIChatBackend:
         temperature: float = 0.0,
         max_tokens: int = 512,
     ):
+        for name, value in (("endpoint", endpoint), ("token_env", token_env)):
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, not {value!r}")
+        if not isinstance(model, str) or not model:
+            raise ValueError(f"an endpoint needs a model, a non-empty string, not {model!r}")
+        if (isinstance(temperature, bool) or not isinstance(temperature, (int, float))
+                or not 0 <= temperature < float("inf")):  # JSON has no inf or NaN
+            raise ValueError(f"temperature must be a finite number >= 0, not {temperature!r}")
+        if isinstance(max_tokens, bool) or not isinstance(max_tokens, int) or max_tokens < 1:
+            raise ValueError(f"max_tokens must be an integer >= 1, not {max_tokens!r}")
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self.temperature = temperature

@@ -15,7 +15,7 @@ import pytest
 
 import hopkit
 from hopkit import OracleBackend, add_fact, dataset, gateway, ingest, prompts
-from hopkit.cli import build_parser, main
+from hopkit.cli import CONFIG_KEYS, build_parser, main
 from hopkit.render import RepresentationTag
 from tests.conftest import chat_reply, hopkit_env
 
@@ -947,8 +947,29 @@ class TestEvaluate:
                      str(tmp_path / "eval"), "--oracle", "--config", str(path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config key ") and err.count("\n") == 1
+        [key] = json.loads(path.read_text(encoding="utf-8"))
+        assert err.startswith("error: ") and key in err and err.count("\n") == 1
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("config, flags, message", [
+        ('{"endpoint": null}', ["--oracle"], "config key 'endpoint' must be a string, got None"),
+        ('{"endpoint": 5}', ["--endpoint", "http://127.0.0.1:9", "--model", "m"],
+         "config key 'endpoint' must be a string, got 5"),
+        ('{"model": 5}', ["--endpoint", "http://127.0.0.1:9", "--model", "m"],
+         "config key 'model' must be a string, got 5"),
+        ('{"model": ""}', ["--endpoint", "http://127.0.0.1:9"],
+         "an endpoint needs a model, a non-empty string, not ''"),
+    ], ids=["null-endpoint-on-the-oracle", "endpoint-a-flag-replaces",
+            "model-a-flag-replaces", "empty-model"])
+    def test_a_config_value_the_cli_reads_is_checked_before_a_flag_replaces_it(
+            self, input_tsv, tmp_path, capsys, endpoint_env, config, flags, message):
+        path = tmp_path / "gw.json"
+        path.write_text(config, encoding="utf-8")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--input", str(input_tsv), "--output", str(out),
+                     "--config", str(path), *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     def test_a_gateway_config_error_is_an_error_line(self, input_tsv, tmp_path, capsys,
                                                      monkeypatch):
@@ -1277,7 +1298,7 @@ OUTPUT_NEUTRAL_SETTINGS = {
 
 
 def test_every_evaluate_setting_is_recorded_or_output_neutral(input_tsv, tmp_path):
-    settings = settable_flags(subcommand_parsers()["evaluate"]) | set(gateway._CONFIG_TYPES)
+    settings = settable_flags(subcommand_parsers()["evaluate"]) | set(CONFIG_KEYS)
     assert settings == RECORDED_SETTINGS.keys() | OUTPUT_NEUTRAL_SETTINGS.keys()
     assert not RECORDED_SETTINGS.keys() & OUTPUT_NEUTRAL_SETTINGS.keys()
     out = tmp_path / "eval"

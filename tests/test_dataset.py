@@ -66,6 +66,45 @@ class TestIngest:
         assert len(result.records) == 1
         assert len(result.conflicting_rows) == 1
 
+    @pytest.mark.parametrize("rows, three_hop, accepted, conflicts", [
+        ([["1", "A", "r", "A", "r", "C"], ["2", "X", "p", "Y", "q", "Z"]], False, ["2"],
+         [(2, "('A', 'r') already maps to 'A', not 'C'")]),
+        ([["1", "Ann", "sibling", "Bob", "sibling", "Ann", "sibling", "Cat"]], True, [],
+         [(2, "('Ann', 'sibling') already maps to 'Bob', not 'Cat'")]),
+        # the rejected row's own facts are taken back: (A, r) is free again
+        ([["1", "A", "r", "A", "r", "C"], ["2", "A", "r", "D", "s", "E"]], False, ["2"],
+         [(2, "('A', 'r') already maps to 'A', not 'C'")]),
+        ([["1", "Ann", "sibling", "Bob", "sibling", "Ann", "sibling", "Bob"],
+          ["2", "A", "r", "A", "r", "A", "s", "B"]], True, ["1", "2"], []),
+    ], ids=["two-hop", "sibling-cycle", "taken-back", "a-fact-repeated"])
+    def test_a_row_whose_own_hops_conflict_is_rejected(self, tmp_path, rows, three_hop,
+                                                       accepted, conflicts):
+        path = tmp_path / "in.tsv"
+        write_tsv(path, rows, three_hop=three_hop)
+        result = ingest(path)
+        assert [r.id for r in result.records] == accepted
+        assert result.conflicting_rows == conflicts and result.invalid_rows == []
+
+    def test_every_record_ingest_accepts_renders(self, tmp_path):
+        """Rows over three labels map one key to two tails within a row and
+        across rows; whatever ingest keeps, every representation renders."""
+        rng = random.Random("ingest-renders")
+        path = tmp_path / "in.tsv"
+        conflicts = 0
+        for _ in range(200):
+            pool = ["a", "b", "c"][:rng.randint(1, 3)]
+            rows = []
+            for i in range(rng.randint(1, 12)):
+                labels = [rng.choice(pool) for _ in range(2 * rng.randint(2, 3) + 1)]
+                rows.append([str(i), *labels, *[""] * (7 - len(labels))])
+            write_tsv(path, rows, three_hop=True)
+            result = ingest(path)
+            conflicts += len(result.conflicting_rows)
+            for record in result.records:
+                for tag in RepresentationTag:
+                    render_module.render(record, tag)
+        assert conflicts > 0
+
     def test_json_lines(self, tmp_path):
         path = tmp_path / "in.jsonl"
         rows = [{"id": "1", "e1": "a", "r1": "r", "e2": "b", "r2": "s", "e3": "c"}]

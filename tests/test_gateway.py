@@ -15,7 +15,8 @@ import pytest
 
 from hopkit import (FaultSpec, Gateway, OracleBackend, add_fact, build_prompt, gateway,
                     http1, make_chain)
-from hopkit.gateway import OpenAIChatBackend, TransportError, load_gateway_config
+from hopkit.cli import _read_config, main
+from hopkit.gateway import OpenAIChatBackend, TransportError
 from hopkit.prompts import DatasetStyle, PromptMode
 from hopkit.render import RepresentationTag
 from tests.conftest import chat_reply, hopkit_env
@@ -194,9 +195,13 @@ class TestGateway:
         assert gateway.RETRY_WAIT_MAX_S == 60.0
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"concurrency": 0}, "gateway concurrency must be >= 1, not 0"),
-        ({"concurrency": -2}, "gateway concurrency must be >= 1, not -2"),
-        ({"retries": -1}, "gateway retries must be >= 0, not -1"),
+        ({"concurrency": 0}, "gateway concurrency must be an integer >= 1, not 0"),
+        ({"concurrency": -2}, "gateway concurrency must be an integer >= 1, not -2"),
+        ({"retries": -1}, "gateway retries must be an integer >= 0, not -1"),
+        ({"concurrency": True}, "gateway concurrency must be an integer >= 1, not True"),
+        ({"concurrency": 2.5}, "gateway concurrency must be an integer >= 1, not 2.5"),
+        ({"retries": 1.5}, "gateway retries must be an integer >= 0, not 1.5"),
+        ({"retries": "3"}, "gateway retries must be an integer >= 0, not '3'"),
     ])
     def test_a_gateway_refuses_no_workers_or_negative_retries(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -320,13 +325,23 @@ class RaisingBackend:
         return "ok", None
 
 
+# Python makes a SIGINT a KeyboardInterrupt only if SIGINT was at its
+# default action when the interpreter started, and a child inherits an
+# ignored SIGINT (nohup, a non-interactive shell's "&") and a blocked one.
+RESTORE_SIGINT = """import signal
+signal.signal(signal.SIGINT, signal.default_int_handler)
+signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+"""
+
+
 def interrupted_child(script, *args):
-    """The stdout of ``script``, run with ``args`` in a fresh interpreter.
-    The script sends a SIGINT into its own batch, and prints "returned" and
+    """The stdout of ``script``, run with ``args`` in a fresh interpreter
+    whose SIGINT raises KeyboardInterrupt, whatever SIGINT state this
+    process hands down.  The script sends a SIGINT into its own batch, and prints "returned" and
     its completed sends when the batch returns without a KeyboardInterrupt:
     the test then fails saying so, with the child's output."""
-    out = subprocess.run([sys.executable, "-c", script, *args], env=hopkit_env(),
-                         capture_output=True, text=True, timeout=60)
+    out = subprocess.run([sys.executable, "-c", RESTORE_SIGINT + script, *args],
+                         env=hopkit_env(), capture_output=True, text=True, timeout=60)
     shown = f"stdout {out.stdout!r}, stderr {out.stderr[-2000:]!r}"
     assert out.returncode == 0, f"the child exited {out.returncode}: {shown}"
     assert not out.stdout.startswith("returned"), (
@@ -549,6 +564,29 @@ class TestOpenAIBackend:
         assert result.text is None
         assert result.error.startswith("malformed response")
         assert len(chat_server.payloads) == 1
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"temperature": float("nan")}, "temperature must be a finite number >= 0, not nan"),
+        ({"temperature": float("inf")}, "temperature must be a finite number >= 0, not inf"),
+        ({"temperature": True}, "temperature must be a finite number >= 0, not True"),
+        ({"temperature": -0.1}, "temperature must be a finite number >= 0, not -0.1"),
+        ({"max_tokens": 0}, "max_tokens must be an integer >= 1, not 0"),
+        ({"max_tokens": True}, "max_tokens must be an integer >= 1, not True"),
+        ({"max_tokens": 1.5}, "max_tokens must be an integer >= 1, not 1.5"),
+        ({"model": ""}, "an endpoint needs a model, a non-empty string, not ''"),
+        ({"model": None}, "an endpoint needs a model, a non-empty string, not None"),
+        ({"endpoint": 5}, "endpoint must be a string, not 5"),
+        ({"token_env": {}}, "token_env must be a string, not {}"),
+    ], ids=["nan", "inf", "bool-temperature", "negative-temperature", "no-tokens",
+            "bool-tokens", "fractional-tokens", "empty-model", "no-model",
+            "endpoint-not-a-string", "token-env-not-a-string"])
+    def test_a_setting_json_cannot_carry_is_refused_when_built(self, endpoint_env,
+                                                               kwargs, message):
+        """Each is refused before any request: a NaN temperature, say, would
+        go on the wire as the bare word NaN, which is not JSON."""
+        settings = {"endpoint": "http://127.0.0.1:9", "model": "m", **kwargs}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OpenAIChatBackend(settings.pop("endpoint"), settings.pop("model"), **settings)
 
     def test_missing_token_fails_fast(self, monkeypatch):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
@@ -1102,19 +1140,22 @@ def loaded_by_importing_the_cli(*modules):
 
 
 class TestConfigFile:
+    """The cli reads a --config file's shape; the class each key sets checks
+    its value, so a file is refused exactly the values a Python caller is."""
+
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "gw.json"
         path.write_text(json.dumps({"endpoint": "http://x", "model": "m",
                                     "temperature": 0.0, "max_tokens": 64}),
                         encoding="utf-8")
-        config = load_gateway_config(path)
+        config = _read_config(path)
         assert config["model"] == "m"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "gw.json"
         path.write_text('{"bogus": 1}', encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape("unknown config keys: ['bogus']")):
-            load_gateway_config(path)
+            _read_config(path)
 
     @pytest.mark.parametrize("key, value", [
         ("concurrency", "4"), ("concurrency", True), ("concurrency", 2.5),
@@ -1124,11 +1165,26 @@ class TestConfigFile:
         ("concurrency", 0), ("retries", -1), ("temperature", float("inf")),
         ("temperature", float("nan")),
     ])
-    def test_wrong_value_type_rejected(self, tmp_path, key, value):
+    def test_wrong_value_type_rejected(self, tmp_path, capsys, monkeypatch, endpoint_env,
+                                       key, value):
+        """An endpoint run on a file with this value fails with one error
+        line naming the key, before any request or output."""
+        def no_request(*args, **kwargs):
+            raise AssertionError("a request was made")
+
+        monkeypatch.setattr(OpenAIChatBackend, "send", no_request)
+        records = tmp_path / "records.tsv"
+        records.write_text("id\te1\tr1\te2\tr2\te3\n1\ta\tr\tb\ts\tc\n", encoding="utf-8")
         path = tmp_path / "gw.json"
-        path.write_text(json.dumps({key: value}), encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be ")):
-            load_gateway_config(path)
+        path.write_text(json.dumps({"endpoint": "http://127.0.0.1:9", "model": "m",
+                                    key: value}), encoding="utf-8")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--input", str(records), "--output", str(out),
+                     "--config", str(path)]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.count("\n") == 1
+        assert re.match(rf"error: (config key '{key}'|gateway {key}|{key}) must be ", stderr)
+        assert not out.exists()
 
     @pytest.mark.parametrize("data, reason", [
         (b'{"model": ', "Expecting value: line 1 column 11 (char 10)"),
@@ -1139,9 +1195,14 @@ class TestConfigFile:
         path.write_bytes(data)
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"config file {path} is not JSON: {reason}")):
-            load_gateway_config(path)
+            _read_config(path)
 
-    def test_integer_temperature_accepted(self, tmp_path):
+    def test_integer_temperature_accepted(self, tmp_path, endpoint_env):
         path = tmp_path / "gw.json"
         path.write_text('{"temperature": 1, "concurrency": 2}', encoding="utf-8")
-        assert load_gateway_config(path) == {"temperature": 1, "concurrency": 2}
+        config = _read_config(path)
+        assert config == {"temperature": 1, "concurrency": 2}
+        gw = Gateway(OpenAIChatBackend("http://127.0.0.1:9", "m",
+                                       temperature=config["temperature"]),
+                     concurrency=config["concurrency"])
+        assert (gw.backend.temperature, gw.concurrency) == (1, 2)

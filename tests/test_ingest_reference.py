@@ -1,5 +1,7 @@
 """``dataset.ingest`` against a frozen copy of the dict-per-row reader it
 replaced, on seeded random TSV and JSON-lines files with planted defects.
+The copy since gained one rule: a row whose own hops map one (head,
+relation) key to two tails conflicts too.
 Both must accept the same records and reject the same rows, with the same
 line numbers, messages and order, and raise the same ``ValueError`` text.
 """
@@ -99,8 +101,10 @@ def reference_ingest(path, format):
             continue
         hops = list(zip(labels[0::2], labels[1::2], labels[2::2]))
         conflict = None
+        own = {}  # the row's own facts so far: a row may not map a key twice either
         for head, rel, tail in hops:
-            existing = facts.get((head, rel))
+            existing = facts.get((head, rel), own.get((head, rel)))
+            own[head, rel] = tail
             if existing is not None and existing != tail:
                 conflict = f"({head!r}, {rel!r}) already maps to {existing!r}, not {tail!r}"
                 break
