@@ -358,41 +358,64 @@ def emit_report(report: MetricsReport, format: str = "text_table") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_scalar(value) -> str:
-    """A string, None or a bool as ``json.dumps`` spells it; a TypeError for
-    any other value."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return _json_string(value)
+# Each field as ``json.dumps`` spells it, and a TypeError for a value of
+# another type than ``judge`` gives it.
+def _json_bool(value) -> str:
+    if type(value) is not bool:
+        raise TypeError(value)
+    return "true" if value else "false"
+
+
+def _json_optional(value) -> str:
+    return "null" if value is None else _json_string(value)
+
+
+def _json_hops(labels) -> str:
+    labels = list(map(_json_string, labels))
+    return "[{}]".format(", ".join(f"[{labels[i]}, {labels[i + 1]}, {labels[i + 2]}]"
+                                   for i in range(0, len(labels) - 2, 2)))
+
+
+def _json_bools(values) -> str:
+    return f"[{', '.join(map(_json_bool, values))}]"
 
 
 def _record_line(record: EvalRecord) -> str:
     """``json.dumps(record.to_dict())`` and a newline, joined from the encoded
-    strings when every field has a type ``judge`` gives it."""
+    strings.  A ValueError naming the record and the field when a field has
+    a type ``judge`` never gives, which ``read_eval_records`` would refuse."""
     instance_id, gold, completion, answer, final_correct, hop_correct, failure = record
     try:
-        labels = list(map(_json_string, gold.labels))
-        hops = ", ".join(f"[{labels[i]}, {labels[i + 1]}, {labels[i + 2]}]"
-                         for i in range(0, len(labels) - 2, 2))
-        return (f'{{"instance_id": {_json_scalar(instance_id)}, "gold": [{hops}], '
-                f'"completion": {_json_scalar(completion)}, '
-                f'"extracted_answer": {_json_scalar(answer)}, '
-                f'"final_correct": {_json_scalar(final_correct)}, '
-                f'"hop_correct": [{", ".join(map(_json_scalar, hop_correct))}], '
-                f'"failure_class": {_json_scalar(failure)}, '
-                f'"gold_source_id": {_json_scalar(gold.source_id)}}}\n')
-    except TypeError:  # a value of another type: json.dumps spells it
-        return json.dumps(record.to_dict()) + "\n"
+        return (f'{{"instance_id": {_json_string(instance_id)}, '
+                f'"gold": {_json_hops(gold.labels)}, '
+                f'"completion": {_json_string(completion)}, '
+                f'"extracted_answer": {_json_optional(answer)}, '
+                f'"final_correct": {_json_bool(final_correct)}, '
+                f'"hop_correct": {_json_bools(hop_correct)}, '
+                f'"failure_class": {_json_optional(failure)}, '
+                f'"gold_source_id": {_json_optional(gold.source_id)}}}\n')
+    except TypeError:  # encode each field alone to name the first it refuses
+        for field, encode, value in (
+                ("instance_id", _json_string, instance_id), ("gold", _json_hops, gold.labels),
+                ("completion", _json_string, completion),
+                ("extracted_answer", _json_optional, answer),
+                ("final_correct", _json_bool, final_correct),
+                ("hop_correct", _json_bools, hop_correct),
+                ("failure_class", _json_optional, failure),
+                ("gold_source_id", _json_optional, gold.source_id)):
+            try:
+                encode(value)
+            except TypeError:
+                raise ValueError(f"record {instance_id!r}: {field} {value!r} has a type "
+                                 f"judge never gives") from None
+        raise
 
 
 def write_eval_records(records: list[EvalRecord], path) -> None:
     """Append one JSON line per record to the record log at ``path``."""
+    text = "".join(map(_record_line, records))  # a refused record appends nothing
     with Path(path).open("a", encoding="utf-8") as fh:
-        fh.write("".join(map(_record_line, records)))
+        fh.write(text)
 
 
 def read_eval_records(path) -> list[EvalRecord]:

@@ -39,32 +39,6 @@ class CompletionResult(namedtuple("CompletionResult",
     __slots__ = ()
 
 
-def _extract_query(prompt: str) -> str | None:
-    """Pull the final query text out of a full prompt.
-
-    One-shot prompts contain the demonstration's query too, so only the last
-    statement/question marker counts.
-    """
-    found = []  # (marker position, query text) of each marker with a terminator
-    for marker, terminator in (("statement: ", " is _"), ("question: What is ", " ?")):
-        pos = prompt.rfind(marker)
-        end = prompt.find(terminator, pos + len(marker))
-        if pos >= 0 and end >= 0:
-            found.append((pos, prompt[pos + len(marker):end]))
-    return max(found)[1] if found else None
-
-
-def _candidate_paths(core: str):
-    """Possible (relations in traversal order, start entity) readings of a
-    query core like "spouse of composer of It Goes Like It Goes", which names
-    the relations outermost first.  Entity labels may themselves contain
-    " of ", so every split point is a candidate.
-    """
-    tokens = core.split(" of ")
-    for i in range(1, len(tokens)):
-        yield tokens[i - 1::-1], " of ".join(tokens[i:])
-
-
 class FaultSpec(namedtuple("FaultSpec", "hop_index probability seed")):
     """Seeded corruption of one hop, for exercising the evaluation harness.
 
@@ -76,8 +50,12 @@ class FaultSpec(namedtuple("FaultSpec", "hop_index probability seed")):
     __slots__ = ()
 
     def __new__(cls, hop_index: int, probability: float, seed: int):
+        if isinstance(hop_index, bool) or not isinstance(hop_index, int):
+            raise ValueError(f"fault hop index must be an integer, not {hop_index!r}")
         if hop_index < 0:
             raise ValueError(f"fault hop index must be >= 0, not {hop_index}")
+        if isinstance(probability, bool) or not isinstance(probability, (int, float)):
+            raise ValueError(f"fault probability must be a number, not {probability!r}")
         if not 0 <= probability <= 1:
             raise ValueError(f"fault probability must be in [0, 1], not {probability}")
         return tuple.__new__(cls, (hop_index, probability, seed))
@@ -100,16 +78,21 @@ class OracleBackend:
         representation: RepresentationTag = RepresentationTag.NATURAL_LANGUAGE,
         corrupt: FaultSpec | None = None,
     ):
+        if not isinstance(representation, RepresentationTag):
+            raise ValueError(f"oracle representation must be a RepresentationTag, "
+                             f"not {representation!r}")
+        from .prompts import query_readings  # only an oracle reads prompts back
+
         self.kg = kg
         self.representation = representation
         self.corrupt = corrupt
+        self.readings = query_readings
 
     def send(self, prompt: str) -> tuple[str, None]:
         """Answer a prompt by exact graph traversal: the answer envelope for
-        ``representation``, or one with answer "UNKNOWN" when the prompt does
-        not parse or its path is missing from the graph."""
-        core = _extract_query(prompt)
-        for relations, start in () if core is None else _candidate_paths(core):
+        ``representation`` of the first reading of its query with a path in
+        the graph, or one with answer "UNKNOWN" when no reading has one."""
+        for relations, start in self.readings(prompt):
             if infer(self.kg, start, relations) is not None:
                 labels = [start]
                 for relation in relations:

@@ -1,8 +1,9 @@
 """Prompt construction for zero-shot, one-shot, and with-context evaluation.
 
 Two query phrasings exist: the statement style completes "r2 of r1 of e1 is _"
-and the question style asks "What is r2 of r1 of e1 ?".  Golden files under
-``tests/golden/`` pin the exact byte sequences for every mode.
+and the question style asks "What is r2 of r1 of e1 ?".  ``query_readings``
+reads a prompt's query back, so this module alone knows the wording.  Golden
+files under ``tests/golden/`` pin the exact byte sequences for every mode.
 """
 
 from __future__ import annotations
@@ -51,6 +52,24 @@ def build_query(chain: ReasoningInstance, style: DatasetStyle) -> str:
     if style is DatasetStyle.STATEMENT:
         return f"{core} is _"
     return f"What is {core} ?"
+
+
+def query_readings(prompt: str):
+    """Each (relations in traversal order, start entity) reading of the last
+    query in ``prompt``: one-shot prompts hold the demonstration's query
+    too, so only the later marker with its terminator counts.  A core like
+    "spouse of composer of It Goes Like It Goes" names the relations
+    outermost first, and an entity label may hold " of ", so every split
+    point is a reading."""
+    found = []  # (marker position, query core) of each marker with a terminator
+    for marker, terminator in (("statement: ", " is _"), ("question: What is ", " ?")):
+        pos = prompt.rfind(marker)
+        end = prompt.find(terminator, pos + len(marker))
+        if pos >= 0 and end >= 0:
+            found.append((pos, prompt[pos + len(marker):end]))
+    tokens = max(found)[1].split(" of ") if found else ()
+    for i in range(1, len(tokens)):
+        yield tokens[i - 1::-1], " of ".join(tokens[i:])
 
 
 def _instruction(style: DatasetStyle, representation: RepresentationTag | None) -> str:

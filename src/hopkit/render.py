@@ -276,29 +276,37 @@ def in_json(text: str) -> str:
 # ASCII without ``"``, ``'`` or ``\\``) as it is.
 SPELLINGS = (str, _in_py_str, in_json)
 # Label k of a template chain.  Each spelling spells its NUL, quotes and
-# backslash differently, so a slot's own bytes tell its spelling.
+# backslash differently, so a slot's own bytes tell its spelling.  Label k
+# of the check chain differs in its first byte alone: a text spelling a
+# label some other way than a slot differs between the two chains.
 _placeholder = "\0{}'\"\\".format
+_check_placeholder = "\1{}'\"\\".format
 _TEMPLATE_CACHE_SIZE = 256  # (representation, shape) pairs; a dataset has few
 _CODE_TAGS = (RepresentationTag.PYTHON_STATIC, RepresentationTag.PYTHON_DYNAMIC)
 
 
 def build_template(make, shape, spellings):
     """``(fmt, pick, used)``: the text ``make`` gives a chain of ``shape`` is
-    ``fmt % pick(spell(its labels, template))``, found by making it once from
-    a chain of placeholders.  ``used`` holds the spellings of ``spellings``
-    other than ``str`` that its slots use.  None when ``make`` raises (an
-    ambiguous fact) or leaves a NUL outside the slots."""
-    try:
-        text = make(ReasoningInstance(tuple(map(_placeholder, shape))))
-    except ValueError:
-        return None
-    slot_re = re.compile("|".join(  # compiled on first use, then from re's cache
-        "{}(\\d+){}".format(*map(re.escape, spelling(_placeholder("#")).split("#")))
-        for spelling in spellings))
-    text = text.replace("%", "%%")  # no placeholder holds a %
-    slots = [(spellings[m.lastindex - 1], int(m[m.lastindex])) for m in slot_re.finditer(text)]
-    fmt = slot_re.sub("%s", text)
-    if "\0" in fmt or "\\u0000" in fmt:  # raw, or JSON-escaped
+    ``fmt % pick(spell(its labels, template))``, found by making it from a
+    chain of placeholders and from a check chain.  ``used`` holds the
+    spellings of ``spellings`` other than ``str`` that its slots use.  None
+    when ``make`` raises (an ambiguous fact), names no label, or spells one
+    outside the slots: then the two chains give different templates."""
+    found = []  # (fmt, slots) of each chain
+    for placeholder in (_placeholder, _check_placeholder):
+        try:
+            text = make(ReasoningInstance(tuple(map(placeholder, shape))))
+        except ValueError:
+            return None
+        slot_re = re.compile("|".join(  # compiled on first use, then from re's cache
+            "{}(\\d+){}".format(*map(re.escape, spelling(placeholder("#")).split("#")))
+            for spelling in spellings))
+        text = text.replace("%", "%%")  # no placeholder holds a %
+        found.append((slot_re.sub("%s", text),
+                      [(spellings[m.lastindex - 1], int(m[m.lastindex]))
+                       for m in slot_re.finditer(text)]))
+    (fmt, slots), check = found
+    if not slots or check != (fmt, slots):
         return None
     used = list(dict.fromkeys(spelling for spelling, _ in slots if spelling is not str))
     return fmt, operator.itemgetter(*(

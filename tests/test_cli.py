@@ -405,8 +405,8 @@ def test_one_shot_prompts_do_each_piece_of_work_once(one_shot_tsv, tmp_path,
                                                      monkeypatch):
     """Each demonstration is rendered once, the draw for each eligible count
     is made once, and no chain is built from a record: counted, not timed.
-    The only chains built are the placeholder chains render compiles its
-    templates from, at most one per shape."""
+    The only chains built are the placeholder and check chains render
+    compiles its templates from, at most one of each per shape."""
     render_module = importlib.import_module("hopkit.render")
     render_module._template.cache_clear()
     records = dataset.ingest(one_shot_tsv).records
@@ -447,9 +447,11 @@ def test_one_shot_prompts_do_each_piece_of_work_once(one_shot_tsv, tmp_path,
     assert made == [5] * len(made)
     chains = [labels for labels, *_ in built]
     assert len(set(chains)) == len(chains)  # one representation, so one per shape
-    for labels in chains:
-        assert labels == tuple(render_module._placeholder(labels.index(label))
-                               for label in labels)
+    assert len(chains) % 2 == 0
+    for placeholders, check in zip(chains[::2], chains[1::2]):
+        shape = tuple(map(placeholders.index, placeholders))
+        assert placeholders == tuple(map(render_module._placeholder, shape))
+        assert check == tuple(map(render_module._check_placeholder, shape))
     assert not {label for labels in chains for label in labels} & {
         label for record in records for label in record.labels}
 
@@ -459,8 +461,8 @@ def test_the_corpus_renders_and_prompts_once_per_template(tmp_path, monkeypatch,
                                                           n_records):
     """Two-hop records with no label repeated inside a chain have two
     prefix shapes, so each representation and style builds two line
-    templates, each rendered and prompted once, whatever the record count:
-    counted, not timed."""
+    templates, each rendered and prompted once for its placeholder chain and
+    once for its check chain, whatever the record count: counted, not timed."""
     path = tmp_path / "records.tsv"
     write_tsv(path, [[str(i), f"a{i}", f"r{i}", f"b{i}", f"s{i}", f"c{i}"]
                      for i in range(n_records)])
@@ -483,8 +485,8 @@ def test_the_corpus_renders_and_prompts_once_per_template(tmp_path, monkeypatch,
             assert main(["generate", "--input", str(path), "--output",
                          str(tmp_path / f"{rep}-{style}.jsonl"), "--kind", "corpus",
                          "--rep", rep, "--style", style]) == 0
-            assert calls == {("render", 1): 1, ("render", 2): 1,
-                             ("prompt", 1): 1, ("prompt", 2): 1}
+            assert calls == {("render", 1): 2, ("render", 2): 2,
+                             ("prompt", 1): 2, ("prompt", 2): 2}
 
 
 # SHA-256 of `generate --kind prompts --mode zero` and `--mode context --seed 5`

@@ -527,20 +527,21 @@ ODD_VALUE = st.one_of(st.integers(), st.floats(), st.lists(JSON_TEXT, max_size=2
 
 
 def with_an_odd_value(record):
-    """``record`` with one field, one hop verdict or one gold label of a type
-    judge never gives."""
+    """``(record, field)``: ``record`` with one field, one hop verdict or one
+    gold label of a type judge never gives, and the log line field that
+    holds it."""
     fields = ["instance_id", "completion", "extracted_answer", "final_correct",
               "failure_class"]
 
     def put(where, value):
         if where in fields:
-            return record._replace(**{where: value})
+            return record._replace(**{where: value}), where
         if where == "hop_correct":
-            return record._replace(hop_correct=(value, *record.hop_correct[1:]))
+            return record._replace(hop_correct=(value, *record.hop_correct[1:])), where
         gold = record.gold  # ReasoningInstance._replace skips its label check
         if where == "source_id":
-            return record._replace(gold=gold._replace(source_id=value))
-        return record._replace(gold=gold._replace(labels=(value, *gold.labels[1:])))
+            return record._replace(gold=gold._replace(source_id=value)), "gold_source_id"
+        return record._replace(gold=gold._replace(labels=(value, *gold.labels[1:]))), "gold"
 
     return st.builds(put, st.sampled_from([*fields, "hop_correct", "source_id",
                                            "label"]), ODD_VALUE)
@@ -574,13 +575,42 @@ class TestReports:
         assert read_eval_records(path) == records
 
     @settings(max_examples=100, database=None, derandomize=True)
-    @given(records=st.lists(max_size=3, elements=st.one_of(
-        eval_records(), eval_records().flatmap(with_an_odd_value))))
-    def test_written_lines_are_those_of_json_dumps(self, records, tmp_path_factory):
+    @given(written=st.lists(max_size=3, elements=st.one_of(
+        eval_records().map(lambda record: (record, None)),
+        eval_records().flatmap(with_an_odd_value))))
+    def test_written_lines_are_those_of_json_dumps(self, written, tmp_path_factory):
+        """Records as judge gives them are written as json.dumps writes them.
+        A batch with a record of an odd type is refused, naming the first
+        such record and its field, and appends nothing."""
         path = tmp_path_factory.mktemp("log") / "records.jsonl"
-        write_eval_records(records, path)
-        assert path.read_text(encoding="utf-8") == "".join(
-            json.dumps(r.to_dict()) + "\n" for r in records)
+        records = [record for record, _ in written]
+        odd = [(record, field) for record, field in written if field]
+        if not odd:
+            write_eval_records(records, path)
+            assert path.read_text(encoding="utf-8") == "".join(
+                json.dumps(r.to_dict()) + "\n" for r in records)
+            return
+        record, field = odd[0]
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"record {record.instance_id!r}: {field} ") + ".* has a type judge never gives$"):
+            write_eval_records(records, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("instance_id, source_id, message", [
+        ("a", 7, "record 'a': gold_source_id 7 has a type judge never gives"),
+        (7, None, "record 7: instance_id 7 has a type judge never gives"),
+    ])
+    def test_a_record_the_reader_would_refuse_appends_nothing(
+            self, tmp_path, example_chain, instance_id, source_id, message):
+        path = tmp_path / "records.jsonl"
+        write_eval_records([judge("ok", example_chain, None, NL)], path)
+        logged = path.read_bytes()
+        gold = ReasoningInstance(example_chain.labels, source_id=source_id)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_eval_records([judge("b", example_chain, None, NL),
+                                judge(instance_id, gold, None, NL)], path)
+        assert path.read_bytes() == logged
+        assert [r.instance_id for r in read_eval_records(path)] == ["ok"]
 
     @pytest.mark.parametrize("bad", ['{"instance_id": ', "[1]", '{"gold": []}'])
     def test_bad_log_line_names_file_and_line(self, tmp_path, example_chain, bad):

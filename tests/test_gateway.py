@@ -17,7 +17,7 @@ from hopkit import (FaultSpec, Gateway, OracleBackend, add_fact, build_prompt, g
                     http1, make_chain)
 from hopkit.cli import _read_config, main
 from hopkit.gateway import OpenAIChatBackend, TransportError
-from hopkit.prompts import DatasetStyle, PromptMode
+from hopkit.prompts import DatasetStyle, PromptMode, query_readings
 from hopkit.render import RepresentationTag
 from tests.conftest import chat_reply, hopkit_env
 
@@ -100,8 +100,8 @@ class TestOracleComplete:
 
 
 def reference_extract_query(prompt):
-    """The oracle's query reading, step by step: the reference that
-    ``gateway._extract_query`` must match."""
+    """The oracle's query reading, step by step: the reference whose core
+    ``prompts.query_readings`` must split."""
     markers = [("statement: ", " is _"), ("question: What is ", " ?")]
     best = None
     for marker, terminator in markers:
@@ -125,7 +125,10 @@ def test_the_query_reading_matches_the_reference():
     for _ in range(20000):
         prompt = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
         expected = reference_extract_query(prompt)
-        assert gateway._extract_query(prompt) == expected, prompt
+        tokens = () if expected is None else expected.split(" of ")
+        assert list(query_readings(prompt)) == [
+            (tokens[i - 1::-1], " of ".join(tokens[i:])) for i in range(1, len(tokens))
+        ], prompt
         outcomes[expected is None] += 1
     assert set(outcomes) == {True, False}
 

@@ -96,6 +96,17 @@ def test_only_code_bodies_load_ast_and_no_oracle_run_the_http_client(tmp_path, r
     assert "ast" in code and "hopkit.http1" not in code
 
 
+def test_the_gateway_loads_the_query_reader_only_for_an_oracle():
+    # every benchmark process imports the gateway; a dataset command
+    # compiles no prompt code
+    script = ("import sys, hopkit.gateway as g; print('hopkit.prompts' in sys.modules);"
+              " g.OracleBackend({}); print('hopkit.prompts' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script], env=hopkit_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
+
+
 def test_the_client_has_one_class_under_every_name():
     import hopkit.gateway
     import hopkit.http1

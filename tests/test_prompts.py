@@ -3,8 +3,9 @@ import random
 import pytest
 
 from hopkit import build_prompt, build_query, make_chain
-from hopkit.prompts import DatasetStyle, DemonstrationPool, PromptMode
+from hopkit.prompts import DatasetStyle, DemonstrationPool, PromptMode, query_readings
 from hopkit.render import RepresentationTag
+from tests.conftest import random_chain
 
 
 def test_statement_query(example_chain):
@@ -73,6 +74,35 @@ def test_query_label_counts(example_chain):
     query = build_query(example_chain, DatasetStyle.QUESTION)
     assert query.count(" of ") == 2
     assert "It Goes Like It Goes" in query
+
+
+def with_of_in_entities(rng, chain):
+    """``chain`` with " of " put into some of its entity labels; its
+    relation labels hold none."""
+    labels = [label + " of " + label[::-1] if i % 2 == 0 and rng.random() < 0.4 else label
+              for i, label in enumerate(chain.labels)]
+    return chain._replace(labels=tuple(labels))
+
+
+def test_the_readings_of_a_prompt_are_those_of_its_own_query():
+    """Seeded: in both styles and all three modes, the chain's own
+    (relations, start) is one reading of its prompt, and every reading
+    comes from the chain's query, none from a one-shot demonstration's."""
+    rng = random.Random(34)
+    for _ in range(300):
+        chain, demonstration = (with_of_in_entities(rng, random_chain(rng)) for _ in "cd")
+        for style in DatasetStyle:
+            core_tokens = build_query(chain, style).count(" of ")
+            for mode in PromptMode:
+                prompt = build_prompt(chain, mode, style, RepresentationTag.JSON,
+                                      demonstration=demonstration).full_prompt
+                readings = [(tuple(relations), start)
+                            for relations, start in query_readings(prompt)]
+                assert (tuple(chain.relations), chain.start) in readings, prompt
+                assert len(readings) == core_tokens
+                # every start ends the query: the chain's start, never the demonstration's
+                assert all(start.endswith(chain.start.rsplit(" of ", 1)[-1])
+                           for _, start in readings), prompt
 
 
 def pool_of(chains, seed=0):

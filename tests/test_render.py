@@ -308,7 +308,7 @@ def test_templates_render_what_line_built_bodies_do():
 
 def test_render_compiles_each_shape_once(monkeypatch):
     """6,000 chains of one shape compile one template per representation
-    from one placeholder chain: counted, not timed."""
+    from one placeholder chain and one check chain: counted, not timed."""
     chains = [ReasoningInstance((f"a{i}", f"r{i}", f"b{i}", f"s{i}", f"c{i}"))
               for i in range(6000)]
     built, real_new = [], ReasoningInstance.__new__
@@ -324,7 +324,8 @@ def test_render_compiles_each_shape_once(monkeypatch):
             render(chain, tag)
     shape = tuple(range(5))
     assert render_module._template.cache_info().misses == len(ALL_TAGS)
-    assert built == [(tuple(map(render_module._placeholder, shape)),)] * len(ALL_TAGS)
+    assert built == [(tuple(map(render_module._placeholder, shape)),),
+                     (tuple(map(render_module._check_placeholder, shape)),)] * len(ALL_TAGS)
     for tag in ALL_TAGS:
         assert render_module._template(tag, shape) is not None
 
@@ -345,6 +346,32 @@ def test_a_label_spelled_outside_every_slot_renders_line_built(monkeypatch):
     try:
         assert render_module._template(tag, (0, 1, 2)) is None
         assert render(chain, tag).body == "siraP / fo latipac / ecnarF"
+    finally:
+        render_module._template.cache_clear()
+
+
+@pytest.mark.parametrize("renderer", [
+    lambda chain: " / ".join(map(repr, chain.labels)),  # no label in a slot's way
+    lambda chain: "a chain",  # names no label
+    lambda chain: f"{chain.start} or {chain.start!r}",  # a slot, and a label beside it
+], ids=["repr", "no-label", "slot-and-repr"])
+def test_a_body_no_template_fills_renders_line_built(monkeypatch, renderer):
+    """A renderer that names no label, or spells one outside every slot,
+    gets no body template: render builds its body from the real labels,
+    and the corpus writes what ``pair_line`` does."""
+    from hopkit import corpus
+    from hopkit.prompts import DatasetStyle
+
+    tag = RepresentationTag.NATURAL_LANGUAGE
+    chain = make_chain("Paris", "capital of", "France", source_id="7")
+    monkeypatch.setitem(render_module._RENDERERS, tag, renderer)
+    render_module._template.cache_clear()
+    try:
+        assert render_module._template(tag, (0, 1, 2)) is None
+        assert render(chain, tag).body == renderer(chain)
+        for style in DatasetStyle:
+            assert list(corpus.lines([chain], tag, style)) == [
+                corpus.pair_line(chain, tag, style)]
     finally:
         render_module._template.cache_clear()
 

@@ -339,10 +339,24 @@ class TestConstructorChecks:
         ((-1, 0.5, 0), "fault hop index must be >= 0, not -1"),
         ((0, 1.5, 0), "fault probability must be in [0, 1], not 1.5"),
         ((0, -0.1, 0), "fault probability must be in [0, 1], not -0.1"),
+        # a bool is not an integer or a number here, though Python counts it one
+        ((1.5, 1.0, 0), "fault hop index must be an integer, not 1.5"),
+        (("1", 1.0, 0), "fault hop index must be an integer, not '1'"),
+        ((True, 1.0, 0), "fault hop index must be an integer, not True"),
+        ((0, "0.5", 0), "fault probability must be a number, not '0.5'"),
+        ((0, None, 0), "fault probability must be a number, not None"),
+        ((0, True, 0), "fault probability must be a number, not True"),
+        ((0, float("nan"), 0), "fault probability must be in [0, 1], not nan"),
     ])
     def test_a_bad_fault_spec_is_refused(self, args, message):
         with pytest.raises(ValueError, match=exactly(message)):
             FaultSpec(*args)
+
+    @pytest.mark.parametrize("representation", ["bogus", "natural_language", None])
+    def test_an_oracle_refuses_a_representation_that_is_no_tag(self, representation):
+        message = f"oracle representation must be a RepresentationTag, not {representation!r}"
+        with pytest.raises(ValueError, match=exactly(message)):
+            OracleBackend({}, representation)
 
     @pytest.mark.parametrize("args, message", [
         ((None, ("a", "r", "b", "s", "c")), "record id must be a non-blank string, got None"),
