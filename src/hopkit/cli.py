@@ -183,7 +183,7 @@ def _read_config(path: str) -> dict:
     """The object in the JSON file at ``path``, holding none but CONFIG_KEYS."""
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bytes that are not UTF-8 too
+    except (ValueError, RecursionError) as exc:  # non-UTF-8 bytes and deep nesting too
         raise ValueError(f"config file {path} is not JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ValueError(f"config file {path} must hold an object")
@@ -262,7 +262,7 @@ def _check_manifest(path: Path, manifest: dict) -> None:
     this run's value is null."""
     try:
         logged = dict(json.loads(path.read_text(encoding="utf-8")))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise ValueError(f"{path}: not a run manifest: {exc}") from exc
     differ = [f"{key} {logged.get(key)!r} -> {manifest.get(key)!r}"
               for key in {**manifest, **logged} if logged.get(key) != manifest.get(key)]

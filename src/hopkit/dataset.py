@@ -171,7 +171,7 @@ def _rows(path: Path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting too
                 yield lineno, f"bad JSON: {exc}", None
                 continue
             if not isinstance(obj, dict):

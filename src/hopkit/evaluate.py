@@ -129,11 +129,45 @@ def _states(flat: str, claim: str) -> bool:
 
 class EvalRecord(namedtuple("EvalRecord", (
         "instance_id gold completion extracted_answer final_correct hop_correct "
-        "failure_class"), defaults=(None,))):
-    """One judged model interaction; ``failure_class`` is None, "transport" or
-    "unparseable"."""
+        "failure_class"))):
+    """One judged model interaction, checked when built (``_replace``, copy
+    and pickle included) with the rules and messages ``from_dict`` applies
+    to a log line: ValueError on an instance id that is not a non-blank
+    string, on a completion that is not a string, on an extracted answer or
+    a gold source id that is neither a string nor None, on a verdict that is
+    not a bool, on a hop verdict count other than the gold hop count, and on
+    a failure class other than None, "transport" and "unparseable"."""
 
     __slots__ = ()
+
+    def __new__(cls, instance_id: str, gold: ReasoningInstance, completion: str,
+                extracted_answer: str | None, final_correct: bool,
+                hop_correct: tuple[bool, ...], failure_class: str | None = None):
+        if not isinstance(instance_id, str) or not instance_id.strip():
+            raise ValueError(f"instance_id must be a non-blank string, got {instance_id!r}")
+        if not isinstance(completion, str):
+            raise ValueError(f"completion must be a string, got {completion!r}")
+        for key, value in (("extracted_answer", extracted_answer),
+                           ("gold_source_id", gold.source_id)):
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{key} must be a string or null, got {value!r}")
+        if type(final_correct) is not bool:
+            raise ValueError(f"final_correct must be a bool, got {final_correct!r}")
+        if (not isinstance(hop_correct, (list, tuple))
+                or not all(type(verdict) is bool for verdict in hop_correct)):
+            raise ValueError(f"hop_correct must hold bools, got {hop_correct!r}")
+        if len(hop_correct) != gold.n_hops:
+            raise ValueError(f"hop_correct has {len(hop_correct)} verdicts "
+                             f"for {gold.n_hops} gold hops")
+        if failure_class not in (None, "transport", "unparseable"):
+            raise ValueError(f"failure_class must be null, 'transport' or 'unparseable', "
+                             f"got {failure_class!r}")
+        return tuple.__new__(cls, (instance_id, gold, completion, extracted_answer,
+                                   final_correct, tuple(hop_correct), failure_class))
+
+    @classmethod
+    def _make(cls, iterable) -> "EvalRecord":
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         labels = self.gold.labels
@@ -149,28 +183,23 @@ class EvalRecord(namedtuple("EvalRecord", (
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EvalRecord":
-        """The record ``to_dict`` wrote; raises ValueError on an instance id
-        that is not a non-blank string, on a completion that is not a string,
-        on an extracted answer or a gold source id that is neither a string
-        nor None, on a verdict that is not a bool, on a failure class other
-        than None, "transport" and "unparseable", on a gold hop that is not
-        three non-blank label strings, on gold hops that do not bridge, and on
-        a hop verdict count other than the hop count."""
-        instance_id, final_correct = d["instance_id"], d["final_correct"]
-        completion, extracted_answer = d["completion"], d["extracted_answer"]
-        if not isinstance(instance_id, str) or not instance_id.strip():
-            raise ValueError(f"instance_id must be a non-blank string, got {instance_id!r}")
-        if not isinstance(completion, str):
-            raise ValueError(f"completion must be a string, got {completion!r}")
-        for key, value in (("extracted_answer", extracted_answer),
-                           ("gold_source_id", d.get("gold_source_id"))):
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"{key} must be a string or null, got {value!r}")
-        if type(final_correct) is not bool:
-            raise ValueError(f"final_correct must be a bool, got {final_correct!r}")
+    def from_dict(cls, d) -> "EvalRecord":
+        """The record ``to_dict`` wrote.  Raises ValueError naming the problem
+        on a value that is not an object, on a missing key, on a gold chain
+        that is not a list of hops of three non-blank label strings, on gold
+        hops that do not bridge, and on any value the constructor refuses."""
+        if not isinstance(d, dict):
+            raise ValueError(f"not an object, got {type(d).__name__}")
+        try:
+            instance_id, hops, completion = d["instance_id"], d["gold"], d["completion"]
+            answer, final_correct = d["extracted_answer"], d["final_correct"]
+            hop_correct = d["hop_correct"]
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from None
+        if not isinstance(hops, (list, tuple)) or not hops:
+            raise ValueError(f"gold must be a list of hops, got {hops!r}")
         labels = []
-        for i, hop in enumerate(d["gold"]):
+        for i, hop in enumerate(hops):
             if not isinstance(hop, (list, tuple)) or len(hop) != 3:
                 raise ValueError(f"gold hop {i} must be three labels, got {hop!r}")
             check_labels(hop)
@@ -178,25 +207,8 @@ class EvalRecord(namedtuple("EvalRecord", (
                 raise ValueError(f"gold hop {i - 1}: tail {labels[-1]!r} does not "
                                  f"bridge to hop {i} head {hop[0]!r}")
             labels += hop[1:] if labels else hop
-        failure_class = d.get("failure_class")
-        if failure_class not in (None, "transport", "unparseable"):
-            raise ValueError(f"failure_class must be null, 'transport' or 'unparseable', "
-                             f"got {failure_class!r}")
-        hop_correct = tuple(d["hop_correct"])
-        if not all(type(verdict) is bool for verdict in hop_correct):
-            raise ValueError(f"hop_correct must hold bools, got {d['hop_correct']!r}")
-        if len(hop_correct) != len(labels) // 2:
-            raise ValueError(f"hop_correct has {len(hop_correct)} verdicts "
-                             f"for {len(labels) // 2} gold hops")
-        return cls(
-            instance_id=instance_id,
-            gold=ReasoningInstance(labels, d.get("gold_source_id")),
-            completion=completion,
-            extracted_answer=extracted_answer,
-            final_correct=final_correct,
-            hop_correct=hop_correct,
-            failure_class=failure_class,
-        )
+        return cls(instance_id, ReasoningInstance(labels, d.get("gold_source_id")),
+                   completion, answer, final_correct, hop_correct, d.get("failure_class"))
 
 
 def judge(
@@ -358,62 +370,31 @@ def emit_report(report: MetricsReport, format: str = "text_table") -> str:
     return "\n".join(lines) + "\n"
 
 
-# Each field as ``json.dumps`` spells it, and a TypeError for a value of
-# another type than ``judge`` gives it.
-def _json_bool(value) -> str:
-    if type(value) is not bool:
-        raise TypeError(value)
-    return "true" if value else "false"
-
-
 def _json_optional(value) -> str:
     return "null" if value is None else _json_string(value)
 
 
-def _json_hops(labels) -> str:
-    labels = list(map(_json_string, labels))
-    return "[{}]".format(", ".join(f"[{labels[i]}, {labels[i + 1]}, {labels[i + 2]}]"
-                                   for i in range(0, len(labels) - 2, 2)))
-
-
-def _json_bools(values) -> str:
-    return f"[{', '.join(map(_json_bool, values))}]"
-
-
 def _record_line(record: EvalRecord) -> str:
     """``json.dumps(record.to_dict())`` and a newline, joined from the encoded
-    strings.  A ValueError naming the record and the field when a field has
-    a type ``judge`` never gives, which ``read_eval_records`` would refuse."""
+    strings."""
     instance_id, gold, completion, answer, final_correct, hop_correct, failure = record
-    try:
-        return (f'{{"instance_id": {_json_string(instance_id)}, '
-                f'"gold": {_json_hops(gold.labels)}, '
-                f'"completion": {_json_string(completion)}, '
-                f'"extracted_answer": {_json_optional(answer)}, '
-                f'"final_correct": {_json_bool(final_correct)}, '
-                f'"hop_correct": {_json_bools(hop_correct)}, '
-                f'"failure_class": {_json_optional(failure)}, '
-                f'"gold_source_id": {_json_optional(gold.source_id)}}}\n')
-    except TypeError:  # encode each field alone to name the first it refuses
-        for field, encode, value in (
-                ("instance_id", _json_string, instance_id), ("gold", _json_hops, gold.labels),
-                ("completion", _json_string, completion),
-                ("extracted_answer", _json_optional, answer),
-                ("final_correct", _json_bool, final_correct),
-                ("hop_correct", _json_bools, hop_correct),
-                ("failure_class", _json_optional, failure),
-                ("gold_source_id", _json_optional, gold.source_id)):
-            try:
-                encode(value)
-            except TypeError:
-                raise ValueError(f"record {instance_id!r}: {field} {value!r} has a type "
-                                 f"judge never gives") from None
-        raise
+    labels = list(map(_json_string, gold.labels))
+    hops = ", ".join(f"[{labels[i]}, {labels[i + 1]}, {labels[i + 2]}]"
+                     for i in range(0, len(labels) - 2, 2))
+    verdicts = ", ".join("true" if verdict else "false" for verdict in hop_correct)
+    return (f'{{"instance_id": {_json_string(instance_id)}, '
+            f'"gold": [{hops}], '
+            f'"completion": {_json_string(completion)}, '
+            f'"extracted_answer": {_json_optional(answer)}, '
+            f'"final_correct": {"true" if final_correct else "false"}, '
+            f'"hop_correct": [{verdicts}], '
+            f'"failure_class": {_json_optional(failure)}, '
+            f'"gold_source_id": {_json_optional(gold.source_id)}}}\n')
 
 
 def write_eval_records(records: list[EvalRecord], path) -> None:
     """Append one JSON line per record to the record log at ``path``."""
-    text = "".join(map(_record_line, records))  # a refused record appends nothing
+    text = "".join(map(_record_line, records))
     with Path(path).open("a", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -429,7 +410,7 @@ def read_eval_records(path) -> list[EvalRecord]:
                 continue
             try:
                 records.append(EvalRecord.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, RecursionError) as exc:  # deep nesting is malformed too
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return records
 
@@ -449,7 +430,7 @@ def repair_cut_tail(path) -> int:
         start = data.rfind(b"\n") + 1
         try:
             EvalRecord.from_dict(json.loads(data[start:]))
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, RecursionError):
             fh.truncate(start)
             return len(data) - start
         fh.write(b"\n")

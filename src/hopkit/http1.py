@@ -319,7 +319,7 @@ class OpenAIChatBackend:
         try:
             body = json.loads(data)
             text = body["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise TransportError(f"malformed response: {exc}", retryable=False) from exc
         if not isinstance(text, str):
             raise TransportError(

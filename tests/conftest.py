@@ -21,6 +21,12 @@ render_module = importlib.import_module("hopkit.render")  # hopkit.render is the
 JSON_TEXT = st.text(st.one_of(
     st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\u00e9\U0001f600'), st.characters()))
 
+# JSON nested past the recursion limit, and what json.loads raises for it:
+# every reader of a JSON file or line takes it as malformed JSON.
+TOO_DEEP = "[" * 100_000
+TOO_DEEP_MESSAGE = ("maximum recursion depth exceeded while decoding a JSON array from a "
+                    "unicode string")
+
 # The suffix that makes a record file hold each format: its name alone decides.
 RECORD_SUFFIX = {"tsv": ".tsv", "json_lines": ".jsonl"}
 

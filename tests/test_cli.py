@@ -17,7 +17,7 @@ import hopkit
 from hopkit import OracleBackend, add_fact, dataset, gateway, ingest, prompts
 from hopkit.cli import CONFIG_KEYS, build_parser, main
 from hopkit.render import RepresentationTag
-from tests.conftest import chat_reply, hopkit_env
+from tests.conftest import TOO_DEEP, TOO_DEEP_MESSAGE, chat_reply, hopkit_env
 
 
 def write_jsonl(path, rows):
@@ -145,6 +145,16 @@ class TestCap:
         assert "1 records, 1 invalid" in captured.err
         assert "kept 1 of 1" in captured.out
         assert out.read_text().splitlines()[1:] == ["1\ta\tr\tb\ts\tc"]
+
+    def test_a_row_nested_past_the_recursion_limit_is_a_bad_row(self, tmp_path, capsys):
+        path = tmp_path / "rows.jsonl"
+        rows = [json.dumps({"id": str(i), "e1": f"a{i}", "r1": "r", "e2": f"b{i}",
+                            "r2": "s", "e3": f"c{i}"}) for i in range(2)]
+        path.write_text("\n".join([rows[0], TOO_DEEP, rows[1]]) + "\n", encoding="utf-8")
+        assert main(["cap", "--input", str(path), "--output", str(tmp_path / "out.tsv")]) == 0
+        captured = capsys.readouterr()
+        assert "2 records, 1 invalid" in captured.err and "kept 2 of 2" in captured.out
+        assert ingest(path).invalid_rows == [(2, f"bad JSON: {TOO_DEEP_MESSAGE}")]
 
     @pytest.mark.parametrize("column, value", [
         ("id", "7\t8"), ("e1", "a\tb"), ("r1", "r\ns"), ("e3", "c\rd"), ("e2", "b\r\n"),
@@ -637,6 +647,7 @@ def resume_cut_log(input_tsv, tmp_path, cut_log):
 
 # Gold chains no eval record log may hold, and the error that names each.
 BAD_GOLD = [
+    (5, "gold must be a list of hops, got 5"),
     ([[1, "r", "b"], ["b", "s", "c"]], "entity label must be a string, not 1"),
     ([["a", "r", "b"], ["b", " ", "c"]], "relation label must be non-empty"),
     (["abc", "cde"], "gold hop 0 must be three labels, got 'abc'"),
@@ -646,7 +657,8 @@ BAD_GOLD = [
     ([["a", "r", "b"], ["b", "s", "c"], ["c", "t", "d"]],
      "hop_correct has 2 verdicts for 3 gold hops"),
 ]
-BAD_GOLD_IDS = ["int-label", "blank-label", "string-hops", "unbridged", "extra-hop"]
+BAD_GOLD_IDS = ["int-gold", "int-label", "blank-label", "string-hops", "unbridged",
+                "extra-hop"]
 
 
 def with_gold(line, gold):
@@ -783,6 +795,14 @@ class TestEvaluate:
             f"error: {log}:3: failure_class must be null, 'transport' or 'unparseable', "
             "got 'Transport'\n")
         assert log.read_text(encoding="utf-8") == "".join(lines)
+
+    def test_resume_drops_a_cut_last_line_nested_past_the_recursion_limit(
+            self, input_tsv, tmp_path, capsys):
+        def cut_log(log):
+            return b"".join(log.splitlines(keepends=True)[:7]) + TOO_DEEP.encode()
+
+        tail = resume_cut_log(input_tsv, tmp_path, cut_log).rsplit(b"\n", 1)[-1]
+        assert f"dropped {len(tail)} bytes of a cut last line" in capsys.readouterr().err
 
     def test_resume_drops_a_cut_last_line_with_an_unknown_failure_class(
             self, input_tsv, tmp_path, capsys):
@@ -1404,9 +1424,16 @@ class TestErrors:
         (["evaluate", "--input", "{records}", "--oracle", "--resume", "--output", "{done}"],
          "{done}/manifest.json: not a run manifest: Expecting value: line 1 column 1 "
          "(char 0)"),
+        (["evaluate", "--input", "{records}", "--oracle", "--config", "{deep}",
+          "--output", "{out}"],
+         f"config file {{deep}} is not JSON: {TOO_DEEP_MESSAGE}"),
+        (["evaluate", "--input", "{records}", "--oracle", "--resume", "--output",
+          "{deep_done}"],
+         f"{{deep_done}}/manifest.json: not a run manifest: {TOO_DEEP_MESSAGE}"),
     ], ids=["ingest-abort", "render-line-break", "config-key", "config-not-json",
             "no-force", "no-force-missing-input", "no-force-bad-fault-hop",
-            "no-usable-records", "config-not-object", "cap-zero", "resume-bad-manifest"])
+            "no-usable-records", "config-not-object", "cap-zero", "resume-bad-manifest",
+            "config-too-deep", "resume-manifest-too-deep"])
     def test_a_user_error_is_one_error_line(self, input_tsv, tmp_path, capsys, command,
                                             message):
         invalid = tmp_path / "invalid.tsv"
@@ -1426,10 +1453,15 @@ class TestErrors:
         done.mkdir()
         (done / "eval_records.jsonl").write_text("old\n", encoding="utf-8")
         (done / "manifest.json").write_text("not json\n", encoding="utf-8")
+        deep = tmp_path / "deep.json"
+        deep.write_text(TOO_DEEP, encoding="utf-8")
+        deep_done = tmp_path / "deep_done"
+        shutil.copytree(done, deep_done)
+        shutil.copy(deep, deep_done / "manifest.json")
         paths = {"invalid": invalid, "broken": broken, "records": input_tsv,
                  "missing": tmp_path / "missing.tsv", "config": config, "done": done,
                  "truncated": truncated, "header_only": header_only, "listed": listed,
-                 "out": tmp_path / "out"}
+                 "deep": deep, "deep_done": deep_done, "out": tmp_path / "out"}
         code = main([arg.format(**paths) for arg in command])
         assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
         assert code == 1

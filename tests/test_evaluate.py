@@ -15,7 +15,7 @@ from hopkit import evaluate, kg
 from hopkit.evaluate import ConditionRow, read_eval_records, write_eval_records
 from hopkit.render import (DYNAMIC_PREAMBLE, ENVELOPE_BODY_KEY, RepresentationTag,
                            wrap_answer_envelope)
-from tests.conftest import JSON_TEXT, random_chain
+from tests.conftest import JSON_TEXT, TOO_DEEP, TOO_DEEP_MESSAGE, random_chain
 
 NL = RepresentationTag.NATURAL_LANGUAGE
 ALL_TAGS = list(RepresentationTag)
@@ -266,7 +266,8 @@ class TestJudgeHops:
         clause = [judge("i", *case) for case in cases]
         monkeypatch.setattr(evaluate, "_states", self._word_bounded_states)
         for new, old in zip(clause, (judge("i", *case) for case in cases)):
-            assert new._replace(hop_correct=()) == old._replace(hop_correct=())
+            assert {**new._asdict(), "hop_correct": None} == {**old._asdict(),
+                                                                "hop_correct": None}
             assert all(o or not n for n, o in zip(new.hop_correct, old.hop_correct))
 
     def test_word_characters_are_alphanumerics_and_underscore(self):
@@ -501,50 +502,53 @@ class TestComputeMetrics:
 
 
 OPTIONAL_TEXT = st.none() | JSON_TEXT
+NON_BLANK_TEXT = JSON_TEXT.filter(str.strip)
 
 
 @st.composite
 def eval_records(draw):
-    """Records as judge gives them: a 2- or 3-hop gold chain whose labels
-    and texts JSON must escape, a None answer or source id, and transport
-    failures."""
+    """Records as judge gives them: a 2- or 3-hop gold chain whose labels,
+    ids and texts JSON must escape, a None answer or source id, and
+    transport failures."""
     n_hops = draw(st.sampled_from([2, 3]))
-    labels = draw(st.lists(JSON_TEXT.filter(str.strip), min_size=2 * n_hops + 1,
+    labels = draw(st.lists(NON_BLANK_TEXT, min_size=2 * n_hops + 1,
                            max_size=2 * n_hops + 1))
     gold = ReasoningInstance(labels, draw(OPTIONAL_TEXT))
     if draw(st.booleans()):
-        return judge(draw(JSON_TEXT), gold, None, NL)
+        return judge(draw(NON_BLANK_TEXT), gold, None, NL)
     return EvalRecord(
-        instance_id=draw(JSON_TEXT), gold=gold, completion=draw(JSON_TEXT),
+        instance_id=draw(NON_BLANK_TEXT), gold=gold, completion=draw(JSON_TEXT),
         extracted_answer=draw(OPTIONAL_TEXT), final_correct=draw(st.booleans()),
         hop_correct=tuple(draw(st.lists(st.booleans(), min_size=n_hops,
                                         max_size=n_hops))),
         failure_class=draw(st.sampled_from([None, "unparseable"])))
 
 
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT, inner, max_size=3),
+    max_leaves=8)
+LOG_KEYS = ["instance_id", "gold", "completion", "extracted_answer", "final_correct",
+            "hop_correct", "failure_class", "gold_source_id"]
 ODD_VALUE = st.one_of(st.integers(), st.floats(), st.lists(JSON_TEXT, max_size=2),
                       st.dictionaries(JSON_TEXT, st.booleans(), max_size=2))
 
 
 def with_an_odd_value(record):
-    """``(record, field)``: ``record`` with one field, one hop verdict or one
-    gold label of a type judge never gives, and the log line field that
-    holds it."""
-    fields = ["instance_id", "completion", "extracted_answer", "final_correct",
-              "failure_class"]
+    """``(build, field)``: a call that builds ``record`` again with one field,
+    one hop verdict or the gold source id of a type judge never gives, and
+    the log line field that holds it."""
+    def put(field, value):
+        where = field
+        if field == "hop_correct":
+            value = (value, *record.hop_correct[1:])
+        elif field == "gold_source_id":  # ReasoningInstance does not check it
+            where, value = "gold", record.gold._replace(source_id=value)
+        return (lambda: record._replace(**{where: value})), field
 
-    def put(where, value):
-        if where in fields:
-            return record._replace(**{where: value}), where
-        if where == "hop_correct":
-            return record._replace(hop_correct=(value, *record.hop_correct[1:])), where
-        gold = record.gold  # ReasoningInstance._replace skips its label check
-        if where == "source_id":
-            return record._replace(gold=gold._replace(source_id=value)), "gold_source_id"
-        return record._replace(gold=gold._replace(labels=(value, *gold.labels[1:]))), "gold"
-
-    return st.builds(put, st.sampled_from([*fields, "hop_correct", "source_id",
-                                           "label"]), ODD_VALUE)
+    return st.builds(put, st.sampled_from([
+        "instance_id", "completion", "extracted_answer", "final_correct",
+        "hop_correct", "failure_class", "gold_source_id"]), ODD_VALUE)
 
 
 class TestReports:
@@ -575,31 +579,25 @@ class TestReports:
         assert read_eval_records(path) == records
 
     @settings(max_examples=100, database=None, derandomize=True)
-    @given(written=st.lists(max_size=3, elements=st.one_of(
-        eval_records().map(lambda record: (record, None)),
-        eval_records().flatmap(with_an_odd_value))))
-    def test_written_lines_are_those_of_json_dumps(self, written, tmp_path_factory):
-        """Records as judge gives them are written as json.dumps writes them.
-        A batch with a record of an odd type is refused, naming the first
-        such record and its field, and appends nothing."""
+    @given(records=st.lists(eval_records(), max_size=3),
+           odd=eval_records().flatmap(with_an_odd_value))
+    def test_written_lines_are_those_of_json_dumps(self, records, odd, tmp_path_factory):
+        """Records as judge gives them are written as json.dumps writes them,
+        and no record holds a value of another type: building one with such
+        a value raises a ValueError naming its field."""
         path = tmp_path_factory.mktemp("log") / "records.jsonl"
-        records = [record for record, _ in written]
-        odd = [(record, field) for record, field in written if field]
-        if not odd:
-            write_eval_records(records, path)
-            assert path.read_text(encoding="utf-8") == "".join(
-                json.dumps(r.to_dict()) + "\n" for r in records)
-            return
-        record, field = odd[0]
-        with pytest.raises(ValueError, match="^" + re.escape(
-                f"record {record.instance_id!r}: {field} ") + ".* has a type judge never gives$"):
-            write_eval_records(records, path)
-        assert not path.exists()
+        write_eval_records(records, path)
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(r.to_dict()) + "\n" for r in records)
+        build, field = odd
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            build()
 
     @pytest.mark.parametrize("instance_id, source_id, message", [
-        ("a", 7, "record 'a': gold_source_id 7 has a type judge never gives"),
-        (7, None, "record 7: instance_id 7 has a type judge never gives"),
-    ])
+        ("a", 7, "gold_source_id must be a string or null, got 7"),
+        (7, None, "instance_id must be a non-blank string, got 7"),
+        (" ", None, "instance_id must be a non-blank string, got ' '"),
+    ], ids=["int-source-id", "int-id", "blank-id"])
     def test_a_record_the_reader_would_refuse_appends_nothing(
             self, tmp_path, example_chain, instance_id, source_id, message):
         path = tmp_path / "records.jsonl"
@@ -611,6 +609,41 @@ class TestReports:
                                 judge(instance_id, gold, None, NL)], path)
         assert path.read_bytes() == logged
         assert [r.instance_id for r in read_eval_records(path)] == ["ok"]
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda logged: [1], "not an object, got list"),
+        (lambda logged: {k: v for k, v in logged.items() if k != "completion"},
+         "missing key 'completion'"),
+        (lambda logged: {**logged, "gold": 5}, "gold must be a list of hops, got 5"),
+        (lambda logged: {**logged, "hop_correct": None},
+         "hop_correct must hold bools, got None"),
+        (lambda logged: TOO_DEEP, TOO_DEEP_MESSAGE),
+    ], ids=["list", "no-completion", "int-gold", "null-verdicts", "too-deep"])
+    def test_a_refused_line_says_what_is_wrong(self, tmp_path, example_chain, change,
+                                               message):
+        path = tmp_path / "records.jsonl"
+        logged = change(judge("a", example_chain, None, NL).to_dict())
+        line = logged if logged is TOO_DEEP else json.dumps(logged)
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: {message}')}$"):
+            read_eval_records(path)
+
+    @settings(max_examples=200, database=None, derandomize=True)
+    @given(record=eval_records(), key=st.sampled_from([None, *LOG_KEYS]), value=JSON_VALUE)
+    def test_any_line_reads_as_a_record_or_names_file_and_line(self, record, key, value,
+                                                                tmp_path_factory):
+        """Any JSON value, or a record's line with one field replaced by any
+        JSON value: it reads back as a record, or as a ValueError naming
+        ``path:line``, and as nothing else."""
+        path = tmp_path_factory.mktemp("log") / "records.jsonl"
+        line = json.dumps(value if key is None else {**record.to_dict(), key: value})
+        path.write_text(line + "\n", encoding="utf-8")
+        try:
+            read = read_eval_records(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:1: ")
+        else:
+            assert [r.to_dict() for r in read] == [json.loads(line)]
 
     @pytest.mark.parametrize("bad", ['{"instance_id": ', "[1]", '{"gold": []}'])
     def test_bad_log_line_names_file_and_line(self, tmp_path, example_chain, bad):

@@ -19,7 +19,7 @@ from hopkit.cli import _read_config, main
 from hopkit.gateway import OpenAIChatBackend, TransportError
 from hopkit.prompts import DatasetStyle, PromptMode, query_readings
 from hopkit.render import RepresentationTag
-from tests.conftest import chat_reply, hopkit_env
+from tests.conftest import TOO_DEEP, TOO_DEEP_MESSAGE, chat_reply, hopkit_env
 
 
 def chain_to_graph(chain):
@@ -566,6 +566,16 @@ class TestOpenAIBackend:
         [result] = Gateway(backend=backend).complete_batch(["p"])
         assert result.text is None
         assert result.error.startswith("malformed response")
+        assert len(chat_server.payloads) == 1
+
+    def test_a_reply_nested_past_the_recursion_limit_is_malformed(self, chat_server):
+        data = TOO_DEEP.encode()
+        chat_server.reply = lambda prompt: (
+            None, b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%b" % (len(data), data))
+        backend = OpenAIChatBackend(chat_server.url + "/v1", "m")
+        [result] = Gateway(backend=backend).complete_batch(["p"])
+        assert result.text is None
+        assert result.error == f"malformed response: {TOO_DEEP_MESSAGE}"
         assert len(chat_server.payloads) == 1
 
     @pytest.mark.parametrize("kwargs, message", [

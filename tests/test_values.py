@@ -1,7 +1,9 @@
 """Value semantics of hopkit's immutable record types: equality, hashing,
 immutability and the checks their constructors make."""
 
+import copy
 import json
+import pickle
 import random
 import re
 
@@ -193,11 +195,36 @@ class TestLabels:
             "int-completion", "null-completion", "list-answer", "int-answer",
             "list-source-id"])
     def test_from_dict_refuses_a_field_of_the_wrong_type(self, field, value, message):
-        logged = judge("1", make_chain("a", "r", "b", "s", "c"), "x",
-                       RepresentationTag.JSON).to_dict()
-        logged[field] = value
-        with pytest.raises(ValueError, match=exactly(message)):
-            EvalRecord.from_dict(logged)
+        """The log line and the constructor refuse a value with one message."""
+        record = judge("1", make_chain("a", "r", "b", "s", "c"), "x", RepresentationTag.JSON)
+        logged = {**record.to_dict(), field: value}
+        fields = record._asdict()
+        if field == "gold_source_id":
+            fields["gold"] = ReasoningInstance(record.gold.labels, value)
+        else:
+            fields[field] = value
+        for build in (lambda: EvalRecord.from_dict(logged), lambda: EvalRecord(**fields)):
+            with pytest.raises(ValueError, match=exactly(message)):
+                build()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"instance_id": " "}, "instance_id must be a non-blank string, got ' '"),
+        ({"failure_class": "Transport"}, "failure_class must be null, 'transport' or "
+                                         "'unparseable', got 'Transport'"),
+        ({"hop_correct": (True,)}, "hop_correct has 1 verdicts for 2 gold hops"),
+    ], ids=["blank-id", "capitalized-class", "missing-verdict"])
+    def test_a_record_the_reader_would_refuse_is_never_built(self, change, message):
+        """Built directly, through ``_replace``, copied or unpickled."""
+        record = judge("1", make_chain("a", "r", "b", "s", "c"), None,
+                       RepresentationTag.NATURAL_LANGUAGE)
+        fields = {**record._asdict(), **change}
+        smuggled = tuple.__new__(EvalRecord, fields.values())  # skips every check
+        for build in (lambda: EvalRecord(**fields), lambda: record._replace(**change),
+                      lambda: copy.copy(smuggled),
+                      lambda: pickle.loads(pickle.dumps(smuggled))):
+            with pytest.raises(ValueError, match=exactly(message)):
+                build()
+        assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
 
     @pytest.mark.parametrize("fmt", ["tsv", "json_lines"])
     def test_ingest_refuses_a_blank_or_non_string_label(self, tmp_path, fmt):
